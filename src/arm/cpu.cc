@@ -557,58 +557,4 @@ ArmCpu::takeIrqToKernel()
     irqMasked_ = saved_mask;
 }
 
-void
-ArmCpu::saveState(SnapshotWriter &w)
-{
-    CpuBase::saveState(w);
-    w.u8(static_cast<std::uint8_t>(mode_));
-    w.b(irqMasked_);
-    w.pod(regs_);
-    w.pod(hyp_);
-    w.b(mmioPending_);
-    w.u64(mmioValue_);
-    w.u64(trappedReadValue_);
-    w.b(inIrqService_);
-    w.u64(interruptsTaken_);
-    w.u8(static_cast<std::uint8_t>(hypReturnMode_));
-    w.b(hypReturnMask_);
-    w.u8(static_cast<std::uint8_t>(hypTrappedMode_));
-    w.b(hypTrappedMask_);
-    w.u32(actlr);
-    w.u32(l2ctlr);
-    w.u32(l2ectlr);
-    w.u32(cp14Dbg);
-    mmu_.saveState(w);
-}
-
-void
-ArmCpu::restoreState(SnapshotReader &r)
-{
-    CpuBase::restoreState(r);
-    // Direct member writes, not setMode()/hypSys(): this is the host
-    // materializing hardware state, not simulated software accessing it,
-    // so no privilege/mode-change invariant events fire.
-    mode_ = static_cast<Mode>(r.u8());
-    irqMasked_ = r.b();
-    r.pod(regs_);
-    r.pod(hyp_);
-    mmioPending_ = r.b();
-    mmioValue_ = r.u64();
-    trappedReadValue_ = r.u64();
-    inIrqService_ = r.b();
-    interruptsTaken_ = r.u64();
-    hypReturnMode_ = static_cast<Mode>(r.u8());
-    hypReturnMask_ = r.b();
-    hypTrappedMode_ = static_cast<Mode>(r.u8());
-    hypTrappedMask_ = r.b();
-    actlr = r.u32();
-    l2ctlr = r.u32();
-    l2ectlr = r.u32();
-    cp14Dbg = r.u32();
-    mmu_.restoreState(r);
-    // Software vectors (hypVectors_/osVectors_) are raw pointers into the
-    // host kernel and hypervisor objects; their owners reinstall them in
-    // their own snapshotRebind passes.
-}
-
 } // namespace kvmarm::arm

@@ -192,9 +192,27 @@ class ArmCpu : public CpuBase
     /// @}
 
     /// @name Snapshottable (extends CpuBase with the ARM register state)
+    ///
+    /// Direct member access, not setMode()/hypSys(): a restore is the
+    /// host materializing hardware state, not simulated software accessing
+    /// it, so no privilege/mode-change invariant events fire. Software
+    /// vectors (hypVectors_/osVectors_) are raw pointers into the host
+    /// kernel and hypervisor objects; their owners reinstall them in their
+    /// own snapshotRebind passes.
     /// @{
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        CpuBase::visit(v);
+        v.pod(mode_, irqMasked_, regs_, hyp_, mmioPending_, mmioValue_,
+              trappedReadValue_, inIrqService_, interruptsTaken_,
+              hypReturnMode_, hypReturnMask_, hypTrappedMode_,
+              hypTrappedMask_, actlr, l2ctlr, l2ectlr, cp14Dbg);
+        mmu_.visit(v);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
     /// @name Implementation-defined hardware registers (ACTLR group)

@@ -13,8 +13,8 @@ constexpr std::uint8_t kDefaultPrio = 0xA0;
 } // namespace
 
 GicDistributor::GicDistributor(ArmMachine &machine, unsigned num_cpus)
-    : machine_(machine), numCpus_(num_cpus), banks_(num_cpus),
-      pendingCache_(num_cpus)
+    : Snapshottable(&machine, "gicd"), machine_(machine), numCpus_(num_cpus),
+      banks_(num_cpus), pendingCache_(num_cpus)
 {
     priority_.fill(kDefaultPrio);
     targets_.fill(0x01); // SPIs target CPU0 until reconfigured
@@ -328,48 +328,6 @@ GicDistributor::write(CpuId cpu, Addr offset, std::uint64_t value,
 }
 
 void
-GicDistributor::saveState(SnapshotWriter &w)
-{
-    w.u32(ctlr_);
-    w.pod(enabled_);
-    w.pod(pending_);
-    w.pod(priority_);
-    w.pod(targets_);
-    w.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const Bank &b : banks_)
-        w.pod(b);
-    w.u32(static_cast<std::uint32_t>(inflight_.size()));
-    for (const Inflight &f : inflight_)
-        w.pod(f);
-    w.u64(nextInflightToken_);
-}
-
-void
-GicDistributor::restoreState(SnapshotReader &r)
-{
-    ctlr_ = r.u32();
-    r.pod(enabled_);
-    r.pod(pending_);
-    r.pod(priority_);
-    r.pod(targets_);
-    std::uint32_t nbanks = r.u32();
-    if (nbanks != banks_.size())
-        fatal("gicd: snapshot has %u banks, machine has %zu", nbanks,
-              banks_.size());
-    for (Bank &b : banks_)
-        r.pod(b);
-    inflight_.clear();
-    std::uint32_t nflight = r.u32();
-    for (std::uint32_t i = 0; i < nflight; ++i) {
-        Inflight f;
-        r.pod(f);
-        inflight_.push_back(f);
-    }
-    nextInflightToken_ = r.u64();
-    touch(); // drop any memoized bestPending from before the restore
-}
-
-void
 GicDistributor::snapshotRebind()
 {
     // The in-flight deliveries' events were recreated (callback-less) by
@@ -391,41 +349,9 @@ GicDistributor::snapshotRebind()
 
 GicCpuInterface::GicCpuInterface(ArmMachine &machine, GicDistributor &dist,
                                  unsigned num_cpus)
-    : machine_(machine), dist_(dist), banks_(num_cpus)
+    : Snapshottable(&machine, "gicc"), machine_(machine), dist_(dist),
+      banks_(num_cpus)
 {
-}
-
-void
-GicCpuInterface::saveState(SnapshotWriter &w)
-{
-    w.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const Bank &b : banks_) {
-        w.b(b.enabled);
-        w.u8(b.pmr);
-        w.u32(static_cast<std::uint32_t>(b.activeStack.size()));
-        for (const PendingIrq &p : b.activeStack)
-            w.pod(p);
-    }
-}
-
-void
-GicCpuInterface::restoreState(SnapshotReader &r)
-{
-    std::uint32_t nbanks = r.u32();
-    if (nbanks != banks_.size())
-        fatal("gicc: snapshot has %u banks, machine has %zu", nbanks,
-              banks_.size());
-    for (Bank &b : banks_) {
-        b.enabled = r.b();
-        b.pmr = r.u8();
-        b.activeStack.clear();
-        std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            PendingIrq p;
-            r.pod(p);
-            b.activeStack.push_back(p);
-        }
-    }
 }
 
 Cycles

@@ -114,9 +114,19 @@ class GicDistributor : public MmioDevice, public Snapshottable
 
     /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override { return "gicd"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.pod(ctlr_, enabled_, pending_, priority_, targets_);
+        v.fixed(banks_, "banks");
+        v.seq(inflight_);
+        v.pod(nextInflightToken_);
+        if constexpr (V::kLoading)
+            touch(); // drop any memoized bestPending from before the restore
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /** Re-claims the in-flight delivery events on their target CPUs'
      *  restored queues. */
     void snapshotRebind() override;
@@ -214,9 +224,14 @@ class GicCpuInterface : public MmioDevice, public Snapshottable
 
     /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override { return "gicc"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.fixed(banks_, "banks");
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
@@ -226,6 +241,14 @@ class GicCpuInterface : public MmioDevice, public Snapshottable
         std::uint8_t pmr = 0xFF;
         /** Acked-but-not-EOIed interrupts, innermost last. */
         std::vector<PendingIrq> activeStack;
+
+        template <class V>
+        void
+        visit(V &v)
+        {
+            v.pod(enabled, pmr);
+            v.seq(activeStack);
+        }
     };
 
     std::uint8_t runningPriority(const Bank &b) const;

@@ -4,8 +4,12 @@
 
 namespace kvmarm::arm {
 
+// Snapshot participants register as they are constructed: the members in
+// declaration order (ram_, gicd_, gicc_, gich_, timer_; gicv_ carries no
+// state of its own, it proxies gich_), then the CPUs, then host/hypervisor
+// layers as they are built on top.
 ArmMachine::ArmMachine(const Config &config)
-    : config_(config), ram_(kRamBase, config.ramSize), bus_(ram_),
+    : config_(config), ram_(kRamBase, config.ramSize, this), bus_(ram_),
       gicd_(*this, config.numCpus), gicc_(*this, gicd_, config.numCpus),
       gich_(*this, gicd_, config.numCpus), gicv_(*this, gich_),
       timer_(*this, config.numCpus)
@@ -19,17 +23,6 @@ ArmMachine::ArmMachine(const Config &config)
         bus_.addDevice(kGicvBase, kGicRegionSize, &gicv_);
         bus_.addDevice(kGichBase, kGicRegionSize, &gich_);
     }
-
-    // Snapshot participants, in a fixed order every ArmMachine shares
-    // (construction order is what lets a clone pair snapshot records with
-    // its own components positionally). CPUs self-register next, then
-    // host/hypervisor layers as they are built on top. gicv_ carries no
-    // state of its own (it proxies gich_) and is not registered.
-    registerSnapshottable(&ram_);
-    registerSnapshottable(&gicd_);
-    registerSnapshottable(&gicc_);
-    registerSnapshottable(&gich_);
-    registerSnapshottable(&timer_);
 
     for (CpuId i = 0; i < config.numCpus; ++i) {
         cpus_.push_back(std::make_unique<ArmCpu>(i, *this));

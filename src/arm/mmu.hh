@@ -49,24 +49,14 @@ class Mmu
 
     Tlb &tlb() { return tlb_; }
 
-    /// @name Snapshot support (serialized inside the owning ArmCpu record)
-    /// @{
+    /** Snapshot state (visited inside the owning ArmCpu record). */
+    template <class V>
     void
-    saveState(SnapshotWriter &w) const
+    visit(V &v)
     {
-        w.pod(microCode_);
-        w.pod(microData_);
-        tlb_.saveState(w);
+        v.pod(microCode_, microData_);
+        tlb_.visit(v);
     }
-
-    void
-    restoreState(SnapshotReader &r)
-    {
-        r.pod(microCode_);
-        r.pod(microData_);
-        tlb_.restoreState(r);
-    }
-    /// @}
 
   private:
     /**

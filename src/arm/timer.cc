@@ -3,12 +3,11 @@
 #include "arm/cpu.hh"
 #include "arm/gic.hh"
 #include "arm/machine.hh"
-#include "sim/logging.hh"
 
 namespace kvmarm::arm {
 
 GenericTimer::GenericTimer(ArmMachine &machine, unsigned num_cpus)
-    : machine_(machine), banks_(num_cpus)
+    : Snapshottable(&machine, "timer"), machine_(machine), banks_(num_cpus)
 {
 }
 
@@ -87,25 +86,6 @@ GenericTimer::armOne(CpuId cpu, bool virt_timer)
     event = q.schedule(deadline, [this, cpu, virt_timer] {
         fire(cpu, virt_timer);
     });
-}
-
-void
-GenericTimer::saveState(SnapshotWriter &w)
-{
-    w.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const Bank &b : banks_)
-        w.pod(b);
-}
-
-void
-GenericTimer::restoreState(SnapshotReader &r)
-{
-    std::uint32_t nbanks = r.u32();
-    if (nbanks != banks_.size())
-        fatal("timer: snapshot has %u banks, machine has %zu", nbanks,
-              banks_.size());
-    for (Bank &b : banks_)
-        r.pod(b);
 }
 
 void

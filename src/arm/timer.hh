@@ -62,9 +62,14 @@ class GenericTimer : public Snapshottable
 
     /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override { return "timer"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.fixed(banks_, "banks");
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /** Claim the armed compare-fire events on the restored CPU queues. */
     void snapshotRebind() override;
     /// @}

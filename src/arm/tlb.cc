@@ -1,7 +1,5 @@
 #include "arm/tlb.hh"
 
-#include "sim/logging.hh"
-
 namespace kvmarm::arm {
 
 namespace {
@@ -110,42 +108,6 @@ Tlb::size() const
     for (const Slot &s : slots_)
         n += valid(s) ? 1 : 0;
     return n;
-}
-
-void
-Tlb::saveState(SnapshotWriter &w) const
-{
-    w.u64(numSets_);
-    w.u64(ways_);
-    for (const Slot &s : slots_)
-        w.pod(s);
-    for (std::uint8_t nw : nextWay_)
-        w.u8(nw);
-    w.u64(globalGen_);
-    w.pod(vmidGen_);
-    w.u64(epoch_);
-    w.u64(hits_);
-    w.u64(misses_);
-}
-
-void
-Tlb::restoreState(SnapshotReader &r)
-{
-    std::uint64_t sets = r.u64();
-    std::uint64_t ways = r.u64();
-    if (sets != numSets_ || ways != ways_)
-        fatal("Tlb::restoreState: geometry mismatch (%llux%llu vs %zux%zu)",
-              static_cast<unsigned long long>(sets),
-              static_cast<unsigned long long>(ways), numSets_, ways_);
-    for (Slot &s : slots_)
-        r.pod(s);
-    for (std::uint8_t &nw : nextWay_)
-        nw = r.u8();
-    globalGen_ = r.u64();
-    r.pod(vmidGen_);
-    epoch_ = r.u64();
-    hits_ = r.u64();
-    misses_ = r.u64();
 }
 
 } // namespace kvmarm::arm

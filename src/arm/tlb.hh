@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "arm/pagetable.hh"
-#include "sim/snapshot.hh"
 #include "sim/types.hh"
 
 namespace kvmarm::arm {
@@ -85,16 +84,21 @@ class Tlb
     void countHit() { ++hits_; }
     void countMiss() { ++misses_; }
 
-    /// @name Snapshot support (the owning Mmu drives these)
-    ///
-    /// The whole array is serialized — slots, replacement cursors, and
-    /// generation/epoch counters — so a restored machine's TLB is warm in
-    /// exactly the origin's state and every future hit/miss/eviction
-    /// sequence is cycle-identical.
-    /// @{
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
-    /// @}
+    /**
+     * Snapshot state (the owning Mmu visits it): the whole array — slots,
+     * replacement cursors, and generation/epoch counters — so a restored
+     * machine's TLB is warm in exactly the origin's state and every future
+     * hit/miss/eviction sequence is cycle-identical. The slot and set
+     * counts pin the geometry.
+     */
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.fixed(slots_, "TLB slots");
+        v.fixed(nextWay_, "TLB sets");
+        v.pod(globalGen_, vmidGen_, epoch_, hits_, misses_);
+    }
 
   private:
     struct Slot

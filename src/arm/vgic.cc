@@ -29,7 +29,8 @@ ListReg::unpack(std::uint32_t raw)
 
 VgicHypInterface::VgicHypInterface(ArmMachine &machine, GicDistributor &dist,
                                    unsigned num_cpus)
-    : machine_(machine), dist_(dist), banks_(num_cpus)
+    : Snapshottable(&machine, "gich"), machine_(machine), dist_(dist),
+      banks_(num_cpus)
 {
 }
 
@@ -257,25 +258,6 @@ VgicCpuInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
       default:
         break;
     }
-}
-
-void
-VgicHypInterface::saveState(SnapshotWriter &w)
-{
-    w.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const VgicBank &b : banks_)
-        w.pod(b);
-}
-
-void
-VgicHypInterface::restoreState(SnapshotReader &r)
-{
-    std::uint32_t nbanks = r.u32();
-    if (nbanks != banks_.size())
-        fatal("gich: snapshot has %u banks, machine has %zu", nbanks,
-              banks_.size());
-    for (VgicBank &b : banks_)
-        r.pod(b);
 }
 
 } // namespace kvmarm::arm

@@ -125,9 +125,14 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
 
     /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override { return "gich"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.fixed(banks_, "banks");
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:

@@ -10,7 +10,7 @@ using arm::ArmMachine;
 using arm::Perms;
 
 HypMem::HypMem(arm::ArmMachine &machine, host::Mm &mm)
-    : machine_(machine), mm_(mm)
+    : Snapshottable(&machine, "hyp-mem"), machine_(machine), mm_(mm)
 {
 }
 
@@ -68,33 +68,17 @@ HypMem::build()
 }
 
 void
-HypMem::saveState(SnapshotWriter &w)
-{
-    w.u64(root_);
-    w.u64(pages_.size());
-    for (Addr pa : pages_)
-        w.u64(pa);
-}
-
-void
-HypMem::restoreState(SnapshotReader &r)
+HypMem::snapshotLoad(SnapshotReader &r)
 {
     // Retract whatever tables this instance built (none, on a clone) from
     // the invariant engine, then declare the restored set. No Mm refcount
-    // traffic here: Mm's own restore carries the allocator state.
+    // traffic here: Mm's own record carries the allocator state.
     for (Addr pa : pages_)
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
-    pages_.clear();
-
-    root_ = r.u64();
-    std::uint64_t npages = r.u64();
-    pages_.reserve(npages);
-    for (std::uint64_t i = 0; i < npages; ++i) {
-        Addr pa = r.u64();
-        pages_.push_back(pa);
+    visit(r);
+    for (Addr pa : pages_)
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         protectPage(&mm_, pa, "hyp-table"));
-    }
 }
 
 void

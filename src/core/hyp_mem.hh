@@ -43,17 +43,23 @@ class HypMem : public Snapshottable
 
     Addr root() const { return root_; }
 
-    /// @name Snapshottable (Kvm registers this)
+    /// @name Snapshottable
     ///
     /// Table *contents* live in machine RAM and come back with the RAM
     /// image; what is serialized here is the ownership bookkeeping (root,
-    /// table-page list, in allocation order). restoreState() replays the
+    /// table-page list, in allocation order). snapshotLoad() replays the
     /// page-protection invariant events so the restoring machine's engine
     /// tracks the restored table set, not the construction-time one.
     /// @{
-    std::string snapshotKey() const override { return "hyp-mem"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.pod(root_);
+        v.seq(pages_);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override;
     /// @}
 
   private:

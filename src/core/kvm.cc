@@ -21,26 +21,15 @@ clampConfig(KvmConfig cfg, const arm::ArmMachine::Config &hw)
 
 } // namespace
 
+// The KVM layer's stateful components register after the host kernel's:
+// this object first, then hypMem_, lowvisor_ and vtimer_ (Highvisor is
+// stateless).
 Kvm::Kvm(host::HostKernel &host, const KvmConfig &config)
-    : host_(host), config_(clampConfig(config, host.machine().config())),
+    : Snapshottable(&host.machine(), "kvm"), host_(host), config_(clampConfig(config, host.machine().config())),
       hypMem_(host.machine(), host.mm()), lowvisor_(*this),
-      highvisor_(*this), vtimer_(*this)
+      highvisor_(*this), vtimer_(*this),
+      lowvisorOnCpu_(host.machine().numCpus())
 {
-    // Fixed registration order (see ArmMachine's constructor): the KVM
-    // layer's stateful components follow the host kernel's. Highvisor is
-    // stateless and not registered.
-    machine().registerSnapshottable(&hypMem_);
-    machine().registerSnapshottable(&lowvisor_);
-    machine().registerSnapshottable(&vtimer_);
-    machine().registerSnapshottable(this);
-}
-
-Kvm::~Kvm()
-{
-    machine().unregisterSnapshottable(this);
-    machine().unregisterSnapshottable(&vtimer_);
-    machine().unregisterSnapshottable(&lowvisor_);
-    machine().unregisterSnapshottable(&hypMem_);
 }
 
 void
@@ -61,46 +50,18 @@ Kvm::findVm(std::uint16_t vmid)
 }
 
 void
-Kvm::saveState(SnapshotWriter &w)
-{
-    w.b(enabled_);
-    w.b(irqHandlersRegistered_);
-    w.u32(nextVmid_);
-    unsigned ncpus = machine().numCpus();
-    w.u32(ncpus);
-    for (CpuId i = 0; i < ncpus; ++i)
-        w.b(machine().cpu(i).hypVectors() == &lowvisor_);
-}
-
-void
-Kvm::restoreState(SnapshotReader &r)
-{
-    enabled_ = r.b();
-    rebindIrqHandlers_ = r.b();
-    // Force re-registration during rebind: a clone's handler table starts
-    // empty, and on a self-restore requestIrq simply overwrites.
-    irqHandlersRegistered_ = false;
-    nextVmid_ = static_cast<std::uint16_t>(r.u32());
-    std::uint32_t ncpus = r.u32();
-    if (ncpus != machine().numCpus())
-        fatal("kvm: snapshot has %u CPUs, machine has %u", ncpus,
-              machine().numCpus());
-    rebindHypOnCpu_.clear();
-    for (std::uint32_t i = 0; i < ncpus; ++i)
-        rebindHypOnCpu_.push_back(r.b());
-}
-
-void
 Kvm::snapshotRebind()
 {
-    if (rebindIrqHandlers_) {
-        rebindIrqHandlers_ = false;
+    // Register again if the snapshot had the handlers: a clone's handler
+    // table starts empty, and on a self-restore requestIrq simply
+    // overwrites.
+    if (irqHandlersRegistered_) {
+        irqHandlersRegistered_ = false;
         registerHostIrqHandlers();
     }
-    for (CpuId i = 0; i < rebindHypOnCpu_.size(); ++i)
-        if (rebindHypOnCpu_[i])
+    for (CpuId i = 0; i < lowvisorOnCpu_.size(); ++i)
+        if (lowvisorOnCpu_[i])
             machine().cpu(i).setHypVectors(&lowvisor_);
-    rebindHypOnCpu_.clear();
 }
 
 void

@@ -30,7 +30,6 @@ class Kvm : public Snapshottable
      *  hardware provides (no VGIC hardware -> no VGIC use). */
     Kvm(host::HostKernel &host, const KvmConfig &config);
     Kvm(host::HostKernel &host) : Kvm(host, KvmConfig{}) {}
-    ~Kvm() override;
 
     /**
      * Per-CPU initialization, run on each booted CPU: builds the Hyp page
@@ -81,9 +80,20 @@ class Kvm : public Snapshottable
 
     /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override { return "kvm"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        if constexpr (!V::kLoading) {
+            for (CpuId i = 0; i < lowvisorOnCpu_.size(); ++i)
+                lowvisorOnCpu_[i] =
+                    machine().cpu(i).hypVectors() == &lowvisor_;
+        }
+        v.pod(enabled_, irqHandlersRegistered_, nextVmid_);
+        v.fixed(lowvisorOnCpu_, "CPUs");
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /** Re-register host IRQ handlers and reinstall the lowvisor as the
      *  Hyp vectors on the CPUs that had it installed at snapshot time. */
     void snapshotRebind() override;
@@ -103,9 +113,9 @@ class Kvm : public Snapshottable
     std::uint16_t nextVmid_ = 1;
     std::vector<Vm *> vms_;
 
-    /** Restore-time scratch consumed by snapshotRebind(). */
-    bool rebindIrqHandlers_ = false;
-    std::vector<bool> rebindHypOnCpu_;
+    /** Snapshot-only, per CPU: the lowvisor is the installed Hyp vectors
+     *  (captured at save, consumed by snapshotRebind()). */
+    std::vector<std::uint8_t> lowvisorOnCpu_;
 };
 
 } // namespace kvmarm::core

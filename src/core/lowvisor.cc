@@ -14,7 +14,7 @@ using arm::Hsr;
 using arm::Mode;
 
 Lowvisor::Lowvisor(Kvm &kvm)
-    : kvm_(kvm), ws_(kvm), running_(kvm.machine().numCpus(), nullptr),
+    : Snapshottable(&kvm.machine(), "lowvisor"), kvm_(kvm), ws_(kvm), running_(kvm.machine().numCpus(), nullptr),
       pendingEnter_(kvm.machine().numCpus(), nullptr)
 {
 }
@@ -97,33 +97,12 @@ Lowvisor::exitToHost(ArmCpu &cpu, VCpu &vcpu)
 }
 
 void
-Lowvisor::saveState(SnapshotWriter &w)
+Lowvisor::checkQuiesced() const
 {
-    unsigned ncpus = static_cast<unsigned>(running_.size());
-    for (CpuId i = 0; i < ncpus; ++i) {
+    for (CpuId i = 0; i < running_.size(); ++i) {
         if (running_[i] || pendingEnter_[i])
             fatal("lowvisor: cpu%u has a resident/queued VCPU — machine "
                   "not quiesced for snapshot", i);
-    }
-    w.u32(ncpus);
-    for (CpuId i = 0; i < ncpus; ++i) {
-        w.pod(ws_.hostCtx_.at(i));
-        w.pod(ws_.hostFpu_.at(i));
-    }
-}
-
-void
-Lowvisor::restoreState(SnapshotReader &r)
-{
-    std::uint32_t ncpus = r.u32();
-    if (ncpus != running_.size())
-        fatal("lowvisor: snapshot has %u CPUs, machine has %zu", ncpus,
-              running_.size());
-    for (CpuId i = 0; i < ncpus; ++i) {
-        r.pod(ws_.hostCtx_.at(i));
-        r.pod(ws_.hostFpu_.at(i));
-        running_[i] = nullptr;
-        pendingEnter_[i] = nullptr;
     }
 }
 

@@ -11,6 +11,7 @@
 #ifndef KVMARM_CORE_LOWVISOR_HH
 #define KVMARM_CORE_LOWVISOR_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "arm/vectors.hh"
@@ -43,20 +44,30 @@ class Lowvisor : public arm::HypVectors, public Snapshottable
     const char *name() const override { return "kvm-lowvisor"; }
     /// @}
 
-    /// @name Snapshottable (Kvm registers this; covers WorldSwitch too)
+    /// @name Snapshottable (covers WorldSwitch too)
     ///
-    /// Snapshots only exist at quiescence: saveState() is fatal if any
-    /// VCPU is resident or queued to enter, so running_/pendingEnter_ are
-    /// serialized implicitly as all-null. The world switch's parked host
-    /// contexts (stale once the per-CPU fibers unwound, but compared by
-    /// nothing and restored verbatim for faithfulness) ride along.
+    /// Snapshots only exist at quiescence: saving is fatal if any VCPU is
+    /// resident or queued to enter, so running_/pendingEnter_ are
+    /// serialized implicitly as all-null.
     /// @{
-    std::string snapshotKey() const override { return "lowvisor"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        if constexpr (!V::kLoading)
+            checkQuiesced();
+        ws_.visit(v);
+        if constexpr (V::kLoading) {
+            std::fill(running_.begin(), running_.end(), nullptr);
+            std::fill(pendingEnter_.begin(), pendingEnter_.end(), nullptr);
+        }
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
+    void checkQuiesced() const;
     void enterVm(arm::ArmCpu &cpu, VCpu &vcpu);
     void exitToHost(arm::ArmCpu &cpu, VCpu &vcpu);
     void guestTrap(arm::ArmCpu &cpu, VCpu &vcpu, const arm::Hsr &hsr);

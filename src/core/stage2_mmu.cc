@@ -12,8 +12,8 @@ using arm::Perms;
 
 Stage2Mmu::Stage2Mmu(host::Mm &mm, std::uint16_t vmid, Addr ipa_ram_base,
                      Addr ipa_ram_size)
-    : mm_(mm), vmid_(vmid), ipaRamBase_(ipa_ram_base),
-      ipaRamSize_(ipa_ram_size),
+    : Snapshottable(mm.machine(), "stage2-" + std::to_string(vmid)), mm_(mm),
+      vmid_(vmid), ipaRamBase_(ipa_ram_base), ipaRamSize_(ipa_ram_size),
       editor_(arm::PtFormat::Stage2,
               [this](Addr pa) { return mm_.ram().read(pa, 8); },
               [this](Addr pa, std::uint64_t v) { mm_.ram().write(pa, v, 8); },
@@ -102,73 +102,36 @@ Stage2Mmu::ipaToPa(Addr ipa) const
     return it->second | (ipa & (kPageSize - 1));
 }
 
-std::string
-Stage2Mmu::snapshotKey() const
+std::vector<std::pair<Addr, Addr>>
+Stage2Mmu::sortedRamPages() const
 {
-    return "stage2-" + std::to_string(vmid_);
-}
-
-void
-Stage2Mmu::saveState(SnapshotWriter &w)
-{
-    w.u64(ipaRamBase_);
-    w.u64(ipaRamSize_);
-    w.u64(root_);
-    w.u64(tablePages_.size());
-    for (Addr pa : tablePages_)
-        w.u64(pa);
     std::vector<std::pair<Addr, Addr>> pages(
         // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
         ramPages_.begin(), ramPages_.end());
     std::sort(pages.begin(), pages.end());
-    w.u64(pages.size());
-    for (const auto &[ipa, pa] : pages) {
-        w.u64(ipa);
-        w.u64(pa);
-    }
+    return pages;
 }
 
 void
-Stage2Mmu::restoreState(SnapshotReader &r)
+Stage2Mmu::snapshotLoad(SnapshotReader &r)
 {
-    if (r.u64() != ipaRamBase_ || r.u64() != ipaRamSize_)
-        fatal("stage2 vmid=%u: snapshot RAM geometry differs from this "
-              "VM's", vmid_);
-
     // Retract this instance's current state from the invariant engine, in
     // sorted order (same rationale as releaseAll), then declare the
     // restored state: protect the table pages before mapping through
     // them, mirroring the live build order. No Mm refcount traffic: Mm's
-    // own restore carries the allocator state.
-    std::vector<std::pair<Addr, Addr>> current(
-        // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
-        ramPages_.begin(), ramPages_.end());
-    std::sort(current.begin(), current.end());
-    for (const auto &[ipa, pa] : current)
+    // own record carries the allocator state.
+    for (const auto &[ipa, pa] : sortedRamPages())
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         stage2Unmap(&mm_, vmid_, ipa, pa));
-    ramPages_.clear();
     for (Addr pa : tablePages_)
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
-    tablePages_.clear();
-
-    root_ = r.u64();
-    std::uint64_t ntables = r.u64();
-    tablePages_.reserve(ntables);
-    for (std::uint64_t i = 0; i < ntables; ++i) {
-        Addr pa = r.u64();
-        tablePages_.push_back(pa);
+    visit(r);
+    for (Addr pa : tablePages_)
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         protectPage(&mm_, pa, "stage2-table"));
-    }
-    std::uint64_t nram = r.u64();
-    for (std::uint64_t i = 0; i < nram; ++i) {
-        Addr ipa = r.u64();
-        Addr pa = r.u64();
-        ramPages_[ipa] = pa;
+    for (const auto &[ipa, pa] : sortedRamPages())
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         stage2Map(&mm_, vmid_, ipa, pa, false));
-    }
 }
 
 void
@@ -178,11 +141,7 @@ Stage2Mmu::releaseAll()
     // rebuilds the free list in release order, so bucket-order teardown
     // would make every post-teardown allocation address depend on the
     // hash map's internal layout.
-    std::vector<std::pair<Addr, Addr>> pages(
-        // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
-        ramPages_.begin(), ramPages_.end());
-    std::sort(pages.begin(), pages.end());
-    for (auto &[ipa, pa] : pages) {
+    for (const auto &[ipa, pa] : sortedRamPages()) {
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         stage2Unmap(&mm_, vmid_, ipa, pa));
         mm_.putPage(pa);

@@ -11,6 +11,8 @@
 #define KVMARM_CORE_STAGE2_MMU_HH
 
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "arm/pagetable.hh"
 #include "host/mm.hh"
@@ -61,22 +63,35 @@ class Stage2Mmu : public Snapshottable
 
     std::size_t mappedRamPages() const { return ramPages_.size(); }
 
-    /// @name Snapshottable (Vm registers this)
+    /// @name Snapshottable (registered on the Mm's machine)
     ///
     /// Table contents come back with the RAM image; this serializes the
     /// bookkeeping (root, table pages in allocation order, RAM mappings
-    /// sorted by IPA). restoreState() replays the Stage-2 invariant events
+    /// sorted by IPA). snapshotLoad() replays the Stage-2 invariant events
     /// — unmap/unprotect the current state, protect-then-map the restored
     /// state — so the restoring machine's engine converges on the
     /// snapshot. Device mappings are not replayed: they are established by
     /// VM construction, which a clone performs identically.
     /// @{
-    std::string snapshotKey() const override;
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.same(ipaRamBase_, "IPA RAM base");
+        v.same(ipaRamSize_, "IPA RAM size");
+        v.pod(root_);
+        v.seq(tablePages_);
+        v.map(ramPages_);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override;
     /// @}
 
   private:
+    /** ramPages_ in IPA order: every walk that can reach the invariant
+     *  engine or the free list goes through this, never bucket order. */
+    std::vector<std::pair<Addr, Addr>> sortedRamPages() const;
+
     host::Mm &mm_;
     std::uint16_t vmid_;
     Addr ipaRamBase_;

@@ -11,77 +11,14 @@ namespace kvmarm::core {
 using arm::ArmCpu;
 
 VCpu::VCpu(Vm &vm, unsigned index, CpuId phys_cpu)
-    : vm_(vm), index_(index), physCpu_(phys_cpu)
+    : Snapshottable(&vm.kvm().machine(), "vcpu-" + std::to_string(vm.vmid()) +
+                                             "-" + std::to_string(index)),
+      vm_(vm), index_(index), physCpu_(phys_cpu)
 {
     // Shadow ID registers (world switch step 7): the VM sees its own
     // MPIDR based on the VCPU index, and the host's MIDR.
     regs[arm::CtrlReg::MIDR] = 0x412FC0F0;
     regs[arm::CtrlReg::MPIDR] = 0x80000000 | index;
-
-    vm_.kvm().machine().registerSnapshottable(this);
-}
-
-VCpu::~VCpu()
-{
-    vm_.kvm().machine().unregisterSnapshottable(this);
-}
-
-std::string
-VCpu::snapshotKey() const
-{
-    return "vcpu-" + std::to_string(vm_.vmid()) + "-" +
-           std::to_string(index_);
-}
-
-void
-VCpu::saveState(SnapshotWriter &w)
-{
-    w.b(guestOs != nullptr);
-    w.pod(regs);
-    w.u8(static_cast<std::uint8_t>(guestMode));
-    w.b(guestIrqMasked);
-    w.pod(vgicShadow);
-    w.pod(vtimerShadow);
-    w.u64(cntvoff);
-    w.b(fpuLoaded);
-    w.u32(shadowActlr);
-    w.u32(shadowCp14);
-    w.b(blocked);
-    w.b(kicked);
-    w.b(stopRequested);
-    w.b(vgicHwLive);
-    w.b(softVirqPending);
-    saveStats(w, stats);
-}
-
-void
-VCpu::restoreState(SnapshotReader &r)
-{
-    restoredGuestOsPresent_ = r.b();
-    r.pod(regs);
-    guestMode = static_cast<arm::Mode>(r.u8());
-    guestIrqMasked = r.b();
-    r.pod(vgicShadow);
-    r.pod(vtimerShadow);
-    cntvoff = r.u64();
-    fpuLoaded = r.b();
-    shadowActlr = r.u32();
-    shadowCp14 = r.u32();
-    blocked = r.b();
-    kicked = r.b();
-    stopRequested = r.b();
-    vgicHwLive = r.b();
-    softVirqPending = r.b();
-    restoreStats(r, stats);
-}
-
-void
-VCpu::snapshotVerify()
-{
-    if (restoredGuestOsPresent_ && !guestOs)
-        fatal("vcpu%u (vm %u): snapshot had a guest OS installed — "
-              "setGuestOs() before restoring", index_, vm_.vmid());
-    restoredGuestOsPresent_ = false;
 }
 
 void

@@ -18,6 +18,7 @@
 #include "arm/timer.hh"
 #include "arm/vectors.hh"
 #include "arm/vgic.hh"
+#include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -50,7 +51,6 @@ class VCpu : public Snapshottable
 {
   public:
     VCpu(Vm &vm, unsigned index, CpuId phys_cpu);
-    ~VCpu() override;
 
     Vm &vm() { return vm_; }
     unsigned index() const { return index_; }
@@ -148,17 +148,30 @@ class VCpu : public Snapshottable
     /// The guest OS pointer is harness-owned and saved as presence only;
     /// a clone must setGuestOs() before restoring if one was installed.
     /// @{
-    std::string snapshotKey() const override;
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
-    void snapshotVerify() override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        bool has_guest_os = guestOs != nullptr;
+        v.pod(has_guest_os, regs, guestMode, guestIrqMasked, vgicShadow,
+              vtimerShadow, cntvoff, fpuLoaded, shadowActlr, shadowCp14,
+              blocked, kicked, stopRequested, vgicHwLive, softVirqPending);
+        v.stats(stats);
+        if constexpr (V::kLoading) {
+            if (has_guest_os && !guestOs)
+                fatal("%s: snapshot had a guest OS installed — "
+                      "setGuestOs() before restoring",
+                      snapshotKey().c_str());
+        }
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
     Vm &vm_;
     unsigned index_;
     CpuId physCpu_;
-    bool restoredGuestOsPresent_ = false;
 };
 
 } // namespace kvmarm::core

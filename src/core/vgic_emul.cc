@@ -19,7 +19,9 @@ namespace {
 constexpr std::uint8_t kDefaultPrio = 0xA0;
 } // namespace
 
-VgicDistEmul::VgicDistEmul(Vm &vm) : vm_(vm)
+VgicDistEmul::VgicDistEmul(Vm &vm)
+    : Snapshottable(&vm.kvm().machine(), "vdist-" + std::to_string(vm.vmid())),
+      vm_(vm)
 {
     spiPriority_.fill(kDefaultPrio);
     spiTargets_.fill(0x01);
@@ -37,55 +39,6 @@ const VgicDistEmul::Bank &
 VgicDistEmul::bankFor(const VCpu &vcpu) const
 {
     return const_cast<VgicDistEmul *>(this)->bankFor(vcpu);
-}
-
-std::string
-VgicDistEmul::snapshotKey() const
-{
-    return "vdist-" + std::to_string(vm_.vmid());
-}
-
-void
-VgicDistEmul::saveState(SnapshotWriter &w)
-{
-    w.b(ctlrEnabled_);
-    w.pod(spiEnabled_);
-    w.pod(spiPending_);
-    w.pod(spiPriority_);
-    w.pod(spiTargets_);
-    w.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const Bank &bank : banks_) {
-        w.pod(bank.sgiSources);
-        w.pod(bank.ppiPending);
-        w.pod(bank.enabled);
-        w.pod(bank.priority);
-        w.u32(static_cast<std::uint32_t>(bank.softActive.size()));
-        for (IrqId irq : bank.softActive)
-            w.u32(irq);
-    }
-}
-
-void
-VgicDistEmul::restoreState(SnapshotReader &r)
-{
-    ctlrEnabled_ = r.b();
-    r.pod(spiEnabled_);
-    r.pod(spiPending_);
-    r.pod(spiPriority_);
-    r.pod(spiTargets_);
-    std::uint32_t nbanks = r.u32();
-    banks_.clear();
-    banks_.resize(nbanks);
-    for (Bank &bank : banks_) {
-        r.pod(bank.sgiSources);
-        r.pod(bank.ppiPending);
-        r.pod(bank.enabled);
-        r.pod(bank.priority);
-        std::uint32_t nactive = r.u32();
-        bank.softActive.clear();
-        for (std::uint32_t i = 0; i < nactive; ++i)
-            bank.softActive.push_back(r.u32());
-    }
 }
 
 Cycles

@@ -79,11 +79,18 @@ class VgicDistEmul : public Snapshottable
      *  locking the emulation needs (paper §6). */
     Cycles lockCost() const;
 
-    /// @name Snapshottable (Vm registers this)
+    /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override;
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.pod(ctlrEnabled_, spiEnabled_, spiPending_, spiPriority_,
+              spiTargets_);
+        v.seq(banks_);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
@@ -112,6 +119,14 @@ class VgicDistEmul : public Snapshottable
         /** Acked-but-not-EOIed interrupts of the software CPU-interface
          *  emulation (no-VGIC mode). */
         std::vector<IrqId> softActive;
+
+        template <class V>
+        void
+        visit(V &v)
+        {
+            v.pod(sgiSources, ppiPending, enabled, priority);
+            v.seq(softActive);
+        }
     };
     std::vector<Bank> banks_;
 

@@ -16,6 +16,7 @@
 #include "core/types.hh"
 #include "core/vcpu.hh"
 #include "core/vgic_emul.hh"
+#include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
 
@@ -88,15 +89,32 @@ class Vm : public Snapshottable
     /// A VM's serializable state lives in its registered components
     /// (stage2, vdist, vcpus); what the Vm record itself carries is the
     /// *skeleton* — vmid, RAM geometry, VCPU count, in-kernel device
-    /// regions — which restoreState() cross-checks against this instance,
+    /// regions — which a restore cross-checks against this instance,
     /// because a clone must rebuild the skeleton (createVm / addVcpu /
     /// addKernelDevice, in origin order) before restoring. Device handler
     /// and user-MMIO closures cannot be serialized; the rebuild supplies
     /// them.
     /// @{
-    std::string snapshotKey() const override;
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.same(vmid_, "vmid (clone VMs in origin order)");
+        v.same(ramSize_, "guest RAM size");
+        v.same(static_cast<std::uint32_t>(vcpus_.size()),
+               "VCPU count (addVcpu before restoring)");
+        v.fixed(kernelDevices_,
+                "kernel devices (addKernelDevice before restoring)");
+        bool user_mmio = static_cast<bool>(userMmio_);
+        v.pod(user_mmio);
+        if constexpr (V::kLoading) {
+            if (user_mmio && !userMmio_)
+                fatal("vm-%u: snapshot expects a user-space MMIO handler — "
+                      "setUserMmioHandler before restoring", vmid_);
+        }
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
@@ -105,6 +123,14 @@ class Vm : public Snapshottable
         Addr base;
         Addr size;
         KernelDeviceHandler handler;
+
+        template <class V>
+        void
+        visit(V &v)
+        {
+            v.same(base, "kernel device base");
+            v.same(size, "kernel device size");
+        }
     };
 
     Kvm &kvm_;

@@ -1,7 +1,5 @@
 #include "core/vtimer.hh"
 
-#include <algorithm>
-
 #include "arm/cpu.hh"
 #include "arm/machine.hh"
 #include "check/invariants.hh"
@@ -14,14 +12,21 @@ using arm::ArmCpu;
 using arm::TimerAccess;
 using arm::TimerRegs;
 
-VTimerEmul::VTimerEmul(Kvm &kvm) : kvm_(kvm)
+VTimerEmul::VTimerEmul(Kvm &kvm)
+    : Snapshottable(&kvm.machine(), "vtimer"), kvm_(kvm)
 {
+}
+
+std::uint64_t
+VTimerEmul::timerKey(VCpu &vcpu)
+{
+    return std::uint64_t(vcpu.vm().vmid()) << 32 | vcpu.index();
 }
 
 void
 VTimerEmul::cancelSoftTimer(VCpu &vcpu)
 {
-    auto it = softTimers_.find(&vcpu);
+    auto it = softTimers_.find(timerKey(vcpu));
     if (it != softTimers_.end()) {
         kvm_.host().timers().cancel(it->second);
         softTimers_.erase(it);
@@ -77,7 +82,7 @@ VTimerEmul::onWorldSwitchOut(ArmCpu &cpu, VCpu &vcpu)
         return; // already expired; the hardware PPI is pending/handled
 
     cpu.compute(kvm_.host().costs().softTimerProgram);
-    softTimers_[&vcpu] =
+    softTimers_[timerKey(vcpu)] =
         kvm_.host().timers().start(cpu.id(), deadline, injectCallback(vcpu));
 }
 
@@ -88,7 +93,7 @@ VTimerEmul::injectCallback(VCpu &vcpu)
     CpuId phys = vcpu.physCpu();
     VCpu *target = &vcpu;
     return [this, &machine, phys, target] {
-        softTimers_.erase(target);
+        softTimers_.erase(timerKey(*target));
         // Runs from the host timer context on the VCPU's physical CPU:
         // raise the virtual timer interrupt via the virtual distributor
         // (paper §3.6).
@@ -98,52 +103,17 @@ VTimerEmul::injectCallback(VCpu &vcpu)
 }
 
 void
-VTimerEmul::saveState(SnapshotWriter &w)
-{
-    std::vector<std::tuple<std::uint16_t, std::uint32_t, std::uint64_t>>
-        timers;
-    timers.reserve(softTimers_.size());
-    // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
-    for (const auto &[vcpu, id] : softTimers_) {
-        timers.emplace_back(const_cast<VCpu *>(vcpu)->vm().vmid(),
-                            vcpu->index(), id);
-    }
-    std::sort(timers.begin(), timers.end());
-    w.u64(timers.size());
-    for (const auto &[vmid, index, id] : timers) {
-        w.u32(vmid);
-        w.u32(index);
-        w.u64(id);
-    }
-}
-
-void
-VTimerEmul::restoreState(SnapshotReader &r)
-{
-    softTimers_.clear();
-    rebindTimers_.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint16_t vmid = static_cast<std::uint16_t>(r.u32());
-        std::uint32_t index = r.u32();
-        std::uint64_t id = r.u64();
-        rebindTimers_.emplace_back(vmid, index, id);
-    }
-}
-
-void
 VTimerEmul::snapshotRebind()
 {
-    for (const auto &[vmid, index, id] : rebindTimers_) {
+    for (const auto &[key, id] : softTimers_) {
+        auto vmid = static_cast<std::uint16_t>(key >> 32);
         Vm *vm = kvm_.findVm(vmid);
         if (!vm)
             fatal("vtimer: restored soft timer for unknown VM %u — create "
                   "the VM before restoring the snapshot", vmid);
-        VCpu *vcpu = vm->vcpu(index);
-        softTimers_[vcpu] = id;
+        VCpu *vcpu = vm->vcpu(static_cast<unsigned>(key));
         kvm_.host().timers().rehydrate(id, injectCallback(*vcpu));
     }
-    rebindTimers_.clear();
 }
 
 void
@@ -199,7 +169,7 @@ VTimerEmul::emulateTrappedAccess(ArmCpu &cpu, VCpu &vcpu, TimerAccess which,
                 Cycles deadline = vcpu.vtimerShadow.cval + vcpu.cntvoff;
                 if (deadline <= cpu.now())
                     deadline = cpu.now() + 1;
-                softTimers_[&vcpu] = kvm_.host().timers().start(
+                softTimers_[timerKey(vcpu)] = kvm_.host().timers().start(
                     vcpu.physCpu(), deadline, injectCallback(vcpu));
             }
             return;

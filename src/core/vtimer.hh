@@ -12,9 +12,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <tuple>
-#include <unordered_map>
-#include <vector>
+#include <map>
 
 #include "arm/hsr.hh"
 #include "sim/snapshot.hh"
@@ -55,33 +53,36 @@ class VTimerEmul : public Snapshottable
                               arm::TimerAccess which, bool is_write,
                               std::uint32_t ctl, std::uint64_t cval);
 
-    /// @name Snapshottable (Kvm registers this)
+    /// @name Snapshottable
     ///
-    /// Armed soft timers are serialized as (vmid, vcpu index, timer id)
-    /// tuples — never by pointer — and resolved back to VCpu objects via
-    /// the Kvm VM registry during rebind, where each timer's injection
-    /// callback is re-attached through SoftTimers::rehydrate().
+    /// Armed soft timers are keyed by (vmid, vcpu index) — never by
+    /// pointer — and resolved back to VCpu objects via the Kvm VM registry
+    /// during rebind, where each timer's injection callback is re-attached
+    /// through SoftTimers::rehydrate().
     /// @{
-    std::string snapshotKey() const override { return "vtimer"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.map(softTimers_);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     void snapshotRebind() override;
     /// @}
 
   private:
+    /** softTimers_ key of @p vcpu: vmid in the high half, index below. */
+    static std::uint64_t timerKey(VCpu &vcpu);
+
     void cancelSoftTimer(VCpu &vcpu);
 
     /** The §3.6 injection a parked soft timer performs when it fires. */
     std::function<void()> injectCallback(VCpu &vcpu);
 
     Kvm &kvm_;
-    /** vcpu -> active host soft-timer id. */
-    // domlint: allow(pointer-order) — lookup-only table (find/erase/insert by key); the one iteration, in saveState, sorts by (vmid, vcpu) before any order-dependent use
-    std::unordered_map<const VCpu *, std::uint64_t> softTimers_;
-
-    /** Restore-time scratch consumed by snapshotRebind(). */
-    std::vector<std::tuple<std::uint16_t, std::uint32_t, std::uint64_t>>
-        rebindTimers_;
+    /** timerKey(vcpu) -> active host soft-timer id. */
+    std::map<std::uint64_t, std::uint64_t> softTimers_;
 };
 
 } // namespace kvmarm::core

@@ -57,6 +57,17 @@ class WorldSwitch
 
     HostContext &hostContext(CpuId cpu) { return hostCtx_.at(cpu); }
 
+    /** Snapshot state (visited inside the lowvisor's record): the parked
+     *  host contexts — stale once the per-CPU fibers unwound and compared
+     *  by nothing, but restored verbatim for faithfulness. */
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.fixed(hostCtx_, "host contexts");
+        v.fixed(hostFpu_, "parked host FPU states");
+    }
+
   private:
     void saveVgic(arm::ArmCpu &cpu, VCpu &vcpu);
     void restoreVgic(arm::ArmCpu &cpu, VCpu &vcpu);

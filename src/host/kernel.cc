@@ -12,20 +12,10 @@ using arm::Mode;
 using arm::Perms;
 
 HostKernel::HostKernel(ArmMachine &machine, const Config &config)
-    : machine_(machine), config_(config),
-      mm_(machine.ram(), machine.checkEngine()), timers_(machine),
-      stub_(*this)
+    : Snapshottable(&machine, "host-kernel"), machine_(machine),
+      config_(config), mm_(machine.ram(), &machine), timers_(machine),
+      stub_(*this), vectorOwners_(machine.config().numCpus)
 {
-    machine_.registerSnapshottable(&mm_);
-    machine_.registerSnapshottable(&timers_);
-    machine_.registerSnapshottable(this);
-}
-
-HostKernel::~HostKernel()
-{
-    machine_.unregisterSnapshottable(this);
-    machine_.unregisterSnapshottable(&timers_);
-    machine_.unregisterSnapshottable(&mm_);
 }
 
 void
@@ -208,58 +198,34 @@ HostKernel::installHypVectors(ArmCpu &cpu, arm::HypVectors *vectors)
 }
 
 void
-HostKernel::saveState(SnapshotWriter &w)
+HostKernel::captureVectorOwners()
 {
-    w.u64(kernelPgd_);
-    unsigned ncpus = machine_.config().numCpus;
-    w.u32(ncpus);
-    for (CpuId i = 0; i < ncpus; ++i) {
+    for (CpuId i = 0; i < vectorOwners_.size(); ++i) {
         ArmCpu &cpu = machine_.cpu(i);
-        HypOwner hyp = HypOwner::None;
+        VectorOwners &o = vectorOwners_[i];
+        o.hyp = HypOwner::None;
         if (cpu.hypVectors() == &stub_)
-            hyp = HypOwner::Stub;
+            o.hyp = HypOwner::Stub;
         else if (cpu.hypVectors() != nullptr)
-            hyp = HypOwner::Hypervisor;
-        OsOwner os = OsOwner::None;
+            o.hyp = HypOwner::Hypervisor;
+        o.os = OsOwner::None;
         if (cpu.osVectors() == this) {
-            os = OsOwner::Host;
+            o.os = OsOwner::Host;
         } else if (cpu.osVectors() != nullptr) {
-            fatal("HostKernel::saveState: cpu%u OS vectors owned by %s — "
-                  "machine not quiesced in host context", i,
-                  cpu.osVectors()->name());
+            fatal("HostKernel: cpu%u OS vectors owned by %s — machine not "
+                  "quiesced in host context", i, cpu.osVectors()->name());
         }
-        w.u8(static_cast<std::uint8_t>(hyp));
-        w.u8(static_cast<std::uint8_t>(os));
     }
-    for (const IrqHandler &h : handlers_)
-        w.b(static_cast<bool>(h));
-}
-
-void
-HostKernel::restoreState(SnapshotReader &r)
-{
-    kernelPgd_ = r.u64();
-    std::uint32_t ncpus = r.u32();
-    if (ncpus != machine_.config().numCpus)
-        fatal("HostKernel: snapshot has %u CPUs, machine has %u", ncpus,
-              machine_.config().numCpus);
-    restoredHyp_.clear();
-    restoredOs_.clear();
-    for (std::uint32_t i = 0; i < ncpus; ++i) {
-        restoredHyp_.push_back(static_cast<HypOwner>(r.u8()));
-        restoredOs_.push_back(static_cast<OsOwner>(r.u8()));
-    }
-    for (bool &present : restoredHandlerMask_)
-        present = r.b();
-    verifyRestore_ = true;
+    for (IrqId irq = 0; irq < arm::kMaxIrqs; ++irq)
+        handlerMask_[irq] = static_cast<bool>(handlers_[irq]);
 }
 
 void
 HostKernel::snapshotRebind()
 {
-    for (CpuId i = 0; i < restoredHyp_.size(); ++i) {
+    for (CpuId i = 0; i < vectorOwners_.size(); ++i) {
         ArmCpu &cpu = machine_.cpu(i);
-        switch (restoredHyp_[i]) {
+        switch (vectorOwners_[i].hyp) {
           case HypOwner::None:
             cpu.setHypVectors(nullptr);
             break;
@@ -267,36 +233,32 @@ HostKernel::snapshotRebind()
             cpu.setHypVectors(&stub_);
             break;
           case HypOwner::Hypervisor:
-            // The KVM layer registered after us; its own rebind pass
-            // installs its vectors. Leave the slot for it.
+            // The KVM layer's own rebind pass installs its vectors. Leave
+            // the slot for it.
             break;
         }
-        cpu.setOsVectors(restoredOs_[i] == OsOwner::Host ? this : nullptr);
+        cpu.setOsVectors(vectorOwners_[i].os == OsOwner::Host ? this
+                                                              : nullptr);
     }
 }
 
 void
 HostKernel::snapshotVerify()
 {
-    if (!verifyRestore_)
-        return;
-    verifyRestore_ = false;
     for (IrqId irq = 0; irq < arm::kMaxIrqs; ++irq) {
-        if (restoredHandlerMask_[irq] != static_cast<bool>(handlers_[irq]))
+        if (handlerMask_[irq] != static_cast<bool>(handlers_[irq]))
             fatal("HostKernel: irq %u handler %s after restore — owner "
                   "failed to re-register during rebind", irq,
-                  restoredHandlerMask_[irq] ? "missing" : "unexpectedly set");
+                  handlerMask_[irq] ? "missing" : "unexpectedly set");
     }
-    for (CpuId i = 0; i < restoredHyp_.size(); ++i) {
+    for (CpuId i = 0; i < vectorOwners_.size(); ++i) {
         ArmCpu &cpu = machine_.cpu(i);
-        if (restoredHyp_[i] == HypOwner::Hypervisor &&
+        if (vectorOwners_[i].hyp == HypOwner::Hypervisor &&
             (cpu.hypVectors() == nullptr || cpu.hypVectors() == &stub_)) {
             fatal("HostKernel: cpu%u Hyp vectors not reinstalled by the "
                   "hypervisor layer after restore", i);
         }
     }
-    restoredHyp_.clear();
-    restoredOs_.clear();
 }
 
 void

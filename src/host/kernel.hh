@@ -53,7 +53,6 @@ class HostKernel : public arm::OsVectors, public Snapshottable
 
     HostKernel(arm::ArmMachine &machine, const Config &config);
     HostKernel(arm::ArmMachine &machine) : HostKernel(machine, Config{}) {}
-    ~HostKernel() override;
 
     /**
      * Bring up one CPU: on cpu0 also builds the kernel identity mappings
@@ -108,16 +107,25 @@ class HostKernel : public arm::OsVectors, public Snapshottable
     /// @name Snapshottable
     ///
     /// Per-CPU vector pointers are saved as *kinds* (null / hyp-stub /
-    /// hypervisor-owned, null / host-kernel) and rebound to this instance's
-    /// own objects on restore; a hypervisor-owned Hyp vector slot is left
-    /// for the KVM layer's own rebind pass (it registers after us). IRQ
-    /// handlers are std::functions their owners must re-register during
-    /// rebind — snapshotVerify() checks the restored presence mask against
-    /// what actually got re-registered.
+    /// hypervisor-owned, null / host-kernel), derived from the CPUs at
+    /// save time, and rebound to this instance's own objects on restore;
+    /// a hypervisor-owned Hyp vector slot is left for the KVM layer's own
+    /// rebind pass. IRQ handlers are std::functions their owners must
+    /// re-register during rebind — snapshotVerify() checks the restored
+    /// presence mask against what actually got re-registered.
     /// @{
-    std::string snapshotKey() const override { return "host-kernel"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        if constexpr (!V::kLoading)
+            captureVectorOwners();
+        v.pod(kernelPgd_);
+        v.fixed(vectorOwners_, "CPUs");
+        v.pod(handlerMask_);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     void snapshotRebind() override;
     void snapshotVerify() override;
     /// @}
@@ -143,9 +151,18 @@ class HostKernel : public arm::OsVectors, public Snapshottable
     void buildKernelTables();
     void initGicOnCpu(arm::ArmCpu &cpu);
 
-    /** How a CPU's vector-base pointer is encoded in a snapshot. */
+    /** How a CPU's vector-base pointers are encoded in a snapshot. */
     enum class HypOwner : std::uint8_t { None = 0, Stub = 1, Hypervisor = 2 };
     enum class OsOwner : std::uint8_t { None = 0, Host = 1 };
+    struct VectorOwners
+    {
+        HypOwner hyp = HypOwner::None;
+        OsOwner os = OsOwner::None;
+    };
+
+    /** Fill the snapshot-only fields below from the live CPUs and handler
+     *  table; fatal if a CPU is not quiesced in host context. */
+    void captureVectorOwners();
 
     arm::ArmMachine &machine_;
     Config config_;
@@ -155,11 +172,9 @@ class HostKernel : public arm::OsVectors, public Snapshottable
     Addr kernelPgd_ = 0;
     std::array<IrqHandler, arm::kMaxIrqs> handlers_{};
 
-    /** Restore-time scratch consumed by snapshotRebind()/snapshotVerify(). */
-    std::vector<HypOwner> restoredHyp_;
-    std::vector<OsOwner> restoredOs_;
-    std::array<bool, arm::kMaxIrqs> restoredHandlerMask_{};
-    bool verifyRestore_ = false;
+    /// Snapshot-only: captured at save, consumed by rebind/verify.
+    std::vector<VectorOwners> vectorOwners_;
+    std::array<bool, arm::kMaxIrqs> handlerMask_{};
 };
 
 } // namespace kvmarm::host

@@ -1,16 +1,16 @@
 #include "host/mm.hh"
 
-#include <algorithm>
-#include <utility>
-
 #include "check/invariants.hh"
 #include "sim/logging.hh"
+#include "sim/machine_base.hh"
 
 namespace kvmarm::host {
 
-Mm::Mm(PhysMem &ram, check::InvariantEngine *check_engine)
-    : ram_(ram),
-      checkEngine_(check_engine ? check_engine : check::processEngine())
+Mm::Mm(PhysMem &ram, MachineBase *machine)
+    : Snapshottable(machine, "mm"), ram_(ram), machine_(machine),
+      checkEngine_(machine && machine->checkEngine()
+                       ? machine->checkEngine()
+                       : check::processEngine())
 {
     // Build the free list high-to-low so early allocations (kernel page
     // tables) come from the top of RAM, away from guest RAM bases.
@@ -66,41 +66,6 @@ Addr
 Mm::getUserPages()
 {
     return allocPage();
-}
-
-void
-Mm::saveState(SnapshotWriter &w)
-{
-    w.u64(freeList_.size());
-    for (Addr pa : freeList_)
-        w.u64(pa);
-    std::vector<std::pair<Addr, unsigned>> rcs;
-    rcs.reserve(refcounts_.size());
-    // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
-    for (const auto &[pa, rc] : refcounts_)
-        rcs.emplace_back(pa, rc);
-    std::sort(rcs.begin(), rcs.end());
-    w.u64(rcs.size());
-    for (const auto &[pa, rc] : rcs) {
-        w.u64(pa);
-        w.u32(rc);
-    }
-}
-
-void
-Mm::restoreState(SnapshotReader &r)
-{
-    freeList_.clear();
-    std::uint64_t nfree = r.u64();
-    freeList_.reserve(nfree);
-    for (std::uint64_t i = 0; i < nfree; ++i)
-        freeList_.push_back(r.u64());
-    refcounts_.clear();
-    std::uint64_t nrc = r.u64();
-    for (std::uint64_t i = 0; i < nrc; ++i) {
-        Addr pa = r.u64();
-        refcounts_[pa] = r.u32();
-    }
 }
 
 } // namespace kvmarm::host

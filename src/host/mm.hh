@@ -29,14 +29,18 @@ class Mm : public Snapshottable
 {
   public:
     /**
-     * @param check_engine the invariant engine the memory-management
-     *     clients of this allocator (Stage-2, Hyp page tables) report to.
-     *     HostKernel passes its machine's private engine; a null engine
-     *     falls back to the process facade, so standalone Mm instances in
-     *     unit tests keep reporting somewhere visible.
+     * @param machine the machine this allocator belongs to: its snapshots
+     *     include the allocator (and the Stage-2 tables built on it), and
+     *     the memory-management clients of this allocator (Stage-2, Hyp
+     *     page tables) report to its private invariant engine. Null (or a
+     *     machine without an engine) falls back to the process facade, so
+     *     standalone Mm instances in unit tests keep reporting somewhere
+     *     visible.
      */
-    explicit Mm(PhysMem &ram,
-                check::InvariantEngine *check_engine = nullptr);
+    explicit Mm(PhysMem &ram, MachineBase *machine = nullptr);
+
+    /** The machine passed at construction (null when standalone). */
+    MachineBase *machine() const { return machine_; }
 
     /** The invariant engine Stage-2/Hyp page-table code reports to.
      *  Never null when invariants are compiled in. */
@@ -71,19 +75,26 @@ class Mm : public Snapshottable
     /** The RAM this allocator manages. */
     PhysMem &ram() { return ram_; }
 
-    /// @name Snapshottable (HostKernel registers/unregisters this)
+    /// @name Snapshottable
     ///
     /// The free list is serialized *verbatim*: its order decides every
     /// future allocPage() address, so restoring it exactly is what makes
     /// a clone's post-restore allocations bit-identical to the origin's.
     /// @{
-    std::string snapshotKey() const override { return "mm"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.seq(freeList_);
+        v.map(refcounts_);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
     PhysMem &ram_;
+    MachineBase *machine_;
     check::InvariantEngine *checkEngine_;
     std::vector<Addr> freeList_;
     std::unordered_map<Addr, unsigned> refcounts_;

@@ -1,9 +1,5 @@
 #include "host/timers.hh"
 
-#include <algorithm>
-#include <tuple>
-#include <vector>
-
 #include "sim/cpu_base.hh"
 #include "sim/logging.hh"
 #include "sim/machine_base.hh"
@@ -37,65 +33,18 @@ SoftTimers::cancel(std::uint64_t id)
 void
 SoftTimers::rehydrate(std::uint64_t id, Callback cb)
 {
-    auto pending = pendingRehydrate_.find(id);
-    if (pending == pendingRehydrate_.end())
-        fatal("SoftTimers::rehydrate: timer %llu is not pending rehydration",
-              static_cast<unsigned long long>(id));
-    pendingRehydrate_.erase(pending);
     auto it = live_.find(id);
     if (it == live_.end())
         fatal("SoftTimers::rehydrate: timer %llu not live",
               static_cast<unsigned long long>(id));
+    // claim() is fatal if the event already has a callback, so a timer
+    // started after the restore or rehydrated twice is rejected there.
     machine_.cpuBase(it->second.cpu)
         .events()
         .claim(it->second.eventId, [this, id, cb = std::move(cb)] {
             live_.erase(id);
             cb();
         });
-}
-
-void
-SoftTimers::saveState(SnapshotWriter &w)
-{
-    w.u64(nextId_);
-    std::vector<std::tuple<std::uint64_t, CpuId, std::uint64_t>> timers;
-    timers.reserve(live_.size());
-    // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
-    for (const auto &[id, rec] : live_)
-        timers.emplace_back(id, rec.cpu, rec.eventId);
-    std::sort(timers.begin(), timers.end());
-    w.u64(timers.size());
-    for (const auto &[id, cpu, event] : timers) {
-        w.u64(id);
-        w.u32(cpu);
-        w.u64(event);
-    }
-}
-
-void
-SoftTimers::restoreState(SnapshotReader &r)
-{
-    nextId_ = r.u64();
-    live_.clear();
-    pendingRehydrate_.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t id = r.u64();
-        CpuId cpu = r.u32();
-        std::uint64_t event = r.u64();
-        live_[id] = {cpu, event};
-        pendingRehydrate_.insert(id);
-    }
-}
-
-void
-SoftTimers::snapshotVerify()
-{
-    if (!pendingRehydrate_.empty())
-        fatal("SoftTimers: %zu timer(s) never rehydrated after restore "
-              "(first id %llu)",
-              pendingRehydrate_.size(),
-              static_cast<unsigned long long>(*pendingRehydrate_.begin()));
 }
 
 } // namespace kvmarm::host

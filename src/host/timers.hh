@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <unordered_map>
 
 #include "sim/snapshot.hh"
@@ -28,7 +27,10 @@ class SoftTimers : public Snapshottable
   public:
     using Callback = std::function<void()>;
 
-    explicit SoftTimers(MachineBase &machine) : machine_(machine) {}
+    explicit SoftTimers(MachineBase &machine)
+        : Snapshottable(&machine, "soft-timers"), machine_(machine)
+    {
+    }
 
     /** Arm a one-shot timer on @p cpu at absolute cycle @p when. */
     std::uint64_t start(CpuId cpu, Cycles when, Callback cb);
@@ -41,20 +43,25 @@ class SoftTimers : public Snapshottable
     /**
      * Re-attach the callback of a timer that came back from a snapshot.
      * Timer callbacks are owner-supplied closures SoftTimers cannot
-     * serialize, so restoreState() leaves each live timer pending and the
-     * owning component (e.g. kvm::VTimerEmul) supplies an equivalent
-     * callback from its own rebind pass. Fatal if @p id is not a live,
-     * pending-rehydrate timer.
+     * serialize, so a restore leaves each live timer's event unclaimed and
+     * the owning component (e.g. kvm::VTimerEmul) supplies an equivalent
+     * callback from its own rebind pass. Fatal if @p id is not a live
+     * timer or was already rehydrated; a timer nobody rehydrates fails the
+     * owning CPU's verify pass as an unclaimed event.
      */
     void rehydrate(std::uint64_t id, Callback cb);
 
-    /// @name Snapshottable (HostKernel registers/unregisters this)
+    /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override { return "soft-timers"; }
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
-    /** Fatal if any restored timer was never rehydrate()d. */
-    void snapshotVerify() override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.pod(nextId_);
+        v.map(live_);
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
@@ -64,10 +71,15 @@ class SoftTimers : public Snapshottable
     {
         CpuId cpu;
         std::uint64_t eventId;
+
+        template <class V>
+        void
+        visit(V &v)
+        {
+            v.pod(cpu, eventId);
+        }
     };
     std::unordered_map<std::uint64_t, Rec> live_;
-    /** Restored timer ids whose owner has not called rehydrate() yet. */
-    std::set<std::uint64_t> pendingRehydrate_;
 };
 
 } // namespace kvmarm::host

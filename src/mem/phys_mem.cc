@@ -8,7 +8,8 @@
 
 namespace kvmarm {
 
-PhysMem::PhysMem(Addr base, Addr size) : base_(base), size_(size)
+PhysMem::PhysMem(Addr base, Addr size, MachineBase *machine)
+    : Snapshottable(machine, "ram"), base_(base), size_(size)
 {
     if (!isPageAligned(base) || !isPageAligned(size) || size == 0)
         fatal("PhysMem: base/size must be nonzero and page aligned");
@@ -198,7 +199,7 @@ PhysMem::touchedPages() const
 }
 
 void
-PhysMem::saveState(SnapshotWriter &w)
+PhysMem::snapshotSave(SnapshotWriter &w)
 {
     // Publish every page this machine can currently see into one immutable
     // image: the previous image's pages (clone-of-clone chains flatten
@@ -223,29 +224,18 @@ PhysMem::saveState(SnapshotWriter &w)
     image_ = img;
     invalidateCaches();
 
-    w.u64(base_);
-    w.u64(size_);
-    w.u64(cowFaults_);
+    visit(w);
     w.attach(std::static_pointer_cast<const void>(
         std::shared_ptr<const SnapshotImage>(img)));
 }
 
 void
-PhysMem::restoreState(SnapshotReader &r)
+PhysMem::snapshotLoad(SnapshotReader &r)
 {
-    Addr base = r.u64();
-    Addr size = r.u64();
-    if (base != base_ || size != size_)
-        fatal("PhysMem::restoreState: snapshot RAM [%#llx,+%llu) does not "
-              "match this machine's [%#llx,+%llu)",
-              static_cast<unsigned long long>(base),
-              static_cast<unsigned long long>(size),
-              static_cast<unsigned long long>(base_),
-              static_cast<unsigned long long>(size_));
-    cowFaults_ = r.u64();
+    visit(r);
     auto img = std::static_pointer_cast<const SnapshotImage>(r.attachment());
     if (!img)
-        fatal("PhysMem::restoreState: record carries no page image");
+        fatal("PhysMem::snapshotLoad: record carries no page image");
     image_ = std::move(img);
     // Whatever this machine wrote before the restore (boot-time page-table
     // scribbles from its own construction) is superseded by the image.

@@ -7,9 +7,9 @@
  * rings, migration state checks, and the isolation property tests read them
  * back.
  *
- * Snapshot support is copy-on-write at page granularity: saveState()
+ * Snapshot support is copy-on-write at page granularity: snapshotSave()
  * publishes every materialized page into an immutable shared image and
- * turns this PhysMem into a COW client of it; restoreState() adopts the
+ * turns this PhysMem into a COW client of it; snapshotLoad() adopts the
  * same image. Reads hit shared image pages directly; the first write to a
  * shared page faults a private machine-owned copy. Any number of machines
  * (origin included) may share one image across host threads — the image is
@@ -38,8 +38,10 @@ class PhysMem : public Snapshottable
     /**
      * @param base First physical address backed by RAM.
      * @param size RAM size in bytes; must be page aligned.
+     * @param machine Machine whose snapshots include this RAM (null for
+     *     standalone RAM that is snapshotted by hand or not at all).
      */
-    PhysMem(Addr base, Addr size);
+    PhysMem(Addr base, Addr size, MachineBase *machine = nullptr);
 
     Addr base() const { return base_; }
     Addr size() const { return size_; }
@@ -77,11 +79,20 @@ class PhysMem : public Snapshottable
 
     /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override { return "ram"; }
+    /** The geometry must match; the pages travel as the attachment. */
+    template <class V>
+    void
+    visit(V &v)
+    {
+        v.same(base_, "RAM base");
+        v.same(size_, "RAM size");
+        v.pod(cowFaults_);
+    }
     /** Publishes the page image and becomes a COW client of it (this is
-     *  why Snapshottable::saveState is non-const). */
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+     *  why Snapshottable::snapshotSave is non-const). */
+    void snapshotSave(SnapshotWriter &w) override;
+    /** Adopts the published image in place of this machine's pages. */
+    void snapshotLoad(SnapshotReader &r) override;
     /// @}
 
   private:

@@ -7,17 +7,13 @@
 
 namespace kvmarm {
 
-CpuBase::CpuBase(CpuId id, MachineBase &machine) : id_(id), machine_(machine)
+CpuBase::CpuBase(CpuId id, MachineBase &machine)
+    : Snapshottable(&machine, "cpu" + std::to_string(id)), id_(id),
+      machine_(machine)
 {
     events_.onSchedule = [this](Cycles when) {
         machine_.noteEventScheduled(*this, when);
     };
-    machine_.registerSnapshottable(this);
-}
-
-CpuBase::~CpuBase()
-{
-    machine_.unregisterSnapshottable(this);
 }
 
 void
@@ -92,46 +88,13 @@ CpuBase::effectiveClock() const
     return std::max(now_, t);
 }
 
-std::string
-CpuBase::snapshotKey() const
-{
-    return "cpu" + std::to_string(id_);
-}
-
 void
-CpuBase::saveState(SnapshotWriter &w)
+CpuBase::checkQuiesced() const
 {
-    // Snapshots capture quiesced machines only: a suspended fiber's stack
-    // cannot be serialized. A finished fiber (or one never started) is fine.
     if (fiber_ && !fiber_->finished())
         fatal("cpu%u: cannot snapshot while its fiber is suspended mid-run; "
               "snapshot after machine.run() returns",
               id_);
-    w.u64(now_);
-    w.u64(idleCycles_);
-    w.b(waiting_);
-    events_.saveState(w);
-    saveStats(w, stats_);
-}
-
-void
-CpuBase::restoreState(SnapshotReader &r)
-{
-    now_ = r.u64();
-    idleCycles_ = r.u64();
-    waiting_ = r.b();
-    events_.restoreState(r);
-    restoreStats(r, stats_);
-    yieldThreshold_ = kNoDeadline;
-    // The restored CPU runs whatever entry the clone installs next; any
-    // finished boot fiber from this machine's own past is discarded.
-    fiber_.reset();
-}
-
-void
-CpuBase::snapshotVerify()
-{
-    events_.verifyAllClaimed();
 }
 
 void

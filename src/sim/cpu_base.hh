@@ -25,17 +25,16 @@ class MachineBase;
  * Base class for ArmCpu and X86Cpu. Owns the per-CPU clock and event queue
  * and cooperates with MachineBase's min-clock scheduler.
  *
- * Every CPU is Snapshottable: the base class serializes the clock, idle
- * accounting, event queue, and stats; architectures override
- * saveState/restoreState (calling the base first) to add their register
- * state. CPUs self-register on the machine at construction, so derived
- * machines get snapshot coverage of the sim-level CPU state for free.
+ * Every CPU is Snapshottable: the base class visits the clock, idle
+ * accounting, event queue, and stats; architectures define their own
+ * visit() (calling the base first) to add their register state. CPUs
+ * self-register on the machine at construction, so derived machines get
+ * snapshot coverage of the sim-level CPU state for free.
  */
 class CpuBase : public Snapshottable
 {
   public:
     CpuBase(CpuId id, MachineBase &machine);
-    virtual ~CpuBase();
 
     CpuBase(const CpuBase &) = delete;
     CpuBase &operator=(const CpuBase &) = delete;
@@ -113,11 +112,27 @@ class CpuBase : public Snapshottable
 
     /// @name Snapshottable
     /// @{
-    std::string snapshotKey() const override;
-    void saveState(SnapshotWriter &w) override;
-    void restoreState(SnapshotReader &r) override;
+    template <class V>
+    void
+    visit(V &v)
+    {
+        if constexpr (!V::kLoading)
+            checkQuiesced();
+        v.pod(now_, idleCycles_, waiting_);
+        events_.visit(v);
+        v.stats(stats_);
+        if constexpr (V::kLoading) {
+            yieldThreshold_ = kNoDeadline;
+            // The restored CPU runs whatever entry the clone installs next;
+            // any finished boot fiber from this machine's own past is
+            // discarded.
+            fiber_.reset();
+        }
+    }
+    void snapshotSave(SnapshotWriter &w) override { visit(w); }
+    void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /** Restored events must all have been claimed by their owners. */
-    void snapshotVerify() override;
+    void snapshotVerify() override { events_.verifyAllClaimed(); }
     /// @}
 
   protected:
@@ -131,6 +146,10 @@ class CpuBase : public Snapshottable
     StatGroup stats_;
 
   private:
+    /** Fatal unless the fiber is finished or never started: a suspended
+     *  fiber's stack cannot be serialized. */
+    void checkQuiesced() const;
+
     std::function<void()> entry_;
     std::unique_ptr<Fiber> fiber_;
     bool waiting_ = false;

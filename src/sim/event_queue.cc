@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace kvmarm {
 
@@ -133,33 +132,26 @@ EventQueue::runDue(Cycles now)
     return ran;
 }
 
-void
-EventQueue::saveState(SnapshotWriter &w) const
+std::vector<EventQueue::SavedEvent>
+EventQueue::liveEvents() const
 {
-    std::vector<const Event *> live;
+    std::vector<SavedEvent> live;
     live.reserve(live_);
     for (const Event *ev : heap_) {
         if (!ev->cancelled)
-            live.push_back(ev);
+            live.push_back({ev->when, ev->seq, ev->id, ev->kind});
     }
-    std::sort(live.begin(), live.end(), [](const Event *a, const Event *b) {
-        if (a->when != b->when)
-            return a->when < b->when;
-        return a->seq < b->seq;
-    });
-    w.u32(static_cast<std::uint32_t>(live.size()));
-    for (const Event *ev : live) {
-        w.u64(ev->when);
-        w.u64(ev->seq);
-        w.u64(ev->id);
-        w.u8(static_cast<std::uint8_t>(ev->kind));
-    }
-    w.u64(nextSeq_);
-    w.u64(nextId_);
+    std::sort(live.begin(), live.end(),
+              [](const SavedEvent &a, const SavedEvent &b) {
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  return a.seq < b.seq;
+              });
+    return live;
 }
 
 void
-EventQueue::restoreState(SnapshotReader &r)
+EventQueue::rehydrate(const std::vector<SavedEvent> &saved)
 {
     for (Event *ev : heap_)
         recycle(ev);
@@ -167,13 +159,12 @@ EventQueue::restoreState(SnapshotReader &r)
     pendingKicks_.clear();
     live_ = 0;
 
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (const SavedEvent &s : saved) {
         Event *ev = allocEvent();
-        ev->when = r.u64();
-        ev->seq = r.u64();
-        ev->id = r.u64();
-        ev->kind = static_cast<Kind>(r.u8());
+        ev->when = s.when;
+        ev->seq = s.seq;
+        ev->id = s.id;
+        ev->kind = s.kind;
         // Kick events are no-ops by definition and need no owner; anything
         // else waits for its component's rebind pass to claim() it.
         ev->cb = ev->kind == Kind::Kick ? Callback([] {}) : nullptr;
@@ -186,8 +177,6 @@ EventQueue::restoreState(SnapshotReader &r)
     // Saved in (when, seq) order, which Later{} accepts as a valid heap,
     // but make the heap property explicit rather than rely on it.
     std::make_heap(heap_.begin(), heap_.end(), Later{});
-    nextSeq_ = r.u64();
-    nextId_ = r.u64();
 }
 
 void

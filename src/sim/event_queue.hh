@@ -7,9 +7,9 @@
  * CPU's clock passes the event time, or immediately when the CPU idles and
  * fast-forwards its clock.
  *
- * Event objects are pooled per queue: runDue()/restoreState() recycle them
- * onto a free list that schedule() pops before touching the heap allocator,
- * so steady-state simulation performs no event allocations.
+ * Event objects are pooled per queue: runDue() and snapshot restores recycle
+ * them onto a free list that schedule() pops before touching the heap
+ * allocator, so steady-state simulation performs no event allocations.
  */
 
 #ifndef KVMARM_SIM_EVENT_QUEUE_HH
@@ -23,9 +23,6 @@
 #include "sim/types.hh"
 
 namespace kvmarm {
-
-class SnapshotReader;
-class SnapshotWriter;
 
 /** FIFO-stable priority queue of cycle-stamped callbacks. */
 class EventQueue
@@ -88,19 +85,28 @@ class EventQueue
     /** Duplicate same-cycle Kick schedules elided so far. */
     std::uint64_t kicksCoalesced() const { return kicksCoalesced_; }
 
-    /// @name Snapshot support (CpuBase drives these)
+    /// @name Snapshot support (CpuBase's visit() drives this)
     /// @{
 
-    /** Serialize live events (time, order, id, kind) plus the id/seq
-     *  counters so restored events keep their exact FIFO tie-breaks. */
-    void saveState(SnapshotWriter &w) const;
-
     /**
-     * Drop everything pending and recreate the saved events. Kick events
-     * come back runnable; Generic events come back with null callbacks
-     * awaiting claim(). onSchedule is not fired (the machine is quiesced).
+     * Live events (time, order, id, kind) plus the id/seq counters, so
+     * restored events keep their exact FIFO tie-breaks. Reading drops
+     * everything pending and recreates the saved events: Kick events come
+     * back runnable, Generic events come back with null callbacks awaiting
+     * claim(). onSchedule is not fired (the machine is quiesced).
      */
-    void restoreState(SnapshotReader &r);
+    template <class V>
+    void
+    visit(V &v)
+    {
+        std::vector<SavedEvent> live;
+        if constexpr (!V::kLoading)
+            live = liveEvents();
+        v.seq(live);
+        v.pod(nextSeq_, nextId_);
+        if constexpr (V::kLoading)
+            rehydrate(live);
+    }
 
     /** Re-attach the callback of restored event @p id. fatal() if the id
      *  is unknown or already claimed. */
@@ -137,6 +143,26 @@ class EventQueue
         Cycles when;
         std::uint64_t id;
     };
+
+    /** A pending event as a snapshot records it. */
+    struct SavedEvent
+    {
+        Cycles when;
+        std::uint64_t seq;
+        std::uint64_t id;
+        Kind kind;
+
+        template <class V>
+        void
+        visit(V &v)
+        {
+            v.pod(when, seq, id, kind);
+        }
+    };
+
+    /** Live events in (when, seq) order. */
+    std::vector<SavedEvent> liveEvents() const;
+    void rehydrate(const std::vector<SavedEvent> &saved);
 
     Event *allocEvent();
     void recycle(Event *ev);

@@ -50,20 +50,6 @@ MachineBase::MachineBase()
 
 MachineBase::~MachineBase() = default;
 
-void
-MachineBase::registerSnapshottable(Snapshottable *s)
-{
-    snapshottables_.push_back(s);
-}
-
-void
-MachineBase::unregisterSnapshottable(Snapshottable *s)
-{
-    auto it = std::find(snapshottables_.begin(), snapshottables_.end(), s);
-    if (it != snapshottables_.end())
-        snapshottables_.erase(it);
-}
-
 std::uint64_t
 MachineBase::addSnapshotBlocker(std::string reason)
 {
@@ -103,7 +89,7 @@ MachineBase::takeSnapshot()
     snap->records.reserve(snapshottables_.size());
     for (Snapshottable *s : snapshottables_) {
         SnapshotWriter w;
-        s->saveState(w);
+        s->snapshotSave(w);
         snap->records.push_back(w.finish(s->snapshotKey()));
     }
     return snap;
@@ -127,7 +113,7 @@ MachineBase::restoreSnapshot(const MachineSnapshot &snap)
                   "component %zu is '%s' — registration orders differ",
                   i, rec.key.c_str(), i, s->snapshotKey().c_str());
         SnapshotReader r(rec);
-        s->restoreState(r);
+        s->snapshotLoad(r);
         if (!r.done())
             fatal("MachineBase::restoreSnapshot: component '%s' left %zu "
                   "bytes of its record unconsumed",

@@ -126,17 +126,12 @@ class MachineBase
 
     /// @name Snapshot/clone support
     ///
-    /// Components register in construction order; because machine
-    /// construction is deterministic, the origin machine and a freshly
-    /// constructed clone register identical sequences, which is what lets
-    /// restoreSnapshot pair records with components positionally.
+    /// Components register in construction order (the Snapshottable base
+    /// does it); because machine construction is deterministic, the
+    /// origin machine and a freshly constructed clone register identical
+    /// sequences, which is what lets restoreSnapshot pair records with
+    /// components positionally.
     /// @{
-
-    /** Register a component for snapshot participation (construction). */
-    void registerSnapshottable(Snapshottable *s);
-
-    /** Remove a component (destruction; order need not match). */
-    void unregisterSnapshottable(Snapshottable *s);
 
     /**
      * Capture the full machine state. The machine must be quiesced (not
@@ -150,7 +145,7 @@ class MachineBase
      * Restore @p snap into this machine. The machine must have the same
      * component shape as the snapshot origin (same config => same
      * registration sequence) and must be quiesced. Three passes:
-     * restoreState on every component in registration order, then
+     * snapshotLoad on every component in registration order, then
      * snapshotRebind (callback/pointer fix-ups), then snapshotVerify.
      */
     void restoreSnapshot(const MachineSnapshot &snap);
@@ -184,6 +179,9 @@ class MachineBase
     /** The general scheduler scan for multi-CPU machines. Both loops exit
      *  back through run(), which publishes the check epoch. */
     void runMulti(Cycles haltAt);
+
+    /** Snapshottable's constructor/destructor maintain snapshottables_. */
+    friend class Snapshottable;
 
     std::vector<Snapshottable *> snapshottables_;
     std::vector<std::pair<std::uint64_t, std::string>> snapshotBlockers_;

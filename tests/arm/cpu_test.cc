@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "arm/machine.hh"
 
 namespace kvmarm::arm {
@@ -132,10 +135,19 @@ TEST_F(CpuTrapTest, FpTrapsOnlyWhenLazy)
 
 struct SensitiveCase
 {
+    const char *name; //!< test-name suffix: the SensitiveOp enumerator
     SensitiveOp op;
     bool Hcr::*hcrBit; //!< null -> HDCR (cp14)
     ExcClass expected;
 };
+
+/** gtest (and ctest's test names) print the parameter through this;
+ *  the default prints raw bytes, padding included. */
+void
+PrintTo(const SensitiveCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SensitiveOpTest : public CpuTrapTest,
                         public ::testing::WithParamInterface<SensitiveCase>
@@ -170,19 +182,24 @@ TEST_P(SensitiveOpTest, TrapsExactlyWhenConfigured)
 INSTANTIATE_TEST_SUITE_P(
     Table1TrapGroup, SensitiveOpTest,
     ::testing::Values(
-        SensitiveCase{SensitiveOp::ActlrRead, &Hcr::tac,
+        SensitiveCase{"ActlrRead", SensitiveOp::ActlrRead, &Hcr::tac,
                       ExcClass::Cp15Trap},
-        SensitiveCase{SensitiveOp::ActlrWrite, &Hcr::tac,
+        SensitiveCase{"ActlrWrite", SensitiveOp::ActlrWrite, &Hcr::tac,
                       ExcClass::Cp15Trap},
-        SensitiveCase{SensitiveOp::CacheSetWay, &Hcr::swio,
+        SensitiveCase{"CacheSetWay", SensitiveOp::CacheSetWay, &Hcr::swio,
                       ExcClass::Cp15Trap},
-        SensitiveCase{SensitiveOp::L2ctlrRead, &Hcr::tidcp,
+        SensitiveCase{"L2ctlrRead", SensitiveOp::L2ctlrRead, &Hcr::tidcp,
                       ExcClass::Cp15Trap},
-        SensitiveCase{SensitiveOp::L2ectlrRead, &Hcr::tidcp,
+        SensitiveCase{"L2ectlrRead", SensitiveOp::L2ectlrRead, &Hcr::tidcp,
                       ExcClass::Cp15Trap},
-        SensitiveCase{SensitiveOp::Cp14Read, nullptr, ExcClass::Cp14Trap},
-        SensitiveCase{SensitiveOp::Cp14Write, nullptr,
-                      ExcClass::Cp14Trap}));
+        SensitiveCase{"Cp14Read", SensitiveOp::Cp14Read, nullptr,
+                      ExcClass::Cp14Trap},
+        SensitiveCase{"Cp14Write", SensitiveOp::Cp14Write, nullptr,
+                      ExcClass::Cp14Trap}),
+    // Name each case by its op, so test names are stable across builds.
+    [](const ::testing::TestParamInfo<SensitiveCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST_F(CpuTrapTest, ImoRoutesIrqToHyp)
 {

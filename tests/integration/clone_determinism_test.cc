@@ -6,7 +6,9 @@
  * (b) an independent cold-booted machine running the same phases — across
  * invariant check modes, with COW isolation between sibling clones, with
  * pending events in flight at the snapshot point, and through clone-of-
- * clone chains (ISSUE 8 acceptance; DESIGN.md §4.9).
+ * clone chains (DESIGN.md §4.9). Also: a restored machine re-snapshots to
+ * the very records it was restored from, and machines of a different
+ * shape refuse a snapshot with a diagnosed fatal.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +40,13 @@ struct VmRun
     std::string statDump;
 };
 
+/** What a clone must rebuild exactly as the origin built it. */
+struct VmSkeleton
+{
+    Addr guestRam = kGuestRam;
+    Addr deviceSize = 0x1000;
+};
+
 /**
  * One full-stack cloneable VM: machine + host kernel + KVM + 1-VCPU guest.
  * Two-phase lifecycle: a boot/warmup leg that quiesces (so a snapshot can
@@ -63,7 +72,7 @@ class CloneableVm
             ArmCpu &cpu = machine_.cpu(0);
             hostk_.boot(0);
             ASSERT_TRUE(kvm_.initCpu(cpu));
-            buildVmSkeleton();
+            buildVmSkeleton(VmSkeleton{});
             vcpu_->run(cpu, [this](ArmCpu &c) { warmup(c); });
         });
         machine_.run();
@@ -71,10 +80,10 @@ class CloneableVm
 
     /** Clone path: rebuild the VM skeleton (same calls, same order as the
      *  origin's boot leg) and adopt the snapshot. Never boots. */
-    void cloneFrom(const MachineSnapshot &snap)
+    void cloneFrom(const MachineSnapshot &snap, const VmSkeleton &sk = {})
     {
         kvm_.primeForRestore();
-        buildVmSkeleton();
+        buildVmSkeleton(sk);
         machine_.restoreSnapshot(snap);
     }
 
@@ -117,11 +126,11 @@ class CloneableVm
         return mc;
     }
 
-    void buildVmSkeleton()
+    void buildVmSkeleton(const VmSkeleton &sk)
     {
-        vm_ = kvm_.createVm(kGuestRam);
+        vm_ = kvm_.createVm(sk.guestRam);
         vcpu_ = &vm_->addVcpu(0);
-        vm_->addKernelDevice(core::Vm::kKernelTestDevBase, 0x1000,
+        vm_->addKernelDevice(core::Vm::kKernelTestDevBase, sk.deviceSize,
                              [](bool, Addr, std::uint64_t, unsigned) {
                                  return std::uint64_t{0};
                              });
@@ -333,6 +342,88 @@ TEST(FleetCloneEdge, CloneOfCloneMatchesFirstClone)
     EXPECT_EQ(run2.simCycles, run0.simCycles);
     EXPECT_EQ(run1.statDump, run0.statDump);
     EXPECT_EQ(run2.statDump, run0.statDump);
+}
+
+TEST(FleetCloneEdge, RestoredMachineResnapshotsToTheSameRecords)
+{
+    // The origin carries a populated Stage-2, Hyp tables, dirty RAM and a
+    // pending timer event. Restoring it and snapshotting straight away
+    // must reproduce every record byte for byte: this is what proves the
+    // components with hand-written save/load steps (RAM image, event
+    // rehydration, Stage-2/Hyp replay, vector ownership) round-trip.
+    CloneableVm origin;
+    origin.coldBoot();
+    arm::TimerRegs t;
+    t.enable = true;
+    t.cval = origin.machine().cpu(0).now() + 100000;
+    origin.machine().timer().setPhys(0, t);
+    ASSERT_GT(origin.machine().cpu(0).events().size(), 0u);
+    auto snap = origin.machine().takeSnapshot();
+
+    CloneableVm clone;
+    clone.cloneFrom(*snap);
+    auto again = clone.machine().takeSnapshot();
+
+    ASSERT_EQ(again->records.size(), snap->records.size());
+    for (std::size_t i = 0; i < snap->records.size(); ++i) {
+        SCOPED_TRACE("record " + snap->records[i].key);
+        EXPECT_EQ(again->records[i].key, snap->records[i].key);
+        EXPECT_EQ(again->records[i].bytes, snap->records[i].bytes);
+    }
+}
+
+TEST(FleetCloneShape, MoreCpusThanTheSnapshotIsFatal)
+{
+    ArmMachine::Config mc;
+    mc.numCpus = 1;
+    mc.ramSize = 16 * kMiB;
+    ArmMachine origin(mc);
+    auto snap = origin.takeSnapshot();
+
+    // The second CPU registers extra components: the record count differs.
+    mc.numCpus = 2;
+    ArmMachine wider(mc);
+    EXPECT_THROW(wider.restoreSnapshot(*snap), FatalError);
+}
+
+/** Restore @p snap into a clone rebuilt with @p sk; returns the fatal
+ *  message (the restore must throw). */
+std::string
+restoreFatal(const MachineSnapshot &snap, const VmSkeleton &sk)
+{
+    std::string msg;
+    CloneableVm clone;
+    EXPECT_THROW(
+        {
+            try {
+                clone.cloneFrom(snap, sk);
+            } catch (const FatalError &e) {
+                msg = e.what();
+                throw;
+            }
+        },
+        FatalError);
+    return msg;
+}
+
+TEST(FleetCloneShape, DifferentKernelDeviceRegionIsFatal)
+{
+    CloneableVm origin;
+    auto snap = bootAndSnapshot(origin);
+    VmSkeleton sk;
+    sk.deviceSize = 0x2000;
+    std::string msg = restoreFatal(*snap, sk);
+    EXPECT_NE(msg.find("vm-1"), std::string::npos) << msg;
+}
+
+TEST(FleetCloneShape, DifferentGuestRamSizeIsFatal)
+{
+    CloneableVm origin;
+    auto snap = bootAndSnapshot(origin);
+    VmSkeleton sk;
+    sk.guestRam = 2 * kGuestRam;
+    std::string msg = restoreFatal(*snap, sk);
+    EXPECT_NE(msg.find("vm-1"), std::string::npos) << msg;
 }
 
 TEST(FleetCloneFleet, EightClonesFromOneSnapshotMatchSoloClones)

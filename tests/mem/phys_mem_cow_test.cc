@@ -1,7 +1,7 @@
 /**
  * @file
- * PhysMem copy-on-write unit tests: saveState publishes an immutable page
- * image and turns the origin into a COW client; restoreState adopts the
+ * PhysMem copy-on-write unit tests: snapshotSave publishes an immutable page
+ * image and turns the origin into a COW client; snapshotLoad adopts the
  * same image; reads share, the first write to a shared page faults a
  * private copy (ISSUE 8 tentpole; DESIGN.md §4.9).
  */
@@ -20,7 +20,7 @@ SnapshotRecord
 save(PhysMem &mem)
 {
     SnapshotWriter w;
-    mem.saveState(w);
+    mem.snapshotSave(w);
     return w.finish(mem.snapshotKey());
 }
 
@@ -29,7 +29,7 @@ void
 restore(PhysMem &mem, const SnapshotRecord &rec)
 {
     SnapshotReader r(rec);
-    mem.restoreState(r);
+    mem.snapshotLoad(r);
     ASSERT_TRUE(r.done()) << "restore left unread bytes";
 }
 
@@ -186,11 +186,11 @@ TEST(PhysMemCow, RestoreRejectsGeometryMismatch)
 
     PhysMem wrong_size(0, 2 * kMiB);
     SnapshotReader r1(rec);
-    EXPECT_THROW(wrong_size.restoreState(r1), FatalError);
+    EXPECT_THROW(wrong_size.snapshotLoad(r1), FatalError);
 
     PhysMem wrong_base(kPageSize, kMiB);
     SnapshotReader r2(rec);
-    EXPECT_THROW(wrong_base.restoreState(r2), FatalError);
+    EXPECT_THROW(wrong_base.snapshotLoad(r2), FatalError);
 }
 
 TEST(PhysMemCow, RepeatedSnapshotsArePossible)

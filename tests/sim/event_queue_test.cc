@@ -183,12 +183,12 @@ TEST(EventQueueSnapshot, RestoreRecreatesEventsWithExactOrderAndIds)
     (void)kick;
 
     SnapshotWriter w;
-    q.saveState(w);
+    q.visit(w);
     SnapshotRecord rec = w.finish("events");
 
     EventQueue r;
     SnapshotReader rd(rec);
-    r.restoreState(rd);
+    r.visit(rd);
     EXPECT_TRUE(rd.done()) << "restore left unread bytes";
     EXPECT_EQ(r.size(), 3u); // cancelled event was not saved
     EXPECT_EQ(r.nextEventTime(), 10u);
@@ -210,14 +210,14 @@ TEST(EventQueueSnapshot, RestoreDropsWhatWasPendingBefore)
     EventQueue q;
     q.schedule(10, [] {});
     SnapshotWriter w;
-    q.saveState(w);
+    q.visit(w);
     SnapshotRecord rec = w.finish("events");
 
     EventQueue r;
     bool stale_ran = false;
     r.schedule(5, [&] { stale_ran = true; });
     SnapshotReader rd(rec);
-    r.restoreState(rd);
+    r.visit(rd);
     r.claim(1, [] {}); // the one saved event (first id ever issued)
     EXPECT_EQ(r.size(), 1u);
     r.runDue(100);
@@ -229,12 +229,12 @@ TEST(EventQueueSnapshot, UnclaimedGenericEventIsFatal)
     EventQueue q;
     q.schedule(10, [] {});
     SnapshotWriter w;
-    q.saveState(w);
+    q.visit(w);
     SnapshotRecord rec = w.finish("events");
 
     EventQueue r;
     SnapshotReader rd(rec);
-    r.restoreState(rd);
+    r.visit(rd);
     EXPECT_THROW(r.verifyAllClaimed(), FatalError);
 }
 
@@ -243,12 +243,12 @@ TEST(EventQueueSnapshot, BogusClaimsAreFatal)
     EventQueue q;
     auto id = q.schedule(10, [] {});
     SnapshotWriter w;
-    q.saveState(w);
+    q.visit(w);
     SnapshotRecord rec = w.finish("events");
 
     EventQueue r;
     SnapshotReader rd(rec);
-    r.restoreState(rd);
+    r.visit(rd);
     EXPECT_THROW(r.claim(id + 1000, [] {}), FatalError); // unknown id
     r.claim(id, [] {});
     EXPECT_THROW(r.claim(id, [] {}), FatalError); // double claim

@@ -4,11 +4,6 @@
 #   tools/bench.sh              build + run every bench
 #   tools/bench.sh host_tput    run one bench by name
 #
-# host_tput and fleet_tput write their JSON themselves (preserving the
-# recorded pre-optimization baseline section; pass --rebaseline through
-# REBASE=1). The google-benchmark benches emit their JSON via
-# --benchmark_out.
-#
 # Every BENCH_*.json written here is validated before the script succeeds:
 # it must parse as JSON and carry the sections its schema promises
 # (schema_version + a non-empty "current" for the native benches, a
@@ -20,32 +15,40 @@ cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 BUILD=${BUILD:-build}
 
+# The native benches write their own JSON (preserving the recorded
+# pre-optimization baseline section; pass --rebaseline through REBASE=1),
+# as <bench>:<output file>. The google-benchmark benches emit theirs via
+# --benchmark_out into BENCH_<bench>.json.
+NATIVE="host_tput:BENCH_host_tput.json fleet_tput:BENCH_fleet.json
+    fleet_clone:BENCH_fleet_clone.json fleet_ring:BENCH_fleet_ring.json
+    fleet_pool:BENCH_fleet_pool.json"
+GBENCH="table1_state table3_micro table4_loc fig3_lmbench_up fig4_lmbench_smp
+    fig5_apps_up fig6_apps_smp fig7_energy ablation_split_mode ablation_vgic
+    ablation_ipi ablation_lazy_fpu"
+native_names=""
+for nb in $NATIVE; do
+    native_names="$native_names ${nb%%:*}"
+done
+
 validate_json() { # <file>
-    local file=$1
-    if [ ! -s "$file" ]; then
-        echo "bench.sh: $file: missing or empty" >&2
-        return 1
-    fi
-    if command -v python3 >/dev/null 2>&1; then
-        python3 - "$file" <<'EOF'
+    python3 - "$1" $native_names <<'EOF_PY'
 import json
 import sys
 
-path = sys.argv[1]
+path, native = sys.argv[1], sys.argv[2:]
 try:
     with open(path) as f:
         doc = json.load(f)
 except Exception as e:
-    sys.exit(f"bench.sh: {path}: not parseable JSON: {e}")
+    sys.exit(f"bench.sh: {path}: missing or not parseable JSON: {e}")
 if not isinstance(doc, dict):
     sys.exit(f"bench.sh: {path}: top level is not an object")
 if "schema_version" in doc:
     if not doc.get("current"):
         sys.exit(f"bench.sh: {path}: missing or empty 'current' section")
-    if doc.get("bench") in ("host_tput", "fleet_tput", "fleet_clone",
-                            "fleet_ring", "fleet_pool"):
-        # The throughput benches must record which KVMARM_CHECK modes the
-        # run covered ("off,enforce", or "disabled" under the
+    if doc.get("bench") in native:
+        # The native benches must record which KVMARM_CHECK modes the run
+        # covered ("off,enforce", or "disabled" under the
         # -DKVMARM_INVARIANTS=OFF kill switch).
         mode = doc.get("kvmarm_check")
         if mode not in ("off,enforce", "disabled"):
@@ -59,81 +62,34 @@ else:
     sys.exit(
         f"bench.sh: {path}: neither 'schema_version' (native schema) "
         "nor 'benchmarks' (google-benchmark schema) present")
-EOF
-    else
-        # Minimal fallback: the schema marker must at least be present.
-        if ! grep -q '"schema_version"\|"benchmarks"' "$file"; then
-            echo "bench.sh: $file: no schema marker found" >&2
-            return 1
-        fi
-        if grep -q '"bench": "\(host_tput\|fleet_tput\|fleet_clone\|fleet_ring\|fleet_pool\)"' "$file" &&
-            ! grep -q '"kvmarm_check"' "$file"; then
-            echo "bench.sh: $file: missing 'kvmarm_check' field" >&2
-            return 1
-        fi
-    fi
+EOF_PY
 }
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$BUILD" -j"$JOBS" --target \
-    host_tput fleet_tput fleet_clone fleet_ring fleet_pool \
-    table1_state table3_micro table4_loc \
-    fig3_lmbench_up fig4_lmbench_smp fig5_apps_up fig6_apps_smp \
-    fig7_energy ablation_split_mode ablation_vgic ablation_ipi \
-    ablation_lazy_fpu >/dev/null
+# shellcheck disable=SC2086 # the lists are whitespace-separated names
+cmake --build "$BUILD" -j"$JOBS" --target $native_names $GBENCH >/dev/null
 
 selected=${*:-all}
 
-run_gbench() { # <name>
-    local name=$1
-    if [ "$selected" != all ] && [[ " $selected " != *" $name "* ]]; then
-        return 0
-    fi
+wanted() { # <name>
+    [ "$selected" = all ] || [[ " $selected " == *" $1 "* ]]
+}
+
+for nb in $NATIVE; do
+    name=${nb%%:*}
+    out=${nb#*:}
+    wanted "$name" || continue
+    echo "==== bench: $name ===="
+    "$BUILD/bench/$name" ${REBASE:+--rebaseline} --out "$out"
+    validate_json "$out"
+done
+
+for name in $GBENCH; do
+    wanted "$name" || continue
     echo "==== bench: $name ===="
     "$BUILD/bench/$name" \
         --benchmark_out="BENCH_$name.json" --benchmark_out_format=json
     validate_json "BENCH_$name.json"
-}
-
-if [ "$selected" = all ] || [[ " $selected " == *" host_tput "* ]]; then
-    echo "==== bench: host_tput ===="
-    "$BUILD/bench/host_tput" ${REBASE:+--rebaseline} \
-        --out BENCH_host_tput.json
-    validate_json BENCH_host_tput.json
-fi
-
-if [ "$selected" = all ] || [[ " $selected " == *" fleet_tput "* ]]; then
-    echo "==== bench: fleet_tput ===="
-    "$BUILD/bench/fleet_tput" ${REBASE:+--rebaseline} \
-        --out BENCH_fleet.json
-    validate_json BENCH_fleet.json
-fi
-
-if [ "$selected" = all ] || [[ " $selected " == *" fleet_clone "* ]]; then
-    echo "==== bench: fleet_clone ===="
-    "$BUILD/bench/fleet_clone" ${REBASE:+--rebaseline} \
-        --out BENCH_fleet_clone.json
-    validate_json BENCH_fleet_clone.json
-fi
-
-if [ "$selected" = all ] || [[ " $selected " == *" fleet_ring "* ]]; then
-    echo "==== bench: fleet_ring ===="
-    "$BUILD/bench/fleet_ring" ${REBASE:+--rebaseline} \
-        --out BENCH_fleet_ring.json
-    validate_json BENCH_fleet_ring.json
-fi
-
-if [ "$selected" = all ] || [[ " $selected " == *" fleet_pool "* ]]; then
-    echo "==== bench: fleet_pool ===="
-    "$BUILD/bench/fleet_pool" ${REBASE:+--rebaseline} \
-        --out BENCH_fleet_pool.json
-    validate_json BENCH_fleet_pool.json
-fi
-
-for b in table1_state table3_micro table4_loc fig3_lmbench_up \
-    fig4_lmbench_smp fig5_apps_up fig6_apps_smp fig7_energy \
-    ablation_split_mode ablation_vgic ablation_ipi ablation_lazy_fpu; do
-    run_gbench "$b"
 done
 
 echo "==== bench: done ===="

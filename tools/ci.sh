@@ -5,10 +5,9 @@
 #
 #   release    RelWithDebInfo, default checker mode (Off at runtime)
 #   asan       AddressSanitizer + UBSan, whole test suite
-#   tsan       ThreadSanitizer, fleet executor tests + fleet smoke bench
+#   tsan       ThreadSanitizer, fleet executor tests + fleet smoke benches
 #   enforce    release binaries, whole suite under KVMARM_CHECK=enforce
 #   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away)
-#   bench      host_tput/fleet_tput --smoke + table3_micro vs the golden
 #   domlint    full-tree domlint + the fixture corpus (must-fire/must-pass)
 #   lint       domlint + clang-tidy (or strict-GCC fallback) on changed files
 #   threadsafety  clang -Wthread-safety on the annotated locking TUs
@@ -49,8 +48,12 @@ leg_tsan() {
     # The fleet executor is the one place host threads run concurrently;
     # TSan must see zero races across the worker pool, the mutexed logging
     # writer, the invariant engine, and the annotated fiber switches.
-    # ctest selects by the sanitize-thread label tests/CMakeLists derives
-    # from KVMARM_SANITIZE.
+    # ctest selects by the sanitize-thread label tests/ and bench/
+    # CMakeLists derive from KVMARM_SANITIZE. The fleet_*_smoke benches
+    # sweep 1/2/4/8 workers and both check modes themselves: fleet_clone
+    # COW-faults one shared snapshot image from 8 threads, fleet_ring
+    # parks/notifies through the ring-channel mutex, and fleet_pool
+    # submits clone jobs from inside running jobs while others steal them.
     cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DKVMARM_SANITIZE=thread
     cmake --build build-ci-tsan -j"$JOBS" \
@@ -58,7 +61,7 @@ leg_tsan() {
         fleet_test fleet_stress_test
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-ci-tsan --output-on-failure \
-        -L sanitize-thread -R '^Fleet'
+        -L sanitize-thread -R '^(Fleet|fleet_)'
     # The seeded stress schedule under TSan: live submissions, mid-run
     # spawns, ring rendezvous and park/notify all race-checked at up to
     # 8 workers (the suite sweeps 1/2/4/8 internally).
@@ -70,22 +73,6 @@ leg_tsan() {
         env KVMARM_CHECK=enforce ctest --test-dir build-ci-tsan \
         --output-on-failure -L sanitize-thread \
         -R 'FleetDeterminism|FleetClone'
-    # fleet_tput --smoke sweeps both check modes itself (the *_enforce
-    # rows), so one TSan run covers the unchecked and checked hot paths.
-    TSAN_OPTIONS=halt_on_error=1 build-ci-tsan/bench/fleet_tput --smoke
-    # fleet_clone --smoke under TSan: 8 worker threads concurrently
-    # COW-fault private pages out of one shared snapshot image — the race
-    # TSan is here to rule out.
-    TSAN_OPTIONS=halt_on_error=1 build-ci-tsan/bench/fleet_clone --smoke
-    # fleet_ring --smoke under TSan: communicating VMs park/notify through
-    # the ring-channel mutex and the fleet work queues while exchanging
-    # cycle-stamped messages; the bench's built-in bit-identity gate runs
-    # with race detection live.
-    TSAN_OPTIONS=halt_on_error=1 build-ci-tsan/bench/fleet_ring --smoke
-    # fleet_pool --smoke under TSan: worker threads submit clone jobs into
-    # the live channel from inside running jobs while other workers steal
-    # them — the scheduler-mutation race TSan is here to rule out.
-    TSAN_OPTIONS=halt_on_error=1 build-ci-tsan/bench/fleet_pool --smoke
 }
 
 leg_enforce() {
@@ -99,25 +86,6 @@ leg_nochecks() {
         -DKVMARM_INVARIANTS=OFF
     cmake --build build-ci-nochecks -j"$JOBS"
     run_suite build-ci-nochecks
-}
-
-leg_bench() {
-    # Wall-clock fast paths must not disturb simulated cycle attribution:
-    # smoke-run the throughput bench, then re-run the Table 3 bench and
-    # require its cycle table to match the committed golden output exactly.
-    cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build build-ci-release -j"$JOBS" \
-        --target host_tput fleet_tput fleet_clone fleet_ring fleet_pool \
-        table3_micro
-    build-ci-release/bench/host_tput --smoke
-    build-ci-release/bench/fleet_tput --smoke
-    build-ci-release/bench/fleet_clone --smoke
-    build-ci-release/bench/fleet_ring --smoke
-    build-ci-release/bench/fleet_pool --smoke
-    build-ci-release/bench/table3_micro 2>/dev/null | sed -n '/===/,$p' \
-        > build-ci-release/table3_micro.out
-    diff -u bench/golden/table3_micro.txt build-ci-release/table3_micro.out
-    echo "table3_micro matches golden cycle counts"
 }
 
 leg_domlint() {
@@ -170,7 +138,7 @@ leg_format() {
     tools/format.sh --check
 }
 
-legs=${*:-release asan tsan enforce nochecks bench domlint lint threadsafety format}
+legs=${*:-release asan tsan enforce nochecks domlint lint threadsafety format}
 for leg in $legs; do
     echo "==== ci leg: $leg ===="
     "leg_$leg"
