@@ -101,13 +101,34 @@ ArmCpu::takePageFaultToKernel(Addr va, bool write, Access acc)
     return handled;
 }
 
+/** The page a regBurst() may reuse; `region` is null while disarmed. */
+struct ArmCpu::BurstPage
+{
+    Addr vpage = 0;
+    Addr ppage = 0;
+    const Bus::Region *region = nullptr;
+    std::uint64_t tlbEpoch = 0;
+    std::uint64_t interleaves = 0;
+};
+
 std::uint64_t
 ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
-                  bool isv)
+                  bool isv, BurstPage *burst)
 {
     Access acc = write ? Access::Write : Access::Read;
     for (int attempt = 0; attempt < 16; ++attempt) {
         TranslateResult tr = mmu_.translate(va, acc, mode_);
+        if (burst) {
+            // Taken before any cycles are charged: an event run by the
+            // addCycles() calls below bumps interleaves() and disarms.
+            burst->region = tr.ok && mode_ == Mode::Hyp && hyp_.hsctlrM
+                                ? armMachine_.bus().regionAt(tr.pa)
+                                : nullptr;
+            burst->vpage = pageAlignDown(va);
+            burst->ppage = pageAlignDown(tr.pa);
+            burst->tlbEpoch = mmu_.tlb().epoch();
+            burst->interleaves = interleaves();
+        }
         if (tr.cost)
             addCycles(tr.cost);
         if (tr.ok) {
@@ -163,6 +184,39 @@ void
 ArmCpu::memTouch(Addr va, Access acc)
 {
     accessMem(va, acc == Access::Write, 0, 4, true);
+}
+
+void
+ArmCpu::regBurst(Addr base, std::span<const Addr> offsets,
+                 std::span<std::uint32_t> values, bool write)
+{
+    if (offsets.size() != values.size())
+        panic("cpu%u: register burst of %zu offsets but %zu values", id_,
+              offsets.size(), values.size());
+    BurstPage page;
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+        const Addr va = base + offsets[i];
+        const Addr pa = page.ppage | (va & (kPageSize - 1));
+        std::uint64_t v = values[i];
+        if (page.region && pageAlignDown(va) == page.vpage &&
+            pa - page.region->base < page.region->size &&
+            mode_ == Mode::Hyp && hyp_.hsctlrM &&
+            mmu_.tlb().epoch() == page.tlbEpoch &&
+            interleaves() == page.interleaves) {
+            // What translateHyp's micro-TLB hit and Bus would do.
+            mmu_.tlb().countHit();
+            MmioDevice *dev = page.region->dev;
+            if (write)
+                dev->write(id_, pa - page.region->base, v, 4);
+            else
+                v = dev->read(id_, pa - page.region->base, 4);
+            addCycles(dev->accessLatency());
+        } else {
+            v = accessMem(va, write, v, 4, true, &page);
+        }
+        if (!write)
+            values[i] = static_cast<std::uint32_t>(v);
+    }
 }
 
 void
@@ -483,7 +537,11 @@ ArmCpu::interruptPending() const
 void
 ArmCpu::serviceInterrupts()
 {
-    if (inIrqService_)
+    // Nothing is deliverable in Hyp mode: every branch below requires
+    // mode_ != Hyp or PL0/PL1. Returning first keeps the world switch,
+    // which runs entirely in Hyp mode, from polling the GIC on every
+    // addCycles().
+    if (inIrqService_ || mode_ == Mode::Hyp)
         return;
     inIrqService_ = true;
     // Livelock detection: every real delivery advances the clock, so a

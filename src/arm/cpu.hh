@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "arm/hsr.hh"
 #include "arm/hyp_state.hh"
@@ -107,6 +108,33 @@ class ArmCpu : public CpuBase
 
     /** Touch @p va (translate + fault handling) without data movement. */
     void memTouch(Addr va, Access acc);
+
+    /**
+     * Register burst: one 32-bit access to @p base + @p offsets[i] for
+     * each i, in order, all stores (@p write; @p values holds the words)
+     * or all loads (@p values receives them). Simulated behaviour is
+     * exactly that of the same memWrite()/memRead() sequence; only the
+     * host cost differs. The lowvisor moves the GICH state this way.
+     *
+     * An access goes through memRead/memWrite's full path — faults,
+     * traps, Stage-2 — unless it can reuse the translation and decoded
+     * device of the last full-path access of this burst. Reuse requires
+     * all of:
+     *  - the access falls in the same page and device region;
+     *  - the CPU is still in Hyp mode with HSCTLR.M set (as it was when
+     *    that page was translated);
+     *  - the TLB epoch is unchanged since that translation;
+     *  - interleaves() is unchanged since that translation: no event ran
+     *    and no fiber yielded, so nothing else touched the micro-TLB.
+     * Under those conditions translateHyp() would be a micro-TLB hit
+     * costing no cycles, so a reused access counts a TLB hit, calls the
+     * device's read/write and charges its accessLatency() through
+     * addCycles(): the same cycles, TLB counters, micro-TLB state, device
+     * side effects and event timing. Any other access takes the full
+     * path, which re-arms reuse for its own page.
+     */
+    void regBurst(Addr base, std::span<const Addr> offsets,
+                  std::span<std::uint32_t> values, bool write);
 
     /** Supervisor call from user mode into the current kernel. */
     void svc(std::uint32_t num);
@@ -224,10 +252,15 @@ class ArmCpu : public CpuBase
     /// @}
 
   private:
+    struct BurstPage;
+
     void takeIrqToKernel();
     bool takePageFaultToKernel(Addr va, bool write, Access acc);
+    /** The full load/store path. A non-null @p burst is re-armed with the
+     *  successful translation when regBurst() may reuse it. */
     std::uint64_t accessMem(Addr va, bool write, std::uint64_t value,
-                            unsigned len, bool isv);
+                            unsigned len, bool isv,
+                            BurstPage *burst = nullptr);
 
     ArmMachine &armMachine_;
     /** The owning machine's invariant engine (null when the check layer is

@@ -82,6 +82,18 @@ inline constexpr std::array<Addr, 16> kVgicCtrlSaveList = {
     0x200, 0x204, 0x208, 0x20C,
 };
 
+/** Every GICH register a full world switch moves, in issue order: the
+ *  control registers above, then the list registers. */
+inline constexpr auto kVgicSwitchList = [] {
+    std::array<Addr, kVgicCtrlSaveList.size() + kNumListRegs> offs{};
+    std::size_t n = 0;
+    for (Addr off : kVgicCtrlSaveList)
+        offs[n++] = off;
+    for (unsigned i = 0; i < kNumListRegs; ++i)
+        offs[n++] = gich::LR0 + 4 * i;
+    return offs;
+}();
+
 /** Per-CPU VGIC state, shared between the GICH and GICV interfaces. */
 struct VgicBank
 {

@@ -1,5 +1,7 @@
 #include "core/world_switch.hh"
 
+#include <array>
+
 #include "arm/cpu.hh"
 #include "arm/machine.hh"
 #include "check/invariants.hh"
@@ -13,6 +15,17 @@ using arm::ArmMachine;
 using arm::ListReg;
 using arm::LrState;
 using arm::Mode;
+
+namespace {
+
+/** GICH offsets the lazy VGIC transfers move, in issue order. */
+constexpr std::array<Addr, 2> kLazyRestoreRegs = {arm::gich::HCR,
+                                                  arm::gich::VMCR};
+constexpr std::array<Addr, 2> kLazySaveRegs = {arm::gich::ELRSR0,
+                                               arm::gich::VMCR};
+constexpr std::array<Addr, 1> kHcrReg = {arm::gich::HCR};
+
+} // namespace
 
 WorldSwitch::WorldSwitch(Kvm &kvm)
     : kvm_(kvm), hostCtx_(kvm.machine().numCpus()),
@@ -79,8 +92,8 @@ WorldSwitch::restoreVgic(ArmCpu &cpu, VCpu &vcpu)
     if (cfg.lazyVgic && !any_lr) {
         // Optimization of §5.2/§6: nothing in flight, touch only the
         // enable and the VM-interface configuration.
-        cpu.memWrite(gich + arm::gich::HCR, hcr);
-        cpu.memWrite(gich + arm::gich::VMCR, vmcr);
+        std::array<std::uint32_t, 2> vals = {hcr, vmcr};
+        cpu.regBurst(gich, kLazyRestoreRegs, vals, true);
         vcpu.vgicHwLive = false;
         KVMARM_CHECK_ON(ck, stateTransfer(&cpu.machine(), cpu.id(),
                                    check::StateClass::Vgic,
@@ -91,18 +104,19 @@ WorldSwitch::restoreVgic(ArmCpu &cpu, VCpu &vcpu)
     // Unoptimized KVM/ARM: completely context switch all VGIC state —
     // the 16 control registers and 4 list registers of Table 1 — over
     // MMIO on every switch (paper §3.5).
-    for (Addr off : arm::kVgicCtrlSaveList) {
-        std::uint32_t v = 0;
+    std::array<std::uint32_t, arm::kVgicSwitchList.size()> vals{};
+    for (std::size_t i = 0; i < arm::kVgicCtrlSaveList.size(); ++i) {
+        Addr off = arm::kVgicCtrlSaveList[i];
         if (off == arm::gich::HCR)
-            v = hcr;
+            vals[i] = hcr;
         else if (off == arm::gich::VMCR)
-            v = vmcr;
+            vals[i] = vmcr;
         else if (off >= arm::gich::APR0 && off <= arm::gich::APR3)
-            v = sh.apr[(off - arm::gich::APR0) / 4];
-        cpu.memWrite(gich + off, v);
+            vals[i] = sh.apr[(off - arm::gich::APR0) / 4];
     }
     for (unsigned i = 0; i < arm::kNumListRegs; ++i)
-        cpu.memWrite(gich + arm::gich::LR0 + 4 * i, sh.lr[i].pack());
+        vals[arm::kVgicCtrlSaveList.size() + i] = sh.lr[i].pack();
+    cpu.regBurst(gich, arm::kVgicSwitchList, vals, true);
     vcpu.vgicHwLive = true;
     KVMARM_CHECK_ON(ck, stateTransfer(&cpu.machine(), cpu.id(),
                                check::StateClass::Vgic,
@@ -117,23 +131,28 @@ WorldSwitch::saveVgic(ArmCpu &cpu, VCpu &vcpu)
     const Addr gich = ArmMachine::kGichBase;
     arm::VgicBank &sh = vcpu.vgicShadow;
 
+    std::array<std::uint32_t, 1> hcr_disabled = {0};
     if (cfg.lazyVgic && !vcpu.vgicHwLive) {
         // Check the empty status and pick up VM-interface changes only.
-        (void)cpu.memRead(gich + arm::gich::ELRSR0, 4);
-        std::uint32_t vmcr = static_cast<std::uint32_t>(
-            cpu.memRead(gich + arm::gich::VMCR, 4));
-        sh.vmEnabled = vmcr & 1;
-        sh.vmPmr = static_cast<std::uint8_t>(vmcr >> 24);
-        cpu.memWrite(gich + arm::gich::HCR, 0);
+        std::array<std::uint32_t, 2> vals{};
+        cpu.regBurst(gich, kLazySaveRegs, vals, false);
+        sh.vmEnabled = vals[1] & 1;
+        sh.vmPmr = static_cast<std::uint8_t>(vals[1] >> 24);
+        cpu.regBurst(gich, kHcrReg, hcr_disabled, true);
         KVMARM_CHECK_ON(ck, stateTransfer(&cpu.machine(), cpu.id(),
                                    check::StateClass::Vgic,
                                    check::Xfer::SaveGuest));
         return;
     }
 
-    for (Addr off : arm::kVgicCtrlSaveList) {
-        std::uint32_t v =
-            static_cast<std::uint32_t>(cpu.memRead(gich + off, 4));
+    // Decoding after the whole burst is the same as decoding each value
+    // as it arrives: only the world switch writes the shadow, so nothing
+    // that runs mid-burst can observe the difference.
+    std::array<std::uint32_t, arm::kVgicSwitchList.size()> vals{};
+    cpu.regBurst(gich, arm::kVgicSwitchList, vals, false);
+    for (std::size_t i = 0; i < arm::kVgicCtrlSaveList.size(); ++i) {
+        Addr off = arm::kVgicCtrlSaveList[i];
+        std::uint32_t v = vals[i];
         if (off == arm::gich::HCR) {
             sh.en = v & 1;
             sh.uie = v & 2;
@@ -144,12 +163,10 @@ WorldSwitch::saveVgic(ArmCpu &cpu, VCpu &vcpu)
             sh.apr[(off - arm::gich::APR0) / 4] = v;
         }
     }
-    for (unsigned i = 0; i < arm::kNumListRegs; ++i) {
-        sh.lr[i] = ListReg::unpack(static_cast<std::uint32_t>(
-            cpu.memRead(gich + arm::gich::LR0 + 4 * i, 4)));
-    }
+    for (unsigned i = 0; i < arm::kNumListRegs; ++i)
+        sh.lr[i] = ListReg::unpack(vals[arm::kVgicCtrlSaveList.size() + i]);
     // Disable the virtual interface while the host runs.
-    cpu.memWrite(gich + arm::gich::HCR, 0);
+    cpu.regBurst(gich, kHcrReg, hcr_disabled, true);
     vcpu.vgicHwLive = false;
     KVMARM_CHECK_ON(ck, stateTransfer(&cpu.machine(), cpu.id(),
                                check::StateClass::Vgic,

@@ -73,6 +73,18 @@ class Bus
     /** True if @p pa is backed by RAM. */
     bool isRam(Addr pa, unsigned len = 1) const;
 
+    /** One device's window of the physical address space. */
+    struct Region
+    {
+        Addr base;
+        Addr size;
+        MmioDevice *dev;
+    };
+
+    /** Region covering @p pa, or nullptr. The pointer stays valid until
+     *  the next addDevice(). */
+    const Region *regionAt(Addr pa) const;
+
     /** Device covering @p pa, or nullptr. */
     MmioDevice *deviceAt(Addr pa) const;
 
@@ -92,14 +104,6 @@ class Bus
     static constexpr Cycles kRamLatency = 1;
 
   private:
-    struct Region
-    {
-        Addr base;
-        Addr size;
-        MmioDevice *dev;
-    };
-
-    const Region *regionAt(Addr pa) const;
     const Region *regionFor(CpuId cpu, Addr pa) const;
 
     PhysMem &ram_;

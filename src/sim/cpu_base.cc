@@ -22,6 +22,7 @@ CpuBase::addCycles(Cycles c)
     now_ += c;
     drain();
     if (now_ >= yieldThreshold_ && Fiber::current()) {
+        ++interleaves_;
         Fiber::yield();
         // Another CPU ran; cross-CPU events may now be due on our queue.
         drain();
@@ -39,8 +40,8 @@ CpuBase::advanceTo(Cycles t)
 void
 CpuBase::drain()
 {
-    while (events_.runDue(now_)) {
-    }
+    while (events_.mayHaveDue(now_) && events_.runDue(now_))
+        ++interleaves_;
     serviceInterrupts();
 }
 
@@ -50,6 +51,7 @@ CpuBase::waitUntil(const std::function<bool()> &pred)
     drain();
     while (!pred()) {
         waiting_ = true;
+        ++interleaves_;
         Fiber::yield();
         waiting_ = false;
         // The scheduler advanced our clock to the next event time.

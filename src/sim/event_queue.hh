@@ -73,6 +73,19 @@ class EventQueue
     /** Run every event with time <= @p now. Returns number run. */
     unsigned runDue(Cycles now);
 
+    /**
+     * True if runDue(@p now) has anything to pop: the heap head is a
+     * cancelled tombstone or comes due at or before @p now. When false,
+     * runDue would return 0 without touching the queue, so callers on the
+     * hot path test this inline first.
+     */
+    bool
+    mayHaveDue(Cycles now) const
+    {
+        return !heap_.empty() &&
+               (heap_.front()->cancelled || heap_.front()->when <= now);
+    }
+
     /** True if no events are pending. */
     bool empty() const { return live_ == 0; }
 

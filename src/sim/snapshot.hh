@@ -17,7 +17,8 @@
  * both writes the record (takeSnapshot) and reads it back
  * (restoreSnapshot); adding a field is one line. The primitives:
  *
- *   v.pod(a, b, ...)     trivially copyable values, verbatim: scalars,
+ *   v.pod(a, b, ...)     trivially copyable values, verbatim (padding
+ *                        bytes written as zero): scalars,
  *                        enums, bools, arrays and structs of those
  *   v.fixed(c, "what")   a container whose size the machine's shape fixes
  *                        (per-CPU banks, TLB geometry); its size is
@@ -112,10 +113,36 @@ class SnapshotVisitor
     pod(Ts &...vs)
     {
         static_assert((std::is_trivially_copyable_v<Ts> && ...));
-        (self().raw(&vs, sizeof(vs)), ...);
+        (value(vs), ...);
     }
 
   protected:
+    /**
+     * One trivially copyable object's bytes. A written record never
+     * carries the object's padding: those bytes hold whatever the heap or
+     * stack last left there, so two machines in identical states would
+     * otherwise produce different records. Written as zero instead, which
+     * keeps the record layout (and size) unchanged.
+     */
+    template <typename T>
+    void
+    value(T &x)
+    {
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_clear_padding)
+        if constexpr (!Self::kLoading &&
+                      !std::has_unique_object_representations_v<T>) {
+            alignas(T) unsigned char copy[sizeof(T)];
+            std::memcpy(copy, &x, sizeof(T));
+            __builtin_clear_padding(reinterpret_cast<T *>(copy));
+            self().raw(copy, sizeof(T));
+            return;
+        }
+#endif
+#endif
+        self().raw(&x, sizeof(x));
+    }
+
     template <typename T>
     void
     item(T &x)
@@ -135,10 +162,15 @@ class SnapshotVisitor
         if constexpr (requires(T &x) { x.visit(self()); }) {
             for (T &x : c)
                 x.visit(self());
-        } else {
+        } else if constexpr (Self::kLoading ||
+                             std::has_unique_object_representations_v<T>) {
             static_assert(std::is_trivially_copyable_v<T>);
             if (!c.empty()) // an empty container's data() may be null
                 self().raw(c.data(), c.size() * sizeof(T));
+        } else {
+            static_assert(std::is_trivially_copyable_v<T>);
+            for (T &x : c)
+                value(x);
         }
     }
 

@@ -237,6 +237,64 @@ TEST_F(CpuTrapTest, ImoRoutesIrqToHyp)
     });
 }
 
+TEST_F(CpuTrapTest, IrqRaisedInHypWaitsForEret)
+{
+    // Hyp mode masks every interrupt: an SPI that comes due while the CPU
+    // is in Hyp with HCR.IMO set stays pending until the ERET, then traps
+    // straight back to Hyp at the first addCycles() after it. The cycle
+    // numbers pin that delivery point; they were recorded before
+    // serviceInterrupts() learned to return early in Hyp mode.
+    constexpr IrqId kSpi = kFirstSpi + 8;
+    run([&] {
+        cpu().memWrite(ArmMachine::kGicdBase + gicd::CTLR, 1);
+        cpu().memWrite(ArmMachine::kGicdBase + gicd::ISENABLER + 4,
+                       1u << (kSpi - kFirstSpi));
+        cpu().memWrite(ArmMachine::kGiccBase + gicc::CTLR, 1);
+        cpu().memWrite(ArmMachine::kGiccBase + gicc::PMR, 0xFF);
+        cpu().hyp().hcr.imo = true;
+        cpu().setIrqMasked(true); // IMO overrides CPSR.I
+
+        struct Hyp : HypVectors
+        {
+            void
+            hypTrap(ArmCpu &c, const Hsr &hsr) override
+            {
+                if (hsr.ec == ExcClass::Irq) {
+                    ++irqs;
+                    takenAt = c.now();
+                    std::uint32_t iar = static_cast<std::uint32_t>(
+                        c.memRead(ArmMachine::kGiccBase + gicc::IAR, 4));
+                    c.memWrite(ArmMachine::kGiccBase + gicc::EOIR, iar);
+                    return;
+                }
+                // The SPI lands on this CPU's queue mid-handler.
+                raisedAt = c.now() + 20;
+                c.machine().gicd().raiseSpi(kSpi, raisedAt);
+                for (int i = 0; i < 4; ++i)
+                    c.compute(25);
+                lineHighInHyp = c.machine().gicc().irqLineHigh(c.id());
+                irqsInHyp = irqs;
+            }
+            const char *name() const override { return "hyp"; }
+            int irqs = 0;
+            int irqsInHyp = -1;
+            bool lineHighInHyp = false;
+            Cycles raisedAt = 0;
+            Cycles takenAt = 0;
+        } h;
+        cpu().setHypVectors(&h);
+        cpu().hvc(1);
+        EXPECT_TRUE(h.lineHighInHyp);
+        EXPECT_EQ(h.irqsInHyp, 0);
+        EXPECT_EQ(h.irqs, 0); // back in Svc, but no cycles charged yet
+        cpu().compute(10);
+        EXPECT_EQ(h.irqs, 1);
+        EXPECT_EQ(h.raisedAt, 443u);
+        EXPECT_EQ(h.takenAt, 560u);
+        EXPECT_EQ(cpu().now(), 854u);
+    });
+}
+
 TEST_F(CpuTrapTest, TrapWithoutVectorsPanics)
 {
     run([&] {

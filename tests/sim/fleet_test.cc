@@ -280,8 +280,9 @@ TEST(Fleet, ResumableJobParksAndResumesOnNotify)
         EXPECT_TRUE(results[1].ok) << results[1].error;
         EXPECT_EQ(waiterSteps.load(), 2u);
         EXPECT_EQ(results[0].steps, 2u);
-        if (threads == 1)
+        if (threads == 1) {
             EXPECT_GE(fleet.stats().jobsParked, 1u);
+        }
     }
 }
 
