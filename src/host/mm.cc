@@ -10,24 +10,26 @@ Mm::Mm(PhysMem &ram, MachineBase *machine)
     : Snapshottable(machine, "mm"), ram_(ram), machine_(machine),
       checkEngine_(machine && machine->checkEngine()
                        ? machine->checkEngine()
-                       : check::processEngine())
+                       : check::processEngine()),
+      // Allocate high-to-low so early allocations (kernel page tables)
+      // come from the top of RAM, away from guest RAM bases.
+      top_(ram.base() + ram.size() / kPageSize * kPageSize)
 {
-    // Build the free list high-to-low so early allocations (kernel page
-    // tables) come from the top of RAM, away from guest RAM bases.
-    Addr base = ram.base();
-    Addr npages = ram.size() / kPageSize;
-    freeList_.reserve(npages);
-    for (Addr i = 0; i < npages; ++i)
-        freeList_.push_back(base + i * kPageSize);
 }
 
 Addr
 Mm::allocPage()
 {
-    if (freeList_.empty())
+    Addr pa;
+    if (!freed_.empty()) {
+        pa = freed_.back();
+        freed_.pop_back();
+    } else if (top_ > ram_.base()) {
+        top_ -= kPageSize;
+        pa = top_;
+    } else {
         fatal("host::Mm: out of memory (%zu pages in use)", usedPages());
-    Addr pa = freeList_.back();
-    freeList_.pop_back();
+    }
     ram_.zeroPage(pa);
     refcounts_[pa] = 1;
     return pa;
@@ -51,7 +53,7 @@ Mm::putPage(Addr pa)
         panic("host::Mm::putPage on free page %#llx", static_cast<unsigned long long>(pa));
     if (--it->second == 0) {
         refcounts_.erase(it);
-        freeList_.push_back(pa);
+        freed_.push_back(pa);
     }
 }
 

@@ -58,7 +58,11 @@ class Mm : public Snapshottable
     /** Refcount of @p pa, 0 if free. */
     unsigned refcount(Addr pa) const;
 
-    std::size_t freePages() const { return freeList_.size(); }
+    std::size_t
+    freePages() const
+    {
+        return (top_ - ram_.base()) / kPageSize + freed_.size();
+    }
     std::size_t usedPages() const { return refcounts_.size(); }
 
     /**
@@ -77,15 +81,17 @@ class Mm : public Snapshottable
 
     /// @name Snapshottable
     ///
-    /// The free list is serialized *verbatim*: its order decides every
-    /// future allocPage() address, so restoring it exactly is what makes
-    /// a clone's post-restore allocations bit-identical to the origin's.
+    /// The free state is serialized *verbatim*: the watermark `top_` and
+    /// the `freed_` stack in push order together decide every future
+    /// allocPage() address, so restoring them exactly is what makes a
+    /// clone's post-restore allocations bit-identical to the origin's.
     /// @{
     template <class V>
     void
     visit(V &v)
     {
-        v.seq(freeList_);
+        v.pod(top_);
+        v.seq(freed_);
         v.map(refcounts_);
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
@@ -96,7 +102,13 @@ class Mm : public Snapshottable
     PhysMem &ram_;
     MachineBase *machine_;
     check::InvariantEngine *checkEngine_;
-    std::vector<Addr> freeList_;
+    /// Frames in [ram base, top_) have never been allocated; they are
+    /// handed out downwards. Frees go on `freed_`, which is reused LIFO
+    /// before the watermark moves. This is exactly the order of one free
+    /// list holding every frame ascending, popped from and pushed to the
+    /// back: that list is always [base, top_) followed by `freed_`.
+    Addr top_;
+    std::vector<Addr> freed_;
     std::unordered_map<Addr, unsigned> refcounts_;
 };
 

@@ -23,9 +23,17 @@ run_suite() { # <build-dir> [env...]
     env "$@" ctest --test-dir "$dir" --output-on-failure
 }
 
-leg_release() {
-    cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+configure_release() {
+    # Fortified libc on every host, not only where the compiler enables it
+    # by default (Ubuntu does, Debian does not): the fiber switch's
+    # _longjmp must never be routed to glibc's __longjmp_chk.
+    cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="-U_FORTIFY_SOURCE -D_FORTIFY_SOURCE=2"
     cmake --build build-ci-release -j"$JOBS"
+}
+
+leg_release() {
+    configure_release
     run_suite build-ci-release
     # Fleet determinism and clone bit-identity must also hold with every
     # machine's invariant engine live: per-VM sim cycles are compared
@@ -42,12 +50,22 @@ leg_asan() {
     # ASan and the invariant checker compose: enforce while sanitized.
     run_suite build-ci-asan KVMARM_CHECK=enforce \
         ASAN_OPTIONS=detect_stack_use_after_return=0
+    # ASan prints this (and stops unpoisoning stacks) when a jump leaves
+    # a stack it was not told about: every fiber switch must carry the
+    # __sanitizer_*_switch_fiber annotations. ctest keeps the output of
+    # passing tests only in its log.
+    if grep -q 'False positive error reports may follow' \
+        build-ci-asan/Testing/Temporary/LastTest.log; then
+        echo "asan: unannotated stack switch (see LastTest.log)" >&2
+        return 1
+    fi
 }
 
 leg_tsan() {
     # The fleet executor is the one place host threads run concurrently;
     # TSan must see zero races across the worker pool, the mutexed logging
-    # writer, the invariant engine, and the annotated fiber switches.
+    # writer, the invariant engine, and the annotated fiber switches (the
+    # Fiber and MachineSched tests drive those switches directly).
     # ctest selects by the sanitize-thread label tests/ and bench/
     # CMakeLists derive from KVMARM_SANITIZE. The fleet_*_smoke benches
     # sweep 1/2/4/8 workers and both check modes themselves: fleet_clone
@@ -58,10 +76,10 @@ leg_tsan() {
         -DKVMARM_SANITIZE=thread
     cmake --build build-ci-tsan -j"$JOBS" \
         --target fleet_tput fleet_clone fleet_ring fleet_pool \
-        fleet_test fleet_stress_test
+        fleet_test fleet_stress_test sim_test
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-ci-tsan --output-on-failure \
-        -L sanitize-thread -R '^(Fleet|fleet_)'
+        -L sanitize-thread -R '^(Fleet|fleet_|Fiber|MachineSched)'
     # The seeded stress schedule under TSan: live submissions, mid-run
     # spawns, ring rendezvous and park/notify all race-checked at up to
     # 8 workers (the suite sweeps 1/2/4/8 internally).
@@ -76,8 +94,7 @@ leg_tsan() {
 }
 
 leg_enforce() {
-    cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build build-ci-release -j"$JOBS"
+    configure_release
     run_suite build-ci-release KVMARM_CHECK=enforce
 }
 
