@@ -1,8 +1,5 @@
 #include "core/stage2_mmu.hh"
 
-#include <algorithm>
-#include <utility>
-
 #include "check/invariants.hh"
 #include "sim/logging.hh"
 
@@ -23,7 +20,8 @@ Stage2Mmu::Stage2Mmu(host::Mm &mm, std::uint16_t vmid, Addr ipa_ram_base,
                   KVMARM_CHECK_ON(mm_.checkEngine(),
                                   protectPage(&mm_, pa, "stage2-table"));
                   return pa;
-              })
+              }),
+      ramPages_(pageAlignUp(ipa_ram_size) >> kPageShift)
 {
     root_ = editor_.newRoot();
 }
@@ -51,7 +49,8 @@ Stage2Mmu::handleRamFault(Addr ipa)
     if (!isGuestRam(ipa))
         return false;
     Addr page_ipa = pageAlignDown(ipa);
-    if (ramPages_.count(page_ipa)) {
+    std::optional<Addr> &slot = ramPages_.at(ramIndex(page_ipa));
+    if (slot) {
         // Already mapped: a racing VCPU resolved it; nothing to do.
         return true;
     }
@@ -59,7 +58,8 @@ Stage2Mmu::handleRamFault(Addr ipa)
     Perms p;
     p.user = true;
     editor_.map(root_, page_ipa, pa, p);
-    ramPages_[page_ipa] = pa;
+    slot = pa;
+    ++mappedRamPages_;
     KVMARM_CHECK_ON(mm_.checkEngine(),
                     stage2Map(&mm_, vmid_, page_ipa, pa, false));
     return true;
@@ -81,72 +81,87 @@ Stage2Mmu::mapDevicePage(Addr ipa, Addr pa)
 bool
 Stage2Mmu::unmapPage(Addr ipa)
 {
+    if (!isGuestRam(ipa))
+        return false;
     Addr page_ipa = pageAlignDown(ipa);
-    auto it = ramPages_.find(page_ipa);
-    if (it == ramPages_.end())
+    std::optional<Addr> *slot = ramPages_.find(ramIndex(page_ipa));
+    if (!slot || !*slot)
         return false;
     editor_.unmap(root_, page_ipa);
     KVMARM_CHECK_ON(mm_.checkEngine(),
-                    stage2Unmap(&mm_, vmid_, page_ipa, it->second));
-    mm_.putPage(it->second);
-    ramPages_.erase(it);
+                    stage2Unmap(&mm_, vmid_, page_ipa, **slot));
+    mm_.putPage(**slot);
+    slot->reset();
+    --mappedRamPages_;
     return true;
 }
 
 std::optional<Addr>
 Stage2Mmu::ipaToPa(Addr ipa) const
 {
-    auto it = ramPages_.find(pageAlignDown(ipa));
-    if (it == ramPages_.end())
+    if (!isGuestRam(ipa))
         return std::nullopt;
-    return it->second | (ipa & (kPageSize - 1));
+    const std::optional<Addr> *slot = ramPages_.find(ramIndex(ipa));
+    if (!slot || !*slot)
+        return std::nullopt;
+    return **slot | (ipa & (kPageSize - 1));
 }
 
-std::vector<std::pair<Addr, Addr>>
-Stage2Mmu::sortedRamPages() const
+std::vector<Stage2Mmu::RamMapping>
+Stage2Mmu::ramMappings() const
 {
-    std::vector<std::pair<Addr, Addr>> pages(
-        // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
-        ramPages_.begin(), ramPages_.end());
-    std::sort(pages.begin(), pages.end());
-    return pages;
+    std::vector<RamMapping> ram;
+    ram.reserve(mappedRamPages_);
+    ramPages_.forEach([&](std::size_t i, const std::optional<Addr> &pa) {
+        ram.push_back({ipaRamBase_ + (Addr(i) << kPageShift), *pa});
+    });
+    return ram;
+}
+
+void
+Stage2Mmu::setRamMappings(const std::vector<RamMapping> &ram)
+{
+    ramPages_.clear();
+    for (const RamMapping &m : ram)
+        ramPages_.at(ramIndex(m.ipa)) = m.pa;
+    mappedRamPages_ = ram.size();
 }
 
 void
 Stage2Mmu::snapshotLoad(SnapshotReader &r)
 {
     // Retract this instance's current state from the invariant engine, in
-    // sorted order (same rationale as releaseAll), then declare the
-    // restored state: protect the table pages before mapping through
-    // them, mirroring the live build order. No Mm refcount traffic: Mm's
-    // own record carries the allocator state.
-    for (const auto &[ipa, pa] : sortedRamPages())
+    // IPA order (same rationale as releaseAll), then declare the restored
+    // state: protect the table pages before mapping through them,
+    // mirroring the live build order. No Mm refcount traffic: Mm's own
+    // record carries the allocator state.
+    for ([[maybe_unused]] const RamMapping &m : ramMappings())
         KVMARM_CHECK_ON(mm_.checkEngine(),
-                        stage2Unmap(&mm_, vmid_, ipa, pa));
-    for (Addr pa : tablePages_)
+                        stage2Unmap(&mm_, vmid_, m.ipa, m.pa));
+    for ([[maybe_unused]] Addr pa : tablePages_)
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
     visit(r);
-    for (Addr pa : tablePages_)
+    for ([[maybe_unused]] Addr pa : tablePages_)
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         protectPage(&mm_, pa, "stage2-table"));
-    for (const auto &[ipa, pa] : sortedRamPages())
+    for ([[maybe_unused]] const RamMapping &m : ramMappings())
         KVMARM_CHECK_ON(mm_.checkEngine(),
-                        stage2Map(&mm_, vmid_, ipa, pa, false));
+                        stage2Map(&mm_, vmid_, m.ipa, m.pa, false));
 }
 
 void
 Stage2Mmu::releaseAll()
 {
-    // Release in sorted IPA order, not hash-bucket order: putPage()
-    // rebuilds the free list in release order, so bucket-order teardown
-    // would make every post-teardown allocation address depend on the
-    // hash map's internal layout.
-    for (const auto &[ipa, pa] : sortedRamPages()) {
+    // Release in IPA order: putPage() pushes onto the free stack in
+    // release order, so the order fixes every post-teardown allocation
+    // address.
+    for (const RamMapping &m : ramMappings()) {
         KVMARM_CHECK_ON(mm_.checkEngine(),
-                        stage2Unmap(&mm_, vmid_, ipa, pa));
-        mm_.putPage(pa);
+                        stage2Unmap(&mm_, vmid_, m.ipa, m.pa));
+        mm_.putPage(m.pa);
     }
     ramPages_.clear();
+    mappedRamPages_ = 0;
     for (Addr pa : tablePages_) {
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
         mm_.putPage(pa);

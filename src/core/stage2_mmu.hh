@@ -10,12 +10,12 @@
 #ifndef KVMARM_CORE_STAGE2_MMU_HH
 #define KVMARM_CORE_STAGE2_MMU_HH
 
-#include <unordered_map>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "arm/pagetable.hh"
 #include "host/mm.hh"
+#include "mem/page_map.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
 
@@ -61,7 +61,7 @@ class Stage2Mmu : public Snapshottable
     /** Release every page the VM holds (VM teardown). */
     void releaseAll();
 
-    std::size_t mappedRamPages() const { return ramPages_.size(); }
+    std::size_t mappedRamPages() const { return mappedRamPages_; }
 
     /// @name Snapshottable (registered on the Mm's machine)
     ///
@@ -81,16 +81,32 @@ class Stage2Mmu : public Snapshottable
         v.same(ipaRamSize_, "IPA RAM size");
         v.pod(root_);
         v.seq(tablePages_);
-        v.map(ramPages_);
+        // The RAM mappings as a count then (ipa, pa) pairs in IPA order.
+        std::vector<RamMapping> ram;
+        if constexpr (!V::kLoading)
+            ram = ramMappings();
+        v.seq(ram);
+        if constexpr (V::kLoading)
+            setRamMappings(ram);
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override;
     /// @}
 
   private:
-    /** ramPages_ in IPA order: every walk that can reach the invariant
-     *  engine or the free list goes through this, never bucket order. */
-    std::vector<std::pair<Addr, Addr>> sortedRamPages() const;
+    struct RamMapping
+    {
+        Addr ipa;
+        Addr pa;
+    };
+
+    std::size_t ramIndex(Addr ipa) const
+    {
+        return (ipa - ipaRamBase_) >> kPageShift;
+    }
+    /** Every RAM mapping, in IPA order. */
+    std::vector<RamMapping> ramMappings() const;
+    void setRamMappings(const std::vector<RamMapping> &ram);
 
     host::Mm &mm_;
     std::uint16_t vmid_;
@@ -98,8 +114,11 @@ class Stage2Mmu : public Snapshottable
     Addr ipaRamSize_;
     arm::PageTableEditor editor_;
     Addr root_ = 0;
-    /** IPA page -> backing host page, for teardown and refcounting. */
-    std::unordered_map<Addr, Addr> ramPages_;
+    /** IPA RAM page -> backing host page, for teardown and refcounting.
+     *  Walked in IPA order, so every walk that reaches the invariant
+     *  engine or the free list is deterministic. */
+    PageMap<std::optional<Addr>> ramPages_;
+    std::size_t mappedRamPages_ = 0;
     std::vector<Addr> tablePages_; //!< pages consumed by the tables
 };
 

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "sim/logging.hh"
 
 namespace kvmarm {
 
 PhysMem::PhysMem(Addr base, Addr size, MachineBase *machine)
-    : Snapshottable(machine, "ram"), base_(base), size_(size)
+    : Snapshottable(machine, "ram"), base_(base), size_(size),
+      pages_(size >> kPageShift)
 {
     if (!isPageAligned(base) || !isPageAligned(size) || size == 0)
         fatal("PhysMem: base/size must be nonzero and page aligned");
@@ -56,19 +56,17 @@ PhysMem::pageFor(Addr pa)
     Addr frame = pageAlignDown(pa);
     if (frame == cachedFrame_)
         return *cachedPage_;
-    auto &slot = pages_[frame];
+    std::size_t i = frameIndex(frame);
+    std::unique_ptr<Page> &slot = pages_.at(i);
     if (!slot) {
-        slot = std::make_unique<Page>();
-        const Page *shared = nullptr;
-        if (image_) {
-            auto it = image_->pages.find(frame);
-            if (it != image_->pages.end())
-                shared = it->second.get();
-        }
-        if (shared) {
+        slot = std::make_unique_for_overwrite<Page>();
+        ++privatePages_;
+        const std::shared_ptr<const Page> *shared =
+            image_ ? image_->pages.find(i) : nullptr;
+        if (shared && *shared) {
             // COW fault: first write to a page still shared with the
             // snapshot image; copy it into a machine-private page.
-            *slot = *shared;
+            *slot = **shared;
             ++cowFaults_;
         } else {
             slot->fill(0);
@@ -86,9 +84,11 @@ PhysMem::pageForZero(Addr pa)
     Addr frame = pageAlignDown(pa);
     if (frame == cachedFrame_)
         return *cachedPage_;
-    auto &slot = pages_[frame];
-    if (!slot)
-        slot = std::make_unique<Page>();
+    std::unique_ptr<Page> &slot = pages_.at(frameIndex(frame));
+    if (!slot) {
+        slot = std::make_unique_for_overwrite<Page>();
+        ++privatePages_;
+    }
     cachePrivate(frame, slot.get());
     return *slot;
 }
@@ -99,21 +99,19 @@ PhysMem::pageForRead(Addr pa) const
     Addr frame = pageAlignDown(pa);
     if (frame == readFrame_)
         return readPage_;
-    auto it = pages_.find(frame);
-    if (it != pages_.end()) {
+    std::size_t i = frameIndex(frame);
+    const Page *pg = nullptr;
+    if (const std::unique_ptr<Page> *own = pages_.find(i); own && *own)
+        pg = own->get();
+    else if (image_) {
+        if (const std::shared_ptr<const Page> *shared = image_->pages.find(i))
+            pg = shared->get();
+    }
+    if (pg) {
         readFrame_ = frame;
-        readPage_ = it->second.get();
-        return readPage_;
+        readPage_ = pg;
     }
-    if (image_) {
-        auto jt = image_->pages.find(frame);
-        if (jt != image_->pages.end()) {
-            readFrame_ = frame;
-            readPage_ = jt->second.get();
-            return readPage_;
-        }
-    }
-    return nullptr;
+    return pg;
 }
 
 std::uint64_t
@@ -188,12 +186,13 @@ PhysMem::zeroPage(Addr pa)
 std::size_t
 PhysMem::touchedPages() const
 {
-    if (!image_)
-        return pages_.size();
-    std::size_t n = pages_.size();
-    for (const auto &[frame, pg] : image_->pages) {
-        if (!pages_.count(frame))
-            ++n;
+    std::size_t n = privatePages_;
+    if (image_) {
+        image_->pages.forEach([&](std::size_t i, const auto &) {
+            const std::unique_ptr<Page> *own = pages_.find(i);
+            if (!own || !*own)
+                ++n;
+        });
     }
     return n;
 }
@@ -203,24 +202,21 @@ PhysMem::snapshotSave(SnapshotWriter &w)
 {
     // Publish every page this machine can currently see into one immutable
     // image: the previous image's pages (clone-of-clone chains flatten
-    // here) overlaid with this machine's private pages. The private pages
-    // move into the image without copying bytes, and this PhysMem becomes
-    // a COW client of the new image — symmetric with every clone, so the
-    // origin and its clones fault identically from here on.
-    auto img = std::make_shared<SnapshotImage>();
-    if (image_)
-        img->pages = image_->pages;
-    std::vector<Addr> frames;
-    frames.reserve(pages_.size());
-    // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
-    for (auto &[frame, pg] : pages_)
-        frames.push_back(frame);
-    std::sort(frames.begin(), frames.end());
-    for (Addr frame : frames) {
-        auto it = pages_.find(frame);
-        img->pages[frame] = std::shared_ptr<const Page>(it->second.release());
-    }
+    // here) overlaid with this machine's private pages, in ascending frame
+    // order. The private pages move into the image without copying bytes,
+    // and this PhysMem becomes a COW client of the new image — symmetric
+    // with every clone, so the origin and its clones fault identically
+    // from here on.
+    auto img = image_ ? std::make_shared<SnapshotImage>(*image_)
+                      : std::make_shared<SnapshotImage>(size_ >> kPageShift);
+    pages_.forEach([&](std::size_t i, std::unique_ptr<Page> &pg) {
+        std::shared_ptr<const Page> &slot = img->pages.at(i);
+        if (!slot)
+            ++img->count;
+        slot = std::shared_ptr<const Page>(pg.release());
+    });
     pages_.clear();
+    privatePages_ = 0;
     image_ = img;
     invalidateCaches();
 
@@ -240,6 +236,7 @@ PhysMem::snapshotLoad(SnapshotReader &r)
     // Whatever this machine wrote before the restore (boot-time page-table
     // scribbles from its own construction) is superseded by the image.
     pages_.clear();
+    privatePages_ = 0;
     invalidateCaches();
 }
 

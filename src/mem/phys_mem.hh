@@ -5,7 +5,8 @@
  * Pages are materialized on first touch so a simulated 2 GiB machine costs
  * only what the workload actually writes. Contents are real bytes: virtio
  * rings, migration state checks, and the isolation property tests read them
- * back.
+ * back. Pages are found through a flat two-level PageMap indexed by
+ * (pa - base) >> kPageShift: no hashing and no allocation per access.
  *
  * Snapshot support is copy-on-write at page granularity: snapshotSave()
  * publishes every materialized page into an immutable shared image and
@@ -22,10 +23,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
 
+#include "mem/page_map.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
 
@@ -72,9 +72,9 @@ class PhysMem : public Snapshottable
     /** Writes that had to copy a shared image page into a private one. */
     std::uint64_t cowFaults() const { return cowFaults_; }
     /** Pages this machine owns privately (written since snapshot). */
-    std::size_t privatePages() const { return pages_.size(); }
-    /** Pages still shared read-only with the snapshot image. */
-    std::size_t sharedPages() const { return image_ ? image_->pages.size() : 0; }
+    std::size_t privatePages() const { return privatePages_; }
+    /** Pages in the snapshot image this machine reads through. */
+    std::size_t sharedPages() const { return image_ ? image_->count : 0; }
     /// @}
 
     /// @name Snapshottable
@@ -99,13 +99,17 @@ class PhysMem : public Snapshottable
     using Page = std::array<std::uint8_t, kPageSize>;
 
     /**
-     * The immutable page set a snapshot publishes. An ordered map so that
-     * anything walking it (touchedPages, future dirty-page diffing) is
-     * deterministic without sorting. Never mutated after construction.
+     * The immutable page set a snapshot publishes: a PageMap of the same
+     * shape as the machine's own, so a lookup is the same two indexings
+     * and a walk is in ascending frame order. Never mutated once
+     * published.
      */
     struct SnapshotImage
     {
-        std::map<Addr, std::shared_ptr<const Page>> pages;
+        explicit SnapshotImage(std::size_t frames) : pages(frames) {}
+
+        PageMap<std::shared_ptr<const Page>> pages;
+        std::size_t count = 0; //!< occupied slots in pages
     };
 
     Page &pageFor(Addr pa);
@@ -114,10 +118,13 @@ class PhysMem : public Snapshottable
     void checkRange(Addr pa, Addr len) const;
     void cachePrivate(Addr frame, Page *pg) const;
     void invalidateCaches() const;
+    std::size_t frameIndex(Addr frame) const { return (frame - base_) >> kPageShift; }
 
     Addr base_;
     Addr size_;
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    /** Machine-private pages, by frame index. */
+    PageMap<std::unique_ptr<Page>> pages_;
+    std::size_t privatePages_ = 0;
 
     /** Shared snapshot image this PhysMem reads through (null before any
      *  snapshot). Read-only; shared with every clone of the snapshot. */
@@ -127,7 +134,7 @@ class PhysMem : public Snapshottable
 
     /**
      * Last pages touched: accesses cluster heavily (code fetch, stack, the
-     * active buffer), so these turn most hash lookups into one compare.
+     * active buffer), so these turn most lookups into one compare.
      * Private pages live as long as the PhysMem and never move, and image
      * pages live as long as the image_ reference, so cached pointers stay
      * good until the maps change. The write cache only ever holds private

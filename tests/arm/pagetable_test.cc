@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "arm/pagetable.hh"
 #include "mem/phys_mem.hh"
 #include "sim/logging.hh"
@@ -50,6 +53,45 @@ class PtFixture
   private:
     PtFormat fmt_;
 };
+
+/**
+ * Reader that records the address of every descriptor it is asked for and
+ * aborts the walk on read number @c abortAt (1-based; 0 never aborts).
+ * Passed as an lvalue, so the walk must use this object, not a copy.
+ */
+struct CountingReader
+{
+    explicit CountingReader(PhysMem &r, unsigned abort_at = 0)
+        : ram(r), abortAt(abort_at)
+    {
+    }
+
+    PhysMem &ram;
+    unsigned abortAt;
+    std::vector<Addr> reads;
+
+    std::optional<std::uint64_t>
+    operator()(Addr pa)
+    {
+        reads.push_back(pa);
+        if (reads.size() == abortAt)
+            return std::nullopt;
+        return ram.read(pa, 8);
+    }
+};
+
+/** The descriptor addresses a walk of @p va must read, level by level. */
+std::vector<Addr>
+descriptorAddrs(const PtFixture &f, Addr va, int levels)
+{
+    std::vector<Addr> addrs;
+    Addr table = f.root;
+    for (int level = 1; level <= levels; ++level) {
+        addrs.push_back(table + ptIndex(va, level) * 8);
+        table = f.ram.read(addrs.back(), 8) & desc::kAddrMask;
+    }
+    return addrs;
+}
 
 class PageTableFormats : public ::testing::TestWithParam<PtFormat>
 {
@@ -101,6 +143,62 @@ TEST_P(PageTableFormats, Block2MMapsWholeRegion)
     EXPECT_EQ(r.pa, 0x003ABCDEu);
     EXPECT_EQ(r.level, 2);
     EXPECT_EQ(r.tableReads, 2u); // blocks terminate the walk early
+}
+
+TEST_P(PageTableFormats, PageWalkReadsThreeDescriptorsInLevelOrder)
+{
+    PtFixture f(GetParam());
+    Perms p;
+    p.user = GetParam() != PtFormat::HypLpae;
+    f.editor.map(f.root, 0x40001000, 0x00123000, p);
+
+    CountingReader reader(f.ram);
+    WalkResult r = walkTable(f.root, 0x40001234, GetParam(), reader);
+    ASSERT_TRUE(r.ok()) << faultTypeName(r.fault);
+    EXPECT_EQ(reader.reads, descriptorAddrs(f, 0x40001234, 3));
+    EXPECT_EQ(r.tableReads, 3u);
+}
+
+TEST_P(PageTableFormats, BlockWalkReadsTwoDescriptorsInLevelOrder)
+{
+    PtFixture f(GetParam());
+    Perms p;
+    p.user = false;
+    f.editor.mapBlock2M(f.root, 0x40000000, 0x00200000, p);
+
+    CountingReader reader(f.ram);
+    WalkResult r = walkTable(f.root, 0x401ABCDE, GetParam(), reader);
+    ASSERT_TRUE(r.ok()) << faultTypeName(r.fault);
+    EXPECT_EQ(reader.reads, descriptorAddrs(f, 0x401ABCDE, 2));
+    EXPECT_EQ(r.tableReads, 2u);
+}
+
+TEST_P(PageTableFormats, ReaderAbortAtLevelIsBusFaultAtThatLevel)
+{
+    PtFixture f(GetParam());
+    Perms p;
+    p.user = false;
+    f.editor.map(f.root, 0x40001000, 0x00123000, p);
+    f.editor.mapBlock2M(f.root, 0x40200000, 0x00400000, p);
+
+    struct Case
+    {
+        Addr va;
+        int levels; //!< descriptors the full walk reads
+    };
+    for (Case c : {Case{0x40001234, 3}, Case{0x40212345, 2}}) {
+        for (int k = 1; k <= c.levels; ++k) {
+            SCOPED_TRACE(::testing::Message() << "va " << std::hex << c.va
+                                              << " abort at level " << k);
+            CountingReader reader(f.ram, unsigned(k));
+            WalkResult r = walkTable(f.root, c.va, GetParam(), reader);
+            EXPECT_EQ(r.fault, FaultType::Bus);
+            EXPECT_EQ(r.level, k);
+            EXPECT_EQ(r.tableReads, unsigned(k));
+            std::vector<Addr> want = descriptorAddrs(f, c.va, k);
+            EXPECT_EQ(reader.reads, want);
+        }
+    }
 }
 
 TEST_P(PageTableFormats, PermissionBitsRoundTrip)

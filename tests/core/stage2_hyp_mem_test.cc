@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "arm/machine.hh"
 #include "core/hyp_mem.hh"
 #include "core/stage2_mmu.hh"
 #include "host/mm.hh"
+#include "sim/snapshot.hh"
 
 namespace kvmarm {
 namespace {
@@ -90,6 +94,73 @@ TEST_F(Stage2Test, ReleaseAllReturnsTables)
         EXPECT_LT(mm.freePages(), free_before - 16); // + table pages
     }
     EXPECT_EQ(mm.freePages(), free_before);
+}
+
+SnapshotRecord
+saveStage2(core::Stage2Mmu &s2)
+{
+    SnapshotWriter w;
+    s2.snapshotSave(w);
+    return w.finish(s2.snapshotKey());
+}
+
+void
+restoreStage2(core::Stage2Mmu &s2, const SnapshotRecord &rec)
+{
+    SnapshotReader r(rec);
+    s2.snapshotLoad(r);
+    ASSERT_TRUE(r.done()) << "restore left unread bytes";
+}
+
+TEST_F(Stage2Test, RecordEndsWithRamMappingsAsAnIpaOrderedMap)
+{
+    // Faulted out of order, across 2 MiB boundaries, one unmapped again:
+    // the record must still carry exactly what v.map() writes for an
+    // IPA -> PA map (count, then pairs in ascending IPA order).
+    core::Stage2Mmu s2(mm, 5, ArmMachine::kRamBase, 4 * kMiB);
+    const Addr base = ArmMachine::kRamBase;
+    for (Addr off : {0x201000ull, 0x5000ull, 0x3FF000ull, 0x0ull,
+                     0x200000ull, 0x1FF000ull})
+        ASSERT_TRUE(s2.handleRamFault(base + off));
+    ASSERT_TRUE(s2.unmapPage(base + 0x1FF000));
+    EXPECT_EQ(s2.mappedRamPages(), 5u);
+
+    std::map<Addr, Addr> expect;
+    for (Addr off : {0x0ull, 0x5000ull, 0x200000ull, 0x201000ull,
+                     0x3FF000ull})
+        expect[base + off] = *s2.ipaToPa(base + off);
+    SnapshotWriter w;
+    w.map(expect);
+    std::vector<std::uint8_t> tail = w.finish("expect").bytes;
+
+    std::vector<std::uint8_t> bytes = saveStage2(s2).bytes;
+    ASSERT_GE(bytes.size(), tail.size());
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                           bytes.end() - tail.size()));
+}
+
+TEST_F(Stage2Test, RestoreReplacesEveryRamMapping)
+{
+    core::Stage2Mmu a(mm, 5, ArmMachine::kRamBase, 4 * kMiB);
+    core::Stage2Mmu b(mm, 5, ArmMachine::kRamBase, 4 * kMiB);
+    const Addr base = ArmMachine::kRamBase;
+    a.handleRamFault(base);
+    a.handleRamFault(base + 0x201000);
+    b.handleRamFault(base + 0x5000);
+    SnapshotRecord rec_a = saveStage2(a);
+    SnapshotRecord rec_b = saveStage2(b);
+
+    ASSERT_NO_FATAL_FAILURE(restoreStage2(b, rec_a));
+    EXPECT_EQ(b.mappedRamPages(), 2u);
+    EXPECT_EQ(b.ipaToPa(base), a.ipaToPa(base));
+    EXPECT_EQ(b.ipaToPa(base + 0x201000), a.ipaToPa(base + 0x201000));
+    EXPECT_FALSE(b.ipaToPa(base + 0x5000).has_value());
+
+    // Back to b's own state, so each instance releases its own pages.
+    ASSERT_NO_FATAL_FAILURE(restoreStage2(b, rec_b));
+    EXPECT_EQ(b.mappedRamPages(), 1u);
+    EXPECT_TRUE(b.ipaToPa(base + 0x5000).has_value());
+    EXPECT_FALSE(b.ipaToPa(base).has_value());
 }
 
 TEST_F(Stage2Test, HypMemMapsAtSameAddresses)

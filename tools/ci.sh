@@ -7,7 +7,7 @@
 #   asan       AddressSanitizer + UBSan, whole test suite
 #   tsan       ThreadSanitizer, fleet executor tests + fleet smoke benches
 #   enforce    release binaries, whole suite under KVMARM_CHECK=enforce
-#   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away)
+#   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away), -Werror
 #   domlint    full-tree domlint + the fixture corpus (must-fire/must-pass)
 #   lint       domlint + clang-tidy (or strict-GCC fallback) on changed files
 #   threadsafety  clang -Wthread-safety on the annotated locking TUs
@@ -99,8 +99,10 @@ leg_enforce() {
 }
 
 leg_nochecks() {
+    # -Werror: with the hooks compiled away, a variable or parameter that
+    # only a hook used must still not warn.
     cmake -B build-ci-nochecks -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DKVMARM_INVARIANTS=OFF
+        -DKVMARM_INVARIANTS=OFF -DCMAKE_CXX_FLAGS=-Werror
     cmake --build build-ci-nochecks -j"$JOBS"
     run_suite build-ci-nochecks
 }
