@@ -14,12 +14,28 @@ constexpr std::uint8_t kDefaultPrio = 0xA0;
 
 GicDistributor::GicDistributor(ArmMachine &machine, unsigned num_cpus)
     : Snapshottable(&machine, "gicd"), machine_(machine), numCpus_(num_cpus),
-      banks_(num_cpus), pendingCache_(num_cpus)
+      banks_(num_cpus)
 {
     priority_.fill(kDefaultPrio);
     targets_.fill(0x01); // SPIs target CPU0 until reconfigured
     for (Bank &b : banks_)
         b.priority.fill(kDefaultPrio);
+    live_.rebuild(banks_, pending_, enabled_, targets_);
+}
+
+void
+GicDistributor::syncLive(CpuId cpu, IrqId irq)
+{
+    if (irq < kFirstSpi)
+        live_.syncPrivate(cpu, irq, banks_[cpu]);
+    else
+        live_.syncSpi(irq, pending_[irq], enabled_[irq]);
+}
+
+void
+GicDistributor::linesChanged(std::uint32_t cpu_mask)
+{
+    machine_.gicc().refreshLines(cpu_mask);
 }
 
 Cycles
@@ -45,7 +61,8 @@ GicDistributor::spiDelivered(IrqId irq, std::uint64_t token)
 {
     dropInflight(token);
     pending_[irq] = true;
-    touch();
+    syncLive(0, irq);
+    linesChanged(targets_[irq]);
 }
 
 void
@@ -86,21 +103,24 @@ GicDistributor::raisePpi(CpuId cpu, IrqId irq)
     if (irq >= kFirstSpi)
         panic("GicDistributor::raisePpi: %u is not a PPI/SGI", irq);
     banks_.at(cpu).ppiPending[irq] = true;
-    touch();
+    syncLive(cpu, irq);
+    linesChanged(1u << cpu);
 }
 
 void
 GicDistributor::clearPpi(CpuId cpu, IrqId irq)
 {
     banks_.at(cpu).ppiPending[irq] = false;
-    touch();
+    syncLive(cpu, irq);
+    linesChanged(1u << cpu);
 }
 
 void
 GicDistributor::setSgiPending(CpuId target, IrqId sgi, CpuId source)
 {
     banks_.at(target).sgiSources[sgi] |= (1u << source);
-    touch();
+    syncLive(target, sgi);
+    linesChanged(1u << target);
 }
 
 void
@@ -143,62 +163,20 @@ GicDistributor::writeSgir(CpuId src, std::uint32_t value)
     }
 }
 
-PendingIrq
-GicDistributor::bestPending(CpuId cpu) const
-{
-    PendingCache &cache = pendingCache_.at(cpu);
-    if (cache.version == version_)
-        return cache.best;
-
-    PendingIrq best;
-    if (!enabled()) {
-        cache = {version_, best};
-        return best;
-    }
-
-    const Bank &bank = banks_.at(cpu);
-
-    auto consider = [&](IrqId irq, std::uint8_t prio, CpuId source) {
-        if (prio < best.priority ||
-            (prio == best.priority && irq < best.irq)) {
-            best = {irq, prio, source};
-        }
-    };
-
-    for (IrqId sgi = 0; sgi < kNumSgis; ++sgi) {
-        std::uint16_t sources = bank.sgiSources[sgi];
-        if (sources && bank.enabled[sgi]) {
-            CpuId src = 0;
-            while (!(sources & (1u << src)))
-                ++src;
-            consider(sgi, bank.priority[sgi], src);
-        }
-    }
-    for (IrqId ppi = kFirstPpi; ppi < kFirstSpi; ++ppi) {
-        if (bank.ppiPending[ppi] && bank.enabled[ppi])
-            consider(ppi, bank.priority[ppi], 0);
-    }
-    for (IrqId spi = kFirstSpi; spi < kMaxIrqs; ++spi) {
-        if (pending_[spi] && enabled_[spi] &&
-            (targets_[spi] & (1u << cpu))) {
-            consider(spi, priority_[spi], 0);
-        }
-    }
-    cache = {version_, best};
-    return best;
-}
-
 void
 GicDistributor::acknowledge(CpuId cpu, IrqId irq, CpuId source)
 {
+    if (irq >= kMaxIrqs)
+        return;
     Bank &bank = banks_.at(cpu);
     if (irq < kNumSgis)
         bank.sgiSources[irq] &= static_cast<std::uint16_t>(~(1u << source));
     else if (irq < kFirstSpi)
         bank.ppiPending[irq] = false;
-    else if (irq < kMaxIrqs)
+    else
         pending_[irq] = false;
-    touch();
+    syncLive(cpu, irq);
+    linesChanged(irq < kFirstSpi ? 1u << cpu : targets_[irq]);
 }
 
 std::uint64_t
@@ -256,75 +234,64 @@ GicDistributor::write(CpuId cpu, Addr offset, std::uint64_t value,
                       unsigned len)
 {
     (void)len;
-    touch(); // every register write may change what is pending for whom
     Bank &bank = banks_.at(cpu);
     std::uint32_t v = static_cast<std::uint32_t>(value);
+    // Applies @p fn to each IRQ whose bit is set in a 32-IRQ register
+    // word, then re-derives its live bit.
+    auto each_bit = [&](Addr reg_base, auto fn) {
+        unsigned word = (offset - reg_base) / 4;
+        for (unsigned i = 0; i < 32; ++i) {
+            IrqId irq = word * 32 + i;
+            if (irq >= kMaxIrqs || !(v & (1u << i)))
+                continue;
+            fn(irq);
+            syncLive(cpu, irq);
+        }
+    };
+    if (offset == gicd::SGIR) {
+        writeSgir(cpu, v); // pends through setSgiPending
+        return;
+    }
     if (offset == gicd::CTLR) {
         ctlr_ = v;
-        return;
-    }
-    if (offset == gicd::SGIR) {
-        writeSgir(cpu, v);
-        return;
-    }
-    if (offset >= gicd::ISENABLER && offset < gicd::ISENABLER + 0x80) {
-        unsigned word = (offset - gicd::ISENABLER) / 4;
-        for (unsigned i = 0; i < 32; ++i) {
-            IrqId irq = word * 32 + i;
-            if (irq >= kMaxIrqs || !(v & (1u << i)))
-                continue;
-            if (irq < kFirstSpi)
-                bank.enabled[irq] = true;
-            else
-                enabled_[irq] = true;
-        }
-        return;
-    }
-    if (offset >= gicd::ICENABLER && offset < gicd::ICENABLER + 0x80) {
-        unsigned word = (offset - gicd::ICENABLER) / 4;
-        for (unsigned i = 0; i < 32; ++i) {
-            IrqId irq = word * 32 + i;
-            if (irq >= kMaxIrqs || !(v & (1u << i)))
-                continue;
-            if (irq < kFirstSpi)
-                bank.enabled[irq] = false;
-            else
-                enabled_[irq] = false;
-        }
-        return;
-    }
-    if (offset >= gicd::ICPENDR && offset < gicd::ICPENDR + 0x80) {
-        unsigned word = (offset - gicd::ICPENDR) / 4;
-        for (unsigned i = 0; i < 32; ++i) {
-            IrqId irq = word * 32 + i;
-            if (irq >= kMaxIrqs || !(v & (1u << i)))
-                continue;
+    } else if (offset >= gicd::ISENABLER && offset < gicd::ISENABLER + 0x80) {
+        each_bit(gicd::ISENABLER, [&](IrqId irq) {
+            (irq < kFirstSpi ? bank.enabled[irq] : enabled_[irq]) = true;
+        });
+    } else if (offset >= gicd::ICENABLER && offset < gicd::ICENABLER + 0x80) {
+        each_bit(gicd::ICENABLER, [&](IrqId irq) {
+            (irq < kFirstSpi ? bank.enabled[irq] : enabled_[irq]) = false;
+        });
+    } else if (offset >= gicd::ICPENDR && offset < gicd::ICPENDR + 0x80) {
+        each_bit(gicd::ICPENDR, [&](IrqId irq) {
             if (irq < kNumSgis)
                 bank.sgiSources[irq] = 0;
             else if (irq < kFirstSpi)
                 bank.ppiPending[irq] = false;
             else
                 pending_[irq] = false;
-        }
-        return;
-    }
-    if (offset >= gicd::IPRIORITYR && offset < gicd::IPRIORITYR + kMaxIrqs) {
+        });
+    } else if (offset >= gicd::IPRIORITYR &&
+               offset < gicd::IPRIORITYR + kMaxIrqs) {
         IrqId irq = static_cast<IrqId>(offset - gicd::IPRIORITYR);
         std::uint8_t prio = static_cast<std::uint8_t>(v);
         if (irq < kFirstSpi)
             bank.priority[irq] = prio;
         else
             priority_[irq] = prio;
-        return;
-    }
-    if (offset >= gicd::ITARGETSR && offset < gicd::ITARGETSR + kMaxIrqs) {
+    } else if (offset >= gicd::ITARGETSR &&
+               offset < gicd::ITARGETSR + kMaxIrqs) {
         IrqId irq = static_cast<IrqId>(offset - gicd::ITARGETSR);
-        if (irq >= kFirstSpi)
-            targets_[irq] = static_cast<std::uint8_t>(v);
+        if (irq < kFirstSpi)
+            return;
+        targets_[irq] = static_cast<std::uint8_t>(v);
+        live_.route(irq, targets_[irq]);
+    } else {
+        // ICFGR and other writes accepted and ignored (edge/level config
+        // is not modelled; sources behave as edge-triggered once pending).
         return;
     }
-    // ICFGR and other writes accepted and ignored (edge/level config is
-    // not modelled; sources behave as edge-triggered once pending).
+    linesChanged(~0u);
 }
 
 void
@@ -350,7 +317,7 @@ GicDistributor::snapshotRebind()
 GicCpuInterface::GicCpuInterface(ArmMachine &machine, GicDistributor &dist,
                                  unsigned num_cpus)
     : Snapshottable(&machine, "gicc"), machine_(machine), dist_(dist),
-      banks_(num_cpus)
+      banks_(num_cpus), lineHigh_(num_cpus)
 {
 }
 
@@ -366,15 +333,32 @@ GicCpuInterface::runningPriority(const Bank &b) const
     return b.activeStack.empty() ? 0xFF : b.activeStack.back().priority;
 }
 
-bool
-GicCpuInterface::irqLineHigh(CpuId cpu) const
+void
+GicCpuInterface::refreshLine(CpuId cpu)
 {
-    const Bank &b = banks_.at(cpu);
-    if (!b.enabled || !dist_.enabled())
-        return false;
-    PendingIrq best = dist_.bestPending(cpu);
-    return best.irq != kSpuriousIrq && best.priority < b.pmr &&
-           best.priority < runningPriority(b);
+    const Bank &b = banks_[cpu];
+    bool high = false;
+    if (b.enabled && dist_.enabled()) {
+        PendingIrq best = dist_.bestPending(cpu);
+        high = best.irq != kSpuriousIrq && best.priority < b.pmr &&
+               best.priority < runningPriority(b);
+    }
+    lineHigh_[cpu] = high;
+}
+
+void
+GicCpuInterface::refreshLines(std::uint32_t cpu_mask)
+{
+    for (CpuId c = 0; c < banks_.size(); ++c) {
+        if (cpu_mask & (1u << c))
+            refreshLine(c);
+    }
+}
+
+void
+GicCpuInterface::snapshotRebind()
+{
+    refreshLines(~0u);
 }
 
 IrqId
@@ -386,8 +370,10 @@ GicCpuInterface::acknowledgeIrq(CpuId cpu)
         best.priority >= runningPriority(b)) {
         return kSpuriousIrq;
     }
-    dist_.acknowledge(cpu, best.irq, best.source);
+    // Push first: acknowledge() refreshes this CPU's line, which must see
+    // the new running priority as well as the consumed pending state.
     b.activeStack.push_back(best);
+    dist_.acknowledge(cpu, best.irq, best.source);
     // IAR encodes the source CPU of an SGI in bits [12:10].
     return best.irq | (best.irq < kNumSgis ? (best.source << 10) : 0);
 }
@@ -400,6 +386,7 @@ GicCpuInterface::endOfInterrupt(CpuId cpu, std::uint32_t value)
     for (auto it = b.activeStack.rbegin(); it != b.activeStack.rend(); ++it) {
         if (it->irq == irq) {
             b.activeStack.erase(std::next(it).base());
+            refreshLine(cpu);
             return;
         }
     }
@@ -436,9 +423,11 @@ GicCpuInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
     switch (offset) {
       case gicc::CTLR:
         b.enabled = value & 1;
+        refreshLine(cpu);
         break;
       case gicc::PMR:
         b.pmr = static_cast<std::uint8_t>(value);
+        refreshLine(cpu);
         break;
       case gicc::EOIR:
         endOfInterrupt(cpu, static_cast<std::uint32_t>(value));

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "arm/pending_set.hh"
 #include "mem/bus.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
@@ -20,13 +21,6 @@
 namespace kvmarm::arm {
 
 class ArmMachine;
-
-/// Interrupt ID space (GICv2).
-inline constexpr IrqId kNumSgis = 16;           //!< 0-15, inter-processor
-inline constexpr IrqId kFirstPpi = 16;          //!< 16-31, per-CPU private
-inline constexpr IrqId kFirstSpi = 32;          //!< 32+, shared peripherals
-inline constexpr IrqId kMaxIrqs = 160;
-inline constexpr IrqId kSpuriousIrq = 1023;
 
 /// Well-known PPIs on a Cortex-A15 class core.
 inline constexpr IrqId kMaintenancePpi = 25; //!< VGIC maintenance interrupt
@@ -59,14 +53,6 @@ inline constexpr Addr RPR = 0x14;  //!< running priority
 inline constexpr Addr HPPIR = 0x18; //!< highest priority pending
 } // namespace gicc
 
-/** Highest-priority pending interrupt for one CPU. */
-struct PendingIrq
-{
-    IrqId irq = kSpuriousIrq;
-    std::uint8_t priority = 0xFF;
-    CpuId source = 0; //!< originating core, for SGIs
-};
-
 /**
  * The GIC distributor: global interrupt state and routing. Device models
  * assert wires through raiseSpi/raisePpi; kernels configure it over MMIO.
@@ -95,7 +81,14 @@ class GicDistributor : public MmioDevice, public Snapshottable
 
     /// @name Queries used by the CPU interfaces
     /// @{
-    PendingIrq bestPending(CpuId cpu) const;
+    /** Highest-priority enabled pending interrupt routed to @p cpu,
+     *  spurious if none or the distributor is disabled. */
+    PendingIrq
+    bestPending(CpuId cpu) const
+    {
+        return enabled() ? live_.select(cpu, banks_[cpu], priority_)
+                         : PendingIrq{};
+    }
     /** Consume (ack) @p irq for @p cpu; SGIs consume one source at a
      *  time. */
     void acknowledge(CpuId cpu, IrqId irq, CpuId source);
@@ -123,7 +116,7 @@ class GicDistributor : public MmioDevice, public Snapshottable
         v.seq(inflight_);
         v.pod(nextInflightToken_);
         if constexpr (V::kLoading)
-            touch(); // drop any memoized bestPending from before the restore
+            live_.rebuild(banks_, pending_, enabled_, targets_);
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override { visit(r); }
@@ -157,8 +150,12 @@ class GicDistributor : public MmioDevice, public Snapshottable
     void sgiDelivered(CpuId target, IrqId sgi, CpuId src,
                       std::uint64_t token);
 
-    /** Note a state change that can alter bestPending() results. */
-    void touch() { ++version_; }
+    /** Re-derive the live bit of @p irq (for an SGI/PPI, in @p cpu's
+     *  bank). */
+    void syncLive(CpuId cpu, IrqId irq);
+    /** Tell the CPU interface that bestPending() may have changed for the
+     *  CPUs in @p cpu_mask. */
+    void linesChanged(std::uint32_t cpu_mask);
 
     ArmMachine &machine_;
     unsigned numCpus_;
@@ -180,21 +177,9 @@ class GicDistributor : public MmioDevice, public Snapshottable
     };
     std::vector<Bank> banks_;
 
-    /**
-     * bestPending() is a pure function of distributor state, yet it is
-     * polled on the CPUs' interrupt lines every time simulated time
-     * advances — far more often than the state changes. Every mutation
-     * bumps version_; each CPU caches its last answer with the version it
-     * was computed at, so the common poll is one integer compare instead
-     * of a scan over the whole IRQ space.
-     */
-    std::uint64_t version_ = 1;
-    struct PendingCache
-    {
-        std::uint64_t version = 0; //!< 0 never matches (version_ starts at 1)
-        PendingIrq best;
-    };
-    mutable std::vector<PendingCache> pendingCache_;
+    /** Pending∧enabled bits and SPI routes derived from the arrays above;
+     *  not serialized. */
+    PendingSet live_;
 
     std::vector<Inflight> inflight_;
     std::uint64_t nextInflightToken_ = 1;
@@ -210,8 +195,13 @@ class GicCpuInterface : public MmioDevice, public Snapshottable
     GicCpuInterface(ArmMachine &machine, GicDistributor &dist,
                     unsigned num_cpus);
 
-    /** True if an enabled interrupt should be signalled to @p cpu. */
-    bool irqLineHigh(CpuId cpu) const;
+    /** True if an enabled interrupt should be signalled to @p cpu. The
+     *  level is recomputed whenever its inputs change, so this is a load. */
+    bool irqLineHigh(CpuId cpu) const { return lineHigh_[cpu]; }
+
+    /** Recompute the IRQ line of every CPU in @p cpu_mask (the
+     *  distributor calls this after each state change). */
+    void refreshLines(std::uint32_t cpu_mask);
 
     /// @name MmioDevice
     /// @{
@@ -232,6 +222,8 @@ class GicCpuInterface : public MmioDevice, public Snapshottable
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override { visit(r); }
+    /** Recomputes the lines once the distributor's state is loaded too. */
+    void snapshotRebind() override;
     /// @}
 
   private:
@@ -254,10 +246,13 @@ class GicCpuInterface : public MmioDevice, public Snapshottable
     std::uint8_t runningPriority(const Bank &b) const;
     IrqId acknowledgeIrq(CpuId cpu);
     void endOfInterrupt(CpuId cpu, std::uint32_t value);
+    void refreshLine(CpuId cpu);
 
     ArmMachine &machine_;
     GicDistributor &dist_;
     std::vector<Bank> banks_;
+    /** Per CPU, the IRQ line level; derived, not serialized. */
+    std::vector<std::uint8_t> lineHigh_;
 };
 
 } // namespace kvmarm::arm

@@ -30,7 +30,7 @@ ListReg::unpack(std::uint32_t raw)
 VgicHypInterface::VgicHypInterface(ArmMachine &machine, GicDistributor &dist,
                                    unsigned num_cpus)
     : Snapshottable(&machine, "gich"), machine_(machine), dist_(dist),
-      banks_(num_cpus)
+      banks_(num_cpus), lineHigh_(num_cpus)
 {
 }
 
@@ -52,20 +52,22 @@ VgicHypInterface::emptyLrMask(CpuId cpu) const
     return mask;
 }
 
-bool
-VgicHypInterface::virqLineHigh(CpuId cpu) const
+void
+VgicHypInterface::refreshLine(CpuId cpu)
 {
-    const VgicBank &b = banks_.at(cpu);
-    if (!b.en || !b.vmEnabled)
-        return false;
-    for (const ListReg &lr : b.lr) {
-        if ((lr.state == LrState::Pending ||
-             lr.state == LrState::PendingActive) &&
-            lr.priority < b.vmPmr) {
-            return true;
+    const VgicBank &b = banks_[cpu];
+    bool high = false;
+    if (b.en && b.vmEnabled) {
+        for (const ListReg &lr : b.lr) {
+            if ((lr.state == LrState::Pending ||
+                 lr.state == LrState::PendingActive) &&
+                lr.priority < b.vmPmr) {
+                high = true;
+                break;
+            }
         }
     }
-    return false;
+    lineHigh_[cpu] = high;
 }
 
 void
@@ -126,11 +128,11 @@ VgicHypInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
       case gich::HCR:
         b.en = v & 1;
         b.uie = v & 2;
-        return;
+        break;
       case gich::VMCR:
         b.vmEnabled = v & 1;
         b.vmPmr = static_cast<std::uint8_t>(v >> 24);
-        return;
+        break;
       case gich::APR0:
       case gich::APR1:
       case gich::APR2:
@@ -142,29 +144,18 @@ VgicHypInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
             unsigned idx = (offset - gich::LR0) / 4;
             b.lr[idx] = ListReg::unpack(v);
             KVMARM_CHECK_ON(machine_.checkEngine(), vgicLrWrite(cpu, idx, b));
-            return;
+            break;
         }
         // VTR/MISR/EISR/ELRSR and alias words are read-only; ignore.
         return;
     }
-}
-
-VgicCpuInterface::VgicCpuInterface(ArmMachine &machine,
-                                   VgicHypInterface &hyp)
-    : machine_(machine), hyp_(hyp)
-{
-}
-
-Cycles
-VgicCpuInterface::accessLatency() const
-{
-    return machine_.cost().gicvLatency;
+    refreshLine(cpu);
 }
 
 IrqId
-VgicCpuInterface::acknowledgeVirq(CpuId cpu)
+VgicHypInterface::acknowledgeVirq(CpuId cpu)
 {
-    VgicBank &b = hyp_.bank(cpu);
+    VgicBank &b = banks_.at(cpu);
     if (!b.en || !b.vmEnabled)
         return kSpuriousIrq;
 
@@ -185,42 +176,71 @@ VgicCpuInterface::acknowledgeVirq(CpuId cpu)
     ListReg &lr = b.lr[best];
     lr.state = (lr.state == LrState::Pending) ? LrState::Active
                                               : LrState::PendingActive;
+    refreshLine(cpu);
     return lr.virq | (lr.virq < kNumSgis ? (lr.source << 10) : 0);
 }
 
 void
-VgicCpuInterface::endOfVirq(CpuId cpu, std::uint32_t value)
+VgicHypInterface::endOfVirq(CpuId cpu, std::uint32_t value)
 {
-    VgicBank &b = hyp_.bank(cpu);
+    VgicBank &b = banks_.at(cpu);
     IrqId virq = value & 0x3FF;
     for (ListReg &lr : b.lr) {
         if (lr.virq != virq)
             continue;
         if (lr.state == LrState::Active) {
             lr = ListReg{}; // now empty
-            hyp_.checkMaintenance(cpu);
+            refreshLine(cpu);
+            checkMaintenance(cpu);
             return;
         }
         if (lr.state == LrState::PendingActive) {
             lr.state = LrState::Pending;
+            refreshLine(cpu);
             return;
         }
     }
     warn("gicv: EOI for inactive virq %u on cpu%u", virq, cpu);
 }
 
+void
+VgicHypInterface::setVmEnabled(CpuId cpu, bool enabled)
+{
+    banks_.at(cpu).vmEnabled = enabled;
+    refreshLine(cpu);
+}
+
+void
+VgicHypInterface::setVmPmr(CpuId cpu, std::uint8_t pmr)
+{
+    banks_.at(cpu).vmPmr = pmr;
+    refreshLine(cpu);
+}
+
+VgicCpuInterface::VgicCpuInterface(ArmMachine &machine,
+                                   VgicHypInterface &hyp)
+    : machine_(machine), hyp_(hyp)
+{
+}
+
+Cycles
+VgicCpuInterface::accessLatency() const
+{
+    return machine_.cost().gicvLatency;
+}
+
 std::uint64_t
 VgicCpuInterface::read(CpuId cpu, Addr offset, unsigned len)
 {
     (void)len;
-    VgicBank &b = hyp_.bank(cpu);
+    const VgicBank &b = hyp_.bank(cpu);
     switch (offset) {
       case gicc::CTLR:
         return b.vmEnabled ? 1 : 0;
       case gicc::PMR:
         return b.vmPmr;
       case gicc::IAR:
-        return acknowledgeVirq(cpu);
+        return hyp_.acknowledgeVirq(cpu);
       case gicc::HPPIR: {
         IrqId best = kSpuriousIrq;
         std::uint8_t prio = 0xFF;
@@ -244,16 +264,15 @@ VgicCpuInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
                         unsigned len)
 {
     (void)len;
-    VgicBank &b = hyp_.bank(cpu);
     switch (offset) {
       case gicc::CTLR:
-        b.vmEnabled = value & 1;
+        hyp_.setVmEnabled(cpu, value & 1);
         break;
       case gicc::PMR:
-        b.vmPmr = static_cast<std::uint8_t>(value);
+        hyp_.setVmPmr(cpu, static_cast<std::uint8_t>(value));
         break;
       case gicc::EOIR:
-        endOfVirq(cpu, static_cast<std::uint32_t>(value));
+        hyp_.endOfVirq(cpu, static_cast<std::uint32_t>(value));
         break;
       default:
         break;

@@ -114,17 +114,31 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
     VgicHypInterface(ArmMachine &machine, GicDistributor &dist,
                      unsigned num_cpus);
 
-    VgicBank &bank(CpuId cpu) { return banks_.at(cpu); }
+    /** Read-only: every change goes through a member that also refreshes
+     *  the CPU's virtual IRQ line. */
     const VgicBank &bank(CpuId cpu) const { return banks_.at(cpu); }
 
     /** Empty-LR bitmask (ELRSR semantics). */
     std::uint32_t emptyLrMask(CpuId cpu) const;
 
-    /** True if the virtual interface should assert the guest's IRQ line. */
-    bool virqLineHigh(CpuId cpu) const;
+    /** True if the virtual interface should assert the guest's IRQ line.
+     *  The level is recomputed whenever its inputs change, so this is a
+     *  load. */
+    bool virqLineHigh(CpuId cpu) const { return lineHigh_[cpu]; }
 
     /** Raise the maintenance interrupt if the underflow condition holds. */
     void checkMaintenance(CpuId cpu);
+
+    /// @name The VM's view through GICV (VgicCpuInterface forwards here)
+    /// @{
+    /** IAR: acknowledge the best pending list register, spurious if
+     *  none. */
+    IrqId acknowledgeVirq(CpuId cpu);
+    /** EOIR: complete @p value's interrupt. */
+    void endOfVirq(CpuId cpu, std::uint32_t value);
+    void setVmEnabled(CpuId cpu, bool enabled);
+    void setVmPmr(CpuId cpu, std::uint8_t pmr);
+    /// @}
 
     /// @name MmioDevice
     /// @{
@@ -142,15 +156,23 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
     visit(V &v)
     {
         v.fixed(banks_, "banks");
+        if constexpr (V::kLoading) {
+            for (CpuId c = 0; c < banks_.size(); ++c)
+                refreshLine(c);
+        }
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override { visit(r); }
     /// @}
 
   private:
+    void refreshLine(CpuId cpu);
+
     ArmMachine &machine_;
     GicDistributor &dist_;
     std::vector<VgicBank> banks_;
+    /** Per CPU, the virtual IRQ line level; derived, not serialized. */
+    std::vector<std::uint8_t> lineHigh_;
 };
 
 /**
@@ -172,9 +194,6 @@ class VgicCpuInterface : public MmioDevice
     /// @}
 
   private:
-    IrqId acknowledgeVirq(CpuId cpu);
-    void endOfVirq(CpuId cpu, std::uint32_t value);
-
     ArmMachine &machine_;
     VgicHypInterface &hyp_;
 };

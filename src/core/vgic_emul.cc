@@ -25,14 +25,32 @@ VgicDistEmul::VgicDistEmul(Vm &vm)
 {
     spiPriority_.fill(kDefaultPrio);
     spiTargets_.fill(0x01);
+    live_.rebuild(banks_, spiPending_, spiEnabled_, spiTargets_);
+}
+
+void
+VgicDistEmul::syncLive(unsigned idx, IrqId irq)
+{
+    if (irq < arm::kFirstSpi)
+        live_.syncPrivate(idx, irq, banks_[idx]);
+    else
+        live_.syncSpi(irq, spiPending_[irq], spiEnabled_[irq]);
+}
+
+VgicDistEmul::Bank &
+VgicDistEmul::bankAt(unsigned idx)
+{
+    if (banks_.size() <= idx) {
+        banks_.resize(idx + 1);
+        live_.resize(idx + 1);
+    }
+    return banks_[idx];
 }
 
 VgicDistEmul::Bank &
 VgicDistEmul::bankFor(const VCpu &vcpu)
 {
-    if (banks_.size() <= vcpu.index())
-        banks_.resize(vcpu.index() + 1);
-    return banks_[vcpu.index()];
+    return bankAt(vcpu.index());
 }
 
 const VgicDistEmul::Bank &
@@ -51,43 +69,16 @@ VgicDistEmul::lockCost() const
     return 2 * vm_.kvm().machine().cost().atomicOp;
 }
 
-VgicDistEmul::Cand
-VgicDistEmul::bestCandidate(const VCpu &vcpu) const
+arm::PendingIrq
+VgicDistEmul::bestPending(const VCpu &vcpu) const
 {
-    Cand best;
     if (!ctlrEnabled_)
-        return best;
-    const Bank &bank = bankFor(vcpu);
-
-    auto consider = [&](IrqId irq, std::uint8_t prio, unsigned src) {
-        if (prio < best.prio || (prio == best.prio && irq < best.irq))
-            best = {irq, prio, src};
-    };
-
-    for (IrqId sgi = 0; sgi < arm::kNumSgis; ++sgi) {
-        std::uint16_t sources = bank.sgiSources[sgi];
-        if (sources && bank.enabled[sgi]) {
-            unsigned src = 0;
-            while (!(sources & (1u << src)))
-                ++src;
-            consider(sgi, bank.priority[sgi], src);
-        }
-    }
-    for (IrqId ppi = arm::kFirstPpi; ppi < arm::kFirstSpi; ++ppi) {
-        if (bank.ppiPending[ppi] && bank.enabled[ppi])
-            consider(ppi, bank.priority[ppi], 0);
-    }
-    for (IrqId spi = arm::kFirstSpi; spi < arm::kMaxIrqs; ++spi) {
-        if (spiPending_[spi] && spiEnabled_[spi] &&
-            (spiTargets_[spi] & (1u << vcpu.index()))) {
-            consider(spi, spiPriority_[spi], 0);
-        }
-    }
-    return best;
+        return {};
+    return live_.select(vcpu.index(), bankFor(vcpu), spiPriority_);
 }
 
 void
-VgicDistEmul::consume(VCpu &vcpu, const Cand &c)
+VgicDistEmul::consume(VCpu &vcpu, const arm::PendingIrq &c)
 {
     Bank &bank = bankFor(vcpu);
     if (c.irq < arm::kNumSgis)
@@ -97,18 +88,19 @@ VgicDistEmul::consume(VCpu &vcpu, const Cand &c)
         bank.ppiPending[c.irq] = false;
     else
         spiPending_[c.irq] = false;
+    syncLive(vcpu.index(), c.irq);
 }
 
 void
 VgicDistEmul::updateSoftPending(VCpu &vcpu)
 {
-    vcpu.softVirqPending = bestCandidate(vcpu).irq != arm::kSpuriousIrq;
+    vcpu.softVirqPending = bestPending(vcpu).irq != arm::kSpuriousIrq;
 }
 
 bool
 VgicDistEmul::hasPendingFor(const VCpu &vcpu) const
 {
-    if (bestCandidate(vcpu).irq != arm::kSpuriousIrq)
+    if (bestPending(vcpu).irq != arm::kSpuriousIrq)
         return true;
     for (const ListReg &lr : vcpu.vgicShadow.lr) {
         if (lr.state == LrState::Pending || lr.state == LrState::PendingActive)
@@ -129,20 +121,20 @@ VgicDistEmul::flushToShadow(VCpu &vcpu)
     for (ListReg &lr : sh.lr) {
         if (lr.state != LrState::Empty)
             continue;
-        Cand c = bestCandidate(vcpu);
+        arm::PendingIrq c = bestPending(vcpu);
         if (c.irq == arm::kSpuriousIrq)
             break;
         consume(vcpu, c);
         lr = ListReg{};
         lr.virq = c.irq;
-        lr.priority = c.prio >> 3; // 5-bit LR priority field
+        lr.priority = c.priority >> 3; // 5-bit LR priority field
         lr.state = LrState::Pending;
         lr.source = static_cast<CpuId>(c.source);
     }
 
     // More pending than list registers: enable the underflow maintenance
     // interrupt so the hypervisor refills when the LRs drain.
-    sh.uie = bestCandidate(vcpu).irq != arm::kSpuriousIrq;
+    sh.uie = bestPending(vcpu).irq != arm::kSpuriousIrq;
 }
 
 void
@@ -164,6 +156,7 @@ VgicDistEmul::syncFromShadow(VCpu &vcpu)
                 bank.ppiPending[lr.virq] = true;
             else
                 spiPending_[lr.virq] = true;
+            syncLive(vcpu.index(), lr.virq);
             lr = ListReg{};
             break;
           case LrState::Active:
@@ -219,6 +212,7 @@ VgicDistEmul::injectSpi(ArmCpu &current_cpu, IrqId irq)
         fatal("vgic: injectSpi with bad irq %u", irq);
     current_cpu.compute(lockCost());
     spiPending_[irq] = true;
+    syncLive(0, irq);
     unsigned target = routeSpi(irq);
     if (target < vm_.vcpus().size()) {
         VCpu &vcpu = *vm_.vcpus()[target];
@@ -235,6 +229,7 @@ VgicDistEmul::injectPpi(ArmCpu &current_cpu, VCpu &target, IrqId ppi)
         fatal("vgic: injectPpi with bad ppi %u", ppi);
     current_cpu.compute(lockCost());
     bankFor(target).ppiPending[ppi] = true;
+    syncLive(target.index(), ppi);
     if (!vm_.kvm().config().useVgic)
         updateSoftPending(target);
     kickVcpu(current_cpu, target);
@@ -254,7 +249,7 @@ VgicDistEmul::routeSpi(IrqId irq) const
 std::uint32_t
 VgicDistEmul::softAck(VCpu &vcpu)
 {
-    Cand c = bestCandidate(vcpu);
+    arm::PendingIrq c = bestPending(vcpu);
     if (c.irq == arm::kSpuriousIrq) {
         updateSoftPending(vcpu);
         return arm::kSpuriousIrq;
@@ -323,10 +318,9 @@ void
 VgicDistEmul::setSgiPending(unsigned target_idx, IrqId sgi,
                             unsigned source_idx)
 {
-    if (banks_.size() <= target_idx)
-        banks_.resize(target_idx + 1);
-    banks_[target_idx].sgiSources[sgi] |=
+    bankAt(target_idx).sgiSources[sgi] |=
         static_cast<std::uint16_t>(1u << source_idx);
+    syncLive(target_idx, sgi);
 }
 
 std::uint64_t
@@ -339,6 +333,18 @@ VgicDistEmul::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr offset, bool is_write,
     std::uint32_t v = static_cast<std::uint32_t>(value);
 
     if (is_write) {
+        // Applies @p fn to each IRQ whose bit is set in a 32-IRQ register
+        // word, then re-derives its live bit.
+        auto each_bit = [&](Addr reg_base, auto fn) {
+            unsigned word = (offset - reg_base) / 4;
+            for (unsigned i = 0; i < 32; ++i) {
+                IrqId irq = word * 32 + i;
+                if (irq >= arm::kMaxIrqs || !(v & (1u << i)))
+                    continue;
+                fn(irq);
+                syncLive(vcpu.index(), irq);
+            }
+        };
         if (offset == arm::gicd::CTLR) {
             ctlrEnabled_ = v & 1;
             for (auto &vc : vm_.vcpus())
@@ -347,28 +353,27 @@ VgicDistEmul::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr offset, bool is_write,
             writeSgir(cpu, vcpu, v);
         } else if (offset >= arm::gicd::ISENABLER &&
                    offset < arm::gicd::ISENABLER + 0x80) {
-            unsigned word = (offset - arm::gicd::ISENABLER) / 4;
-            for (unsigned i = 0; i < 32; ++i) {
-                IrqId irq = word * 32 + i;
-                if (irq >= arm::kMaxIrqs || !(v & (1u << i)))
-                    continue;
-                if (irq < arm::kFirstSpi)
-                    bank.enabled[irq] = true;
-                else
-                    spiEnabled_[irq] = true;
-            }
+            each_bit(arm::gicd::ISENABLER, [&](IrqId irq) {
+                (irq < arm::kFirstSpi ? bank.enabled[irq]
+                                      : spiEnabled_[irq]) = true;
+            });
         } else if (offset >= arm::gicd::ICENABLER &&
                    offset < arm::gicd::ICENABLER + 0x80) {
-            unsigned word = (offset - arm::gicd::ICENABLER) / 4;
-            for (unsigned i = 0; i < 32; ++i) {
-                IrqId irq = word * 32 + i;
-                if (irq >= arm::kMaxIrqs || !(v & (1u << i)))
-                    continue;
-                if (irq < arm::kFirstSpi)
-                    bank.enabled[irq] = false;
+            each_bit(arm::gicd::ICENABLER, [&](IrqId irq) {
+                (irq < arm::kFirstSpi ? bank.enabled[irq]
+                                      : spiEnabled_[irq]) = false;
+            });
+        } else if (offset >= arm::gicd::ICPENDR &&
+                   offset < arm::gicd::ICPENDR + 0x80) {
+            // Clear-pending, as the physical distributor honours it.
+            each_bit(arm::gicd::ICPENDR, [&](IrqId irq) {
+                if (irq < arm::kNumSgis)
+                    bank.sgiSources[irq] = 0;
+                else if (irq < arm::kFirstSpi)
+                    bank.ppiPending[irq] = false;
                 else
-                    spiEnabled_[irq] = false;
-            }
+                    spiPending_[irq] = false;
+            });
         } else if (offset >= arm::gicd::IPRIORITYR &&
                    offset < arm::gicd::IPRIORITYR + arm::kMaxIrqs) {
             IrqId irq = static_cast<IrqId>(offset - arm::gicd::IPRIORITYR);
@@ -379,8 +384,10 @@ VgicDistEmul::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr offset, bool is_write,
         } else if (offset >= arm::gicd::ITARGETSR &&
                    offset < arm::gicd::ITARGETSR + arm::kMaxIrqs) {
             IrqId irq = static_cast<IrqId>(offset - arm::gicd::ITARGETSR);
-            if (irq >= arm::kFirstSpi)
+            if (irq >= arm::kFirstSpi) {
                 spiTargets_[irq] = static_cast<std::uint8_t>(v);
+                live_.route(irq, spiTargets_[irq]);
+            }
         }
         return 0;
     }

@@ -66,6 +66,10 @@ class VgicDistEmul : public Snapshottable
     bool hasPendingFor(const VCpu &vcpu) const;
     /// @}
 
+    /** Best deliverable software-pending interrupt for @p vcpu, spurious
+     *  if none or the distributor is disabled. */
+    arm::PendingIrq bestPending(const VCpu &vcpu) const;
+
     /// @name Software CPU-interface emulation (no-VGIC configuration)
     /// @{
     /** Emulated IAR read: acknowledge the best pending interrupt. */
@@ -88,6 +92,8 @@ class VgicDistEmul : public Snapshottable
         v.pod(ctlrEnabled_, spiEnabled_, spiPending_, spiPriority_,
               spiTargets_);
         v.seq(banks_);
+        if constexpr (V::kLoading)
+            live_.rebuild(banks_, spiPending_, spiEnabled_, spiTargets_);
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override { visit(r); }
@@ -130,22 +136,21 @@ class VgicDistEmul : public Snapshottable
     };
     std::vector<Bank> banks_;
 
+    /** Pending∧enabled bits and SPI routes derived from the arrays above,
+     *  one bank per entry of banks_; not serialized. */
+    arm::PendingSet live_;
+
+    /** Bank @p idx, growing banks_ (and live_) to hold it. */
+    Bank &bankAt(unsigned idx);
     Bank &bankFor(const VCpu &vcpu);
     const Bank &bankFor(const VCpu &vcpu) const;
 
-    /** One deliverable interrupt candidate. */
-    struct Cand
-    {
-        IrqId irq = arm::kSpuriousIrq;
-        std::uint8_t prio = 0xFF;
-        unsigned source = 0;
-    };
-
-    /** Best deliverable interrupt for @p vcpu, spurious if none. */
-    Cand bestCandidate(const VCpu &vcpu) const;
+    /** Re-derive the live bit of @p irq (for an SGI/PPI, in bank
+     *  @p idx). */
+    void syncLive(unsigned idx, IrqId irq);
 
     /** Remove @p c from the software pending state. */
-    void consume(VCpu &vcpu, const Cand &c);
+    void consume(VCpu &vcpu, const arm::PendingIrq &c);
 
     /** Recompute the software-injection pending flag (no-VGIC mode). */
     void updateSoftPending(VCpu &vcpu);

@@ -63,7 +63,7 @@ CpuBase::waitUntil(const std::function<bool()> &pred)
 void
 CpuBase::kickAt(Cycles when)
 {
-    events_.schedule(when, [] {}, EventQueue::Kind::Kick);
+    events_.schedule(when, nullptr, EventQueue::Kind::Kick);
 }
 
 void

@@ -84,8 +84,8 @@ class CpuBase : public Snapshottable
     void waitUntil(const std::function<bool()> &pred);
 
     /**
-     * Wake a CPU that may be blocked in waitUntil by scheduling a no-op
-     * event on it at max(target.now, when). Models the delivery latency of
+     * Wake a CPU that may be blocked in waitUntil by scheduling a
+     * callback-free Kick event on it at max(target.now, when). Models the delivery latency of
      * whatever signal (IPI, device interrupt) does the waking.
      */
     void kickAt(Cycles when);

@@ -126,7 +126,8 @@ EventQueue::runDue(Cycles now)
         if (due) {
             --live_;
             ++ran;
-            cb();
+            if (cb)
+                cb();
         }
     }
     return ran;
@@ -165,9 +166,9 @@ EventQueue::rehydrate(const std::vector<SavedEvent> &saved)
         ev->seq = s.seq;
         ev->id = s.id;
         ev->kind = s.kind;
-        // Kick events are no-ops by definition and need no owner; anything
-        // else waits for its component's rebind pass to claim() it.
-        ev->cb = ev->kind == Kind::Kick ? Callback([] {}) : nullptr;
+        // Kick events have no callback and need no owner; anything else
+        // waits for its component's rebind pass to claim() it.
+        ev->cb = nullptr;
         ev->cancelled = false;
         heap_.push_back(ev);
         ++live_;
@@ -184,8 +185,9 @@ EventQueue::claim(std::uint64_t id, Callback cb)
 {
     for (Event *ev : heap_) {
         if (ev->id == id && !ev->cancelled) {
-            if (ev->cb)
-                fatal("EventQueue::claim: event %llu already has a callback",
+            if (ev->cb || ev->kind == Kind::Kick)
+                fatal("EventQueue::claim: event %llu already has a callback "
+                      "or is a kick",
                       static_cast<unsigned long long>(id));
             ev->cb = std::move(cb);
             return;
@@ -199,7 +201,7 @@ void
 EventQueue::verifyAllClaimed() const
 {
     for (const Event *ev : heap_) {
-        if (!ev->cancelled && !ev->cb)
+        if (!ev->cancelled && !ev->cb && ev->kind != Kind::Kick)
             fatal("EventQueue: restored event %llu (t=%llu) was never "
                   "claimed by its owner",
                   static_cast<unsigned long long>(ev->id),

@@ -34,8 +34,8 @@ class EventQueue
      * What an event's callback does, for snapshot rehydration. Callbacks
      * are closures and cannot be serialized; a restored Generic event
      * starts with a null callback that its owning component must claim()
-     * during its rebind pass. Kick events are known no-ops and rehydrate
-     * themselves.
+     * during its rebind pass. Kick events (cross-CPU wakes) carry no
+     * callback at all and need no claim.
      */
     enum class Kind : std::uint8_t
     {
@@ -49,9 +49,11 @@ class EventQueue
     ~EventQueue();
 
     /**
-     * Schedule @p cb to run at absolute cycle @p when. Returns an id.
+     * Schedule @p cb to run at absolute cycle @p when (a null @p cb runs
+     * nothing). Returns an id.
      *
-     * Kick events (cross-CPU wakes, known no-op callbacks) are coalesced:
+     * Kick events (cross-CPU wakes, scheduled with a null @p cb) are
+     * coalesced:
      * if a live Kick is already pending at @p when, no second Event is
      * created and the existing event's id is returned. onSchedule still
      * fires for the coalesced call — the machine scheduler's wake
@@ -104,9 +106,9 @@ class EventQueue
     /**
      * Live events (time, order, id, kind) plus the id/seq counters, so
      * restored events keep their exact FIFO tie-breaks. Reading drops
-     * everything pending and recreates the saved events: Kick events come
-     * back runnable, Generic events come back with null callbacks awaiting
-     * claim(). onSchedule is not fired (the machine is quiesced).
+     * everything pending and recreates the saved events, all with null
+     * callbacks: Kick events are runnable as they are, Generic events
+     * await claim(). onSchedule is not fired (the machine is quiesced).
      */
     template <class V>
     void
@@ -122,10 +124,11 @@ class EventQueue
     }
 
     /** Re-attach the callback of restored event @p id. fatal() if the id
-     *  is unknown or already claimed. */
+     *  is unknown, already claimed or a kick. */
     void claim(std::uint64_t id, Callback cb);
 
-    /** fatal() if any restored Generic event is still unclaimed. */
+    /** fatal() if any restored Generic event is still unclaimed (kicks
+     *  need no claim). */
     void verifyAllClaimed() const;
     /// @}
 

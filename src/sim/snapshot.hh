@@ -35,7 +35,7 @@
  * others must be trivially copyable. Every fatal names the record key.
  *
  * Post-read fix-ups go in one of two places. A fix-up local to the
- * component (drop a memoized cache, clear residency) is one
+ * component (rebuild derived state, clear residency) is one
  * `if constexpr (V::kLoading)` branch at the end of visit(). Anything that
  * re-attaches callbacks or pointers into other components goes in
  * snapshotRebind(), which runs once every record has been read;

@@ -122,6 +122,48 @@ TEST_F(VgicEmulTest, UserSpaceInjectionDeliversSpi)
     machine->run();
 }
 
+TEST_F(VgicEmulTest, ClearPendingViaMmio)
+{
+    // A guest ICPENDR write clears pending state in the emulated
+    // distributor, as it does on the physical one: a cleared SPI, PPI or
+    // SGI is never delivered once enabled.
+    machine->cpu(0).setEntry([&] {
+        ArmCpu &cpu = machine->cpu(0);
+        hostk->boot(0);
+        kvm->initCpu(cpu);
+        auto vm = kvm->createVm(32 * kMiB);
+        core::VCpu &vcpu = vm->addVcpu(0);
+        vcpu.setGuestOs(&guest0);
+        vcpu.run(cpu, [&](ArmCpu &c) {
+            guest0.boot(c);
+            const Addr gicd = ArmMachine::kGicdBase;
+            // Disable SGI 3, PPI 20 and SPI 60, then pend all three.
+            c.memWrite(gicd + arm::gicd::ICENABLER, (1u << 3) | (1u << 20));
+            c.memWrite(gicd + arm::gicd::ICENABLER + 4, 1u << (60 - 32));
+            c.memWrite(gicd + arm::gicd::SGIR, (2u << 24) | 3); // to self
+            vm->vdist().injectPpi(c, vcpu, 20);
+            vm->irqLine(c, 60);
+            EXPECT_EQ(c.memRead(gicd + arm::gicd::ISPENDR, 4),
+                      (1u << 3) | (1u << 20));
+            EXPECT_EQ(c.memRead(gicd + arm::gicd::ISPENDR + 4, 4),
+                      1u << (60 - 32));
+
+            c.memWrite(gicd + arm::gicd::ICPENDR, (1u << 3) | (1u << 20));
+            c.memWrite(gicd + arm::gicd::ICPENDR + 4, 1u << (60 - 32));
+            EXPECT_EQ(c.memRead(gicd + arm::gicd::ISPENDR, 4), 0u);
+            EXPECT_EQ(c.memRead(gicd + arm::gicd::ISPENDR + 4, 4), 0u);
+
+            c.memWrite(gicd + arm::gicd::ISENABLER, (1u << 3) | (1u << 20));
+            c.memWrite(gicd + arm::gicd::ISENABLER + 4, 1u << (60 - 32));
+            EXPECT_EQ(vm->vdist().bestPending(vcpu).irq, arm::kSpuriousIrq);
+            c.hvc(core::hvc::kTestHypercall);
+            c.compute(10);
+        });
+        EXPECT_TRUE(guest0.received.empty());
+    });
+    machine->run();
+}
+
 TEST_F(VgicEmulTest, LrOverflowDeliversEverything)
 {
     machine->cpu(0).setEntry([&] {

@@ -242,6 +242,7 @@ TEST(EventQueueSnapshot, BogusClaimsAreFatal)
 {
     EventQueue q;
     auto id = q.schedule(10, [] {});
+    auto kick = q.schedule(20, nullptr, EventQueue::Kind::Kick);
     SnapshotWriter w;
     q.visit(w);
     SnapshotRecord rec = w.finish("events");
@@ -252,6 +253,7 @@ TEST(EventQueueSnapshot, BogusClaimsAreFatal)
     EXPECT_THROW(r.claim(id + 1000, [] {}), FatalError); // unknown id
     r.claim(id, [] {});
     EXPECT_THROW(r.claim(id, [] {}), FatalError); // double claim
+    EXPECT_THROW(r.claim(kick, [] {}), FatalError); // kicks take none
 }
 
 TEST(EventQueueKicks, SameCycleKicksCoalesce)
@@ -343,6 +345,32 @@ TEST(EventQueueKicks, CpuKickAtCoalesces)
     machine.run();
     EXPECT_TRUE(woke);
     EXPECT_GE(cpu.now(), 5000u);
+}
+
+TEST(EventQueueKicks, RestoredKickRunsUnclaimedAndCountsAsInterleave)
+{
+    // Kicks are scheduled without a callback and restored the same way:
+    // a clone's queue holds the kick with nothing to claim it, the restore
+    // must accept that, and draining the kick still counts as an
+    // interleave, exactly as it does on the origin.
+    arm::ArmMachine::Config mc;
+    mc.numCpus = 1;
+    mc.ramSize = 32 * kMiB;
+    arm::ArmMachine origin(mc);
+    origin.cpu(0).kickAt(5000);
+    auto snap = origin.takeSnapshot();
+
+    arm::ArmMachine clone(mc);
+    clone.restoreSnapshot(*snap); // runs verifyAllClaimed
+    CpuBase &cpu = clone.cpu(0);
+    ASSERT_EQ(cpu.events().size(), 1u);
+    ASSERT_EQ(cpu.events().nextEventTime(), 5000u);
+    std::uint64_t before = cpu.interleaves();
+    cpu.advanceTo(4999);
+    EXPECT_EQ(cpu.interleaves(), before);
+    cpu.advanceTo(5000);
+    EXPECT_EQ(cpu.interleaves(), before + 1);
+    EXPECT_TRUE(cpu.events().empty());
 }
 
 } // namespace

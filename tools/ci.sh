@@ -9,6 +9,7 @@
 #   enforce    release binaries, whole suite under KVMARM_CHECK=enforce
 #   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away), -Werror
 #   domlint    full-tree domlint + the fixture corpus (must-fire/must-pass)
+#   bench      kvmarm_bench --smoke: every workload's digests and metrics
 #   lint       domlint + clang-tidy (or strict-GCC fallback) on changed files
 #   threadsafety  clang -Wthread-safety on the annotated locking TUs
 #   format     tools/format.sh --check
@@ -116,6 +117,14 @@ leg_domlint() {
     tests/domlint/run_fixtures.sh
 }
 
+leg_bench() {
+    # The repository benchmark at CI sizes (bench/suite/README.md): builds
+    # kvmarm_bench from this checkout into .bench_build/, runs every
+    # workload, and fails if a unit's correctness digest drifts or a
+    # metric BENCHMARK.json lists is missing or in the wrong unit.
+    python3 bench/suite/run.py --smoke
+}
+
 leg_lint() {
     tools/lint.sh --changed
 }
@@ -157,7 +166,7 @@ leg_format() {
     tools/format.sh --check
 }
 
-legs=${*:-release asan tsan enforce nochecks domlint lint threadsafety format}
+legs=${*:-release asan tsan enforce nochecks domlint bench lint threadsafety format}
 for leg in $legs; do
     echo "==== ci leg: $leg ===="
     "leg_$leg"
