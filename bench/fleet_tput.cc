@@ -20,25 +20,19 @@
  * bit-identical across thread counts AND across off vs enforce, because
  * the engine observes and never charges.
  *
- * Reported per thread count: fleet wall seconds, aggregate guest-ops/sec,
+ * Printed per thread count: fleet wall seconds, aggregate guest-ops/sec,
  * speedup vs the 1-thread run of the same sweep and mode, and scaling
- * efficiency (speedup / threads). host_cpus is recorded because efficiency
+ * efficiency (speedup / threads). host_cpus is printed because efficiency
  * is bounded by the cores actually available, not the thread count
- * requested.
- *
- * Output: BENCH_fleet.json, following the host_tput baseline discipline:
- * an existing "baseline" section is preserved so speedups track the
- * committed trajectory; --rebaseline replaces it; --smoke shrinks the
- * iteration counts and never writes unless --out is given.
+ * requested. The table is a single run; repeated, compared measurements
+ * of fleet speed come from kvmarm_bench (bench/suite). --smoke shrinks
+ * the iteration counts; --fleet N sets the fleet size (default 8).
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,8 +130,7 @@ struct VmOutcome
 
 /**
  * One whole-VM job: a private machine + host + KVM stack + 1-VCPU guest
- * running the flavor's storm. Identical to host_tput's per-scenario stack
- * so fleet numbers compose with the single-VM baseline.
+ * running the flavor's storm.
  */
 void
 runVm(const VmSpec &spec, VmOutcome &out)
@@ -208,7 +201,6 @@ struct Result
     std::uint64_t iterations = 0; //!< total guest ops across the fleet
     double wallSeconds = 0;
     double opsPerSec = 0;
-    std::uint64_t simCycles = 0; //!< sum of per-VM sim cycles
     std::uint64_t jobsStolen = 0;
     std::vector<Cycles> vmCycles; //!< per-VM, for the determinism check
 };
@@ -227,13 +219,14 @@ runFleet(const std::vector<VmSpec> &spec, unsigned threads,
     for (std::size_t i = 0; i < spec.size(); ++i) {
         const VmSpec &s = spec[i];
         res.iterations += s.iters;
-        fleet.add(std::string("vm") + std::to_string(s.index) + "-" +
-                      flavorName(s.flavor),
-                  [&s, &outcomes, i] { runVm(s, outcomes[i]); });
+        fleet.submit(std::string("vm") + std::to_string(s.index) + "-" +
+                         flavorName(s.flavor),
+                     [&s, &outcomes, i] { runVm(s, outcomes[i]); });
     }
 
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<Fleet::JobResult> jobs = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> jobs = fleet.shutdown();
     auto t1 = std::chrono::steady_clock::now();
 
     for (const Fleet::JobResult &j : jobs) {
@@ -245,10 +238,8 @@ runFleet(const std::vector<VmSpec> &spec, unsigned threads,
     res.opsPerSec =
         res.wallSeconds > 0 ? double(res.iterations) / res.wallSeconds : 0;
     res.jobsStolen = fleet.stats().jobsStolen;
-    for (const VmOutcome &o : outcomes) {
+    for (const VmOutcome &o : outcomes)
         res.vmCycles.push_back(o.simCycles);
-        res.simCycles += o.simCycles;
-    }
     return res;
 }
 
@@ -262,177 +253,23 @@ opsAtOneThread(const std::vector<Result> &rows, const std::string &suffix)
     return 0;
 }
 
-/**
- * Recover the "baseline" section of a previously emitted JSON file. Only
- * parses the exact format emitted below — not a general JSON parser.
- */
-std::map<std::string, Result>
-readBaseline(const std::string &path)
-{
-    std::map<std::string, Result> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    std::size_t sec = text.find("\"baseline\"");
-    if (sec == std::string::npos)
-        return out;
-    std::size_t open = text.find('{', sec);
-    if (open == std::string::npos)
-        return out;
-    int depth = 0;
-    std::size_t close = open;
-    for (; close < text.size(); ++close) {
-        if (text[close] == '{')
-            ++depth;
-        else if (text[close] == '}' && --depth == 0)
-            break;
-    }
-    const std::string section = text.substr(open, close - open + 1);
-
-    std::size_t pos = 1;
-    while (true) {
-        std::size_t q0 = section.find('"', pos);
-        if (q0 == std::string::npos)
-            break;
-        std::size_t q1 = section.find('"', q0 + 1);
-        if (q1 == std::string::npos)
-            break;
-        Result r;
-        r.name = section.substr(q0 + 1, q1 - q0 - 1);
-        std::size_t obj = section.find('{', q1);
-        std::size_t end = section.find('}', obj);
-        if (obj == std::string::npos || end == std::string::npos)
-            break;
-        const std::string fields = section.substr(obj, end - obj);
-        auto num = [&](const char *key, double &v) {
-            std::size_t k = fields.find(key);
-            if (k != std::string::npos)
-                v = std::strtod(
-                    fields.c_str() + fields.find(':', k) + 1, nullptr);
-        };
-        double iters = 0, wall = 0, ops = 0, cycles = 0;
-        num("\"iterations\"", iters);
-        num("\"wall_seconds\"", wall);
-        num("\"ops_per_sec\"", ops);
-        num("\"sim_cycles\"", cycles);
-        r.iterations = static_cast<std::uint64_t>(iters);
-        r.wallSeconds = wall;
-        r.opsPerSec = ops;
-        r.simCycles = static_cast<std::uint64_t>(cycles);
-        out[r.name] = r;
-        pos = end + 1;
-    }
-    return out;
-}
-
-void
-writeSection(std::FILE *f, const char *name, const std::vector<Result> &rows)
-{
-    std::fprintf(f, "  \"%s\": {\n", name);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Result &r = rows[i];
-        std::fprintf(f,
-                     "    \"%s\": { \"iterations\": %llu, "
-                     "\"wall_seconds\": %.6f, \"ops_per_sec\": %.1f, "
-                     "\"sim_cycles\": %llu }%s\n",
-                     r.name.c_str(),
-                     static_cast<unsigned long long>(r.iterations),
-                     r.wallSeconds, r.opsPerSec,
-                     static_cast<unsigned long long>(r.simCycles),
-                     i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
-}
-
-void
-writeJson(const std::string &path, unsigned vms,
-          const std::vector<Result> &current,
-          const std::vector<Result> &baseline, bool smoke)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("fleet_tput: cannot write %s", path.c_str());
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"fleet_tput\",\n");
-    std::fprintf(f, "  \"schema_version\": 1,\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-#if KVMARM_INVARIANTS_ENABLED
-    // Check modes swept: unsuffixed rows run unchecked, *_enforce rows
-    // run the same fleet with every machine's engine in enforce mode.
-    std::fprintf(f, "  \"kvmarm_check\": \"off,enforce\",\n");
-#else
-    std::fprintf(f, "  \"kvmarm_check\": \"disabled\",\n");
-#endif
-    std::fprintf(f, "  \"fleet_size\": %u,\n", vms);
-    std::fprintf(f, "  \"host_cpus\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"deterministic\": true,\n");
-    std::fprintf(f, "  \"vm_sim_cycles\": [");
-    for (std::size_t i = 0; i < current.front().vmCycles.size(); ++i) {
-        std::fprintf(f, "%s%llu", i ? ", " : "",
-                     static_cast<unsigned long long>(
-                         current.front().vmCycles[i]));
-    }
-    std::fprintf(f, "],\n");
-    writeSection(f, "baseline", baseline);
-    writeSection(f, "current", current);
-    std::fprintf(f, "  \"speedup\": {\n");
-    for (std::size_t i = 0; i < current.size(); ++i) {
-        double base_ops = 0;
-        for (const Result &b : baseline)
-            if (b.name == current[i].name)
-                base_ops = b.opsPerSec;
-        double s = base_ops > 0 ? current[i].opsPerSec / base_ops : 1.0;
-        std::fprintf(f, "    \"%s\": %.2f%s\n", current[i].name.c_str(), s,
-                     i + 1 < current.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"scaling\": {\n");
-    for (std::size_t i = 0; i < current.size(); ++i) {
-        const double ops1 = opsAtOneThread(current, current[i].suffix);
-        double sp = ops1 > 0 ? current[i].opsPerSec / ops1 : 0;
-        std::fprintf(f,
-                     "    \"%s\": { \"speedup_vs_1t\": %.2f, "
-                     "\"efficiency\": %.2f }%s\n",
-                     current[i].name.c_str(), sp,
-                     sp / current[i].threads,
-                     i + 1 < current.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    bool rebaseline = false;
     unsigned vms = 8;
-    std::string out;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
-        } else if (std::strcmp(argv[i], "--rebaseline") == 0) {
-            rebaseline = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out = argv[++i];
         } else if (std::strcmp(argv[i], "--fleet") == 0 && i + 1 < argc) {
             vms = static_cast<unsigned>(std::atoi(argv[++i]));
         } else {
-            std::fprintf(stderr,
-                         "usage: fleet_tput [--smoke] [--rebaseline] "
-                         "[--fleet N] [--out file.json]\n");
+            std::fprintf(stderr, "usage: fleet_tput [--smoke] [--fleet N]\n");
             return 2;
         }
     }
-    if (out.empty() && !smoke)
-        out = "BENCH_fleet.json";
     if (vms == 0)
         vms = 1;
 
@@ -498,17 +335,5 @@ main(int argc, char **argv)
         return 1;
     std::printf("per-VM sim_cycles bit-identical across all thread counts "
                 "and check modes\n");
-
-    if (!out.empty()) {
-        std::map<std::string, Result> prior = readBaseline(out);
-        std::vector<Result> baseline;
-        for (const Result &r : current) {
-            auto itb = prior.find(r.name);
-            baseline.push_back(
-                (!rebaseline && itb != prior.end()) ? itb->second : r);
-        }
-        writeJson(out, vms, current, baseline, smoke);
-        std::printf("\nwrote %s\n", out.c_str());
-    }
     return 0;
 }

@@ -27,11 +27,11 @@
  * submission counter. Both are pure functions of simulated execution, so
  * the key — and everything dealt or ordered by it — is identical at any
  * worker count. Jobs are dealt to a home worker derived from the key, and
- * drain()/run() order results by key path (a parent's spawns sort directly
+ * drain() orders results by key path (a parent's spawns sort directly
  * after the parent, in spawn order), never by completion or arrival order.
- * Per-VM sim_cycles and stat dumps therefore gate bit-identical across
- * serial and 1/2/4/8 workers (bench/fleet_pool), the same way fleet_tput
- * and fleet_clone already gate.
+ * Per-VM sim_cycles and stat dumps therefore gate bit-identical across a
+ * Fleet-free serial run and 1/2/4/8 workers (the FleetStress and
+ * FleetDeterminism tests).
  *
  * Scheduling is a per-worker deque with job stealing: jobs are dealt by
  * key, a worker pops its own deque from the front, and a worker that runs
@@ -56,11 +56,8 @@
  * hanging the drain. Between drains, parked jobs legitimately wait for
  * future submissions or external notify() calls and are left alone.
  *
- * The legacy batch API (add()/addResumable() + run()) is a thin veneer
- * over the pool: run() starts the workers, drains, and retires them.
- * add() keeps its historical contract — calling it while workers are live
- * is a diagnosed hard error pointing at submit(), preserving the loud
- * failure for code written against the enqueue-everything-then-run model.
+ * A Fleet is started once and shut down once. A batch is submit() for each
+ * job, then start() and shutdown(), which returns the results.
  */
 
 #ifndef KVMARM_SIM_FLEET_HH
@@ -118,7 +115,7 @@ class Fleet
         std::uint64_t seq = 0;
     };
 
-    /** Pool-level counters, reset by start() (and so by each run()). */
+    /** Pool-level counters over the Fleet's life. */
     struct Stats
     {
         std::uint64_t jobsRun = 0;
@@ -145,35 +142,6 @@ class Fleet
 
     unsigned threads() const { return threads_; }
 
-    /// @name Legacy batch API
-    /// @{
-
-    /**
-     * Queue a job for the next run(). Calling add() while workers are live
-     * (e.g. from inside a job body) is a hard error: code written against
-     * the batch model expects every job dealt before the workers start,
-     * so a late add() is a bug — the submission channel (submit()) is the
-     * supported way to feed a running fleet. Returns the job's index,
-     * which is also its slot in run()'s result vector (spawned jobs, if
-     * any, sort after their submitter).
-     */
-    std::size_t add(std::string name, JobFn fn);
-
-    /** Queue a resumable job (same rules as add()). */
-    std::size_t addResumable(std::string name, StepFn fn);
-
-    /**
-     * Execute every queued job to completion and return per-job results in
-     * deterministic key order (for a batch with no mid-run spawns that is
-     * exactly submission order). Equivalent to start() + drain() +
-     * retiring the workers, so job bodies may submit() spawns, which are
-     * drained by the same call. Exceptions escaping a job are captured in
-     * its JobResult rather than tearing down the fleet. The queue is
-     * consumed; add() + run() may be repeated.
-     */
-    std::vector<JobResult> run();
-    /// @}
-
     /// @name Long-lived pool API
     /// @{
 
@@ -184,7 +152,7 @@ class Fleet
      */
     void start();
 
-    /** True from start() until the workers retire (run() end, shutdown()). */
+    /** True from start() until shutdown() retires the workers. */
     bool poolLive() const
     {
         return workersLive_.load(std::memory_order_acquire);
@@ -240,10 +208,10 @@ class Fleet
      */
     void notify(std::size_t index);
 
-    /** Counters since the last start(). Quiesced-only: valid once run()
-     *  or shutdown() has returned (or between drains with no external
-     *  submitter racing), when no worker is mutating them — the analysis
-     *  is waived here for the same reason. */
+    /** Counters so far. Quiesced-only: valid once shutdown() has returned
+     *  (or between drains with no external submitter racing), when no
+     *  worker is mutating them — the analysis is waived here for the same
+     *  reason. */
     const Stats &
     stats() const KVMARM_NO_THREAD_SAFETY_ANALYSIS
     {
@@ -292,8 +260,8 @@ class Fleet
         Mutex mutex;
         std::deque<Job> jobs KVMARM_GUARDED_BY(mutex);
         /** Host thread identity, for resolving which job is submitting
-         *  (written under schedMutex_ in start() before any job body can
-         *  run; read under schedMutex_ by submit()). */
+         *  (written under schedMutex_ by the worker itself before it pops
+         *  any job; read under schedMutex_ by submit()). */
         std::thread::id tid;
         /** Slot of the job this worker is currently stepping, or npos. */
         std::size_t currentSlot = kNoSlot;
@@ -308,7 +276,6 @@ class Fleet
     void enqueue(Job job) KVMARM_REQUIRES(schedMutex_);
     void failDeadlockedParked() KVMARM_REQUIRES(schedMutex_);
     std::vector<JobResult> collectEpoch() KVMARM_REQUIRES(schedMutex_);
-    void startLocked() KVMARM_REQUIRES(schedMutex_);
     std::vector<JobResult> drainLocked(CondLock &lock)
         KVMARM_REQUIRES(schedMutex_);
     void retireWorkers();

@@ -89,8 +89,8 @@ struct MachineSnapshot
 
     /** Serialized payload size (record bytes only — shared attachments
      *  such as the COW page image are referenced, not copied, which is
-     *  exactly why spawning clone VMs from a live job is cheap; bench
-     *  fleet_pool reports this figure). */
+     *  exactly why spawning clone VMs from a live job is cheap;
+     *  kvmarm_bench reports this figure as sim.snapshot.bytes). */
     std::size_t
     totalBytes() const
     {

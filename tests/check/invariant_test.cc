@@ -11,6 +11,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "arm/machine.hh"
@@ -442,6 +445,78 @@ TEST(FullStackInvariants, WholeGuestLifecycleIsViolationFree)
     machine.run();
 
     EXPECT_EQ(check::engine().violationCount(), 0u);
+}
+
+/** What one run of the checked-twin storms produced. */
+struct StormRun
+{
+    Cycles hvcCycles = 0;
+    Cycles stage2Cycles = 0;
+    std::string statDump;
+    std::uint64_t checkEvents = 0;
+};
+
+/** One VM through a null-hypercall storm and then a fresh-page Stage-2
+ *  fault storm four times the 256-entry TLB, under check mode @p mode. */
+StormRun
+runStorms(CheckMode mode)
+{
+    ScopedCheckMode scoped(mode);
+    ArmMachine machine(smallMachine());
+    host::HostKernel hostk(machine);
+    core::Kvm kvm(hostk);
+    std::unique_ptr<core::Vm> vm;
+    core::VCpu *vcpu = nullptr;
+    StormRun run;
+
+    machine.cpu(0).setEntry([&] {
+        ArmCpu &cpu = machine.cpu(0);
+        hostk.boot(0);
+        ASSERT_TRUE(kvm.initCpu(cpu));
+        vm = kvm.createVm(32 * kMiB);
+        vcpu = &vm->addVcpu(0);
+        vcpu->run(cpu, [&](ArmCpu &c) {
+            Cycles t0 = c.now();
+            for (unsigned i = 0; i < 1'000; ++i)
+                c.hvc(core::hvc::kTestHypercall);
+            Cycles t1 = c.now();
+            const Addr base = vm->ramBase() + 4 * kMiB;
+            for (unsigned i = 0; i < 1'024; ++i)
+                c.memRead(base + Addr(i) * kPageSize, 4);
+            run.hvcCycles = t1 - t0;
+            run.stage2Cycles = c.now() - t1;
+        });
+    });
+    machine.run();
+
+    std::ostringstream os;
+    machine.cpu(0).stats().dump(os, "cpu0.");
+    if (vcpu)
+        vcpu->stats.dump(os, "vcpu.");
+    run.statDump = os.str();
+    if (check::InvariantEngine *eng = machine.checkEngine())
+        run.checkEvents = eng->eventCount();
+    return run;
+}
+
+/**
+ * The engine observes and never charges: the same world-switch and
+ * Stage-2 fault storms consume exactly the simulated cycles, and leave
+ * exactly the CPU and vCPU statistics, under Enforce as with checking off.
+ */
+TEST(FullStackInvariants, EnforceChargesNoSimCycles)
+{
+    StormRun off = runStorms(CheckMode::Off);
+    StormRun enforce = runStorms(CheckMode::Enforce);
+    EXPECT_GT(off.hvcCycles, 0u);
+    EXPECT_GT(off.stage2Cycles, 0u);
+    EXPECT_EQ(enforce.hvcCycles, off.hvcCycles);
+    EXPECT_EQ(enforce.stage2Cycles, off.stage2Cycles);
+    EXPECT_EQ(enforce.statDump, off.statDump);
+    EXPECT_NE(off.statDump.find("fault.stage2"), std::string::npos);
+    // Not vacuous: the enforce run really was checked.
+    EXPECT_EQ(off.checkEvents, 0u);
+    EXPECT_GT(enforce.checkEvents, 0u);
 }
 
 // ------------------------------------------------------------------- engine

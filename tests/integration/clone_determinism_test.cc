@@ -444,13 +444,14 @@ TEST(FleetCloneFleet, EightClonesFromOneSnapshotMatchSoloClones)
     std::vector<VmRun> fleet_runs(8);
     Fleet fleet(4);
     for (unsigned i = 0; i < 8; ++i) {
-        fleet.add("clone" + std::to_string(i), [i, &snap, &fleet_runs] {
+        fleet.submit("clone" + std::to_string(i), [i, &snap, &fleet_runs] {
             CloneableVm c;
             c.cloneFrom(*snap);
             fleet_runs[i] = c.runWorkload(i % 4);
         });
     }
-    for (const Fleet::JobResult &r : fleet.run())
+    fleet.start();
+    for (const Fleet::JobResult &r : fleet.shutdown())
         EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
 
     for (unsigned i = 0; i < 8; ++i) {

@@ -9,7 +9,8 @@
  * under test is the fleet's core determinism contract (DESIGN.md §4.11):
  * every VM's simulated execution depends only on its submission key and
  * workload spec, so per-VM sim_cycles, stat dumps and ring digests must be
- * bit-identical across every worker count and check mode.
+ * bit-identical to a serial run of the same plan with no Fleet at all, at
+ * every worker count and check mode.
  *
  * The plan is generated from the seed BEFORE execution (no RNG draw ever
  * happens on a worker thread), so a failing seed replays exactly. Tier-1
@@ -156,8 +157,8 @@ makePlan(std::uint64_t seed)
     return plan;
 }
 
-/** A full-stack snapshot-capable VM, the fleet_clone two-phase shape:
- *  boot/warm leg that quiesces, then a workload leg. */
+/** A full-stack snapshot-capable VM in two phases: a boot/warm leg that
+ *  quiesces, then a workload leg. */
 class StressVm
 {
   public:
@@ -246,7 +247,7 @@ class StressVm
     core::VCpu *vcpu_ = nullptr;
 };
 
-/** One communicating VM of a ring pair (the fleet_ring resumable shape). */
+/** One communicating VM of a ring pair, stepped as a resumable job. */
 class StressRingVm
 {
   public:
@@ -457,6 +458,72 @@ runPlan(const Plan &plan, unsigned threads)
     return outcomes;
 }
 
+/** Execute @p plan on the calling thread with no Fleet at all: the
+ *  reference every pooled run must match. Compute and spawner roots run
+ *  inline, a spawner's clones right after its snapshot; each ring pair is
+ *  stepped round-robin until both sides are done. Park pairs produce no VM
+ *  outcome and are skipped. */
+std::vector<Outcome>
+runPlanSerial(const Plan &plan)
+{
+    SCOPED_TRACE("seed=" + std::to_string(plan.seed) + " serial");
+    std::vector<Outcome> outcomes(plan.outcomes);
+    for (std::size_t i = 0; i < plan.roots.size(); ++i) {
+        const RootSpec &root = plan.roots[i];
+        switch (root.kind) {
+          case RootSpec::Kind::Compute:
+          case RootSpec::Kind::Spawner: {
+            StressVm vm;
+            vm.bootAndWarm(root.self);
+            if (root.kind == RootSpec::Kind::Spawner) {
+                std::shared_ptr<const MachineSnapshot> snap =
+                    vm.machine().takeSnapshot();
+                for (std::size_t c = 0; c < root.clones.size(); ++c) {
+                    StressVm clone;
+                    clone.cloneFrom(*snap);
+                    clone.runWorkload(root.clones[c],
+                                      outcomes[root.outcomeBase + 1 + c]);
+                }
+            }
+            vm.runWorkload(root.self, outcomes[root.outcomeBase]);
+            break;
+          }
+          case RootSpec::Kind::RingPair: {
+            RingChannel ch("stress-ring" + std::to_string(i),
+                           /*latency=*/20'000);
+            StressRingVm a("root" + std::to_string(i) + "a", ch.end(0),
+                           /*initiator=*/true, root.rounds);
+            StressRingVm b("root" + std::to_string(i) + "b", ch.end(1),
+                           /*initiator=*/false, root.rounds);
+            StressRingVm *side[2] = {&a, &b};
+            bool done[2] = {false, false};
+            while (!done[0] || !done[1]) {
+                bool progress = false;
+                for (unsigned h = 0; h < 2; ++h) {
+                    if (done[h])
+                        continue;
+                    std::uint64_t w0 = side[h]->pacer().windowsRun();
+                    if (side[h]->step() == Fleet::StepOutcome::Done) {
+                        done[h] = true;
+                        outcomes[root.outcomeBase + h] = side[h]->outcome();
+                    }
+                    progress |=
+                        done[h] || side[h]->pacer().windowsRun() != w0;
+                }
+                if (!progress) {
+                    ADD_FAILURE() << "ring pair " << i << " wedged";
+                    return outcomes;
+                }
+            }
+            break;
+          }
+          case RootSpec::Kind::ParkPair:
+            break;
+        }
+    }
+    return outcomes;
+}
+
 void
 expectSameOutcomes(const std::vector<Outcome> &got,
                    const std::vector<Outcome> &ref)
@@ -483,8 +550,8 @@ TEST(FleetStress, SeededScheduleIsBitIdenticalAcrossWorkerCounts)
 {
     for (std::uint64_t seed : stressSeeds()) {
         Plan plan = makePlan(seed);
-        std::vector<Outcome> ref = runPlan(plan, 1);
-        for (unsigned threads : {2u, 4u, 8u}) {
+        std::vector<Outcome> ref = runPlanSerial(plan);
+        for (unsigned threads : {1u, 2u, 4u, 8u}) {
             SCOPED_TRACE("seed=" + std::to_string(seed) +
                          " threads=" + std::to_string(threads));
             expectSameOutcomes(runPlan(plan, threads), ref);
@@ -496,13 +563,13 @@ TEST(FleetStress, SeededScheduleIsBitIdenticalAcrossWorkerCounts)
 TEST(FleetStress, EnforceModeScheduleMatchesUncheckedBitForBit)
 {
     // Checking charges no simulated cycles, so the same schedule under
-    // Enforce must reproduce the unchecked outcomes exactly — at any
-    // worker count.
+    // Enforce must reproduce the unchecked serial outcomes exactly — at
+    // any worker count.
     const std::uint64_t seed = stressSeeds().front();
     Plan plan = makePlan(seed);
-    std::vector<Outcome> ref = runPlan(plan, 1);
+    std::vector<Outcome> ref = runPlanSerial(plan);
     check::ScopedCheckMode enforce(check::CheckMode::Enforce);
-    for (unsigned threads : {1u, 4u}) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE("enforce threads=" + std::to_string(threads));
         expectSameOutcomes(runPlan(plan, threads), ref);
     }

@@ -189,11 +189,12 @@ runPingPongFleet(unsigned rounds, Cycles latency, unsigned threads)
     Fleet fleet(threads);
     PingMachine a(ch.end(0), true, rounds);
     PingMachine b(ch.end(1), false, rounds);
-    std::size_t ia = fleet.addResumable("a", [&a] { return a.step(); });
-    std::size_t ib = fleet.addResumable("b", [&b] { return b.step(); });
+    std::size_t ia = fleet.submitResumable("a", [&a] { return a.step(); });
+    std::size_t ib = fleet.submitResumable("b", [&b] { return b.step(); });
     a.pacer.setWakeHook([&fleet, ia] { fleet.notify(ia); });
     b.pacer.setWakeHook([&fleet, ib] { fleet.notify(ib); });
-    for (const Fleet::JobResult &j : fleet.run())
+    fleet.start();
+    for (const Fleet::JobResult &j : fleet.shutdown())
         EXPECT_TRUE(j.ok) << j.name << ": " << j.error;
     return {a.machine.cpu(0).now(), b.machine.cpu(0).now(), a.digest,
             b.digest};
@@ -205,7 +206,7 @@ TEST(RingPacer, PingPongIsBitIdenticalSerialVsFleet)
     const Cycles latency = 5000;
     PingResult ref = runPingPongSerial(rounds, latency);
     EXPECT_GT(ref.digest0, 0x811c9dc5u); // messages actually flowed
-    for (unsigned threads : {1u, 2u, 4u}) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
         PingResult r = runPingPongFleet(rounds, latency, threads);
         EXPECT_EQ(r.cycles0, ref.cycles0) << threads << " threads";
         EXPECT_EQ(r.cycles1, ref.cycles1) << threads << " threads";

@@ -5,7 +5,7 @@
 #
 #   release    RelWithDebInfo, default checker mode (Off at runtime)
 #   asan       AddressSanitizer + UBSan, whole test suite
-#   tsan       ThreadSanitizer, fleet executor tests + fleet smoke benches
+#   tsan       ThreadSanitizer, fleet/ring/fiber tests + the fleet_tput smoke
 #   enforce    release binaries, whole suite under KVMARM_CHECK=enforce
 #   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away), -Werror
 #   domlint    full-tree domlint + the fixture corpus (must-fire/must-pass)
@@ -68,19 +68,19 @@ leg_tsan() {
     # writer, the invariant engine, and the annotated fiber switches (the
     # Fiber and MachineSched tests drive those switches directly).
     # ctest selects by the sanitize-thread label tests/ and bench/
-    # CMakeLists derive from KVMARM_SANITIZE. The fleet_*_smoke benches
-    # sweep 1/2/4/8 workers and both check modes themselves: fleet_clone
-    # COW-faults one shared snapshot image from 8 threads, fleet_ring
-    # parks/notifies through the ring-channel mutex, and fleet_pool
-    # submits clone jobs from inside running jobs while others steal them.
+    # CMakeLists derive from KVMARM_SANITIZE. The Fleet tests submit
+    # from inside running jobs while other workers steal, FleetClone
+    # COW-faults one shared snapshot image from 8 threads, the RingPacer
+    # tests park and notify through the ring-channel mutex at up to 8
+    # workers, and fleet_tput_smoke sweeps 1/2/4/8 workers in both check
+    # modes.
     cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DKVMARM_SANITIZE=thread
     cmake --build build-ci-tsan -j"$JOBS" \
-        --target fleet_tput fleet_clone fleet_ring fleet_pool \
-        fleet_test fleet_stress_test sim_test
+        --target fleet_tput fleet_test fleet_stress_test sim_test
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-ci-tsan --output-on-failure \
-        -L sanitize-thread -R '^(Fleet|fleet_|Fiber|MachineSched)'
+        -L sanitize-thread -R '^(Fleet|fleet_|Ring|Fiber|MachineSched)'
     # The seeded stress schedule under TSan: live submissions, mid-run
     # spawns, ring rendezvous and park/notify all race-checked at up to
     # 8 workers (the suite sweeps 1/2/4/8 internally).
