@@ -284,16 +284,14 @@ main(int argc, char **argv)
     for (unsigned t : threadCounts)
         current.push_back(runFleet(spec, t));
 
-#if KVMARM_INVARIANTS_ENABLED
     {
         // Same fleet, every machine's private engine in enforce mode. The
-        // scope is opened around the whole sweep: machine engines inherit
-        // the facade's mode when each VM job constructs its machine.
+        // scope is opened around the whole sweep: machine engines start in
+        // the process mode when each VM job constructs its machine.
         check::ScopedCheckMode enforce(check::CheckMode::Enforce);
         for (unsigned t : threadCounts)
             current.push_back(runFleet(spec, t, "_enforce"));
     }
-#endif
 
     std::printf("\n=== Fleet throughput (%u VMs, host_cpus=%u) ===\n", vms,
                 std::thread::hardware_concurrency());

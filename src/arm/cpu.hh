@@ -71,7 +71,7 @@ class ArmCpu : public CpuBase
      *  virtualization-extension registers): raises the privilege
      *  invariant hook, which flags any access outside Hyp mode. */
     HypState &
-    hypSys([[maybe_unused]] const char *reg)
+    hypSys(const char *reg)
     {
         KVMARM_CHECK_ON(checkEngine_, hypAccess(id_, mode_, reg));
         return hyp_;

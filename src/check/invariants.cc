@@ -11,61 +11,63 @@
 
 namespace kvmarm::check {
 
-namespace detail {
-std::atomic<bool> gActive{false};
-} // namespace detail
-
 namespace {
 
+/** The initial process mode: the KVMARM_CHECK environment variable. */
+CheckMode
+modeFromEnv()
+{
+    // Read once during static initialization, before any worker thread
+    // starts; nothing calls setenv.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe)
+    const char *env = std::getenv("KVMARM_CHECK");
+    if (!env || !std::strcmp(env, "off"))
+        return CheckMode::Off;
+    if (!std::strcmp(env, "log"))
+        return CheckMode::Log;
+    if (!std::strcmp(env, "enforce"))
+        return CheckMode::Enforce;
+    warn("KVMARM_CHECK=%s not recognised (off|log|enforce)", env);
+    return CheckMode::Off;
+}
+
 /**
- * Process registry of live engines. The facade walks it to propagate
- * setMode()/reset() and to aggregate violation counts; engines join in
- * their constructor and leave in their destructor. The mutex guards only
- * those cold paths — no event entry point ever touches it. Facade fan-out
- * of reset() and aggregation read machine-engine state directly, so they
- * must not run concurrently with machine execution (callers quiesce the
- * fleet first; tests and benches naturally do).
+ * Process registry of live engines. setProcessMode(), resetAll() and the
+ * epoch window walk it; engines join in their constructor and leave in
+ * their destructor. The mutex guards only those cold paths — no event
+ * entry point ever touches it. resetAll() writes engine state directly,
+ * so it must not run concurrently with machine execution (callers quiesce
+ * the fleet first; tests and benches naturally do).
  */
 Mutex gRegistryMutex;
 std::vector<InvariantEngine *> gRegistry KVMARM_GUARDED_BY(gRegistryMutex);
-
-/** The process facade (first Shared-ownership engine, set by instance()).
- *  Atomic rather than registry-guarded: isFacade() runs inside fan-outs
- *  that already hold gRegistryMutex, and the pointer is written exactly
- *  once (facade construction) before any concurrent reader exists. */
-std::atomic<InvariantEngine *> gFacade{nullptr};
+CheckMode gProcessMode KVMARM_GUARDED_BY(gRegistryMutex) = modeFromEnv();
 
 /** Published violations of engines that have died (a fleet job's machine
  *  retires its engine with it); folded into every epoch sample so
- *  completed jobs keep counting. Atomic because engine destructors run on
- *  fleet worker threads while the facade samples. */
-std::atomic<std::uint64_t> gRetiredViolations{0};
+ *  completed jobs keep counting. */
+std::uint64_t gRetiredViolations KVMARM_GUARDED_BY(gRegistryMutex) = 0;
 
-/** Epoch window bookkeeping (facade beginEpoch()/aggregateEpoch()). */
+/** Epoch window bookkeeping (beginEpoch()/aggregateEpoch()). */
 std::uint64_t gEpochId KVMARM_GUARDED_BY(gRegistryMutex) = 0;
 std::uint64_t gEpochBaseline KVMARM_GUARDED_BY(gRegistryMutex) = 0;
 
 /** Sum of published violation counters across the live registry plus the
- *  retired accumulator. Reads only atomics — never a machine engine's
- *  violation log — so it is safe while machines run. */
+ *  retired accumulator. Never reads an engine's violation log, only its
+ *  published atomic, so it is safe while machines run. */
 std::uint64_t
 samplePublished() KVMARM_REQUIRES(gRegistryMutex)
 {
-    std::uint64_t total =
-        gRetiredViolations.load(std::memory_order_acquire);
+    std::uint64_t total = gRetiredViolations;
     for (const InvariantEngine *eng : gRegistry)
         total += eng->publishedCount();
     return total;
 }
 
-#if KVMARM_INVARIANTS_ENABLED
 InvariantEngine *
 createMachineEngine()
 {
-    // Touch the facade first so KVMARM_CHECK env selection has happened
-    // and the new engine can inherit the current process-wide mode.
-    InvariantEngine::instance();
-    return new InvariantEngine(InvariantEngine::Ownership::Machine);
+    return new InvariantEngine;
 }
 
 void
@@ -80,20 +82,62 @@ publishMachineEngine(InvariantEngine *eng)
     eng->publishEpoch();
 }
 
-/** Hand MachineBase the means to create per-machine engines, and make
- *  sure the facade exists (and has read KVMARM_CHECK) before any hook
- *  site consults the gActive gate. Gated on the compile-time kill
- *  switch: with KVMARM_INVARIANTS=OFF no factory is registered, machines
- *  carry a null engine, and the hook macros compile away anyway. */
+/** Hand MachineBase the means to create per-machine engines. */
 const bool gEagerInit =
-    (InvariantEngine::instance(),
-     MachineBase::registerCheckEngineFactory(createMachineEngine,
+    (MachineBase::registerCheckEngineFactory(createMachineEngine,
                                              destroyMachineEngine,
                                              publishMachineEngine),
      true);
-#endif
 
 } // namespace
+
+CheckMode
+processMode()
+{
+    MutexLock lock(gRegistryMutex);
+    return gProcessMode;
+}
+
+void
+setProcessMode(CheckMode m)
+{
+    // The mode flags are atomics, so this is safe even while machines
+    // run on fleet worker threads.
+    MutexLock lock(gRegistryMutex);
+    gProcessMode = m;
+    for (InvariantEngine *eng : gRegistry)
+        eng->setMode(m);
+}
+
+void
+resetAll()
+{
+    MutexLock lock(gRegistryMutex);
+    for (InvariantEngine *eng : gRegistry)
+        eng->reset();
+    gRetiredViolations = 0;
+    gEpochId = 0;
+    gEpochBaseline = 0;
+}
+
+std::uint64_t
+beginEpoch()
+{
+    MutexLock lock(gRegistryMutex);
+    gEpochBaseline = samplePublished();
+    return ++gEpochId;
+}
+
+EpochReport
+aggregateEpoch()
+{
+    MutexLock lock(gRegistryMutex);
+    EpochReport rep;
+    rep.epoch = gEpochId;
+    rep.violations = samplePublished() - gEpochBaseline;
+    rep.engines = gRegistry.size();
+    return rep;
+}
 
 const char *
 switchDirName(SwitchDir d)
@@ -126,43 +170,16 @@ xferName(Xfer k)
     return "?";
 }
 
-InvariantEngine::InvariantEngine(Ownership ownership) : ownership_(ownership)
+InvariantEngine::InvariantEngine()
 {
     for (auto &rule : builtinRules())
         rules_.push_back(std::move(rule));
-
-    CheckMode initial = CheckMode::Off;
-    {
-        MutexLock lock(gRegistryMutex);
-        InvariantEngine *facade = gFacade.load(std::memory_order_relaxed);
-        if (ownership_ == Ownership::Shared && !facade) {
-            facade = this;
-            gFacade.store(this, std::memory_order_relaxed);
-        }
-        // A machine engine born into a checked process (ScopedCheckMode
-        // already active, or KVMARM_CHECK set) starts in the facade's
-        // current mode instead of Off.
-        if (facade && facade != this)
-            initial = facade->mode();
-        gRegistry.push_back(this);
-    }
-
-    if (isFacade()) {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): facade construction is
-        // single-threaded (static init or first instance() call before
-        // any worker thread starts); nothing calls setenv.
-        if (const char *env = std::getenv("KVMARM_CHECK")) {
-            if (!std::strcmp(env, "log"))
-                initial = CheckMode::Log;
-            else if (!std::strcmp(env, "enforce"))
-                initial = CheckMode::Enforce;
-            else if (std::strcmp(env, "off"))
-                warn("KVMARM_CHECK=%s not recognised (off|log|enforce)",
-                     env);
-        }
-    }
-    if (initial != CheckMode::Off)
-        setMode(initial);
+    // Join and take the process mode in one critical section, so a
+    // setProcessMode() racing this constructor either finds the engine
+    // registered or has already updated the mode it starts in.
+    MutexLock lock(gRegistryMutex);
+    gRegistry.push_back(this);
+    setMode(gProcessMode);
 }
 
 InvariantEngine::~InvariantEngine()
@@ -174,56 +191,19 @@ InvariantEngine::~InvariantEngine()
     // by definition, so the final value is exact and the epoch sample
     // stays monotonic — the engine's contribution only ever grows when it
     // switches from the registry term to the retired term.
-    gRetiredViolations.fetch_add(
-        liveViolations_.load(std::memory_order_relaxed),
-        std::memory_order_acq_rel);
-    InvariantEngine *self = this;
-    gFacade.compare_exchange_strong(self, nullptr,
-                                    std::memory_order_relaxed);
-}
-
-InvariantEngine &
-InvariantEngine::instance()
-{
-    static InvariantEngine engine{Ownership::Shared};
-    return engine;
-}
-
-InvariantEngine *
-processEngine()
-{
-    return &InvariantEngine::instance();
-}
-
-bool
-InvariantEngine::isFacade() const
-{
-    return this == gFacade.load(std::memory_order_relaxed);
+    gRetiredViolations += liveViolations_.load(std::memory_order_relaxed);
 }
 
 void
 InvariantEngine::refreshGate()
 {
-    const bool on = mode() != CheckMode::Off && !rules_.empty();
-    active_.store(on, std::memory_order_relaxed);
-    if (isFacade())
-        detail::gActive.store(on, std::memory_order_relaxed);
+    active_.store(mode() != CheckMode::Off && !rules_.empty(),
+                  std::memory_order_relaxed);
 }
 
 void
 InvariantEngine::setMode(CheckMode m)
 {
-    if (isFacade()) {
-        // The facade owns the process-wide mode: fan the change out to
-        // every live engine (mode_/active_ are atomics, so this is safe
-        // even while machines run on fleet worker threads).
-        MutexLock lock(gRegistryMutex);
-        for (InvariantEngine *eng : gRegistry) {
-            eng->mode_.store(m, std::memory_order_relaxed);
-            eng->refreshGate();
-        }
-        return;
-    }
     mode_.store(m, std::memory_order_relaxed);
     refreshGate();
 }
@@ -231,7 +211,6 @@ InvariantEngine::setMode(CheckMode m)
 void
 InvariantEngine::addRule(std::unique_ptr<InvariantRule> rule)
 {
-    OptionalLock lock(*this);
     rules_.push_back(std::move(rule));
     refreshGate();
 }
@@ -239,25 +218,6 @@ InvariantEngine::addRule(std::unique_ptr<InvariantRule> rule)
 void
 InvariantEngine::reset()
 {
-    if (isFacade()) {
-        MutexLock lock(gRegistryMutex);
-        for (InvariantEngine *eng : gRegistry) {
-            OptionalLock elock(*eng);
-            eng->violations_.clear();
-            eng->events_ = 0;
-            eng->liveViolations_.store(0, std::memory_order_relaxed);
-            eng->publishedViolations_.store(0, std::memory_order_relaxed);
-            for (auto &rule : eng->rules_)
-                rule->reset();
-        }
-        // A facade reset starts the world over: drop retired history and
-        // any open epoch window (quiesced-only, like the rest of reset).
-        gRetiredViolations.store(0, std::memory_order_release);
-        gEpochId = 0;
-        gEpochBaseline = 0;
-        return;
-    }
-    OptionalLock lock(*this);
     violations_.clear();
     events_ = 0;
     liveViolations_.store(0, std::memory_order_relaxed);
@@ -267,39 +227,12 @@ InvariantEngine::reset()
 }
 
 std::size_t
-InvariantEngine::localViolationCount(const std::string *rule) const
-{
-    OptionalLock lock(*this);
-    if (!rule)
-        return violations_.size();
-    std::size_t n = 0;
-    for (const Violation &v : violations_)
-        n += v.rule == *rule;
-    return n;
-}
-
-std::size_t
-InvariantEngine::aggregateViolationCount(const std::string *rule) const
-{
-    MutexLock lock(gRegistryMutex);
-    std::size_t n = 0;
-    for (const InvariantEngine *eng : gRegistry)
-        n += eng->localViolationCount(rule);
-    return n;
-}
-
-std::size_t
-InvariantEngine::violationCount() const
-{
-    return isFacade() ? aggregateViolationCount(nullptr)
-                      : localViolationCount(nullptr);
-}
-
-std::size_t
 InvariantEngine::violationCount(const std::string &rule) const
 {
-    return isFacade() ? aggregateViolationCount(&rule)
-                      : localViolationCount(&rule);
+    std::size_t n = 0;
+    for (const Violation &v : violations_)
+        n += v.rule == rule;
+    return n;
 }
 
 void
@@ -312,44 +245,9 @@ InvariantEngine::publishEpoch()
                                std::memory_order_release);
 }
 
-std::uint64_t
-InvariantEngine::publishedCount() const
-{
-    if (isFacade())
-        return liveViolations_.load(std::memory_order_acquire);
-    return publishedViolations_.load(std::memory_order_acquire);
-}
-
-std::uint64_t
-InvariantEngine::beginEpoch()
-{
-    if (!isFacade())
-        fatal("InvariantEngine::beginEpoch: epochs are a facade protocol — "
-              "call it on check::engine(), not a machine engine");
-    MutexLock lock(gRegistryMutex);
-    gEpochBaseline = samplePublished();
-    return ++gEpochId;
-}
-
-EpochReport
-InvariantEngine::aggregateEpoch() const
-{
-    if (!isFacade())
-        fatal("InvariantEngine::aggregateEpoch: epochs are a facade "
-              "protocol — call it on check::engine(), not a machine "
-              "engine");
-    MutexLock lock(gRegistryMutex);
-    EpochReport rep;
-    rep.epoch = gEpochId;
-    rep.violations = samplePublished() - gEpochBaseline;
-    rep.engines = gRegistry.size();
-    return rep;
-}
-
 void
 InvariantEngine::report(const InvariantRule &rule, std::string detail)
 {
-    OptionalLock lock(*this);
     violations_.push_back(Violation{rule.name(), std::move(detail)});
     liveViolations_.fetch_add(1, std::memory_order_relaxed);
     const Violation &v = violations_.back();
@@ -363,7 +261,6 @@ InvariantEngine::report(const InvariantRule &rule, std::string detail)
 void
 InvariantEngine::hypAccess(CpuId cpu, arm::Mode mode, const char *reg)
 {
-    OptionalLock lock(*this);
     ++events_;
     HypAccessEvent ev{cpu, mode, reg};
     for (auto &rule : rules_)
@@ -374,7 +271,6 @@ void
 InvariantEngine::modeChange(const void *domain, CpuId cpu, arm::Mode from,
                             arm::Mode to, bool stage2_on)
 {
-    OptionalLock lock(*this);
     ++events_;
     ModeChangeEvent ev{domain, cpu, from, to, stage2_on};
     for (auto &rule : rules_)
@@ -385,7 +281,6 @@ void
 InvariantEngine::worldSwitchBegin(const void *domain, CpuId cpu,
                                   SwitchDir dir)
 {
-    OptionalLock lock(*this);
     ++events_;
     WorldSwitchEvent ev{domain, cpu, dir, true, nullptr};
     for (auto &rule : rules_)
@@ -396,7 +291,6 @@ void
 InvariantEngine::worldSwitchEnd(const void *domain, CpuId cpu, SwitchDir dir,
                                 const arm::HypState &hyp)
 {
-    OptionalLock lock(*this);
     ++events_;
     WorldSwitchEvent ev{domain, cpu, dir, false, &hyp};
     for (auto &rule : rules_)
@@ -407,7 +301,6 @@ void
 InvariantEngine::stateTransfer(const void *domain, CpuId cpu, StateClass cls,
                                Xfer kind)
 {
-    OptionalLock lock(*this);
     ++events_;
     StateTransferEvent ev{domain, cpu, cls, kind};
     for (auto &rule : rules_)
@@ -418,7 +311,6 @@ void
 InvariantEngine::stage2Map(const void *domain, std::uint16_t vmid, Addr ipa,
                            Addr pa, bool device)
 {
-    OptionalLock lock(*this);
     ++events_;
     Stage2Event ev{domain, vmid, ipa, pa, device, true};
     for (auto &rule : rules_)
@@ -429,7 +321,6 @@ void
 InvariantEngine::stage2Unmap(const void *domain, std::uint16_t vmid,
                              Addr ipa, Addr pa)
 {
-    OptionalLock lock(*this);
     ++events_;
     Stage2Event ev{domain, vmid, ipa, pa, false, false};
     for (auto &rule : rules_)
@@ -439,7 +330,6 @@ InvariantEngine::stage2Unmap(const void *domain, std::uint16_t vmid,
 void
 InvariantEngine::protectPage(const void *domain, Addr pa, const char *tag)
 {
-    OptionalLock lock(*this);
     ++events_;
     PageGuardEvent ev{domain, pa, tag, true};
     for (auto &rule : rules_)
@@ -449,7 +339,6 @@ InvariantEngine::protectPage(const void *domain, Addr pa, const char *tag)
 void
 InvariantEngine::unprotectPage(const void *domain, Addr pa)
 {
-    OptionalLock lock(*this);
     ++events_;
     PageGuardEvent ev{domain, pa, "", false};
     for (auto &rule : rules_)
@@ -460,7 +349,6 @@ void
 InvariantEngine::vgicLrWrite(CpuId cpu, unsigned idx,
                              const arm::VgicBank &bank)
 {
-    OptionalLock lock(*this);
     ++events_;
     VgicLrEvent ev{cpu, idx, &bank};
     for (auto &rule : rules_)
@@ -470,7 +358,6 @@ InvariantEngine::vgicLrWrite(CpuId cpu, unsigned idx,
 void
 InvariantEngine::maintenanceIrq(CpuId cpu, const arm::VgicBank &bank)
 {
-    OptionalLock lock(*this);
     ++events_;
     MaintenanceEvent ev{cpu, &bank};
     for (auto &rule : rules_)
@@ -482,7 +369,6 @@ InvariantEngine::ringDoorbell(const void *domain, CpuId cpu, const char *ring,
                               std::uint64_t seq, Cycles cycle,
                               std::uint32_t availIdx)
 {
-    OptionalLock lock(*this);
     ++events_;
     RingEvent ev{domain, cpu, ring, true, seq, cycle, availIdx};
     for (auto &rule : rules_)
@@ -494,7 +380,6 @@ InvariantEngine::ringDeliver(const void *domain, CpuId cpu, const char *ring,
                              std::uint64_t seq, Cycles cycle,
                              std::uint32_t usedIdx)
 {
-    OptionalLock lock(*this);
     ++events_;
     RingEvent ev{domain, cpu, ring, false, seq, cycle, usedIdx};
     for (auto &rule : rules_)

@@ -21,28 +21,23 @@
  * the per-engine mode flag, and a fleet of checked VMs never serializes
  * on the checker.
  *
- * A thin process-global facade (`engine()` / `InvariantEngine::instance()`)
- * remains for everything that is not a machine hot path: it carries the
- * KVMARM_CHECK environment selection, fans `setMode()`/`reset()` out to
- * every live engine, aggregates `violationCount()` across them (so tests
- * that drive a real machine and then ask the facade keep working), and
- * serves as the event sink for instrumented objects constructed without a
- * machine (unit-test traffic). The facade keeps a conditional recursive
- * mutex because it may be fed from several threads; machine engines never
- * touch one.
+ * What is process-wide is not an engine but a few free functions over
+ * the registry every engine joins: the KVMARM_CHECK environment
+ * selection, the mode fan-out (setProcessMode()), resetAll() and the
+ * epoch window (beginEpoch()/aggregateEpoch()). Only that registry takes
+ * a mutex, and only on those cold paths.
  *
- * Instrumented code reports events through the KVMARM_CHECK_ON() macro
- * (KVMARM_CHECK() for facade-routed sites), which compiles to nothing when
- * the build-time kill switch (CMake option KVMARM_INVARIANTS) is off and
- * costs a pointer load plus one branch on the engine's mode flag when the
- * runtime mode is Off. No event ever charges simulated cycles: checking is
- * invisible to the cost model.
+ * Instrumented code reports events through the KVMARM_CHECK_ON() macro,
+ * which costs a pointer load plus one branch on the engine's mode flag
+ * when the runtime mode is Off — the only way to turn checking off. No
+ * event ever charges simulated cycles: checking is invisible to the cost
+ * model.
  *
  * Runtime modes: Off (default), Log (record + warn), Enforce (record +
  * throw FatalError). The KVMARM_CHECK environment variable ("off", "log",
- * "enforce") selects the initial mode, letting CI run the entire test
- * suite under enforcement without code changes; machine engines inherit
- * the facade's mode at construction.
+ * "enforce") selects the initial process mode, letting CI run the entire
+ * test suite under enforcement without code changes; every engine starts
+ * in the process mode current at its construction.
  */
 
 #ifndef KVMARM_CHECK_INVARIANTS_HH
@@ -51,18 +46,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "arm/hyp_state.hh"
 #include "arm/modes.hh"
-#include "sim/thread_annotations.hh"
 #include "sim/types.hh"
-
-#ifndef KVMARM_INVARIANTS_ENABLED
-#define KVMARM_INVARIANTS_ENABLED 1
-#endif
 
 namespace kvmarm::arm {
 struct VgicBank;
@@ -115,7 +104,7 @@ struct Violation
     std::string detail; //!< human-readable diagnosis
 };
 
-/** Result of one live aggregation window (facade beginEpoch() /
+/** Result of one live aggregation window (beginEpoch() /
  *  aggregateEpoch(), DESIGN.md §4.11). */
 struct EpochReport
 {
@@ -245,57 +234,26 @@ class InvariantRule
     virtual void onRing(InvariantEngine &, const RingEvent &) {}
 };
 
-namespace detail {
-/** Fast-path gate consulted by KVMARM_CHECK before touching the facade.
- *  Atomic so instrumented objects running on fleet worker threads can
- *  consult it race-free; a relaxed load keeps the Off-mode cost at one
- *  branch. Mirrors the *facade* engine's activity only — machine engines
- *  carry their own gate (InvariantEngine::active()). */
-extern std::atomic<bool> gActive;
-} // namespace detail
-
-/** True when the facade engine wants events (mode != Off). */
-inline bool
-engineActive()
-{
-    return detail::gActive.load(std::memory_order_relaxed);
-}
-
 /**
- * An invariant engine instance: a set of rules, their shadow state, a
- * violation log and an event counter. Instrumented code funnels events in
- * through the entry points below; the engine fans them out to every
- * registered rule.
+ * An invariant engine: a set of rules, their shadow state, a violation
+ * log and an event counter. Instrumented code funnels events in through
+ * the entry points below; the engine fans them out to every registered
+ * rule.
  *
- * Two ownership flavors:
- *
- *  - Machine (the default): owned by exactly one MachineBase and fed only
- *    from that machine's (single) execution thread. Entry points are plain
- *    single-threaded code — no mutex, no atomics beyond the mode flag.
- *  - Shared: the process facade returned by instance(). May be fed from
- *    any thread; entry points serialize on an internal recursive mutex
- *    (recursive because rules invoke report() while the engine holds the
- *    lock across an event fan-out).
- *
- * Every engine registers itself in a process registry so the facade can
- * fan out mode changes and resets and aggregate violation counts. The
- * registry is touched only on construction/destruction and from the
- * facade's cold paths, never by a machine engine's event entry points.
+ * An engine belongs to one MachineBase (or to a test that drives it
+ * directly) and is fed only from that owner's single execution thread,
+ * so every entry point is plain single-threaded code: no mutex, and no
+ * atomics beyond the mode flag and the epoch counters. Every engine
+ * registers itself in a process registry so the process-wide functions
+ * below (setProcessMode(), resetAll(), the epoch window) can reach it.
+ * The registry is touched only on construction/destruction and from
+ * those cold paths, never by an event entry point.
  */
 class InvariantEngine
 {
   public:
-    enum class Ownership
-    {
-        Machine, //!< single-threaded, lock-free entry points
-        Shared,  //!< process facade; entry points take a mutex
-    };
-
-    /** The facade singleton (created on first use; initial mode comes
-     *  from the KVMARM_CHECK environment variable, default Off). */
-    static InvariantEngine &instance();
-
-    explicit InvariantEngine(Ownership ownership = Ownership::Machine);
+    /** Registers the engine and starts it in the current process mode. */
+    InvariantEngine();
     ~InvariantEngine();
 
     InvariantEngine(const InvariantEngine &) = delete;
@@ -303,8 +261,7 @@ class InvariantEngine
 
     CheckMode mode() const { return mode_.load(std::memory_order_relaxed); }
 
-    /** Set this engine's mode. On the facade, additionally propagates the
-     *  mode to every live engine in the process. */
+    /** Set this engine's mode only (setProcessMode() sets every engine's). */
     void setMode(CheckMode m);
 
     /** True when this engine wants events (mode != Off, rules present) —
@@ -320,63 +277,47 @@ class InvariantEngine
     void addRule(std::unique_ptr<InvariantRule> rule);
 
     /** Clear recorded violations, the event counter and every rule's
-     *  shadow state. On the facade, resets every live engine. */
+     *  shadow state. */
     void reset();
 
     /// @name Results
     /// @{
-    /** This engine's own violation log (never aggregated). */
     const std::vector<Violation> &violations() const { return violations_; }
 
-    /** Number of recorded violations. On the facade this aggregates
-     *  across every live engine, so a test that drove a real machine can
-     *  keep interrogating the facade; on a machine engine it is that
-     *  machine's own count. */
-    std::size_t violationCount() const;
-    /** Number of violations attributed to @p rule (same aggregation). */
+    /** Number of recorded violations. */
+    std::size_t violationCount() const { return violations_.size(); }
+    /** Number of violations attributed to @p rule. */
     std::size_t violationCount(const std::string &rule) const;
 
-    /** Events observed by this engine instance (post-gate, i.e. in Log or
-     *  Enforce mode only). Never aggregated. */
+    /** Events observed (post-gate, i.e. in Log or Enforce mode only). */
     std::uint64_t eventCount() const { return events_; }
     /// @}
 
-    /// @name Epoch protocol (live aggregation without stop-the-world)
+    /// @name Epoch counters (live aggregation without stop-the-world)
     ///
-    /// Exact violationCount() aggregation walks machine-engine violation
-    /// logs and is therefore quiesced-only. The epoch protocol is the live
-    /// path: every report() bumps the engine's atomic *live* counter, and
-    /// each machine *publishes* (live → published, a lock-free store on
-    /// the machine's own thread) at its quiesce boundaries — every
-    /// MachineBase::run() exit and snapshot restore. The facade samples
-    /// published counters only, so aggregation never reads state a machine
-    /// thread is mutating and no machine ever stops for it. An engine that
-    /// dies retires its live count into a process accumulator so completed
-    /// fleet jobs keep counting. The sampled total is monotonic: published
-    /// never exceeds live, and retirement only converts published values
-    /// into (larger-or-equal) live ones.
+    /// Every report() bumps the engine's atomic *live* counter, and each
+    /// machine *publishes* (live → published, a lock-free store on the
+    /// machine's own thread) at its quiesce boundaries — every
+    /// MachineBase::run() exit and snapshot restore. aggregateEpoch()
+    /// samples published counters only, so aggregation never reads state
+    /// a machine thread is mutating and no machine ever stops for it. An
+    /// engine that dies retires its live count into a process accumulator
+    /// so completed fleet jobs keep counting. The sampled total is
+    /// monotonic: published never exceeds live, and retirement only
+    /// converts published values into (larger-or-equal) live ones.
     /// @{
 
-    /** Snapshot this engine's live violation counter into its published
-     *  counter. Lock-free; called on the owning machine's thread at a
-     *  quiesce boundary (MachineBase::publishCheckEpoch routes here). On
-     *  the facade the live counter is always considered published, so
-     *  this is only meaningful for machine engines. */
+    /** Snapshot the live violation counter into the published counter.
+     *  Lock-free; called on the owning machine's thread at a quiesce
+     *  boundary (MachineBase::publishCheckEpoch routes here). */
     void publishEpoch();
 
-    /** Facade only: open an aggregation window — record the current
-     *  published total as the baseline and return the new epoch id. */
-    std::uint64_t beginEpoch();
-
-    /** Facade only: sample the published total (no stop-the-world; safe
-     *  while machines run) and report the delta since beginEpoch(). With
-     *  no beginEpoch() yet, the delta is since process start. */
-    EpochReport aggregateEpoch() const;
-
-    /** This engine's published violation counter. The facade's live
-     *  counter counts as published (its log is mutex-fed, not machine-
-     *  thread-local, so there is no quiesce boundary to wait for). */
-    std::uint64_t publishedCount() const;
+    /** The published violation counter. */
+    std::uint64_t
+    publishedCount() const
+    {
+        return publishedViolations_.load(std::memory_order_acquire);
+    }
     /// @}
 
     /** Record a violation (called by rules). Log mode warns; Enforce mode
@@ -408,83 +349,65 @@ class InvariantEngine
     /// @}
 
   private:
-    /** Locks the engine mutex only for Shared ownership; a machine
-     *  engine's OptionalLock is a no-op, keeping its hot path lock-free.
-     *  Conditional acquisition is outside clang's lexical thread-safety
-     *  model (and std::recursive_mutex carries no capability attribute),
-     *  so this helper is explicitly exempt from the analysis; its safety
-     *  argument is the Machine/Shared ownership split documented above. */
-    class OptionalLock
-    {
-      public:
-        explicit OptionalLock(const InvariantEngine &eng)
-            KVMARM_NO_THREAD_SAFETY_ANALYSIS
-            : mutex_(eng.ownership_ == Ownership::Shared ? &eng.mutex_
-                                                         : nullptr)
-        {
-            if (mutex_)
-                mutex_->lock();
-        }
-        ~OptionalLock() KVMARM_NO_THREAD_SAFETY_ANALYSIS
-        {
-            if (mutex_)
-                mutex_->unlock();
-        }
-        OptionalLock(const OptionalLock &) = delete;
-        OptionalLock &operator=(const OptionalLock &) = delete;
-
-      private:
-        std::recursive_mutex *mutex_;
-    };
-
-    bool isFacade() const;
     void refreshGate();
-    std::size_t localViolationCount(const std::string *rule) const;
-    std::size_t aggregateViolationCount(const std::string *rule) const;
 
-    const Ownership ownership_;
-    /** Taken only when ownership_ == Shared. Recursive because rules
-     *  invoke report() while the engine holds it across a fan-out. */
-    mutable std::recursive_mutex mutex_;
     std::atomic<CheckMode> mode_{CheckMode::Off};
     std::atomic<bool> active_{false};
     std::vector<std::unique_ptr<InvariantRule>> rules_;
     std::vector<Violation> violations_;
     std::uint64_t events_ = 0;
-    /** Epoch protocol counters: live is bumped by every report();
-     *  published is the copy visible to lock-free facade aggregation,
-     *  refreshed by publishEpoch() at machine quiesce boundaries. */
+    /** Epoch counters: live is bumped by every report(); published is
+     *  the copy aggregateEpoch() reads, refreshed by publishEpoch(). */
     std::atomic<std::uint64_t> liveViolations_{0};
     std::atomic<std::uint64_t> publishedViolations_{0};
 };
 
-/** Shorthand for the facade singleton. */
-inline InvariantEngine &
-engine()
-{
-    return InvariantEngine::instance();
-}
+/// @name Process-wide checking state
+///
+/// The process mode starts from the KVMARM_CHECK environment variable
+/// ("off", "log" or "enforce"; anything else warns and means off). Every
+/// engine starts in it, and setProcessMode() changes it for every live
+/// engine at once. Mode changes are safe while machines run (the mode
+/// flags are atomics); resetAll() writes engine state directly, so
+/// callers quiesce every machine first.
+/// @{
 
-/** The facade as a pointer — the engine instrumented objects fall back to
- *  when they are constructed without an owning machine (unit tests). */
-InvariantEngine *processEngine();
+/** The mode new engines start in. */
+CheckMode processMode();
 
-/** RAII mode switch for tests: sets the mode, resets every engine, and
- *  restores Off + resets again on destruction (all via the facade, so
- *  machine engines created before the scope follow along; engines created
- *  inside the scope inherit the facade's mode at construction). */
+/** Set the process mode and every live engine's mode. */
+void setProcessMode(CheckMode m);
+
+/** reset() every live engine, drop the retired-violation history and
+ *  close any epoch window. Quiesced-only. */
+void resetAll();
+
+/** Open an aggregation window (DESIGN.md §4.11): record the current
+ *  published total as the baseline and return the new epoch id. */
+std::uint64_t beginEpoch();
+
+/** Sample the published total (no stop-the-world; safe while machines
+ *  run) and report the delta since beginEpoch(). With no beginEpoch()
+ *  yet, the delta is since process start (or the last resetAll()). */
+EpochReport aggregateEpoch();
+/// @}
+
+/** RAII mode switch for tests: resets every engine and sets the process
+ *  mode, then restores Off and resets again on destruction. Engines
+ *  created before the scope follow along; engines created inside it
+ *  start in its mode. */
 class ScopedCheckMode
 {
   public:
     explicit ScopedCheckMode(CheckMode m)
     {
-        engine().reset();
-        engine().setMode(m);
+        resetAll();
+        setProcessMode(m);
     }
     ~ScopedCheckMode()
     {
-        engine().setMode(CheckMode::Off);
-        engine().reset();
+        setProcessMode(CheckMode::Off);
+        resetAll();
     }
     ScopedCheckMode(const ScopedCheckMode &) = delete;
     ScopedCheckMode &operator=(const ScopedCheckMode &) = delete;
@@ -493,38 +416,18 @@ class ScopedCheckMode
 } // namespace kvmarm::check
 
 /**
- * Hook macros used at instrumentation sites.
- *
- * KVMARM_CHECK_ON(eng, call) delivers to a specific engine instance —
- * every machine-owned hook site routes through the owning machine's
- * engine this way: KVMARM_CHECK_ON(ck, stateTransfer(...)). A null engine
- * (kill-switch builds register no factory) drops the event.
- *
- * KVMARM_CHECK(call) delivers to the process facade; it remains for
- * instrumented code with no machine association.
- *
- * Arguments are not evaluated unless the target engine is active; both
- * macros compile away when KVMARM_INVARIANTS is off.
+ * Hook macro used at instrumentation sites: KVMARM_CHECK_ON(eng, call)
+ * delivers to a specific engine instance — every hook site routes through
+ * its owning machine's engine this way:
+ * KVMARM_CHECK_ON(ck, stateTransfer(...)). A null engine (a machine built
+ * where no check layer is linked, or a standalone host::Mm) drops the
+ * event. Arguments are not evaluated unless the engine is active.
  */
-#if KVMARM_INVARIANTS_ENABLED
 #define KVMARM_CHECK_ON(eng, call)                                          \
     do {                                                                    \
         ::kvmarm::check::InvariantEngine *kvmarm_check_e_ = (eng);          \
         if (kvmarm_check_e_ && kvmarm_check_e_->active())                   \
             kvmarm_check_e_->call;                                          \
     } while (0)
-#define KVMARM_CHECK(call)                                                  \
-    do {                                                                    \
-        if (::kvmarm::check::engineActive())                                \
-            ::kvmarm::check::engine().call;                                 \
-    } while (0)
-#else
-#define KVMARM_CHECK_ON(eng, call)                                          \
-    do {                                                                    \
-    } while (0)
-#define KVMARM_CHECK(call)                                                  \
-    do {                                                                    \
-    } while (0)
-#endif
 
 #endif // KVMARM_CHECK_INVARIANTS_HH

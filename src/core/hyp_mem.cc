@@ -73,10 +73,10 @@ HypMem::snapshotLoad(SnapshotReader &r)
     // Retract whatever tables this instance built (none, on a clone) from
     // the invariant engine, then declare the restored set. No Mm refcount
     // traffic here: Mm's own record carries the allocator state.
-    for ([[maybe_unused]] Addr pa : pages_)
+    for (Addr pa : pages_)
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
     visit(r);
-    for ([[maybe_unused]] Addr pa : pages_)
+    for (Addr pa : pages_)
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         protectPage(&mm_, pa, "hyp-table"));
 }

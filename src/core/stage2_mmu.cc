@@ -135,16 +135,16 @@ Stage2Mmu::snapshotLoad(SnapshotReader &r)
     // state: protect the table pages before mapping through them,
     // mirroring the live build order. No Mm refcount traffic: Mm's own
     // record carries the allocator state.
-    for ([[maybe_unused]] const RamMapping &m : ramMappings())
+    for (const RamMapping &m : ramMappings())
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         stage2Unmap(&mm_, vmid_, m.ipa, m.pa));
-    for ([[maybe_unused]] Addr pa : tablePages_)
+    for (Addr pa : tablePages_)
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
     visit(r);
-    for ([[maybe_unused]] Addr pa : tablePages_)
+    for (Addr pa : tablePages_)
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         protectPage(&mm_, pa, "stage2-table"));
-    for ([[maybe_unused]] const RamMapping &m : ramMappings())
+    for (const RamMapping &m : ramMappings())
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         stage2Map(&mm_, vmid_, m.ipa, m.pa, false));
 }

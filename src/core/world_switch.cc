@@ -36,8 +36,7 @@ WorldSwitch::WorldSwitch(Kvm &kvm)
 void
 WorldSwitch::switchFpuToVm(ArmCpu &cpu, VCpu &vcpu)
 {
-    [[maybe_unused]] check::InvariantEngine *const ck =
-        cpu.machine().checkEngine();
+    check::InvariantEngine *const ck = cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     FpuPark &park = hostFpu_.at(cpu.id());
     park.vfp = cpu.regs().vfp;
@@ -57,8 +56,7 @@ WorldSwitch::switchFpuToVm(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::switchFpuToHost(ArmCpu &cpu, VCpu &vcpu)
 {
-    [[maybe_unused]] check::InvariantEngine *const ck =
-        cpu.machine().checkEngine();
+    check::InvariantEngine *const ck = cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     FpuPark &park = hostFpu_.at(cpu.id());
     vcpu.regs.vfp = cpu.regs().vfp;
@@ -78,8 +76,7 @@ WorldSwitch::switchFpuToHost(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::restoreVgic(ArmCpu &cpu, VCpu &vcpu)
 {
-    [[maybe_unused]] check::InvariantEngine *const ck =
-        cpu.machine().checkEngine();
+    check::InvariantEngine *const ck = cpu.machine().checkEngine();
     const KvmConfig &cfg = kvm_.config();
     const Addr gich = ArmMachine::kGichBase;
     arm::VgicBank &sh = vcpu.vgicShadow;
@@ -129,8 +126,7 @@ WorldSwitch::restoreVgic(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::saveVgic(ArmCpu &cpu, VCpu &vcpu)
 {
-    [[maybe_unused]] check::InvariantEngine *const ck =
-        cpu.machine().checkEngine();
+    check::InvariantEngine *const ck = cpu.machine().checkEngine();
     const KvmConfig &cfg = kvm_.config();
     const Addr gich = ArmMachine::kGichBase;
     arm::VgicBank &sh = vcpu.vgicShadow;
@@ -180,8 +176,7 @@ WorldSwitch::saveVgic(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::toVm(ArmCpu &cpu, VCpu &vcpu)
 {
-    [[maybe_unused]] check::InvariantEngine *const ck =
-        cpu.machine().checkEngine();
+    check::InvariantEngine *const ck = cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     const KvmConfig &cfg = kvm_.config();
     HostContext &host = hostCtx_.at(cpu.id());
@@ -280,8 +275,7 @@ WorldSwitch::toVm(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::toHost(ArmCpu &cpu, VCpu &vcpu)
 {
-    [[maybe_unused]] check::InvariantEngine *const ck =
-        cpu.machine().checkEngine();
+    check::InvariantEngine *const ck = cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     const KvmConfig &cfg = kvm_.config();
     HostContext &host = hostCtx_.at(cpu.id());

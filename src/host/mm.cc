@@ -1,6 +1,5 @@
 #include "host/mm.hh"
 
-#include "check/invariants.hh"
 #include "sim/logging.hh"
 #include "sim/machine_base.hh"
 
@@ -8,9 +7,7 @@ namespace kvmarm::host {
 
 Mm::Mm(PhysMem &ram, MachineBase *machine)
     : Snapshottable(machine, "mm"), ram_(ram), machine_(machine),
-      checkEngine_(machine && machine->checkEngine()
-                       ? machine->checkEngine()
-                       : check::processEngine()),
+      checkEngine_(machine ? machine->checkEngine() : nullptr),
       // Allocate high-to-low so early allocations (kernel page tables)
       // come from the top of RAM, away from guest RAM bases.
       top_(ram.base() + ram.size() / kPageSize * kPageSize)

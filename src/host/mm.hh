@@ -32,18 +32,16 @@ class Mm : public Snapshottable
      * @param machine the machine this allocator belongs to: its snapshots
      *     include the allocator (and the Stage-2 tables built on it), and
      *     the memory-management clients of this allocator (Stage-2, Hyp
-     *     page tables) report to its private invariant engine. Null (or a
-     *     machine without an engine) falls back to the process facade, so
-     *     standalone Mm instances in unit tests keep reporting somewhere
-     *     visible.
+     *     page tables) report to its private invariant engine. A
+     *     standalone Mm (null machine) reports nowhere.
      */
     explicit Mm(PhysMem &ram, MachineBase *machine = nullptr);
 
     /** The machine passed at construction (null when standalone). */
     MachineBase *machine() const { return machine_; }
 
-    /** The invariant engine Stage-2/Hyp page-table code reports to.
-     *  Never null when invariants are compiled in. */
+    /** The invariant engine Stage-2/Hyp page-table code reports to:
+     *  the machine's, or null for a standalone Mm. */
     check::InvariantEngine *checkEngine() const { return checkEngine_; }
 
     /** Allocate one zeroed page (refcount 1). Fatal when out of memory. */

@@ -9,8 +9,8 @@ namespace kvmarm {
 
 namespace {
 /** Factory hooks registered by the check layer (null until its static
- *  initializer runs; permanently null when invariants are compiled out or
- *  the binary links no check code). */
+ *  initializer runs; permanently null when the binary links no check
+ *  code). */
 // domlint: allow(ownership-static) — written once by the check layer's static initializer before main(); read-only while any machine is live
 MachineBase::CheckEngineCreate gCheckCreate = nullptr;
 // domlint: allow(ownership-static) — written once by the check layer's static initializer before main(); read-only while any machine is live
@@ -191,8 +191,8 @@ MachineBase::run(Cycles haltAt)
         runMulti(haltAt);
     // Every exit from run() — completion, bounded horizon, requestStop —
     // leaves the machine quiesced on its own execution thread: publish
-    // the invariant-violation counter so the check facade's epoch
-    // aggregation (beginEpoch()/aggregateEpoch()) can read it live while
+    // the invariant-violation counter so the epoch aggregation
+    // (check::beginEpoch()/aggregateEpoch()) can read it live while
     // other machines keep running.
     KVMARM_CHECK_PUBLISH(*this);
 }

@@ -88,7 +88,7 @@ class MachineBase
 
     /**
      * This machine's private invariant engine, or null when the check
-     * layer is not linked in (or compiled out with KVMARM_INVARIANTS=OFF).
+     * layer is not linked in.
      * A machine is single-threaded by construction, so everything that
      * runs in machine context may feed this engine without locks via
      * KVMARM_CHECK_ON(). Owned by the machine; dies with it.
@@ -115,8 +115,8 @@ class MachineBase
      * Publish this machine's invariant-violation counter at a quiesce
      * boundary. Runs on the machine's own execution thread with the
      * machine quiesced, so the engine's lock-free publish is race-free;
-     * the check facade's beginEpoch()/aggregateEpoch() then aggregate the
-     * published values across the fleet without stopping any machine.
+     * check::beginEpoch()/aggregateEpoch() then aggregate the published
+     * values across the fleet without stopping any machine.
      * Called automatically at every run() exit and after a snapshot
      * restore (via KVMARM_CHECK_PUBLISH); no-op when no check layer is
      * linked. Job bodies that quiesce a machine by other means may call
@@ -199,8 +199,8 @@ class MachineBase
 } // namespace kvmarm
 
 /**
- * Epoch-publish hook used at machine quiesce boundaries, part of the
- * KVMARM_CHECK hook-macro family (check/invariants.hh): it routes through
+ * Epoch-publish hook used at machine quiesce boundaries, the companion of
+ * the KVMARM_CHECK_ON hook macro (check/invariants.hh): it routes through
  * the publish function the check layer registered alongside the engine
  * factory, and degrades to a no-op when no check layer is linked. A macro
  * (rather than a bare method call) so domlint's hook-coverage rule can

@@ -4,7 +4,7 @@
  * `-Wthread-safety` attribute family, plus an annotated mutex and scoped
  * lock. libstdc++'s std::mutex carries no capability attributes, so the
  * analysis only sees locking done through these wrappers; the shared-
- * ownership surfaces (invariant-engine facade registry, logging stream
+ * ownership surfaces (invariant-engine registry, logging stream
  * writer, Fleet deques) use them so the clang CI leg
  * (-Werror=thread-safety-analysis) proves every access to guarded state
  * happens under the right lock. Under GCC every macro expands to nothing

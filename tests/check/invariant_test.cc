@@ -12,9 +12,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "arm/machine.hh"
 #include "check/invariants.hh"
@@ -37,15 +39,6 @@ using check::StateClass;
 using check::SwitchDir;
 using check::Xfer;
 
-#if !KVMARM_INVARIANTS_ENABLED
-
-TEST(InvariantTest, HooksCompiledOut)
-{
-    GTEST_SKIP() << "built with -DKVMARM_INVARIANTS=OFF";
-}
-
-#else // KVMARM_INVARIANTS_ENABLED
-
 ArmMachine::Config
 smallMachine(unsigned cpus = 1)
 {
@@ -54,6 +47,12 @@ smallMachine(unsigned cpus = 1)
     mc.ramSize = 64 * kMiB;
     return mc;
 }
+
+/** A standalone engine in Log mode, for event-level rule tests. */
+struct LogEngine : check::InvariantEngine
+{
+    LogEngine() { setMode(CheckMode::Log); }
+};
 
 /** A Hyp state programmed the way a correct toVm leaves it. */
 arm::HypState
@@ -82,13 +81,13 @@ TEST(PrivilegeRule, FlagsHypRegisterAccessOutsideHypMode)
     ArmCpu &cpu = machine.cpu(0); // boots in Svc mode
 
     cpu.hypSys("hcr");
-    EXPECT_EQ(check::engine().violationCount("privilege"), 1u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("privilege"), 1u);
 
     // The same access from Hyp mode is legal.
     cpu.setMode(Mode::Hyp);
     cpu.hypSys("hcr");
     cpu.setMode(Mode::Svc);
-    EXPECT_EQ(check::engine().violationCount("privilege"), 1u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("privilege"), 1u);
 }
 
 TEST(PrivilegeRule, EnforceModeThrowsFatalError)
@@ -103,7 +102,8 @@ TEST(PrivilegeRule, OffModeRecordsNothing)
     ScopedCheckMode scoped(CheckMode::Off);
     ArmMachine machine(smallMachine());
     machine.cpu(0).hypSys("hcr");
-    EXPECT_EQ(check::engine().violationCount(), 0u);
+    EXPECT_EQ(machine.checkEngine()->violationCount(), 0u);
+    EXPECT_EQ(machine.checkEngine()->eventCount(), 0u);
 }
 
 // --------------------------------------------------------------- ws-pairing
@@ -115,7 +115,6 @@ class WsPairingTest : public ::testing::Test
     void
     enterGuest(bool with_fpu = false)
     {
-        auto &eng = check::engine();
         eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
         eng.stateTransfer(&dom, 0, StateClass::Gp, Xfer::SaveHost);
         eng.stateTransfer(&dom, 0, StateClass::Ctrl, Xfer::SaveHost);
@@ -131,7 +130,6 @@ class WsPairingTest : public ::testing::Test
     void
     exitGuest(bool restore_ctrl, bool with_fpu = false)
     {
-        auto &eng = check::engine();
         eng.worldSwitchBegin(&dom, 0, SwitchDir::ToHost);
         eng.stateTransfer(&dom, 0, StateClass::Gp, Xfer::SaveGuest);
         eng.stateTransfer(&dom, 0, StateClass::Ctrl, Xfer::SaveGuest);
@@ -145,67 +143,60 @@ class WsPairingTest : public ::testing::Test
         eng.worldSwitchEnd(&dom, 0, SwitchDir::ToHost, arm::HypState{});
     }
 
+    LogEngine eng;
     int dom = 0; //!< stand-in domain token
 };
 
 TEST_F(WsPairingTest, CompleteSwitchCycleIsClean)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
     enterGuest();
     exitGuest(true);
-    EXPECT_EQ(check::engine().violationCount("ws-pairing"), 0u);
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 0u);
 }
 
 TEST_F(WsPairingTest, FlagsSkippedHostRestore)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
     enterGuest();
     exitGuest(false); // ctrl registers saved in toVm but never restored
-    EXPECT_EQ(check::engine().violationCount("ws-pairing"), 1u);
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 1u);
 }
 
 TEST_F(WsPairingTest, FlagsGuestEntryWithoutHostSave)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
-    auto &eng = check::engine();
     eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
     // Only GP moved; ctrl registers were never saved or loaded.
     eng.stateTransfer(&dom, 0, StateClass::Gp, Xfer::SaveHost);
     eng.stateTransfer(&dom, 0, StateClass::Gp, Xfer::RestoreGuest);
     eng.worldSwitchEnd(&dom, 0, SwitchDir::ToVm, guestEntryHypState());
-    EXPECT_EQ(check::engine().violationCount("ws-pairing"), 2u);
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 2u);
 }
 
 TEST_F(WsPairingTest, LazyFpuTransferJoinsTheOpenEpoch)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
     enterGuest();
     // Guest touches VFP mid-run: the deferred switch happens via the
     // HCPTR trap while the epoch is open.
-    auto &eng = check::engine();
     eng.stateTransfer(&dom, 0, StateClass::Fpu, Xfer::SaveHost);
     eng.stateTransfer(&dom, 0, StateClass::Fpu, Xfer::RestoreGuest);
     exitGuest(true, /*with_fpu=*/true);
-    EXPECT_EQ(check::engine().violationCount("ws-pairing"), 0u);
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 0u);
 }
 
 TEST_F(WsPairingTest, FlagsLazyFpuLoadedButNeverSavedBack)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
     enterGuest(/*with_fpu=*/true);
     exitGuest(true, /*with_fpu=*/false); // guest VFP state dropped
     // Two asymmetries: host VFP saved but never restored, and guest VFP
     // loaded but never captured back.
-    EXPECT_EQ(check::engine().violationCount("ws-pairing"), 2u);
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 2u);
 }
 
 // ---------------------------------------------------------- stage2-isolation
 
 TEST(Stage2IsolationRule, FlagsCrossVmPhysicalPage)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int mm = 0;
-    auto &eng = check::engine();
     eng.stage2Map(&mm, 1, 0x80000000, 0x1000, false);
     eng.stage2Map(&mm, 2, 0x80000000, 0x2000, false); // distinct pa: fine
     EXPECT_EQ(eng.violationCount("stage2-isolation"), 0u);
@@ -219,9 +210,8 @@ TEST(Stage2IsolationRule, FlagsCrossVmPhysicalPage)
 
 TEST(Stage2IsolationRule, FlagsMappingOfProtectedHypPage)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int mm = 0;
-    auto &eng = check::engine();
     eng.protectPage(&mm, 0x5000, "hyp-table");
     eng.stage2Map(&mm, 1, 0x80000000, 0x5000, false);
     EXPECT_EQ(eng.violationCount("stage2-isolation"), 1u);
@@ -237,16 +227,16 @@ TEST(Stage2IsolationRule, FlagsDevicePassthroughOfAnotherVmsRam)
     // same physical page mapped as a passthrough device region.
     ScopedCheckMode scoped(CheckMode::Log);
     ArmMachine machine(smallMachine());
-    host::Mm mm(machine.ram());
+    host::Mm mm(machine.ram(), &machine);
     core::Stage2Mmu vm_a(mm, 1, ArmMachine::kRamBase, 16 * kMiB);
     core::Stage2Mmu vm_b(mm, 2, ArmMachine::kRamBase, 16 * kMiB);
 
     ASSERT_TRUE(vm_a.handleRamFault(ArmMachine::kRamBase + 0x1000));
     Addr stolen = *vm_a.ipaToPa(ArmMachine::kRamBase + 0x1000);
-    EXPECT_EQ(check::engine().violationCount("stage2-isolation"), 0u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("stage2-isolation"), 0u);
 
     vm_b.mapDevicePage(ArmMachine::kGicvBase, stolen);
-    EXPECT_EQ(check::engine().violationCount("stage2-isolation"), 1u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("stage2-isolation"), 1u);
 }
 
 TEST(Stage2IsolationRule, SharedDeviceInterfaceIsLegal)
@@ -255,21 +245,20 @@ TEST(Stage2IsolationRule, SharedDeviceInterfaceIsLegal)
     // single RAM owner and are legitimately shared (paper §3.5).
     ScopedCheckMode scoped(CheckMode::Log);
     ArmMachine machine(smallMachine());
-    host::Mm mm(machine.ram());
+    host::Mm mm(machine.ram(), &machine);
     core::Stage2Mmu vm_a(mm, 1, ArmMachine::kRamBase, 16 * kMiB);
     core::Stage2Mmu vm_b(mm, 2, ArmMachine::kRamBase, 16 * kMiB);
     vm_a.mapDevicePage(ArmMachine::kGiccBase, ArmMachine::kGicvBase);
     vm_b.mapDevicePage(ArmMachine::kGiccBase, ArmMachine::kGicvBase);
-    EXPECT_EQ(check::engine().violationCount("stage2-isolation"), 0u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("stage2-isolation"), 0u);
 }
 
 // -------------------------------------------------------------- trap-config
 
 TEST(TrapConfigRule, CleanGuestEntryPasses)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
     eng.worldSwitchEnd(&dom, 0, SwitchDir::ToVm, guestEntryHypState());
     EXPECT_EQ(eng.violationCount("trap-config"), 0u);
@@ -277,9 +266,8 @@ TEST(TrapConfigRule, CleanGuestEntryPasses)
 
 TEST(TrapConfigRule, FlagsMissingTrapBitsAtGuestEntry)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     arm::HypState h = guestEntryHypState();
     h.hcr.tsc = false;  // SMC would reach the guest unmediated
     h.hcr.twi = false;  // WFI would idle the physical CPU
@@ -290,9 +278,8 @@ TEST(TrapConfigRule, FlagsMissingTrapBitsAtGuestEntry)
 
 TEST(TrapConfigRule, FlagsGuestEntryWithoutStage2)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     arm::HypState h = guestEntryHypState();
     h.hcr.vm = false;
     h.vttbr = 0;
@@ -304,9 +291,8 @@ TEST(TrapConfigRule, FlagsGuestEntryWithoutStage2)
 
 TEST(TrapConfigRule, FlagsHostReturnWithGuestConfiguration)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     eng.worldSwitchBegin(&dom, 0, SwitchDir::ToHost);
     // Stage-2 and the trap set were left enabled: the host would run
     // under the guest's translation regime.
@@ -316,9 +302,8 @@ TEST(TrapConfigRule, FlagsHostReturnWithGuestConfiguration)
 
 TEST(TrapConfigRule, FlagsKernelModeWithWrongStage2State)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     // Enter the guest world, then observe a PL1 transition with Stage-2
     // off: the "guest" would see host physical memory.
     eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
@@ -351,9 +336,9 @@ TEST_F(VgicRuleTest, FlagsDuplicatePendingVirq)
 {
     ScopedCheckMode scoped(CheckMode::Log);
     writeLr(0, 40, arm::LrState::Pending);
-    EXPECT_EQ(check::engine().violationCount("vgic"), 0u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("vgic"), 0u);
     writeLr(1, 40, arm::LrState::Pending); // same SPI queued twice
-    EXPECT_EQ(check::engine().violationCount("vgic"), 1u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("vgic"), 1u);
 }
 
 TEST_F(VgicRuleTest, SgisFromDistinctSourcesMayCoexist)
@@ -361,15 +346,15 @@ TEST_F(VgicRuleTest, SgisFromDistinctSourcesMayCoexist)
     ScopedCheckMode scoped(CheckMode::Log);
     writeLr(0, 5, arm::LrState::Pending, /*source=*/0);
     writeLr(1, 5, arm::LrState::Pending, /*source=*/1);
-    EXPECT_EQ(check::engine().violationCount("vgic"), 0u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("vgic"), 0u);
     writeLr(2, 5, arm::LrState::Pending, /*source=*/1); // same source twice
-    EXPECT_EQ(check::engine().violationCount("vgic"), 1u);
+    EXPECT_EQ(machine.checkEngine()->violationCount("vgic"), 1u);
 }
 
 TEST_F(VgicRuleTest, FlagsMaintenanceIrqWithoutUnderflow)
 {
     ScopedCheckMode scoped(CheckMode::Log);
-    auto &eng = check::engine();
+    check::InvariantEngine &eng = *machine.checkEngine();
 
     // Genuine underflow: enabled, underflow irq requested, all LRs empty.
     arm::VgicBank bank;
@@ -444,7 +429,7 @@ TEST(FullStackInvariants, WholeGuestLifecycleIsViolationFree)
     });
     machine.run();
 
-    EXPECT_EQ(check::engine().violationCount(), 0u);
+    EXPECT_EQ(machine.checkEngine()->violationCount(), 0u);
 }
 
 /** What one run of the checked-twin storms produced. */
@@ -536,26 +521,34 @@ TEST(InvariantEngine, CustomRulesCanBeRegistered)
         int events = 0;
     };
 
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     auto rule = std::make_unique<CountingRule>();
     CountingRule *raw = rule.get();
-    check::engine().addRule(std::move(rule));
+    eng.addRule(std::move(rule));
 
-    check::engine().hypAccess(0, Mode::Hyp, "hcr");
-    check::engine().hypAccess(0, Mode::Svc, "hcr");
+    eng.hypAccess(0, Mode::Hyp, "hcr");
+    eng.hypAccess(0, Mode::Svc, "hcr");
     EXPECT_EQ(raw->events, 2);
     // The built-in privilege rule saw the second access too.
-    EXPECT_EQ(check::engine().violationCount("privilege"), 1u);
+    EXPECT_EQ(eng.violationCount("privilege"), 1u);
 }
 
 TEST(InvariantEngine, ResetClearsViolationsAndShadowState)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
-    ArmMachine machine(smallMachine());
-    machine.cpu(0).hypSys("hcr");
-    EXPECT_EQ(check::engine().violationCount(), 1u);
-    check::engine().reset();
-    EXPECT_EQ(check::engine().violationCount(), 0u);
+    LogEngine eng;
+    int dom = 0;
+    eng.hypAccess(0, Mode::Svc, "hcr");
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm); // opens a ws epoch
+    EXPECT_EQ(eng.violationCount(), 1u);
+    EXPECT_EQ(eng.eventCount(), 2u);
+
+    eng.reset();
+    EXPECT_EQ(eng.violationCount(), 0u);
+    EXPECT_EQ(eng.eventCount(), 0u);
+    // The ws-pairing ledger was cleared too: a fresh toVm is not flagged
+    // as entering twice.
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
+    EXPECT_EQ(eng.violationCount(), 0u);
 }
 
 // --------------------------------------------------------- engine sharding
@@ -571,10 +564,8 @@ TEST(EngineSharding, MachinesOwnPrivateEngines)
     ASSERT_NE(ea, nullptr);
     ASSERT_NE(eb, nullptr);
     EXPECT_NE(ea, eb);
-    EXPECT_NE(ea, &check::engine());
-    EXPECT_NE(eb, &check::engine());
 
-    // Machines created inside the scope inherited the facade's mode.
+    // Machines created inside the scope started in its mode.
     EXPECT_EQ(ea->mode(), CheckMode::Log);
     EXPECT_TRUE(ea->active());
 }
@@ -599,10 +590,6 @@ TEST(EngineSharding, ViolationInOneVmStaysInItsEngine)
     // Both machines observed events; only A recorded a violation.
     EXPECT_GT(a.checkEngine()->eventCount(), 0u);
     EXPECT_GT(b.checkEngine()->eventCount(), 0u);
-
-    // The facade aggregates across engines, so legacy process-wide
-    // interrogation still sees A's violation.
-    EXPECT_EQ(check::engine().violationCount("privilege"), 1u);
 }
 
 TEST(EngineSharding, RuleShadowStateIsNotShared)
@@ -632,9 +619,8 @@ TEST(EngineSharding, RuleShadowStateIsNotShared)
 
 TEST(RingOrderRule, CleanMessageStreamPasses)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     for (std::uint64_t i = 0; i < 4; ++i) {
         eng.ringDoorbell(&dom, 0, "ring0", i, 1000 * (i + 1),
                          static_cast<std::uint32_t>(i + 1));
@@ -646,9 +632,8 @@ TEST(RingOrderRule, CleanMessageStreamPasses)
 
 TEST(RingOrderRule, FlagsSequenceGapAndReplay)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     eng.ringDoorbell(&dom, 0, "ring0", 0, 1000, 1);
     eng.ringDoorbell(&dom, 0, "ring0", 2, 2000, 2); // skipped seq 1
     EXPECT_EQ(eng.violationCount("ring-order"), 1u);
@@ -658,9 +643,8 @@ TEST(RingOrderRule, FlagsSequenceGapAndReplay)
 
 TEST(RingOrderRule, FlagsCycleRegression)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     eng.ringDeliver(&dom, 0, "ring0", 0, 5000, 1);
     eng.ringDeliver(&dom, 0, "ring0", 1, 4000, 2); // behind predecessor
     EXPECT_EQ(eng.violationCount("ring-order"), 1u);
@@ -668,9 +652,8 @@ TEST(RingOrderRule, FlagsCycleRegression)
 
 TEST(RingOrderRule, FlagsRingIndexJump)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int dom = 0;
-    auto &eng = check::engine();
     eng.ringDoorbell(&dom, 0, "ring0", 0, 1000, 1);
     eng.ringDoorbell(&dom, 0, "ring0", 1, 2000, 3); // avail idx 1 -> 3
     EXPECT_EQ(eng.violationCount("ring-order"), 1u);
@@ -678,9 +661,8 @@ TEST(RingOrderRule, FlagsRingIndexJump)
 
 TEST(RingOrderRule, DirectionsAndDomainsTrackIndependently)
 {
-    ScopedCheckMode scoped(CheckMode::Log);
+    LogEngine eng;
     int domA = 0, domB = 0;
-    auto &eng = check::engine();
     // Doorbell and delivery keep separate sequence state for one ring...
     eng.ringDoorbell(&domA, 0, "ring0", 0, 1000, 1);
     eng.ringDeliver(&domA, 1, "ring0", 0, 1500, 1);
@@ -691,21 +673,21 @@ TEST(RingOrderRule, DirectionsAndDomainsTrackIndependently)
 
 TEST(RingOrderRule, EnforceModeThrowsOnViolation)
 {
-    ScopedCheckMode scoped(CheckMode::Enforce);
+    check::InvariantEngine eng;
+    eng.setMode(CheckMode::Enforce);
     int dom = 0;
-    auto &eng = check::engine();
     eng.ringDoorbell(&dom, 0, "ring0", 0, 1000, 1);
     EXPECT_THROW(eng.ringDoorbell(&dom, 0, "ring0", 5, 2000, 2), FatalError);
 }
 
-TEST(EngineSharding, FacadePropagatesModeToLiveEngines)
+TEST(EngineSharding, ProcessModeReachesLiveEngines)
 {
     // Machine constructed before any ScopedCheckMode (VgicRuleTest
-    // pattern): it inherits whatever mode the facade currently carries
-    // (Off by default, or the KVMARM_CHECK env selection under the CI
-    // enforce leg), and a later facade setMode must reach it.
+    // pattern): it starts in whatever the process mode currently is (Off
+    // by default, or the KVMARM_CHECK env selection under the CI enforce
+    // leg), and a later process mode change must reach it.
     ArmMachine machine(smallMachine());
-    EXPECT_EQ(machine.checkEngine()->mode(), check::engine().mode());
+    EXPECT_EQ(machine.checkEngine()->mode(), check::processMode());
     {
         ScopedCheckMode scoped(CheckMode::Enforce);
         EXPECT_EQ(machine.checkEngine()->mode(), CheckMode::Enforce);
@@ -714,6 +696,66 @@ TEST(EngineSharding, FacadePropagatesModeToLiveEngines)
     // Scope exit turns every engine back off and clears its log.
     EXPECT_EQ(machine.checkEngine()->mode(), CheckMode::Off);
     EXPECT_EQ(machine.checkEngine()->violationCount(), 0u);
+}
+
+/**
+ * An engine constructed while another thread changes the process mode
+ * must end up in the process mode, not in the one it read before the
+ * fan-out passed it by. Workers churn engines while the main thread flips
+ * a ScopedCheckMode between Enforce and Off; once they stop, every engine
+ * still alive must carry the process mode.
+ */
+TEST(EngineSharding, EngineBornDuringModeChangeStartsInTheProcessMode)
+{
+    constexpr unsigned kWorkers = 4;
+    constexpr std::size_t kKeep = 8; // live engines per worker
+    constexpr int kRounds = 50;
+
+    std::vector<std::vector<std::unique_ptr<check::InvariantEngine>>> live(
+        kWorkers);
+    auto churnAcross = [&](const auto &flip) {
+        std::atomic<bool> stop{false};
+        std::atomic<unsigned> running{0};
+        std::vector<std::thread> workers;
+        for (unsigned w = 0; w < kWorkers; ++w) {
+            workers.emplace_back([&, w] {
+                auto &mine = live[w];
+                mine.clear();
+                bool counted = false;
+                while (!stop.load(std::memory_order_relaxed)) {
+                    if (mine.size() == kKeep)
+                        mine.erase(mine.begin());
+                    mine.push_back(
+                        std::make_unique<check::InvariantEngine>());
+                    if (!counted) {
+                        running.fetch_add(1);
+                        counted = true;
+                    }
+                }
+            });
+        }
+        while (running.load() < kWorkers)
+            std::this_thread::yield();
+        flip();
+        stop = true;
+        for (std::thread &t : workers)
+            t.join();
+
+        const CheckMode want = check::processMode();
+        for (const auto &mine : live) {
+            for (const auto &eng : mine) {
+                ASSERT_EQ(eng->mode(), want);
+                ASSERT_EQ(eng->active(), want != CheckMode::Off);
+            }
+        }
+    };
+
+    for (int r = 0; r < kRounds; ++r) {
+        std::optional<ScopedCheckMode> scoped;
+        churnAcross([&] { scoped.emplace(CheckMode::Enforce); });
+        churnAcross([&] { scoped.reset(); });
+    }
+    live.clear();
 }
 
 // ------------------------------------------------------------------- epoch
@@ -725,8 +767,8 @@ TEST(EpochProtocol, MidRunAggregationMatchesPostRunTotals)
     ASSERT_NE(machine.checkEngine(), nullptr);
 
     constexpr std::uint64_t kViolations = 3;
-    std::uint64_t epochId = check::engine().beginEpoch();
-    EXPECT_EQ(check::engine().aggregateEpoch().violations, 0u);
+    std::uint64_t epochId = check::beginEpoch();
+    EXPECT_EQ(check::aggregateEpoch().violations, 0u);
 
     Fleet fleet(2);
     fleet.start();
@@ -751,75 +793,68 @@ TEST(EpochProtocol, MidRunAggregationMatchesPostRunTotals)
     // mutating, which is the whole point of the epoch protocol.
     while (!committed)
         std::this_thread::yield();
-    EXPECT_EQ(check::engine().aggregateEpoch().violations, 0u);
+    EXPECT_EQ(check::aggregateEpoch().violations, 0u);
 
     // After the publish the sample sees them — while the job is still
     // occupying a worker, with no stop-the-world anywhere.
     allowPublish = true;
     while (!published)
         std::this_thread::yield();
-    check::EpochReport mid = check::engine().aggregateEpoch();
+    check::EpochReport mid = check::aggregateEpoch();
     EXPECT_EQ(mid.epoch, epochId);
     EXPECT_EQ(mid.violations, kViolations);
     release = true;
     fleet.shutdown();
 
     // Post-run, fully quiesced: the live sample already had the totals.
-    EXPECT_EQ(check::engine().aggregateEpoch().violations, kViolations);
-    EXPECT_EQ(check::engine().violationCount("privilege"), kViolations);
+    EXPECT_EQ(check::aggregateEpoch().violations, kViolations);
+    EXPECT_EQ(machine.checkEngine()->violationCount("privilege"),
+              kViolations);
 }
 
 TEST(EpochProtocol, RunExitPublishesAutomatically)
 {
     ScopedCheckMode scoped(CheckMode::Log);
     ArmMachine machine(smallMachine());
-    check::engine().beginEpoch();
+    check::beginEpoch();
     machine.checkEngine()->hypAccess(0, Mode::Svc, "hcr");
-    EXPECT_EQ(check::engine().aggregateEpoch().violations, 0u); // live only
+    EXPECT_EQ(check::aggregateEpoch().violations, 0u); // live only
     machine.run(); // no CPU entries: returns at once — and publishes
-    EXPECT_EQ(check::engine().aggregateEpoch().violations, 1u);
+    EXPECT_EQ(check::aggregateEpoch().violations, 1u);
 }
 
 TEST(EpochProtocol, RetiredEnginesKeepCounting)
 {
     ScopedCheckMode scoped(CheckMode::Log);
-    check::engine().beginEpoch();
+    check::beginEpoch();
     {
         ArmMachine machine(smallMachine());
         machine.checkEngine()->hypAccess(0, Mode::Svc, "hcr");
     } // the machine (and its engine) dies with the fleet job
-    // A completed VM's violations survive into the epoch sample (the
-    // dying engine retires its exact live count)...
-    EXPECT_EQ(check::engine().aggregateEpoch().violations, 1u);
-    // ...even though exact log aggregation no longer sees the engine.
-    EXPECT_EQ(check::engine().violationCount("privilege"), 0u);
+    // A completed VM's violations survive into the epoch sample: the
+    // dying engine retires its exact live count.
+    EXPECT_EQ(check::aggregateEpoch().violations, 1u);
 }
 
-TEST(EpochProtocol, WindowsRebaselineAndMachineEnginesRejectEpochCalls)
+TEST(EpochProtocol, WindowsRebaseline)
 {
     ScopedCheckMode scoped(CheckMode::Log);
     ArmMachine machine(smallMachine());
     machine.checkEngine()->hypAccess(0, Mode::Svc, "hcr");
     machine.publishCheckEpoch();
 
-    std::uint64_t e1 = check::engine().beginEpoch();
-    std::uint64_t e2 = check::engine().beginEpoch();
+    std::uint64_t e1 = check::beginEpoch();
+    std::uint64_t e2 = check::beginEpoch();
     EXPECT_EQ(e2, e1 + 1);
-    EXPECT_EQ(check::engine().aggregateEpoch().violations, 0u);
+    EXPECT_EQ(check::aggregateEpoch().violations, 0u);
 
     machine.checkEngine()->hypAccess(0, Mode::Svc, "vttbr");
     machine.publishCheckEpoch();
-    check::EpochReport rep = check::engine().aggregateEpoch();
+    check::EpochReport rep = check::aggregateEpoch();
     EXPECT_EQ(rep.epoch, e2);
     EXPECT_EQ(rep.violations, 1u);
-    EXPECT_GE(rep.engines, 2u); // at least the facade + this machine
-
-    // Epochs are a facade protocol; machine engines reject them loudly.
-    EXPECT_THROW(machine.checkEngine()->beginEpoch(), FatalError);
-    EXPECT_THROW(machine.checkEngine()->aggregateEpoch(), FatalError);
+    EXPECT_EQ(rep.engines, 1u); // this machine's, the only one alive
 }
-
-#endif // KVMARM_INVARIANTS_ENABLED
 
 } // namespace
 } // namespace kvmarm

@@ -11,6 +11,7 @@
 #include <map>
 
 #include "arm/machine.hh"
+#include "check/invariants.hh"
 #include "core/hyp_mem.hh"
 #include "core/stage2_mmu.hh"
 #include "host/mm.hh"
@@ -31,10 +32,20 @@ class Stage2Test : public ::testing::Test
                                      .hwVtimers = true,
                                      .clockHz = 1.7e9,
                                      .cost = {}}),
-          mm(machine.ram())
+          mm(machine.ram(), &machine)
     {
     }
 
+    /** Every Stage-2/Hyp page-table update was checked by the machine's
+     *  engine, and none broke an invariant. */
+    void
+    TearDown() override
+    {
+        EXPECT_GT(machine.checkEngine()->eventCount(), 0u);
+        EXPECT_EQ(machine.checkEngine()->violationCount(), 0u);
+    }
+
+    check::ScopedCheckMode checked{check::CheckMode::Log};
     ArmMachine machine;
     host::Mm mm;
 };

@@ -1,6 +1,6 @@
 // domlint fixture — MUST FIRE: hook-coverage. The manifest
 // (fire_hooks.manifest) lists Stage2::mapPage as a guarded-state mutator,
-// but the body carries no KVMARM_CHECK / KVMARM_CHECK_ON hook.
+// but the body carries no KVMARM_CHECK_ON / KVMARM_CHECK_PUBLISH hook.
 
 namespace kvmarm::fixture {
 

@@ -217,7 +217,7 @@ TEST(FleetCloneDeterminism, CloneMatchesColdBootAndContinuingOrigin)
 TEST(FleetCloneDeterminism, BitIdenticalAcrossCheckModes)
 {
     // The full boot -> snapshot -> clone -> workload cycle runs inside
-    // each mode scope (machine engines inherit the facade mode at
+    // each mode scope (machine engines start in the process mode at
     // construction); simulated results must not depend on the mode.
     const check::CheckMode modes[] = {check::CheckMode::Off,
                                       check::CheckMode::Log,

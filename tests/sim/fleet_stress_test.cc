@@ -559,7 +559,6 @@ TEST(FleetStress, SeededScheduleIsBitIdenticalAcrossWorkerCounts)
     }
 }
 
-#if KVMARM_INVARIANTS_ENABLED
 TEST(FleetStress, EnforceModeScheduleMatchesUncheckedBitForBit)
 {
     // Checking charges no simulated cycles, so the same schedule under
@@ -574,7 +573,6 @@ TEST(FleetStress, EnforceModeScheduleMatchesUncheckedBitForBit)
         expectSameOutcomes(runPlan(plan, threads), ref);
     }
 }
-#endif // KVMARM_INVARIANTS_ENABLED
 
 } // namespace
 } // namespace kvmarm

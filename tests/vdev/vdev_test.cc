@@ -290,7 +290,6 @@ TEST(Vring, SnapshotWhileRingConnectedIsFatalBothDirections)
     }
 }
 
-#if KVMARM_INVARIANTS_ENABLED
 TEST(Vring, EnforceModeHooksFireOnDoorbellAndDelivery)
 {
     // Under KVMARM_CHECK=enforce every doorbell MMIO and every delivery
@@ -315,7 +314,6 @@ TEST(Vring, EnforceModeHooksFireOnDoorbellAndDelivery)
     EXPECT_EQ(a.dev->txCount(), rounds);
     EXPECT_EQ(b.dev->rxCount(), rounds);
 }
-#endif
 
 } // namespace
 } // namespace kvmarm

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# CI driver: builds and tests the three supported configurations and runs
-# the static checks. Usable locally (tools/ci.sh) and from the GitHub
-# workflow; each leg can be run alone (tools/ci.sh asan).
+# CI entry point: builds and tests the supported configurations (release,
+# ASan+UBSan, TSan) and runs the static checks. Usable locally
+# (tools/ci.sh) and from the GitHub workflow; each leg can be run alone
+# (tools/ci.sh asan).
 #
-#   release    RelWithDebInfo, default checker mode (Off at runtime)
+#   release    RelWithDebInfo, -Werror, default checker mode (Off at runtime)
 #   asan       AddressSanitizer + UBSan, whole test suite
-#   tsan       ThreadSanitizer, fleet/ring/fiber tests + the fleet_tput smoke
+#   tsan       ThreadSanitizer, fleet/ring/fiber/engine-registry tests + the
+#              fleet_tput smoke
 #   enforce    release binaries, whole suite under KVMARM_CHECK=enforce
-#   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away), -Werror
 #   domlint    full-tree domlint + the fixture corpus (must-fire/must-pass)
 #   bench      kvmarm_bench --smoke: every workload's digests and metrics
 #   lint       domlint + clang-tidy (or strict-GCC fallback) on changed files
@@ -27,9 +28,10 @@ run_suite() { # <build-dir> [env...]
 configure_release() {
     # Fortified libc on every host, not only where the compiler enables it
     # by default (Ubuntu does, Debian does not): the fiber switch's
-    # _longjmp must never be routed to glibc's __longjmp_chk.
+    # _longjmp must never be routed to glibc's __longjmp_chk. -Werror keeps
+    # the release and enforce legs warning-free.
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="-U_FORTIFY_SOURCE -D_FORTIFY_SOURCE=2"
+        -DCMAKE_CXX_FLAGS="-U_FORTIFY_SOURCE -D_FORTIFY_SOURCE=2 -Werror"
     cmake --build build-ci-release -j"$JOBS"
 }
 
@@ -65,22 +67,24 @@ leg_asan() {
 leg_tsan() {
     # The fleet executor is the one place host threads run concurrently;
     # TSan must see zero races across the worker pool, the mutexed logging
-    # writer, the invariant engine, and the annotated fiber switches (the
-    # Fiber and MachineSched tests drive those switches directly).
+    # writer, the invariant-engine registry, and the annotated fiber
+    # switches (the Fiber and MachineSched tests drive those switches
+    # directly).
     # ctest selects by the sanitize-thread label tests/ and bench/
     # CMakeLists derive from KVMARM_SANITIZE. The Fleet tests submit
     # from inside running jobs while other workers steal, FleetClone
     # COW-faults one shared snapshot image from 8 threads, the RingPacer
     # tests park and notify through the ring-channel mutex at up to 8
-    # workers, and fleet_tput_smoke sweeps 1/2/4/8 workers in both check
-    # modes.
+    # workers, fleet_tput_smoke sweeps 1/2/4/8 workers in both check
+    # modes, EngineSharding races engine construction against process
+    # mode changes, and EpochProtocol samples a fleet worker's engine.
     cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DKVMARM_SANITIZE=thread
-    cmake --build build-ci-tsan -j"$JOBS" \
-        --target fleet_tput fleet_test fleet_stress_test sim_test
+    cmake --build build-ci-tsan -j"$JOBS" --target fleet_tput fleet_test \
+        fleet_stress_test sim_test check_invariant_test
     TSAN_OPTIONS=halt_on_error=1 \
-        ctest --test-dir build-ci-tsan --output-on-failure \
-        -L sanitize-thread -R '^(Fleet|fleet_|Ring|Fiber|MachineSched)'
+        ctest --test-dir build-ci-tsan --output-on-failure -L sanitize-thread \
+        -R '^(Fleet|fleet_|Ring|Fiber|MachineSched|EngineSharding|EpochProtocol)'
     # The seeded stress schedule under TSan: live submissions, mid-run
     # spawns, ring rendezvous and park/notify all race-checked at up to
     # 8 workers (the suite sweeps 1/2/4/8 internally).
@@ -97,15 +101,6 @@ leg_tsan() {
 leg_enforce() {
     configure_release
     run_suite build-ci-release KVMARM_CHECK=enforce
-}
-
-leg_nochecks() {
-    # -Werror: with the hooks compiled away, a variable or parameter that
-    # only a hook used must still not warn.
-    cmake -B build-ci-nochecks -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DKVMARM_INVARIANTS=OFF -DCMAKE_CXX_FLAGS=-Werror
-    cmake --build build-ci-nochecks -j"$JOBS"
-    run_suite build-ci-nochecks
 }
 
 leg_domlint() {
@@ -133,7 +128,7 @@ leg_threadsafety() {
     # Clang thread-safety analysis over the annotated locking surfaces.
     # sim/thread_annotations.hh expands to no-ops under GCC, so this leg
     # is the one that actually checks the GUARDED_BY/ACQUIRE/RELEASE
-    # contracts on the invariant-engine facade, the logging writer, and
+    # contracts on the invariant-engine registry, the logging writer, and
     # the fleet deques. Skips (successfully) when clang is not installed
     # locally; the GitHub workflow installs clang so CI always runs it.
     local cxx=""
@@ -166,7 +161,7 @@ leg_format() {
     tools/format.sh --check
 }
 
-legs=${*:-release asan tsan enforce nochecks domlint bench lint threadsafety format}
+legs=${*:-release asan tsan enforce domlint bench lint threadsafety format}
 for leg in $legs; do
     echo "==== ci leg: $leg ===="
     "leg_$leg"
