@@ -4,16 +4,18 @@
  * Virtualization"): one distributor routing SGIs/PPIs/SPIs, plus a banked
  * per-CPU interface for ACK (IAR) and EOI. Both are memory mapped; the
  * distributor is shared, the CPU interface is banked by the accessing core.
+ * The distributor's interrupt state and register decoder are the shared
+ * GICv2 model (arm/gic_dist); this file adds the wires, delivery latency
+ * and the CPU interface's line levels.
  */
 
 #ifndef KVMARM_ARM_GIC_HH
 #define KVMARM_ARM_GIC_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "arm/pending_set.hh"
+#include "arm/gic_dist.hh"
 #include "mem/bus.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
@@ -27,20 +29,6 @@ inline constexpr IrqId kMaintenancePpi = 25; //!< VGIC maintenance interrupt
 inline constexpr IrqId kVirtTimerPpi = 27;   //!< virtual generic timer
 inline constexpr IrqId kHypTimerPpi = 26;    //!< hyp generic timer
 inline constexpr IrqId kPhysTimerPpi = 30;   //!< non-secure phys timer
-
-/// Distributor register offsets (subset of GICv2).
-namespace gicd {
-inline constexpr Addr CTLR = 0x000;
-inline constexpr Addr TYPER = 0x004;
-inline constexpr Addr ISENABLER = 0x100; //!< 0x100-0x17C, set-enable
-inline constexpr Addr ICENABLER = 0x180; //!< clear-enable
-inline constexpr Addr ISPENDR = 0x200;   //!< set-pending
-inline constexpr Addr ICPENDR = 0x280;   //!< clear-pending
-inline constexpr Addr IPRIORITYR = 0x400; //!< byte per IRQ
-inline constexpr Addr ITARGETSR = 0x800;  //!< byte per IRQ (CPU mask)
-inline constexpr Addr ICFGR = 0xC00;
-inline constexpr Addr SGIR = 0xF00; //!< software generated interrupt
-} // namespace gicd
 
 /// CPU interface register offsets (shared by GICC and GICV).
 namespace gicc {
@@ -83,18 +71,13 @@ class GicDistributor : public MmioDevice, public Snapshottable
     /// @{
     /** Highest-priority enabled pending interrupt routed to @p cpu,
      *  spurious if none or the distributor is disabled. */
-    PendingIrq
-    bestPending(CpuId cpu) const
-    {
-        return enabled() ? live_.select(cpu, banks_[cpu], priority_)
-                         : PendingIrq{};
-    }
-    /** Consume (ack) @p irq for @p cpu; SGIs consume one source at a
+    PendingIrq bestPending(CpuId cpu) const { return state_.best(cpu); }
+    /** Consume (ack) @p p for @p cpu; SGIs consume one source at a
      *  time. */
-    void acknowledge(CpuId cpu, IrqId irq, CpuId source);
+    void acknowledge(CpuId cpu, const PendingIrq &p);
     /// @}
 
-    bool enabled() const { return ctlr_ & 1; }
+    bool enabled() const { return state_.enabled(); }
 
     /// @name MmioDevice
     /// @{
@@ -111,12 +94,9 @@ class GicDistributor : public MmioDevice, public Snapshottable
     void
     visit(V &v)
     {
-        v.pod(ctlr_, enabled_, pending_, priority_, targets_);
-        v.fixed(banks_, "banks");
+        state_.visit(v);
         v.seq(inflight_);
         v.pod(nextInflightToken_);
-        if constexpr (V::kLoading)
-            live_.rebuild(banks_, pending_, enabled_, targets_);
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override { visit(r); }
@@ -129,58 +109,33 @@ class GicDistributor : public MmioDevice, public Snapshottable
     /**
      * A wire assertion scheduled on a target CPU's event queue but not yet
      * delivered (SPI raise or cross-CPU SGI). Tracked so snapshots can
-     * describe the pending delivery and a restored distributor can rebuild
-     * the exact callback for the restored event.
+     * describe the pending delivery; the event's callback carries only the
+     * token, so a restored distributor re-claims it as is.
      */
     struct Inflight
     {
         std::uint64_t token; //!< distributor-local handle
         std::uint64_t eventId;
         CpuId target;
-        bool isSgi;
-        IrqId irq; //!< SPI id, or SGI id when isSgi
+        IrqId irq;
         CpuId src; //!< SGI source CPU
     };
 
     void writeSgir(CpuId src, std::uint32_t value);
-    void setSgiPending(CpuId target, IrqId sgi, CpuId source);
-    CpuId routeSpi(IrqId irq) const;
-    void dropInflight(std::uint64_t token);
-    void spiDelivered(IrqId irq, std::uint64_t token);
-    void sgiDelivered(CpuId target, IrqId sgi, CpuId src,
-                      std::uint64_t token);
+    /** Make @p irq pending (from @p source, for an SGI) in @p cpu's view
+     *  and refresh the lines it feeds. */
+    void pend(CpuId cpu, IrqId irq, CpuId source);
+    /** Pend @p irq at @p target at cycle @p when, on @p target's queue. */
+    void scheduleDelivery(CpuId target, Cycles when, IrqId irq, CpuId src);
+    void deliver(std::uint64_t token);
 
-    /** Re-derive the live bit of @p irq (for an SGI/PPI, in @p cpu's
-     *  bank). */
-    void syncLive(CpuId cpu, IrqId irq);
     /** Tell the CPU interface that bestPending() may have changed for the
      *  CPUs in @p cpu_mask. */
     void linesChanged(std::uint32_t cpu_mask);
 
     ArmMachine &machine_;
     unsigned numCpus_;
-    std::uint32_t ctlr_ = 0;
-
-    // Shared SPI state.
-    std::array<bool, kMaxIrqs> enabled_{};
-    std::array<bool, kMaxIrqs> pending_{};
-    std::array<std::uint8_t, kMaxIrqs> priority_{};
-    std::array<std::uint8_t, kMaxIrqs> targets_{};
-
-    // Banked SGI/PPI state.
-    struct Bank
-    {
-        std::array<std::uint16_t, kNumSgis> sgiSources{}; //!< src bitmask
-        std::array<bool, 32> ppiPending{};
-        std::array<bool, 32> enabled{};
-        std::array<std::uint8_t, 32> priority{};
-    };
-    std::vector<Bank> banks_;
-
-    /** Pending∧enabled bits and SPI routes derived from the arrays above;
-     *  not serialized. */
-    PendingSet live_;
-
+    GicDistState state_; //!< one bank per CPU
     std::vector<Inflight> inflight_;
     std::uint64_t nextInflightToken_ = 1;
 };

@@ -4,17 +4,20 @@
  * distributor living in the highvisor. Guest distributor accesses trap
  * here; it keeps per-interrupt software state and, whenever a VM is
  * scheduled, programs the hardware list registers to inject pending
- * virtual interrupts.
+ * virtual interrupts. The state and register decoder are the same GICv2
+ * model the physical distributor uses (arm/gic_dist), one bank per VCPU;
+ * this class adds what the highvisor pays and does around it: the
+ * distributor lock, VCPU kicks, list-register flush/sync and the software
+ * CPU interface of the no-VGIC configuration.
  */
 
 #ifndef KVMARM_CORE_VGIC_EMUL_HH
 #define KVMARM_CORE_VGIC_EMUL_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "arm/gic.hh"
+#include "arm/gic_dist.hh"
 #include "arm/vgic.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
@@ -33,6 +36,9 @@ class VgicDistEmul : public Snapshottable
 {
   public:
     explicit VgicDistEmul(Vm &vm);
+
+    /** Give the VM's newest VCPU (of @p nvcpus) its bank. */
+    void addVcpu(unsigned nvcpus);
 
     /// @name Guest MMIO emulation (in-kernel, reached via Stage-2 traps)
     /// @{
@@ -89,11 +95,8 @@ class VgicDistEmul : public Snapshottable
     void
     visit(V &v)
     {
-        v.pod(ctlrEnabled_, spiEnabled_, spiPending_, spiPriority_,
-              spiTargets_);
-        v.seq(banks_);
-        if constexpr (V::kLoading)
-            live_.rebuild(banks_, spiPending_, spiEnabled_, spiTargets_);
+        state_.visit(v);
+        v.seq(softActive_);
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override { visit(r); }
@@ -101,56 +104,25 @@ class VgicDistEmul : public Snapshottable
 
   private:
     void writeSgir(arm::ArmCpu &cpu, VCpu &sender, std::uint32_t value);
-    void setSgiPending(unsigned target_idx, IrqId sgi, unsigned source_idx);
     void kickVcpu(arm::ArmCpu &current_cpu, VCpu &target);
-    unsigned routeSpi(IrqId irq) const;
 
-    Vm &vm_;
-    bool ctlrEnabled_ = false;
-
-    // Shared SPI state.
-    std::array<bool, arm::kMaxIrqs> spiEnabled_{};
-    std::array<bool, arm::kMaxIrqs> spiPending_{};
-    std::array<std::uint8_t, arm::kMaxIrqs> spiPriority_{};
-    std::array<std::uint8_t, arm::kMaxIrqs> spiTargets_{};
-
-    // Banked SGI/PPI state, one bank per VCPU.
-    struct Bank
+    /** Acked-but-not-EOIed interrupts of one VCPU's software CPU
+     *  interface (no-VGIC mode), innermost last. */
+    struct SoftActive
     {
-        Bank() { priority.fill(0xA0); }
-        std::array<std::uint16_t, arm::kNumSgis> sgiSources{};
-        std::array<bool, 32> ppiPending{};
-        std::array<bool, 32> enabled{};
-        std::array<std::uint8_t, 32> priority{};
-        /** Acked-but-not-EOIed interrupts of the software CPU-interface
-         *  emulation (no-VGIC mode). */
-        std::vector<IrqId> softActive;
+        std::vector<IrqId> irqs;
 
         template <class V>
         void
         visit(V &v)
         {
-            v.pod(sgiSources, ppiPending, enabled, priority);
-            v.seq(softActive);
+            v.seq(irqs);
         }
     };
-    std::vector<Bank> banks_;
 
-    /** Pending∧enabled bits and SPI routes derived from the arrays above,
-     *  one bank per entry of banks_; not serialized. */
-    arm::PendingSet live_;
-
-    /** Bank @p idx, growing banks_ (and live_) to hold it. */
-    Bank &bankAt(unsigned idx);
-    Bank &bankFor(const VCpu &vcpu);
-    const Bank &bankFor(const VCpu &vcpu) const;
-
-    /** Re-derive the live bit of @p irq (for an SGI/PPI, in bank
-     *  @p idx). */
-    void syncLive(unsigned idx, IrqId irq);
-
-    /** Remove @p c from the software pending state. */
-    void consume(VCpu &vcpu, const arm::PendingIrq &c);
+    Vm &vm_;
+    arm::GicDistState state_; //!< one bank per VCPU
+    std::vector<SoftActive> softActive_; //!< per VCPU
 
     /** Recompute the software-injection pending flag (no-VGIC mode). */
     void updateSoftPending(VCpu &vcpu);

@@ -46,6 +46,7 @@ Vm::addVcpu(CpuId phys_cpu)
     // Guest virtual time starts at zero: CNTVCT = CNTPCT - CNTVOFF.
     vcpu->cntvoff = kvm_.machine().cpuBase(phys_cpu).now();
     vcpus_.push_back(std::move(vcpu));
+    vdist_.addVcpu(static_cast<unsigned>(vcpus_.size()));
     return *vcpus_.back();
 }
 

@@ -7,8 +7,11 @@
  * line formulas the controllers once evaluated on every poll. After every
  * step each CPU's physical and virtual selection (irq, priority, SGI
  * source), its IRQ and virtual IRQ line levels and its list registers must
- * equal the model's. At a random step the machine is snapshotted and
- * restored into a fresh machine, which the model then keeps driving.
+ * equal the model's, and at random steps every distributor register kind
+ * read back through both distributors must too. At a random step the
+ * machine is snapshotted and restored into a fresh machine, which the
+ * model then keeps driving. The model shares no code with the
+ * distributors.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -154,6 +158,53 @@ struct DistModel
             if (irq >= kFirstSpi)
                 spiTargets[irq] = static_cast<std::uint8_t>(v);
         }
+    }
+
+    /** A register read by @p cpu, as GICv2 defines it: the set and clear
+     *  registers both read back the current bits. */
+    std::uint32_t
+    read(unsigned cpu, Addr off) const
+    {
+        const Bank &bank = banks[cpu];
+        auto word = [&](Addr base, auto bit) {
+            std::uint32_t v = 0;
+            for (unsigned i = 0; i < 32; ++i) {
+                IrqId irq = (off - base) / 4 * 32 + i;
+                if (irq < kMaxIrqs && bit(irq))
+                    v |= 1u << i;
+            }
+            return v;
+        };
+        auto is_enabled = [&](IrqId irq) {
+            return irq < kFirstSpi ? bank.enabled[irq] : spiEnabled[irq];
+        };
+        auto is_pending = [&](IrqId irq) {
+            if (irq < kNumSgis)
+                return bank.sgiSources[irq] != 0;
+            return irq < kFirstSpi ? bank.ppiPending[irq] : spiPending[irq];
+        };
+        if (off == gicd::CTLR)
+            return enabled ? 1 : 0;
+        if (off == gicd::TYPER)
+            return static_cast<std::uint32_t>(banks.size() - 1) << 5 |
+                   (kMaxIrqs / 32 - 1);
+        for (Addr base : {gicd::ISENABLER, gicd::ICENABLER}) {
+            if (off >= base && off < base + 0x80)
+                return word(base, is_enabled);
+        }
+        for (Addr base : {gicd::ISPENDR, gicd::ICPENDR}) {
+            if (off >= base && off < base + 0x80)
+                return word(base, is_pending);
+        }
+        if (off >= gicd::IPRIORITYR && off < gicd::IPRIORITYR + kMaxIrqs) {
+            IrqId irq = static_cast<IrqId>(off - gicd::IPRIORITYR);
+            return irq < kFirstSpi ? bank.priority[irq] : spiPriority[irq];
+        }
+        if (off >= gicd::ITARGETSR && off < gicd::ITARGETSR + kMaxIrqs) {
+            IrqId irq = static_cast<IrqId>(off - gicd::ITARGETSR);
+            return irq < kFirstSpi ? 1u << cpu : spiTargets[irq];
+        }
+        return 0;
     }
 
     /** SGIR from @p src: pend the SGI at every target CPU. */
@@ -576,6 +627,36 @@ pickLr(Rng &rng, const VgicBank &b, unsigned idx)
     return lr.pack();
 }
 
+/** Read one register of each kind back from both distributors through
+ *  @p cpu, comparing each with the model's. */
+::testing::AssertionResult
+readBack(Rng &rng, Rig &rig, const Model &m, unsigned c)
+{
+    const Addr offs[] = {
+        gicd::CTLR,
+        gicd::TYPER,
+        pickWord(rng, gicd::ISENABLER).first,
+        pickWord(rng, gicd::ICENABLER).first,
+        pickWord(rng, gicd::ISPENDR).first,
+        pickWord(rng, gicd::ICPENDR).first,
+        gicd::IPRIORITYR + pickIrq(rng),
+        gicd::ITARGETSR + pickIrq(rng),
+    };
+    for (Addr off : offs) {
+        std::uint64_t phys = rig.machine.gicd().read(c, off, 4);
+        std::uint64_t virt = rig.vm->vdist().handleMmio(
+            rig.machine.cpu(c), rig.vcpu(c), off, false, 0, 4);
+        if (phys != m.gicd.read(c, off) || virt != m.vdist.read(c, off)) {
+            std::ostringstream os;
+            os << "cpu" << c << " reads " << std::hex << phys << "/" << virt
+               << " at 0x" << off << ", model " << m.gicd.read(c, off) << "/"
+               << m.vdist.read(c, off);
+            return ::testing::AssertionFailure() << os.str();
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
 /** One seeded operation on the machine and the model. */
 ::testing::AssertionResult
 step(Rng &rng, Rig &rig, Model &m)
@@ -586,7 +667,7 @@ step(Rng &rng, Rig &rig, Model &m)
     arm::ArmCpu &cpu = mach.cpu(c);
     core::VgicDistEmul &vdist = rig.vm->vdist();
     core::VCpu &vcpu = rig.vcpu(c);
-    switch (rng.range(24)) {
+    switch (rng.range(25)) {
       case 0:
       case 1:
       case 2: { // physical distributor register
@@ -759,6 +840,12 @@ step(Rng &rng, Rig &rig, Model &m)
         m.gicvEoir(c, virq);
         break;
       }
+      case 23: {
+        auto r = readBack(rng, rig, m, c);
+        if (!r)
+            return r;
+        break;
+      }
       default:
         if (rng.chance(0.5)) {
             bool en = rng.chance(0.9);
@@ -811,6 +898,58 @@ TEST(GicPendingModel, SeededOpsMatchScanThroughSnapshotRestore)
             EXPECT_GT(virt_selected, kSteps / 10);
             EXPECT_GT(lines_high, kSteps / 10);
         }
+    }
+}
+
+TEST(GicPendingModel, SpiTargetingNoExistingCpuStaysPendingUnseen)
+{
+    // An ITARGETSR byte naming only CPUs the machine lacks: the SPI
+    // becomes pending but no CPU selects it until it is retargeted.
+    constexpr IrqId kSpi = 40;
+    const Addr word = (kSpi / 32) * 4;
+    for (unsigned n : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(n) + " CPUs");
+        Rig rig(n);
+        Model m(n);
+        arm::ArmCpu &cpu = rig.machine.cpu(0);
+        core::VgicDistEmul &vdist = rig.vm->vdist();
+        core::VCpu &vcpu = rig.vcpu(0);
+        auto both = [&](Addr off, std::uint32_t v) {
+            rig.machine.gicd().write(0, off, v, 4);
+            m.gicd.write(0, off, v);
+            vdist.handleMmio(cpu, vcpu, off, true, v, 4);
+            m.vdist.write(0, off, v);
+        };
+        both(gicd::CTLR, 1);
+        both(gicd::ISENABLER + word, 1u << (kSpi % 32));
+        both(gicd::ITARGETSR + kSpi, 1u << n);
+
+        rig.machine.gicd().raiseSpi(kSpi, 0);
+        rig.settle();
+        m.gicd.spiPending[kSpi] = true;
+        vdist.injectSpi(cpu, kSpi);
+        m.vdist.spiPending[kSpi] = true;
+        ASSERT_TRUE(allMatch(rig, m));
+        for (unsigned c = 0; c < n; ++c) {
+            EXPECT_EQ(rig.machine.gicd().bestPending(c).irq, kSpuriousIrq);
+            EXPECT_EQ(vdist.bestPending(rig.vcpu(c)).irq, kSpuriousIrq);
+        }
+        EXPECT_EQ(rig.machine.gicd().read(0, gicd::ISPENDR + word, 4),
+                  1u << (kSpi % 32));
+        EXPECT_EQ(vdist.handleMmio(cpu, vcpu, gicd::ISPENDR + word, false,
+                                   0, 4),
+                  1u << (kSpi % 32));
+        EXPECT_EQ(rig.machine.gicd().read(0, gicd::ITARGETSR + kSpi, 1),
+                  1u << n);
+        EXPECT_EQ(vdist.handleMmio(cpu, vcpu, gicd::ITARGETSR + kSpi, false,
+                                   0, 1),
+                  1u << n);
+
+        // Retargeted at the last CPU, it is that CPU's best.
+        both(gicd::ITARGETSR + kSpi, (1u << n) | (1u << (n - 1)));
+        ASSERT_TRUE(allMatch(rig, m));
+        EXPECT_EQ(rig.machine.gicd().bestPending(n - 1).irq, kSpi);
+        EXPECT_EQ(vdist.bestPending(rig.vcpu(n - 1)).irq, kSpi);
     }
 }
 

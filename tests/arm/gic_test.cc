@@ -114,12 +114,27 @@ TEST_F(GicTest, HigherPriorityPreempts)
 
 TEST_F(GicTest, DisableEnableViaMmio)
 {
-    gicd().write(0, gicd::ICENABLER + 4, 1u << (40 - 32), 4);
+    constexpr std::uint32_t kBit = 1u << (40 - 32);
+    gicd().write(0, gicd::ICENABLER + 4, kBit, 4);
+    // Both enable registers read back the enable bits, both pending
+    // registers the pending bits (GICv2).
+    EXPECT_EQ(gicd().read(0, gicd::ISENABLER + 4, 4), ~kBit);
+    EXPECT_EQ(gicd().read(0, gicd::ICENABLER + 4, 4), ~kBit);
+    EXPECT_EQ(gicd().read(1, gicd::ICENABLER, 4), 0xFFFFFFFFu);
     gicd().raiseSpi(40, 0);
     machine->cpuBase(0).events().runDue(10);
     EXPECT_FALSE(gicc().irqLineHigh(0));
-    gicd().write(0, gicd::ISENABLER + 4, 1u << (40 - 32), 4);
+    EXPECT_EQ(gicd().read(0, gicd::ISPENDR + 4, 4), kBit);
+    EXPECT_EQ(gicd().read(0, gicd::ICPENDR + 4, 4), kBit);
+    gicd().write(0, gicd::ISENABLER + 4, kBit, 4);
+    EXPECT_EQ(gicd().read(0, gicd::ICENABLER + 4, 4), 0xFFFFFFFFu);
     EXPECT_TRUE(gicc().irqLineHigh(0));
+
+    // CTLR keeps only its enable bit; the rest are RAZ/WI.
+    gicd().write(0, gicd::CTLR, 0xFF, 4);
+    EXPECT_EQ(gicd().read(0, gicd::CTLR, 4), 1u);
+    EXPECT_EQ(gicd().read(0, gicd::TYPER, 4), (1u << 5) | 4u);
+    EXPECT_EQ(gicd().read(1, gicd::ITARGETSR + 20, 1), 0x02u);
 }
 
 TEST_F(GicTest, PpisAreBankedPerCpu)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "arm/machine.hh"
 #include "core/kvm.hh"
 #include "host/kernel.hh"
@@ -58,14 +60,41 @@ class CountingGuest : public arm::OsVectors
 class VgicEmulTest : public ::testing::Test
 {
   protected:
-    VgicEmulTest()
+    explicit VgicEmulTest(bool vgic = true)
     {
         ArmMachine::Config mc;
         mc.numCpus = 2;
         mc.ramSize = 256 * kMiB;
+        mc.hwVgic = vgic;
         machine = std::make_unique<ArmMachine>(mc);
         hostk = std::make_unique<host::HostKernel>(*machine);
-        kvm = std::make_unique<core::Kvm>(*hostk);
+        core::KvmConfig kc;
+        kc.useVgic = vgic;
+        kvm = std::make_unique<core::Kvm>(*hostk, kc);
+    }
+
+    /** Run @p body to completion in a booted guest on a one-VCPU VM on
+     *  CPU0. */
+    void
+    runGuest(const std::function<void(ArmCpu &, core::Vm &, core::VCpu &)>
+                 &body)
+    {
+        bool done = false;
+        machine->cpu(0).setEntry([&] {
+            ArmCpu &cpu = machine->cpu(0);
+            hostk->boot(0);
+            kvm->initCpu(cpu);
+            auto vm = kvm->createVm(32 * kMiB);
+            core::VCpu &vcpu = vm->addVcpu(0);
+            vcpu.setGuestOs(&guest0);
+            vcpu.run(cpu, [&](ArmCpu &c) {
+                guest0.boot(c);
+                body(c, *vm, vcpu);
+                done = true;
+            });
+        });
+        machine->run();
+        EXPECT_TRUE(done);
     }
 
     std::unique_ptr<ArmMachine> machine;
@@ -76,28 +105,39 @@ class VgicEmulTest : public ::testing::Test
 
 TEST_F(VgicEmulTest, TrappedDistributorConfigRoundTrips)
 {
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        kvm->initCpu(cpu);
-        auto vm = kvm->createVm(32 * kMiB);
-        core::VCpu &vcpu = vm->addVcpu(0);
-        vcpu.setGuestOs(&guest0);
-        vcpu.run(cpu, [&](ArmCpu &c) {
-            guest0.boot(c);
-            // Priorities and reads go through the emulated distributor.
-            c.memWrite(ArmMachine::kGicdBase + arm::gicd::IPRIORITYR + 50,
-                       0x30);
-            EXPECT_EQ(c.memRead(ArmMachine::kGicdBase +
-                                    arm::gicd::IPRIORITYR + 50,
-                                4),
-                      0x30u);
-            EXPECT_EQ(c.memRead(ArmMachine::kGicdBase + arm::gicd::CTLR, 4),
-                      1u);
-        });
+    runGuest([&](ArmCpu &c, core::Vm &vm, core::VCpu &vcpu) {
+        const Addr gicd = ArmMachine::kGicdBase;
+        auto rd = [&](Addr off) {
+            return static_cast<std::uint32_t>(c.memRead(gicd + off, 4));
+        };
+        // Priorities and reads go through the emulated distributor.
+        c.memWrite(gicd + arm::gicd::IPRIORITYR + 50, 0x30);
+        EXPECT_EQ(rd(arm::gicd::IPRIORITYR + 50), 0x30u);
+        EXPECT_EQ(rd(arm::gicd::CTLR), 1u);
+        EXPECT_EQ(rd(arm::gicd::TYPER), 4u); // one VCPU, 160 IRQs
+
+        // Both enable registers read back the enable bits (the guest
+        // enabled SGIs 0-15 and SPIs 32-63 at boot).
+        constexpr std::uint32_t kBit = 1u << (50 - 32);
+        EXPECT_EQ(rd(arm::gicd::ISENABLER), 0xFFFFu);
+        EXPECT_EQ(rd(arm::gicd::ICENABLER), 0xFFFFu);
+        c.memWrite(gicd + arm::gicd::ICENABLER + 4, kBit);
+        EXPECT_EQ(rd(arm::gicd::ISENABLER + 4), ~kBit);
+        EXPECT_EQ(rd(arm::gicd::ICENABLER + 4), ~kBit);
+
+        // Both pending registers read back the pending bits.
+        vm.irqLine(c, 50);
+        EXPECT_EQ(rd(arm::gicd::ISPENDR + 4), kBit);
+        EXPECT_EQ(rd(arm::gicd::ICPENDR + 4), kBit);
+        c.memWrite(gicd + arm::gicd::ICPENDR + 4, kBit);
+        EXPECT_EQ(rd(arm::gicd::ISPENDR + 4), 0u);
+
+        // SPI targets round-trip; SGI/PPI targets read as this VCPU.
+        c.memWrite(gicd + arm::gicd::ITARGETSR + 50, 0x01);
+        EXPECT_EQ(rd(arm::gicd::ITARGETSR + 50), 0x01u);
+        EXPECT_EQ(rd(arm::gicd::ITARGETSR + 20), 0x01u);
         EXPECT_GE(vcpu.stats.counterValue("mmio.vdist"), 5u);
     });
-    machine->run();
 }
 
 TEST_F(VgicEmulTest, UserSpaceInjectionDeliversSpi)
@@ -284,6 +324,75 @@ TEST_F(VgicEmulTest, InjectionWakesWfiBlockedVcpu)
     EXPECT_GE(guest1.received[2], 1);
     // The WFI really was emulated by blocking.
     EXPECT_GE(vm->vcpus()[1]->stats.counterValue("emul.wfi"), 1u);
+}
+
+/** The same distributor with no VGIC: pending state reaches the guest as
+ *  HCR.VI, and ACK/EOI trap to the user-space GIC model. */
+class NoVgicEmulTest : public VgicEmulTest
+{
+  protected:
+    NoVgicEmulTest() : VgicEmulTest(false) {}
+
+    static constexpr IrqId kSpi = 60;
+    static constexpr std::uint32_t kBit = 1u << (kSpi - 32);
+
+    /**
+     * With the guest's IRQs masked, pend SPI 60 enabled and routed to the
+     * VCPU, then apply one distributor write: the VCPU must no longer see
+     * a pending interrupt, and after unmasking and a world switch the
+     * guest takes none (not even a spurious ACK).
+     */
+    void
+    expectWriteCancels(Addr off, std::uint32_t value)
+    {
+        runGuest([&](ArmCpu &c, core::Vm &vm, core::VCpu &vcpu) {
+            c.setIrqMasked(true);
+            vm.irqLine(c, kSpi);
+            EXPECT_TRUE(vcpu.softVirqPending);
+            c.memWrite(ArmMachine::kGicdBase + off, value);
+            EXPECT_FALSE(vcpu.softVirqPending);
+            std::uint64_t acks = vcpu.stats.counterValue("mmio.user.gicc");
+            c.setIrqMasked(false);
+            c.hvc(core::hvc::kTestHypercall);
+            c.compute(10);
+            EXPECT_EQ(vcpu.stats.counterValue("mmio.user.gicc"), acks);
+        });
+        EXPECT_TRUE(guest0.received.empty());
+    }
+};
+
+TEST_F(NoVgicEmulTest, EnablingAPendingSpiDeliversIt)
+{
+    runGuest([&](ArmCpu &c, core::Vm &vm, core::VCpu &) {
+        const Addr gicd = ArmMachine::kGicdBase;
+        c.memWrite(gicd + arm::gicd::ICENABLER + 4, kBit);
+        vm.irqLine(c, kSpi);
+        c.hvc(core::hvc::kTestHypercall);
+        c.compute(10);
+        EXPECT_EQ(guest0.received[kSpi], 0);
+
+        c.memWrite(gicd + arm::gicd::ISENABLER + 4, kBit);
+        c.hvc(core::hvc::kTestHypercall);
+        c.compute(10);
+        EXPECT_EQ(guest0.received[kSpi], 1);
+    });
+    EXPECT_EQ(guest0.received[kSpi], 1);
+}
+
+TEST_F(NoVgicEmulTest, DisablingAPendingSpiDeliversNothing)
+{
+    expectWriteCancels(arm::gicd::ICENABLER + 4, kBit);
+}
+
+TEST_F(NoVgicEmulTest, ClearingAPendingSpiDeliversNothing)
+{
+    expectWriteCancels(arm::gicd::ICPENDR + 4, kBit);
+}
+
+TEST_F(NoVgicEmulTest, RetargetingAPendingSpiAwayDeliversNothing)
+{
+    // SPI 60's target byte now names VCPU1, which this VM lacks.
+    expectWriteCancels(arm::gicd::ITARGETSR + kSpi, 0x02);
 }
 
 } // namespace
