@@ -10,106 +10,63 @@
  * recommendation — would recover.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
-#include "workload/microbench.hh"
-
 #include "bench_util.hh"
+#include "workload/microbench.hh"
 
 namespace {
 
 using namespace kvmarm;
 
+/** Guest vectors that ACK and EOI every interrupt. */
+class AckOs : public bench::NullOs
+{
+  public:
+    void
+    irq(arm::ArmCpu &cpu) override
+    {
+        std::uint32_t iar = static_cast<std::uint32_t>(
+            cpu.memRead(arm::ArmMachine::kGiccBase + arm::gicc::IAR, 4));
+        cpu.memWrite(arm::ArmMachine::kGiccBase + arm::gicc::EOIR, iar);
+    }
+};
+
 /** Cost of one trapped self-SGIR write (the send-side trap). */
 Cycles
 sgirTrapCost()
 {
-    arm::ArmMachine machine(arm::ArmMachine::Config{
-        .numCpus = 1, .ramSize = 256 * kMiB, .hwVgic = true,
-        .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk);
-
-    class AckOs : public arm::OsVectors
-    {
-      public:
-        void
-        irq(arm::ArmCpu &cpu) override
-        {
-            std::uint32_t iar = static_cast<std::uint32_t>(cpu.memRead(
-                arm::ArmMachine::kGiccBase + arm::gicc::IAR, 4));
-            cpu.memWrite(arm::ArmMachine::kGiccBase + arm::gicc::EOIR,
-                         iar);
-        }
-        void svc(arm::ArmCpu &, std::uint32_t) override {}
-        bool pageFault(arm::ArmCpu &, Addr, bool, bool) override
-        {
-            return false;
-        }
-        const char *name() const override { return "guest"; }
-    } guest_os;
-
+    AckOs guest_os;
     Cycles result = 0;
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        kvm.initCpu(cpu);
-        auto vm = kvm.createVm(32 * kMiB);
-        core::VCpu &vcpu = vm->addVcpu(0);
-        vcpu.setGuestOs(&guest_os);
-        vcpu.run(cpu, [&](arm::ArmCpu &c) {
-            // Enable the distributor so SGIs route (trapped writes).
-            c.memWrite(arm::ArmMachine::kGicdBase + arm::gicd::CTLR, 1);
-            constexpr unsigned iters = 64;
-            Cycles t0 = c.now();
-            for (unsigned i = 0; i < iters; ++i) {
-                // SGIR write with an empty target list: pure send-side
-                // trap + emulation cost, no delivery.
-                c.memWrite(arm::ArmMachine::kGicdBase + arm::gicd::SGIR,
-                           0);
-            }
-            result = (c.now() - t0) / iters;
-        });
-    });
-    machine.run();
+    bench::runSingleVcpu(true, core::KvmConfig{}, [&](arm::ArmCpu &c) {
+        // Enable the distributor so SGIs route (trapped writes).
+        c.memWrite(arm::ArmMachine::kGicdBase + arm::gicd::CTLR, 1);
+        constexpr unsigned iters = 64;
+        Cycles t0 = c.now();
+        for (unsigned i = 0; i < iters; ++i) {
+            // SGIR write with an empty target list: pure send-side
+            // trap + emulation cost, no delivery.
+            c.memWrite(arm::ArmMachine::kGicdBase + arm::gicd::SGIR, 0);
+        }
+        result = (c.now() - t0) / iters;
+    }, &guest_os);
     return result;
-}
-
-wl::MicroResults micro;
-Cycles sendTrap = 0;
-
-void
-BM_IpiTrap(benchmark::State &state)
-{
-    for (auto _ : state) {
-        micro = wl::runArmMicrobench({true, true, 64});
-        sendTrap = sgirTrapCost();
-    }
-    state.counters["ipi_roundtrip"] = double(micro.ipi);
-    state.counters["sgir_trap"] = double(sendTrap);
 }
 
 } // namespace
 
-BENCHMARK(BM_IpiTrap)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    wl::MicroResults micro = wl::runArmMicrobench({true, true, 64});
+    Cycles send_trap = sgirTrapCost();
 
-    double direct = double(micro.ipi) - double(sendTrap);
+    double direct = double(micro.ipi) - double(send_trap);
     using kvmarm::bench::Row;
     std::vector<Row> rows = {
         {"VM IPI round trip (measured)", {double(micro.ipi)}, {}},
-        {"send-side SGIR trap share", {double(sendTrap)}, {}},
+        {"send-side SGIR trap share", {double(send_trap)}, {}},
         {"projected with direct-send hw", {direct}, {}},
     };
     kvmarm::bench::printTable(
@@ -120,7 +77,7 @@ main(int argc, char **argv)
         "the IPI round trip;\nhardware that let VMs send virtual IPIs "
         "directly (paper §6) would remove it entirely.\nReceiving is "
         "already trap-free with the VGIC (EOI+ACK = %llu cycles).\n",
-        100.0 * double(sendTrap) / double(micro.ipi),
+        100.0 * double(send_trap) / double(micro.ipi),
         (unsigned long long)micro.eoiAck);
     return 0;
 }

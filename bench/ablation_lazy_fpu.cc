@@ -9,14 +9,9 @@
  * actually uses FP, at the price of one extra trap when it does.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
-
+#include "arm/cpu.hh"
 #include "bench_util.hh"
 
 namespace {
@@ -28,79 +23,37 @@ using namespace kvmarm;
 Cycles
 runFpWorkload(bool lazy, unsigned exits, unsigned fp_period)
 {
-    arm::ArmMachine machine(arm::ArmMachine::Config{
-        .numCpus = 1, .ramSize = 256 * kMiB, .hwVgic = true,
-        .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
-    host::HostKernel hostk(machine);
     core::KvmConfig kc;
     kc.lazyFpu = lazy;
-    core::Kvm kvm(hostk, kc);
-
-    class NullOs : public arm::OsVectors
-    {
-        void irq(arm::ArmCpu &) override {}
-        void svc(arm::ArmCpu &, std::uint32_t) override {}
-        bool pageFault(arm::ArmCpu &, Addr, bool, bool) override
-        {
-            return false;
-        }
-        const char *name() const override { return "guest"; }
-    } guest_os;
-
     Cycles result = 0;
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        kvm.initCpu(cpu);
-        auto vm = kvm.createVm(32 * kMiB);
-        core::VCpu &vcpu = vm->addVcpu(0);
-        vcpu.setGuestOs(&guest_os);
-        vcpu.run(cpu, [&](arm::ArmCpu &c) {
-            Cycles t0 = c.now();
-            for (unsigned i = 0; i < exits; ++i) {
-                c.hvc(core::hvc::kTestHypercall);
-                if (fp_period && i % fp_period == 0)
-                    c.fpOp(400);
-                else
-                    c.compute(400);
-            }
-            result = (c.now() - t0) / exits;
-        });
+    bench::runSingleVcpu(true, kc, [&](arm::ArmCpu &c) {
+        Cycles t0 = c.now();
+        for (unsigned i = 0; i < exits; ++i) {
+            c.hvc(core::hvc::kTestHypercall);
+            if (fp_period && i % fp_period == 0)
+                c.fpOp(400);
+            else
+                c.compute(400);
+        }
+        result = (c.now() - t0) / exits;
     });
-    machine.run();
     return result;
-}
-
-Cycles lazyNoFp, eagerNoFp, lazyFp, eagerFp;
-
-void
-BM_LazyFpu(benchmark::State &state)
-{
-    for (auto _ : state) {
-        lazyNoFp = runFpWorkload(true, 128, 0);
-        eagerNoFp = runFpWorkload(false, 128, 0);
-        lazyFp = runFpWorkload(true, 128, 8);
-        eagerFp = runFpWorkload(false, 128, 8);
-    }
-    state.counters["lazy_nofp"] = double(lazyNoFp);
-    state.counters["eager_nofp"] = double(eagerNoFp);
 }
 
 } // namespace
 
-BENCHMARK(BM_LazyFpu)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    Cycles lazy_nofp = runFpWorkload(true, 128, 0);
+    Cycles eager_nofp = runFpWorkload(false, 128, 0);
+    Cycles lazy_fp = runFpWorkload(true, 128, 8);
+    Cycles eager_fp = runFpWorkload(false, 128, 8);
 
     using kvmarm::bench::Row;
     std::vector<Row> rows = {
-        {"integer-only guest", {double(lazyNoFp), double(eagerNoFp)}, {}},
-        {"FP every 8th exit", {double(lazyFp), double(eagerFp)}, {}},
+        {"integer-only guest", {double(lazy_nofp), double(eager_nofp)}, {}},
+        {"FP every 8th exit", {double(lazy_fp), double(eager_fp)}, {}},
     };
     kvmarm::bench::printTable(
         "Ablation: lazy VFP switching, cycles per guest exit",
@@ -110,6 +63,6 @@ main(int argc, char **argv)
         "guests (the 32x64-bit VFP file\nplus control registers never "
         "move) and still wins at moderate FP usage; the HCPTR trap\nonly "
         "costs when the guest actually touches FP (paper §3.2).\n",
-        double(eagerNoFp) - double(lazyNoFp));
+        double(eager_nofp) - double(lazy_nofp));
     return 0;
 }

@@ -10,8 +10,6 @@
  * world switch itself, which any hosted design pays.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "baremetal/baremetal_hv.hh"
@@ -37,17 +35,7 @@ runBareMetal()
         .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
     baremetal::BareMetalHv hv(machine);
     BareMetalResults results;
-
-    class NullOs : public arm::OsVectors
-    {
-        void irq(arm::ArmCpu &) override {}
-        void svc(arm::ArmCpu &, std::uint32_t) override {}
-        bool pageFault(arm::ArmCpu &, Addr, bool, bool) override
-        {
-            return false;
-        }
-        const char *name() const override { return "bm-guest"; }
-    } guest_os;
+    bench::NullOs guest_os;
 
     machine.cpu(0).setEntry([&] {
         arm::ArmCpu &cpu = machine.cpu(0);
@@ -75,39 +63,20 @@ runBareMetal()
     return results;
 }
 
-wl::MicroResults kvmResults;
-BareMetalResults bmResults;
-
-void
-BM_SplitMode(benchmark::State &state)
-{
-    for (auto _ : state) {
-        kvmResults = wl::runArmMicrobench({true, true, 64});
-        bmResults = runBareMetal();
-    }
-    state.counters["kvm_hypercall"] = double(kvmResults.hypercall);
-    state.counters["bm_hypercall"] = double(bmResults.hypercall);
-}
-
 } // namespace
 
-BENCHMARK(BM_SplitMode)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    wl::MicroResults kvm = wl::runArmMicrobench({true, true, 64});
+    BareMetalResults bm = runBareMetal();
 
     using kvmarm::bench::Row;
     std::vector<Row> rows = {
-        {"Hypercall",
-         {double(kvmResults.hypercall), double(bmResults.hypercall)}, {}},
-        {"Trap only",
-         {double(kvmResults.trap), double(bmResults.trap)}, {}},
+        {"Hypercall", {double(kvm.hypercall), double(bm.hypercall)}, {}},
+        {"Trap only", {double(kvm.trap), double(bm.trap)}, {}},
         {"I/O in hypervisor/kernel",
-         {double(kvmResults.ioKernel), double(bmResults.ioHyp)}, {}},
+         {double(kvm.ioKernel), double(bm.ioHyp)}, {}},
     };
     kvmarm::bench::printTable(
         "Ablation: split-mode (KVM/ARM) vs Hyp-resident bare-metal "
@@ -123,7 +92,7 @@ main(int argc, char **argv)
         "the bare-metal\ndesign saves on traps it pays in portability: "
         "its own allocator, scheduler and drivers\n(src/baremetal vs the "
         "host services src/core reuses).\n",
-        double_trap, (unsigned long long)kvmResults.hypercall,
-        100.0 * double_trap / double(kvmResults.hypercall));
+        double_trap, (unsigned long long)kvm.hypercall,
+        100.0 * double_trap / double(kvm.hypercall));
     return 0;
 }

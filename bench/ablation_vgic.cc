@@ -10,15 +10,9 @@
  * against no VGIC at all.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
-#include "workload/microbench.hh"
-
+#include "arm/cpu.hh"
 #include "bench_util.hh"
 
 namespace {
@@ -29,72 +23,29 @@ using namespace kvmarm;
 Cycles
 hypercallCost(bool use_vgic, bool lazy)
 {
-    arm::ArmMachine machine(arm::ArmMachine::Config{
-        .numCpus = 1, .ramSize = 256 * kMiB, .hwVgic = use_vgic,
-        .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
-    host::HostKernel hostk(machine);
     core::KvmConfig kc;
     kc.useVgic = use_vgic;
     kc.lazyVgic = lazy;
-    core::Kvm kvm(hostk, kc);
-
-    class NullOs : public arm::OsVectors
-    {
-        void irq(arm::ArmCpu &) override {}
-        void svc(arm::ArmCpu &, std::uint32_t) override {}
-        bool pageFault(arm::ArmCpu &, Addr, bool, bool) override
-        {
-            return false;
-        }
-        const char *name() const override { return "guest"; }
-    } guest_os;
-
     Cycles result = 0;
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        kvm.initCpu(cpu);
-        auto vm = kvm.createVm(32 * kMiB);
-        core::VCpu &vcpu = vm->addVcpu(0);
-        vcpu.setGuestOs(&guest_os);
-        vcpu.run(cpu, [&](arm::ArmCpu &c) {
-            constexpr unsigned iters = 64;
+    bench::runSingleVcpu(use_vgic, kc, [&](arm::ArmCpu &c) {
+        constexpr unsigned iters = 64;
+        c.hvc(core::hvc::kTestHypercall);
+        Cycles t0 = c.now();
+        for (unsigned i = 0; i < iters; ++i)
             c.hvc(core::hvc::kTestHypercall);
-            Cycles t0 = c.now();
-            for (unsigned i = 0; i < iters; ++i)
-                c.hvc(core::hvc::kTestHypercall);
-            result = (c.now() - t0) / iters;
-        });
+        result = (c.now() - t0) / iters;
     });
-    machine.run();
     return result;
-}
-
-Cycles full = 0, lazy = 0, none = 0;
-
-void
-BM_VgicPolicy(benchmark::State &state)
-{
-    for (auto _ : state) {
-        full = hypercallCost(true, false);
-        lazy = hypercallCost(true, true);
-        none = hypercallCost(false, false);
-    }
-    state.counters["full_switch"] = double(full);
-    state.counters["lazy_switch"] = double(lazy);
-    state.counters["no_vgic"] = double(none);
 }
 
 } // namespace
 
-BENCHMARK(BM_VgicPolicy)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    Cycles full = hypercallCost(true, false);
+    Cycles lazy = hypercallCost(true, true);
+    Cycles none = hypercallCost(false, false);
 
     using kvmarm::bench::Row;
     std::vector<Row> rows = {

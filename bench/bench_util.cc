@@ -2,6 +2,10 @@
 
 #include <cstdio>
 
+#include "arm/machine.hh"
+#include "core/kvm.hh"
+#include "host/kernel.hh"
+
 namespace kvmarm::bench {
 
 namespace {
@@ -61,6 +65,30 @@ printFigure(const std::string &title, const std::vector<std::string> &series,
             const std::vector<Row> &rows, const std::string &footer)
 {
     printTable(title, series, rows, footer, 2);
+}
+
+void
+runSingleVcpu(bool hw_vgic, const core::KvmConfig &config,
+              const std::function<void(arm::ArmCpu &)> &guest,
+              arm::OsVectors *os)
+{
+    arm::ArmMachine machine(arm::ArmMachine::Config{
+        .numCpus = 1, .ramSize = 256 * kMiB, .hwVgic = hw_vgic,
+        .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
+    host::HostKernel hostk(machine);
+    core::Kvm kvm(hostk, config);
+    NullOs null_os;
+
+    machine.cpu(0).setEntry([&] {
+        arm::ArmCpu &cpu = machine.cpu(0);
+        hostk.boot(0);
+        kvm.initCpu(cpu);
+        auto vm = kvm.createVm(32 * kMiB);
+        core::VCpu &vcpu = vm->addVcpu(0);
+        vcpu.setGuestOs(os ? os : &null_os);
+        vcpu.run(cpu, guest);
+    });
+    machine.run();
 }
 
 } // namespace kvmarm::bench

@@ -7,41 +7,13 @@
 
 #include "fig_lmbench_common.hh"
 
-namespace {
-
-using namespace kvmarm;
-
-std::map<wl::LmWorkload, std::vector<double>> figure;
-
-void
-BM_Fig3(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (figure.empty())
-            figure = benchfig::runLmbenchFigure(false);
-    }
-    auto w = static_cast<wl::LmWorkload>(state.range(0));
-    const auto &v = figure.at(w);
-    state.counters["arm"] = v[0];
-    state.counters["arm_novgic"] = v[1];
-    state.counters["x86_laptop"] = v[2];
-    state.counters["x86_server"] = v[3];
-}
-
-} // namespace
-
-BENCHMARK(BM_Fig3)->DenseRange(0, 7)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (figure.empty())
-        figure = kvmarm::benchfig::runLmbenchFigure(false);
-    kvmarm::benchfig::printLmbenchFigure(
-        "Figure 3: UP VM Normalized lmbench Performance", figure,
+    using namespace kvmarm;
+    benchfig::printLmbenchFigure(
+        "Figure 3: UP VM Normalized lmbench Performance",
+        benchfig::runLmbenchFigure(false),
         "Paper claims reproduced: KVM/ARM and KVM x86 show similar UP "
         "overhead (near 1.0 across\nworkloads); without VGIC/vtimers the "
         "pipe and ctxsw overheads are substantial, because each\nrun-queue "

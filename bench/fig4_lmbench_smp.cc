@@ -7,41 +7,13 @@
 
 #include "fig_lmbench_common.hh"
 
-namespace {
-
-using namespace kvmarm;
-
-std::map<wl::LmWorkload, std::vector<double>> figure;
-
-void
-BM_Fig4(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (figure.empty())
-            figure = benchfig::runLmbenchFigure(true);
-    }
-    auto w = static_cast<wl::LmWorkload>(state.range(0));
-    const auto &v = figure.at(w);
-    state.counters["arm"] = v[0];
-    state.counters["arm_novgic"] = v[1];
-    state.counters["x86_laptop"] = v[2];
-    state.counters["x86_server"] = v[3];
-}
-
-} // namespace
-
-BENCHMARK(BM_Fig4)->DenseRange(0, 7)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (figure.empty())
-        figure = kvmarm::benchfig::runLmbenchFigure(true);
-    kvmarm::benchfig::printLmbenchFigure(
-        "Figure 4: SMP VM Normalized lmbench Performance", figure,
+    using namespace kvmarm;
+    benchfig::printLmbenchFigure(
+        "Figure 4: SMP VM Normalized lmbench Performance",
+        benchfig::runLmbenchFigure(true),
         "Paper claims reproduced: KVM/ARM has less overhead than KVM x86 "
         "for fork and exec but more\nfor protection faults; pipe and ctxsw "
         "are the worst for both, with KVM x86 substantially worse\nfor "

@@ -6,40 +6,13 @@
 
 #include "fig_apps_common.hh"
 
-namespace {
-
-using namespace kvmarm;
-
-benchfig::AppFigure figure;
-
-void
-BM_Fig5(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (figure.empty())
-            figure = benchfig::runAppFigure(false);
-    }
-    auto app = static_cast<wl::App>(state.range(0));
-    const auto &v = figure.at(app);
-    state.counters["arm"] = v[0].overhead;
-    state.counters["x86_laptop"] = v[2].overhead;
-}
-
-} // namespace
-
-BENCHMARK(BM_Fig5)->DenseRange(0, 7)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (figure.empty())
-        figure = kvmarm::benchfig::runAppFigure(false);
-    kvmarm::benchfig::printAppFigure(
-        "Figure 5: UP VM Normalized Application Performance", figure,
-        false,
+    using namespace kvmarm;
+    benchfig::printAppFigure(
+        "Figure 5: UP VM Normalized Application Performance",
+        benchfig::runAppFigure(false),
         "Paper claim reproduced: similar virtualization overhead across "
         "all workloads for KVM/ARM and\nKVM x86 in the single-core "
         "configuration (paper §5.2).");

@@ -6,40 +6,13 @@
 
 #include "fig_apps_common.hh"
 
-namespace {
-
-using namespace kvmarm;
-
-benchfig::AppFigure figure;
-
-void
-BM_Fig6(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (figure.empty())
-            figure = benchfig::runAppFigure(true);
-    }
-    auto app = static_cast<wl::App>(state.range(0));
-    const auto &v = figure.at(app);
-    state.counters["arm"] = v[0].overhead;
-    state.counters["x86_laptop"] = v[2].overhead;
-}
-
-} // namespace
-
-BENCHMARK(BM_Fig6)->DenseRange(0, 7)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (figure.empty())
-        figure = kvmarm::benchfig::runAppFigure(true);
-    kvmarm::benchfig::printAppFigure(
-        "Figure 6: SMP VM Normalized Application Performance", figure,
-        false,
+    using namespace kvmarm;
+    benchfig::printAppFigure(
+        "Figure 6: SMP VM Normalized Application Performance",
+        benchfig::runAppFigure(true),
         "Paper claims reproduced: on multicore, KVM x86 shows higher "
         "overhead than KVM/ARM for the\nserver workloads (Apache, MySQL), "
         "while KVM/ARM stays close to native for the application\n"

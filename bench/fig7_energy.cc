@@ -8,47 +8,19 @@
 
 #include "fig_apps_common.hh"
 
-namespace {
-
-using namespace kvmarm;
-
-benchfig::AppFigure figure;
-
-void
-BM_Fig7(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (figure.empty())
-            figure = benchfig::runAppFigure(true);
-    }
-    auto app = static_cast<wl::App>(state.range(0));
-    const auto &v = figure.at(app);
-    state.counters["arm_energy"] = v[0].energyOverhead;
-    state.counters["x86_laptop_energy"] = v[2].energyOverhead;
-}
-
-} // namespace
-
-BENCHMARK(BM_Fig7)->DenseRange(0, 7)->Iterations(1);
-
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (figure.empty())
-        figure = kvmarm::benchfig::runAppFigure(true);
-
+    using namespace kvmarm;
     // Figure 7 plots only ARM and the x86 laptop.
-    std::vector<kvmarm::bench::Row> rows;
-    for (const auto &[app, outcomes] : figure) {
+    std::vector<bench::Row> rows;
+    for (const auto &[app, outcomes] : benchfig::runAppFigure(true)) {
         rows.push_back({wl::appName(app),
                         {outcomes[0].energyOverhead,
                          outcomes[2].energyOverhead},
                         {}});
     }
-    kvmarm::bench::printFigure(
+    bench::printFigure(
         "Figure 7: SMP VM Normalized Energy Consumption",
         {"ARM", "x86-laptop"}, rows,
         "Paper claim: KVM/ARM is more power efficient than KVM x86 for "

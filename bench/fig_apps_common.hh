@@ -6,8 +6,6 @@
 #ifndef KVMARM_BENCH_FIG_APPS_COMMON_HH
 #define KVMARM_BENCH_FIG_APPS_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
@@ -39,15 +37,15 @@ runAppFigure(bool smp)
     return fig;
 }
 
+/** Print the virtualized/native runtime of every app on every platform. */
 inline void
-printAppFigure(const char *title, const AppFigure &fig, bool energy,
-               const char *footer)
+printAppFigure(const char *title, const AppFigure &fig, const char *footer)
 {
     std::vector<bench::Row> rows;
     for (const auto &[app, outcomes] : fig) {
         std::vector<double> values;
         for (const wl::AppOutcome &o : outcomes)
-            values.push_back(energy ? o.energyOverhead : o.overhead);
+            values.push_back(o.overhead);
         rows.push_back({wl::appName(app), values, {}});
     }
     bench::printFigure(

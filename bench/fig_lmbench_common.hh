@@ -8,8 +8,6 @@
 #ifndef KVMARM_BENCH_FIG_LMBENCH_COMMON_HH
 #define KVMARM_BENCH_FIG_LMBENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <memory>
 

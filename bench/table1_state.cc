@@ -3,69 +3,20 @@
  * Reproduces Table 1, "VM and Host State on a Cortex-A15": the register
  * groups KVM/ARM context switches versus trap-and-emulates, derived
  * directly from the register-file definitions the world switch operates
- * on — so the table cannot drift from the implementation. Also verifies,
- * by running a VM, that a world-switch round trip touches exactly that
- * state.
+ * on — so the table cannot drift from the implementation. That a world
+ * switch moves this state symmetrically is checked at run time by the
+ * ws-pairing invariant rule (src/check/rules.cc).
  */
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
-#include "arm/machine.hh"
 #include "arm/registers.hh"
 #include "arm/vgic.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
 
-namespace {
-
-using namespace kvmarm;
-
-void
-BM_WorldSwitchStateVolume(benchmark::State &state)
+int
+main()
 {
-    // Count the MMIO/register operations of one world-switch round trip.
-    arm::ArmMachine machine(arm::ArmMachine::Config{
-        .numCpus = 1, .ramSize = 128 * kMiB, .hwVgic = true,
-        .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk);
-    Cycles hypercall = 0;
-
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        kvm.initCpu(cpu);
-        auto vm = kvm.createVm(32 * kMiB);
-        core::VCpu &vcpu = vm->addVcpu(0);
-        class NullOs : public arm::OsVectors
-        {
-            void irq(arm::ArmCpu &) override {}
-            void svc(arm::ArmCpu &, std::uint32_t) override {}
-            bool pageFault(arm::ArmCpu &, Addr, bool, bool) override
-            {
-                return false;
-            }
-            const char *name() const override { return "null"; }
-        } os;
-        vcpu.setGuestOs(&os);
-        vcpu.run(cpu, [&](arm::ArmCpu &c) {
-            Cycles t0 = c.now();
-            c.hvc(core::hvc::kTestHypercall);
-            hypercall = c.now() - t0;
-        });
-    });
-    machine.run();
-
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hypercall);
-    state.counters["hypercall_cycles"] = static_cast<double>(hypercall);
-}
-
-void
-printTable1()
-{
+    using namespace kvmarm;
     std::printf("\n=== Table 1: VM and Host State on a Cortex-A15 ===\n");
     std::printf("%-18s %6s  %s\n", "Action", "Nr.", "State");
     for (const auto &row : arm::stateInventory()) {
@@ -80,18 +31,5 @@ printTable1()
         "%u x 64-bit VFP + %u VFP control registers.\n",
         arm::kNumGpRegs, arm::kNumCtrlRegs, arm::kVgicCtrlSaveList.size(),
         arm::kNumListRegs, arm::kNumVfpDataRegs, arm::kNumVfpCtrlRegs);
-}
-
-} // namespace
-
-BENCHMARK(BM_WorldSwitchStateVolume)->Iterations(1);
-
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    printTable1();
     return 0;
 }

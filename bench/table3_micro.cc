@@ -5,73 +5,18 @@
  * and without VGIC/vtimers, and KVM x86 on the laptop and server models.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <array>
-#include <optional>
-
 #include "bench_util.hh"
 #include "workload/microbench.hh"
 #include "workload/microbench_x86.hh"
 
-namespace {
-
-using namespace kvmarm;
-
-enum Column { ArmVgic, ArmNoVgic, X86Laptop, X86Server, NumColumns };
-
-std::array<std::optional<wl::MicroResults>, NumColumns> cache;
-
-const wl::MicroResults &
-resultsFor(Column col)
+int
+main()
 {
-    if (!cache[col]) {
-        switch (col) {
-          case ArmVgic:
-            cache[col] = wl::runArmMicrobench({true, true, 64});
-            break;
-          case ArmNoVgic:
-            cache[col] = wl::runArmMicrobench({false, false, 64});
-            break;
-          case X86Laptop:
-            cache[col] =
-                wl::runX86Microbench({x86::X86Platform::Laptop, 64});
-            break;
-          case X86Server:
-            cache[col] =
-                wl::runX86Microbench({x86::X86Platform::Server, 64});
-            break;
-          default:
-            break;
-        }
-    }
-    return *cache[col];
-}
-
-void
-BM_Microbench(benchmark::State &state)
-{
-    auto col = static_cast<Column>(state.range(0));
-    for (auto _ : state) {
-        const wl::MicroResults &r = resultsFor(col);
-        benchmark::DoNotOptimize(r.hypercall);
-    }
-    const wl::MicroResults &r = resultsFor(col);
-    state.counters["hypercall_cycles"] = static_cast<double>(r.hypercall);
-    state.counters["trap_cycles"] = static_cast<double>(r.trap);
-    state.counters["io_kernel_cycles"] = static_cast<double>(r.ioKernel);
-    state.counters["io_user_cycles"] = static_cast<double>(r.ioUser);
-    state.counters["ipi_cycles"] = static_cast<double>(r.ipi);
-    state.counters["eoi_ack_cycles"] = static_cast<double>(r.eoiAck);
-}
-
-void
-printPaperTable()
-{
-    const auto &a = resultsFor(ArmVgic);
-    const auto &b = resultsFor(ArmNoVgic);
-    const auto &l = resultsFor(X86Laptop);
-    const auto &s = resultsFor(X86Server);
+    using namespace kvmarm;
+    const auto a = wl::runArmMicrobench({true, true, 64});
+    const auto b = wl::runArmMicrobench({false, false, 64});
+    const auto l = wl::runX86Microbench({x86::X86Platform::Laptop, 64});
+    const auto s = wl::runX86Microbench({x86::X86Platform::Server, 64});
 
     using bench::Row;
     std::vector<Row> rows = {
@@ -104,21 +49,5 @@ printPaperTable()
         "Shapes reproduced: VGIC state >50% of the ARM hypercall; ARM trap "
         "~25x cheaper than x86;\nARM IPI cheaper than x86 despite costlier "
         "world switches; trap-free EOI+ACK with the VGIC.");
-}
-
-} // namespace
-
-BENCHMARK(BM_Microbench)
-    ->DenseRange(0, NumColumns - 1)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    printPaperTable();
     return 0;
 }

@@ -20,8 +20,6 @@
  * reimplementation cannot reproduce.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -123,18 +121,10 @@ treeLoc(const fs::path &dir)
     return total;
 }
 
-void
-BM_CountLoc(benchmark::State &state)
-{
-    fs::path src = fs::path(KVMARM_SOURCE_ROOT) / "src";
-    unsigned total = 0;
-    for (auto _ : state)
-        total = treeLoc(src / "core");
-    state.counters["kvmarm_core_loc"] = total;
-}
+} // namespace
 
-void
-printTable4()
+int
+main()
 {
     fs::path src = fs::path(KVMARM_SOURCE_ROOT) / "src";
 
@@ -176,18 +166,5 @@ printTable4()
     std::printf("Behavioral KVM x86 model in this repo (src/kvmx86): %u "
                 "LOC (see file header note).\n",
                 treeLoc(src / "kvmx86"));
-}
-
-} // namespace
-
-BENCHMARK(BM_CountLoc)->Iterations(1);
-
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    printTable4();
     return 0;
 }

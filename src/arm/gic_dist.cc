@@ -205,6 +205,13 @@ GicDistState::write(unsigned bank, Addr offset, std::uint32_t value)
         return each_bit(gicd::ISENABLER, [&](IrqId i) { enable(i, true); });
     if (inRange(offset, gicd::ICENABLER, kBitRegBytes))
         return each_bit(gicd::ICENABLER, [&](IrqId i) { enable(i, false); });
+    if (inRange(offset, gicd::ISPENDR, kBitRegBytes)) {
+        // SGI bits are write-ignored: SGIs pend through SGIR (GICv2).
+        return each_bit(gicd::ISPENDR, [&](IrqId irq) {
+            if (irq >= kNumSgis)
+                pend(bank, irq, 0);
+        });
+    }
     if (inRange(offset, gicd::ICPENDR, kBitRegBytes)) {
         return each_bit(gicd::ICPENDR, [&](IrqId irq) {
             if (irq < kNumSgis)
@@ -229,8 +236,8 @@ GicDistState::write(unsigned bank, Addr offset, std::uint32_t value)
         route(irq);
         return true;
     }
-    // ISPENDR, ICFGR and the rest are ignored (edge/level configuration
-    // is not modelled; sources behave as edge-triggered once pending).
+    // ICFGR and the rest are ignored (edge/level configuration is not
+    // modelled; sources behave as edge-triggered once pending).
     return false;
 }
 

@@ -136,6 +136,14 @@ struct DistModel
                 else
                     spiEnabled[irq] = false;
             });
+        } else if (off >= gicd::ISPENDR && off < gicd::ISPENDR + 0x80) {
+            // SGI bits are write-ignored.
+            each(gicd::ISPENDR, [&](IrqId irq) {
+                if (irq >= kFirstSpi)
+                    spiPending[irq] = true;
+                else if (irq >= kFirstPpi)
+                    bank.ppiPending[irq] = true;
+            });
         } else if (off >= gicd::ICPENDR && off < gicd::ICPENDR + 0x80) {
             each(gicd::ICPENDR, [&](IrqId irq) {
                 if (irq < kNumSgis)
@@ -580,23 +588,25 @@ pickWord(Rng &rng, Addr base)
 std::pair<Addr, std::uint32_t>
 pickDistWrite(Rng &rng, unsigned n)
 {
-    switch (rng.range(7)) {
+    switch (rng.range(8)) {
       case 0:
         return pickWord(rng, gicd::ISENABLER);
       case 1:
         return pickWord(rng, gicd::ICENABLER);
       case 2:
-        return pickWord(rng, gicd::ICPENDR);
+        return pickWord(rng, gicd::ISPENDR);
       case 3:
+        return pickWord(rng, gicd::ICPENDR);
+      case 4:
         return {gicd::IPRIORITYR + pickIrq(rng), pickPriority(rng)};
-      case 4: {
+      case 5: {
         IrqId irq = pickIrq(rng);
         // Mostly CPUs of this machine, sometimes none or absent ones.
         std::uint64_t targets =
             rng.chance(0.8) ? 1u << rng.range(n) : rng.range(256);
         return {gicd::ITARGETSR + irq, static_cast<std::uint32_t>(targets)};
       }
-      case 5:
+      case 6:
         return {gicd::CTLR, rng.chance(0.9) ? 1u : 0u};
       default: {
         std::uint32_t filter = static_cast<std::uint32_t>(rng.range(4));

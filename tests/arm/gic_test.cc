@@ -137,6 +137,42 @@ TEST_F(GicTest, DisableEnableViaMmio)
     EXPECT_EQ(gicd().read(1, gicd::ITARGETSR + 20, 1), 0x02u);
 }
 
+TEST_F(GicTest, SetPendingDeliversSpiOnce)
+{
+    constexpr std::uint32_t kBit = 1u << (40 - 32);
+    gicd().write(0, gicd::ITARGETSR + 40, 0x02, 4); // SPI 40 -> cpu1
+    gicd().write(0, gicd::ISPENDR + 4, kBit, 4);
+    EXPECT_EQ(gicd().read(1, gicd::ISPENDR + 4, 4), kBit);
+    EXPECT_FALSE(gicc().irqLineHigh(0));
+    ASSERT_TRUE(gicc().irqLineHigh(1));
+
+    std::uint32_t iar =
+        static_cast<std::uint32_t>(gicc().read(1, gicc::IAR, 4));
+    EXPECT_EQ(iar & 0x3FF, 40u);
+    gicc().write(1, gicc::EOIR, iar, 4);
+    EXPECT_FALSE(gicc().irqLineHigh(1));
+    EXPECT_EQ(gicc().read(1, gicc::IAR, 4) & 0x3FF, kSpuriousIrq);
+}
+
+TEST_F(GicTest, SetPendingPendsPpiInAccessingBank)
+{
+    gicd().write(1, gicd::ISPENDR, 1u << kVirtTimerPpi, 4);
+    EXPECT_FALSE(gicc().irqLineHigh(0));
+    ASSERT_TRUE(gicc().irqLineHigh(1));
+    std::uint32_t iar =
+        static_cast<std::uint32_t>(gicc().read(1, gicc::IAR, 4));
+    EXPECT_EQ(iar & 0x3FF, kVirtTimerPpi);
+}
+
+TEST_F(GicTest, SetPendingIgnoresSgiBits)
+{
+    // GICv2 pends SGIs only through SGIR (or SPENDSGIR).
+    gicd().write(0, gicd::ISPENDR, 0xFFFF, 4);
+    EXPECT_EQ(gicd().read(0, gicd::ISPENDR, 4), 0u);
+    EXPECT_FALSE(gicc().irqLineHigh(0));
+    EXPECT_EQ(gicc().read(0, gicc::IAR, 4) & 0x3FF, kSpuriousIrq);
+}
+
 TEST_F(GicTest, PpisAreBankedPerCpu)
 {
     gicd().raisePpi(0, kVirtTimerPpi);

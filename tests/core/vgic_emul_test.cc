@@ -97,6 +97,26 @@ class VgicEmulTest : public ::testing::Test
         EXPECT_TRUE(done);
     }
 
+    /** A guest ISPENDR write pends an enabled SPI, which the guest then
+     *  takes exactly once; the write's SGI bits have no effect. */
+    void
+    expectSetPendingDeliversOnce()
+    {
+        constexpr IrqId kSpi = 60;
+        runGuest([&](ArmCpu &c, core::Vm &, core::VCpu &) {
+            const Addr gicd = ArmMachine::kGicdBase;
+            c.memWrite(gicd + arm::gicd::ISPENDR, 0xFFFF);
+            EXPECT_EQ(c.memRead(gicd + arm::gicd::ISPENDR, 4), 0u);
+            c.memWrite(gicd + arm::gicd::ISPENDR + 4, 1u << (kSpi - 32));
+            for (int i = 0; i < 3; ++i) {
+                c.hvc(core::hvc::kTestHypercall);
+                c.compute(10);
+            }
+        });
+        EXPECT_EQ(guest0.received.size(), 1u);
+        EXPECT_EQ(guest0.received[kSpi], 1);
+    }
+
     std::unique_ptr<ArmMachine> machine;
     std::unique_ptr<host::HostKernel> hostk;
     std::unique_ptr<core::Kvm> kvm;
@@ -202,6 +222,11 @@ TEST_F(VgicEmulTest, ClearPendingViaMmio)
         EXPECT_TRUE(guest0.received.empty());
     });
     machine->run();
+}
+
+TEST_F(VgicEmulTest, SetPendingViaMmioDeliversOnce)
+{
+    expectSetPendingDeliversOnce();
 }
 
 TEST_F(VgicEmulTest, LrOverflowDeliversEverything)
@@ -377,6 +402,11 @@ TEST_F(NoVgicEmulTest, EnablingAPendingSpiDeliversIt)
         EXPECT_EQ(guest0.received[kSpi], 1);
     });
     EXPECT_EQ(guest0.received[kSpi], 1);
+}
+
+TEST_F(NoVgicEmulTest, SetPendingViaMmioDeliversOnce)
+{
+    expectSetPendingDeliversOnce();
 }
 
 TEST_F(NoVgicEmulTest, DisablingAPendingSpiDeliversNothing)
