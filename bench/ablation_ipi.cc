@@ -39,7 +39,7 @@ sgirTrapCost()
 {
     AckOs guest_os;
     Cycles result = 0;
-    bench::runSingleVcpu(true, core::KvmConfig{}, [&](arm::ArmCpu &c) {
+    bench::runSingleVcpu(core::KvmConfig{}, [&](arm::ArmCpu &c) {
         // Enable the distributor so SGIs route (trapped writes).
         c.memWrite(arm::ArmMachine::kGicdBase + arm::gicd::CTLR, 1);
         constexpr unsigned iters = 64;

@@ -26,7 +26,7 @@ runFpWorkload(bool lazy, unsigned exits, unsigned fp_period)
     core::KvmConfig kc;
     kc.lazyFpu = lazy;
     Cycles result = 0;
-    bench::runSingleVcpu(true, kc, [&](arm::ArmCpu &c) {
+    bench::runSingleVcpu(kc, [&](arm::ArmCpu &c) {
         Cycles t0 = c.now();
         for (unsigned i = 0; i < exits; ++i) {
             c.hvc(core::hvc::kTestHypercall);

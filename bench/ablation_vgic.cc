@@ -27,7 +27,7 @@ hypercallCost(bool use_vgic, bool lazy)
     kc.useVgic = use_vgic;
     kc.lazyVgic = lazy;
     Cycles result = 0;
-    bench::runSingleVcpu(use_vgic, kc, [&](arm::ArmCpu &c) {
+    bench::runSingleVcpu(kc, [&](arm::ArmCpu &c) {
         constexpr unsigned iters = 64;
         c.hvc(core::hvc::kTestHypercall);
         Cycles t0 = c.now();

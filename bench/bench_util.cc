@@ -2,9 +2,7 @@
 
 #include <cstdio>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 
 namespace kvmarm::bench {
 
@@ -68,27 +66,20 @@ printFigure(const std::string &title, const std::vector<std::string> &series,
 }
 
 void
-runSingleVcpu(bool hw_vgic, const core::KvmConfig &config,
+runSingleVcpu(const core::KvmConfig &config,
               const std::function<void(arm::ArmCpu &)> &guest,
               arm::OsVectors *os)
 {
-    arm::ArmMachine machine(arm::ArmMachine::Config{
-        .numCpus = 1, .ramSize = 256 * kMiB, .hwVgic = hw_vgic,
-        .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk, config);
+    core::KvmStack stack({.numCpus = 1, .ramSize = 256 * kMiB, .kvm = config});
     NullOs null_os;
 
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        kvm.initCpu(cpu);
-        auto vm = kvm.createVm(32 * kMiB);
+    stack.onCpu(0, [&](arm::ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(os ? os : &null_os);
         vcpu.run(cpu, guest);
     });
-    machine.run();
+    stack.machine.run();
 }
 
 } // namespace kvmarm::bench

@@ -48,12 +48,11 @@ class NullOs : public arm::OsVectors
 };
 
 /**
- * Run @p guest as the only VCPU of a 32 MiB VM, on a 1-CPU, 256 MiB,
- * 1.7 GHz machine with hardware virtual timers and, if @p hw_vgic, a
- * VGIC, under a Kvm built with @p config. @p os takes the guest's PL1
- * exceptions; null means a NullOs.
+ * Run @p guest as the only VCPU of a 32 MiB VM, on the 1-CPU, 256 MiB
+ * KvmStack built with @p config. @p os takes the guest's PL1 exceptions;
+ * null means a NullOs.
  */
-void runSingleVcpu(bool hw_vgic, const core::KvmConfig &config,
+void runSingleVcpu(const core::KvmConfig &config,
                    const std::function<void(arm::ArmCpu &)> &guest,
                    arm::OsVectors *os = nullptr);
 

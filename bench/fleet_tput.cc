@@ -37,10 +37,8 @@
 #include <thread>
 #include <vector>
 
-#include "arm/machine.hh"
 #include "check/invariants.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/fleet.hh"
 #include "sim/logging.hh"
 
@@ -48,7 +46,6 @@ namespace {
 
 using namespace kvmarm;
 using arm::ArmCpu;
-using arm::ArmMachine;
 
 /** The four VM workload flavors; vm index i runs flavor i % 4. */
 enum class Flavor
@@ -135,19 +132,10 @@ struct VmOutcome
 void
 runVm(const VmSpec &spec, VmOutcome &out)
 {
-    ArmMachine::Config mc;
-    mc.numCpus = 1;
-    mc.ramSize = 128 * kMiB;
-    ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk, core::KvmConfig{});
+    core::KvmStack stack({.numCpus = 1, .ramSize = 128 * kMiB, .kvm = {}});
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        if (!kvm.initCpu(cpu))
-            fatal("fleet_tput: KVM init failed");
-        std::unique_ptr<core::Vm> vm = kvm.createVm(64 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        std::unique_ptr<core::Vm> vm = stack.kvm.createVm(64 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
 
         vm->addKernelDevice(core::Vm::kKernelTestDevBase, 0x1000,
@@ -189,7 +177,7 @@ runVm(const VmSpec &spec, VmOutcome &out)
             out.simCycles = c.now() - sim0;
         });
     });
-    machine.run();
+    stack.machine.run();
 }
 
 /** One thread-count point of the sweep. */

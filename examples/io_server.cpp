@@ -18,6 +18,7 @@ using namespace kvmarm;
 int
 main()
 {
+    std::printf("=== io_server ===\n");
     std::printf("apache-shaped server VM, 2 VCPUs on 2 cores "
                 "(KVM/ARM with VGIC/vtimers)\n\n");
 

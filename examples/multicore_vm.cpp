@@ -9,9 +9,7 @@
 
 #include <cstdio>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 
 using namespace kvmarm;
 
@@ -56,11 +54,10 @@ class IpiGuest : public arm::OsVectors
 int
 main()
 {
+    std::printf("=== multicore_vm ===\n");
     constexpr unsigned kIpis = 32;
 
-    arm::ArmMachine machine;
-    host::HostKernel host(machine);
-    core::Kvm kvm(host);
+    core::KvmStack stack({.numCpus = 2, .ramSize = 512 * kMiB, .kvm = {}});
 
     std::unique_ptr<core::Vm> vm;
     IpiGuest guest0, guest1;
@@ -68,11 +65,8 @@ main()
     bool finished = false;
     Cycles round_trip = 0;
 
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        host.boot(0);
-        kvm.initCpu(cpu);
-        vm = kvm.createVm(64 * kMiB);
+    stack.onCpu(0, [&](arm::ArmCpu &cpu) {
+        vm = stack.kvm.createVm(64 * kMiB);
         core::VCpu &vcpu0 = vm->addVcpu(0);
         vm->addVcpu(1);
         vcpu0.setGuestOs(&guest0);
@@ -95,10 +89,7 @@ main()
         });
     });
 
-    machine.cpu(1).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(1);
-        host.boot(1);
-        kvm.initCpu(cpu);
+    stack.onCpu(1, [&](arm::ArmCpu &cpu) {
         while (!vm || vm->vcpus().size() < 2)
             cpu.compute(400);
         core::VCpu &vcpu1 = *vm->vcpus()[1];
@@ -111,7 +102,7 @@ main()
         });
     });
 
-    machine.run();
+    stack.machine.run();
 
     core::VCpu &vcpu0 = *vm->vcpus()[0];
     core::VCpu &vcpu1 = *vm->vcpus()[1];
@@ -128,7 +119,7 @@ main()
                 (unsigned long long)
                     vcpu1.stats.counterValue("worldswitch.out"));
     std::printf("kick SGIs taken by the host:     %llu\n",
-                (unsigned long long)machine.cpu(1)
+                (unsigned long long)stack.machine.cpu(1)
                     .stats()
                     .counterValue("kvm.kick"));
     return 0;

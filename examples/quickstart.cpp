@@ -11,9 +11,7 @@
 
 #include <cstdio>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "vdev/qemu.hh"
 
 using namespace kvmarm;
@@ -38,33 +36,26 @@ class TinyGuest : public arm::OsVectors
 int
 main()
 {
-    // 1. The machine: a dual Cortex-A15-class board with GICv2
-    //    virtualization extensions and generic timers.
-    arm::ArmMachine machine;
+    std::printf("=== quickstart ===\n");
 
-    // 2. The host Linux kernel; the bootloader enters it in Hyp mode.
-    host::HostKernel host(machine);
-
-    // 3. KVM/ARM, the split-mode hypervisor.
-    core::Kvm kvm(host);
+    // 1. The stack, built in the paper's bring-up order: a dual
+    //    Cortex-A15-class board with GICv2 virtualization extensions and
+    //    generic timers, the host Linux kernel (the bootloader enters it
+    //    in Hyp mode) and KVM/ARM, the split-mode hypervisor.
+    core::KvmStack stack({.numCpus = 2, .ramSize = 512 * kMiB, .kvm = {}});
 
     TinyGuest guest_os;
 
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        host.boot(0);
-        if (!kvm.initCpu(cpu)) {
-            std::printf("KVM init failed (not booted in Hyp mode?)\n");
-            return;
-        }
-
-        // 4. A VM with 64 MiB of RAM, one VCPU, QEMU for devices.
-        auto vm = kvm.createVm(64 * kMiB);
+    // 2. On cpu0: the host boots, then KVM's per-CPU init installs the
+    //    lowvisor through the Hyp stub.
+    stack.onCpu(0, [&](arm::ArmCpu &cpu) {
+        // 3. A VM with 64 MiB of RAM, one VCPU, QEMU for devices.
+        auto vm = stack.kvm.createVm(64 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest_os);
-        vdev::QemuArm qemu(kvm, *vm);
+        vdev::QemuArm qemu(stack.kvm, *vm);
 
-        // 5. KVM_RUN: everything inside the lambda executes in the guest
+        // 4. KVM_RUN: everything inside the lambda executes in the guest
         //    world, behind Stage-2 translation and the trap configuration.
         vcpu.run(cpu, [&](arm::ArmCpu &c) {
             // Touch guest memory: Stage-2 faults allocate pages on demand
@@ -103,9 +94,9 @@ main()
         std::printf("  simulated cycles:          %llu (%.3f ms at "
                     "1.7 GHz)\n",
                     (unsigned long long)cpu.now(),
-                    1e3 * machine.seconds(cpu.now()));
+                    1e3 * stack.machine.seconds(cpu.now()));
     });
 
-    machine.run();
+    stack.machine.run();
     return 0;
 }

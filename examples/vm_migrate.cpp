@@ -14,9 +14,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 
 using namespace kvmarm;
 
@@ -43,6 +41,7 @@ constexpr unsigned kPhase2 = 7;
 int
 main()
 {
+    std::printf("=== vm_migrate ===\n");
     TinyGuest guest_os;
     core::VcpuState saved_state;
     std::vector<std::pair<Addr, std::uint64_t>> saved_memory;
@@ -50,14 +49,9 @@ main()
 
     // ---- Machine A: run the first phase, then save. ----
     {
-        arm::ArmMachine machine;
-        host::HostKernel host(machine);
-        core::Kvm kvm(host);
-        machine.cpu(0).setEntry([&] {
-            arm::ArmCpu &cpu = machine.cpu(0);
-            host.boot(0);
-            kvm.initCpu(cpu);
-            auto vm = kvm.createVm(64 * kMiB);
+        core::KvmStack stack({.numCpus = 2, .ramSize = 512 * kMiB, .kvm = {}});
+        stack.onCpu(0, [&](arm::ArmCpu &cpu) {
+            auto vm = stack.kvm.createVm(64 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&guest_os);
 
@@ -75,7 +69,7 @@ main()
             for (Addr off = 0; off < 16 * kPageSize; off += 8) {
                 Addr ipa = arm::ArmMachine::kRamBase + off;
                 if (auto pa = vm->stage2().ipaToPa(ipa)) {
-                    std::uint64_t v = machine.ram().read(*pa, 8);
+                    std::uint64_t v = stack.machine.ram().read(*pa, 8);
                     if (v)
                         saved_memory.emplace_back(ipa, v);
                 }
@@ -87,30 +81,25 @@ main()
                         saved_memory.size(),
                         (unsigned long long)saved_state.vtimerOffsetTicks);
         });
-        machine.run();
+        stack.machine.run();
     }
 
     // ---- Machine B: restore and continue. ----
     {
-        arm::ArmMachine machine;
-        host::HostKernel host(machine);
-        core::Kvm kvm(host);
+        core::KvmStack stack({.numCpus = 2, .ramSize = 512 * kMiB, .kvm = {}});
         bool ok = true;
-        machine.cpu(0).setEntry([&] {
-            arm::ArmCpu &cpu = machine.cpu(0);
-            host.boot(0);
-            kvm.initCpu(cpu);
+        stack.onCpu(0, [&](arm::ArmCpu &cpu) {
             // Let machine B's clock drift ahead, as a real target would.
             cpu.compute(123456);
 
-            auto vm = kvm.createVm(64 * kMiB);
+            auto vm = stack.kvm.createVm(64 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&guest_os);
             vcpu.restoreState(cpu, saved_state);
             for (auto &[ipa, value] : saved_memory) {
                 vm->stage2().handleRamFault(ipa);
                 if (auto pa = vm->stage2().ipaToPa(ipa))
-                    machine.ram().write(*pa, value, 8);
+                    stack.machine.ram().write(*pa, value, 8);
             }
 
             vcpu.run(cpu, [&](arm::ArmCpu &c) {
@@ -132,7 +121,7 @@ main()
                         "state intact: %s\n",
                         kPhase1 + kPhase2, ok ? "yes" : "NO");
         });
-        machine.run();
+        stack.machine.run();
         std::printf("migration %s\n", ok ? "succeeded" : "FAILED");
         return ok ? 0 : 1;
     }

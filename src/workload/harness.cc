@@ -4,8 +4,7 @@
 #include <vector>
 
 #include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "kvmx86/kvm_x86.hh"
 #include "sim/logging.hh"
 #include "vdev/model_dev.hh"
@@ -55,22 +54,45 @@ deviceProfiles(const DeviceSetup &setup)
         profiles[1] = vdev::ssdProfile();
     if (setup.remote)
         profiles[2] = remoteServerProfile();
-    profiles[0].name = setup.net ? profiles[0].name : "";
-    profiles[1].name = setup.disk ? profiles[1].name : "";
-    profiles[2].name = setup.remote ? profiles[2].name : "";
     return profiles;
 }
 
-double
-utilization(MachineBase &machine, unsigned ncpus)
+/** Run @p machine to completion (the run sets @p rm.elapsed), then add
+ *  the busy fraction across the run's CPUs and the elapsed seconds. */
+template <class Machine>
+RunMetrics
+measure(Machine &machine, const Experiment &exp, RunMetrics &rm)
 {
+    machine.run();
     Cycles total = 0;
     Cycles idle = 0;
-    for (unsigned i = 0; i < ncpus; ++i) {
+    for (unsigned i = 0; i < exp.numCpus; ++i) {
         total += machine.cpuBase(i).now();
         idle += machine.cpuBase(i).idleCycles();
     }
-    return total ? 1.0 - double(idle) / double(total) : 0.0;
+    rm.cpuUtil = total ? 1.0 - double(idle) / double(total) : 0.0;
+    rm.seconds = machine.seconds(rm.elapsed);
+    return rm;
+}
+
+/** Native run: boot each port on its CPU, then run work on CPU0 and, on
+ *  a 2-CPU run, side on CPU1. */
+template <class Machine, class Port>
+RunMetrics
+runOnPorts(Machine &machine, const Experiment &exp, Port &port0, Port *port1)
+{
+    RunMetrics rm;
+    machine.cpu(0).setEntry([&] {
+        port0.boot();
+        rm.elapsed = exp.work(port0);
+    });
+    if (port1) {
+        machine.cpu(1).setEntry([&] {
+            port1->boot();
+            exp.side(*port1);
+        });
+    }
+    return measure(machine, exp, rm);
 }
 
 RunMetrics
@@ -107,62 +129,37 @@ runArmNative(const Experiment &exp)
     if (exp.numCpus == 2)
         port1 = std::make_unique<ArmLinuxPort>(machine.cpu(1), image, 1);
 
-    RunMetrics rm;
-    machine.cpu(0).setEntry([&] {
-        port0.boot();
-        rm.elapsed = exp.work(port0);
-    });
-    if (port1) {
-        machine.cpu(1).setEntry([&] {
-            port1->boot();
-            exp.side(*port1);
-        });
-    }
-    machine.run();
-    rm.cpuUtil = utilization(machine, exp.numCpus);
-    rm.seconds = machine.seconds(rm.elapsed);
-    return rm;
+    return runOnPorts(machine, exp, port0, port1.get());
 }
 
 RunMetrics
 runArmVirt(const Experiment &exp)
 {
-    bool vgic = exp.platform == Platform::ArmVgic;
-    ArmMachine::Config mc;
-    mc.numCpus = exp.numCpus;
-    mc.ramSize = 768 * kMiB;
-    mc.hwVgic = vgic;
-    mc.hwVtimers = vgic;
-    ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
     core::KvmConfig kc;
-    kc.useVgic = vgic;
-    kc.useVtimers = vgic;
-    core::Kvm kvm(hostk, kc);
+    kc.useVgic = exp.platform == Platform::ArmVgic;
+    kc.useVtimers = kc.useVgic;
+    core::KvmStack stack(
+        {.numCpus = exp.numCpus, .ramSize = 768 * kMiB, .kvm = kc});
 
     std::unique_ptr<core::Vm> vm;
     std::unique_ptr<vdev::QemuArm> qemu;
     ArmOsImage image;
     image.ramSize = 256 * kMiB;
-    ArmLinuxPort port0(machine.cpu(0), image, 0);
+    ArmLinuxPort port0(stack.machine.cpu(0), image, 0);
     std::unique_ptr<ArmLinuxPort> port1;
     if (exp.numCpus == 2)
-        port1 = std::make_unique<ArmLinuxPort>(machine.cpu(1), image, 1);
+        port1 = std::make_unique<ArmLinuxPort>(stack.machine.cpu(1), image, 1);
 
     auto profiles = deviceProfiles(exp.devices);
 
     RunMetrics rm;
     bool ready = false;
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        if (!kvm.initCpu(cpu))
-            fatal("harness: KVM init failed");
-        vm = kvm.createVm(384 * kMiB);
+    stack.onCpu(0, [&](arm::ArmCpu &cpu) {
+        vm = stack.kvm.createVm(384 * kMiB);
         core::VCpu &vcpu0 = vm->addVcpu(0);
         if (exp.numCpus == 2)
             vm->addVcpu(1);
-        qemu = std::make_unique<vdev::QemuArm>(kvm, *vm);
+        qemu = std::make_unique<vdev::QemuArm>(stack.kvm, *vm);
         for (unsigned slot = 0; slot < profiles.size(); ++slot) {
             if (!profiles[slot].name.empty())
                 qemu->addDevice(slot, profiles[slot]);
@@ -175,10 +172,7 @@ runArmVirt(const Experiment &exp)
         });
     });
     if (port1) {
-        machine.cpu(1).setEntry([&] {
-            arm::ArmCpu &cpu = machine.cpu(1);
-            hostk.boot(1);
-            kvm.initCpu(cpu);
+        stack.onCpu(1, [&](arm::ArmCpu &cpu) {
             while (!ready)
                 cpu.compute(500);
             core::VCpu &vcpu1 = *vm->vcpus()[1];
@@ -189,10 +183,7 @@ runArmVirt(const Experiment &exp)
             });
         });
     }
-    machine.run();
-    rm.cpuUtil = utilization(machine, exp.numCpus);
-    rm.seconds = machine.seconds(rm.elapsed);
-    return rm;
+    return measure(stack.machine, exp, rm);
 }
 
 RunMetrics
@@ -235,21 +226,7 @@ runX86Native(const Experiment &exp)
         port1->peer = &port0;
     }
 
-    RunMetrics rm;
-    machine.cpu(0).setEntry([&] {
-        port0.boot();
-        rm.elapsed = exp.work(port0);
-    });
-    if (port1) {
-        machine.cpu(1).setEntry([&] {
-            port1->boot();
-            exp.side(*port1);
-        });
-    }
-    machine.run();
-    rm.cpuUtil = utilization(machine, exp.numCpus);
-    rm.seconds = machine.seconds(rm.elapsed);
-    return rm;
+    return runOnPorts(machine, exp, port0, port1.get());
 }
 
 RunMetrics
@@ -316,10 +293,23 @@ runX86Virt(const Experiment &exp)
             });
         });
     }
-    machine.run();
-    rm.cpuUtil = utilization(machine, exp.numCpus);
-    rm.seconds = machine.seconds(rm.elapsed);
-    return rm;
+    return measure(machine, exp, rm);
+}
+
+/** Start a run: diagnose a malformed experiment before any machine is
+ *  built, then reset the workload's shared state. */
+void
+start(const Experiment &exp)
+{
+    if (!exp.work)
+        fatal("wl::Experiment: work is not set");
+    if (exp.numCpus != 1 && exp.numCpus != 2)
+        fatal("wl::Experiment: numCpus is %u; a run uses 1 or 2 CPUs",
+              exp.numCpus);
+    if (exp.numCpus == 2 && !exp.side)
+        fatal("wl::Experiment: a 2-CPU run needs side set");
+    if (exp.prepare)
+        exp.prepare();
 }
 
 } // namespace
@@ -327,16 +317,14 @@ runX86Virt(const Experiment &exp)
 RunMetrics
 runNative(const Experiment &exp)
 {
-    if (exp.prepare)
-        exp.prepare();
+    start(exp);
     return isArm(exp.platform) ? runArmNative(exp) : runX86Native(exp);
 }
 
 RunMetrics
 runVirt(const Experiment &exp)
 {
-    if (exp.prepare)
-        exp.prepare();
+    start(exp);
     return isArm(exp.platform) ? runArmVirt(exp) : runX86Virt(exp);
 }
 

@@ -55,9 +55,9 @@ struct DeviceSetup
 struct Experiment
 {
     Platform platform = Platform::ArmVgic;
-    unsigned numCpus = 1;
+    unsigned numCpus = 1; //!< 1 or 2
     DeviceSetup devices;
-    WorkFn work;   //!< required
+    WorkFn work;   //!< required (runs fatal without it)
     SideFn side;   //!< required when numCpus == 2
     /** Reset shared workload state; invoked before each run. */
     std::function<void()> prepare;

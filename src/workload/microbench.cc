@@ -2,16 +2,12 @@
 
 #include <memory>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
-#include "sim/logging.hh"
+#include "core/kvm_stack.hh"
 
 namespace kvmarm::wl {
 
 using arm::ArmCpu;
 using arm::ArmMachine;
-using core::Kvm;
 using core::VCpu;
 using core::Vm;
 
@@ -71,36 +67,15 @@ class MicroGuestOs : public arm::OsVectors
     Cycles totalAckEoiCycles = 0;
 };
 
-/** Full stack for one micro-benchmark column. */
-struct MicroStack
-{
-    explicit MicroStack(const ArmMicroSetup &setup)
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 2;
-        mc.ramSize = 256 * kMiB;
-        mc.hwVgic = setup.useVgic;
-        mc.hwVtimers = setup.useVtimers;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
-        core::KvmConfig kc;
-        kc.useVgic = setup.useVgic;
-        kc.useVtimers = setup.useVtimers;
-        kvm = std::make_unique<Kvm>(*hostk, kc);
-    }
-
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<Kvm> kvm;
-};
-
 } // namespace
 
 MicroResults
 runArmMicrobench(const ArmMicroSetup &setup)
 {
-    MicroStack stack(setup);
-    ArmMachine &machine = *stack.machine;
+    core::KvmConfig kc;
+    kc.useVgic = setup.useVgic;
+    kc.useVtimers = setup.useVtimers;
+    core::KvmStack stack({.numCpus = 2, .ramSize = 256 * kMiB, .kvm = kc});
     MicroResults results;
     const unsigned iters = setup.iterations;
 
@@ -110,12 +85,8 @@ runArmMicrobench(const ArmMicroSetup &setup)
     bool responder_ready = false;
     bool responder_done = false;
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        stack.hostk->boot(0);
-        if (!stack.kvm->initCpu(cpu))
-            fatal("microbench: KVM init failed");
-        vm = stack.kvm->createVm(128 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        vm = stack.kvm.createVm(128 * kMiB);
         VCpu &vcpu0 = vm->addVcpu(0);
         VCpu &vcpu1 = vm->addVcpu(1);
         vcpu0.setGuestOs(&guest_os0);
@@ -198,10 +169,7 @@ runArmMicrobench(const ArmMicroSetup &setup)
         });
     });
 
-    machine.cpu(1).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(1);
-        stack.hostk->boot(1);
-        stack.kvm->initCpu(cpu);
+    stack.onCpu(1, [&](ArmCpu &cpu) {
         // Spin (stay schedulable) until cpu0 has created the VM.
         while (!vm || vm->vcpus().size() < 2)
             cpu.compute(500);
@@ -217,7 +185,7 @@ runArmMicrobench(const ArmMicroSetup &setup)
         });
     });
 
-    machine.run();
+    stack.machine.run();
     return results;
 }
 

@@ -23,9 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/random.hh"
 
 namespace kvmarm {
@@ -440,9 +438,10 @@ struct Model
 };
 
 /** A machine with a host kernel, KVM and one VM with a VCPU per CPU. */
-struct Rig
+struct Rig : core::KvmStack
 {
-    explicit Rig(unsigned n) : machine(config(n)), hostk(machine), kvm(hostk)
+    explicit Rig(unsigned n)
+        : KvmStack({.numCpus = n, .ramSize = 64 * kMiB, .kvm = {}})
     {
         // Create the VM without booting the host, so the physical GIC
         // stays at its reset state, as the model's does.
@@ -450,15 +449,6 @@ struct Rig
         vm = kvm.createVm(16 * kMiB);
         for (CpuId c = 0; c < n; ++c)
             vm->addVcpu(c);
-    }
-
-    static ArmMachine::Config
-    config(unsigned n)
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = n;
-        mc.ramSize = 64 * kMiB;
-        return mc;
     }
 
     core::VCpu &vcpu(unsigned v) { return *vm->vcpus()[v]; }
@@ -479,9 +469,6 @@ struct Rig
         }
     }
 
-    ArmMachine machine;
-    host::HostKernel hostk;
-    core::Kvm kvm;
     std::unique_ptr<core::Vm> vm;
 };
 

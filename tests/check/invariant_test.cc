@@ -20,9 +20,8 @@
 
 #include "arm/machine.hh"
 #include "check/invariants.hh"
-#include "core/kvm.hh"
+#include "core/kvm_stack.hh"
 #include "core/stage2_mmu.hh"
-#include "host/kernel.hh"
 #include "host/mm.hh"
 #include "sim/fleet.hh"
 #include "sim/logging.hh"
@@ -40,10 +39,10 @@ using check::SwitchDir;
 using check::Xfer;
 
 ArmMachine::Config
-smallMachine(unsigned cpus = 1)
+smallMachine()
 {
     ArmMachine::Config mc;
-    mc.numCpus = cpus;
+    mc.numCpus = 1;
     mc.ramSize = 64 * kMiB;
     return mc;
 }
@@ -403,18 +402,11 @@ TEST(FullStackInvariants, WholeGuestLifecycleIsViolationFree)
 {
     ScopedCheckMode scoped(CheckMode::Enforce);
 
-    ArmMachine::Config mc = smallMachine(2);
-    ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk);
+    core::KvmStack stack({.numCpus = 2, .ramSize = 64 * kMiB, .kvm = {}});
     ProbeGuestOs guest_os;
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-
-        auto vm = kvm.createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest_os);
 
@@ -427,9 +419,9 @@ TEST(FullStackInvariants, WholeGuestLifecycleIsViolationFree)
             EXPECT_EQ(c.memRead(ArmMachine::kRamBase + 0x1000, 4), 0xABu);
         });
     });
-    machine.run();
+    stack.machine.run();
 
-    EXPECT_EQ(machine.checkEngine()->violationCount(), 0u);
+    EXPECT_EQ(stack.machine.checkEngine()->violationCount(), 0u);
 }
 
 /** What one run of the checked-twin storms produced. */
@@ -447,18 +439,13 @@ StormRun
 runStorms(CheckMode mode)
 {
     ScopedCheckMode scoped(mode);
-    ArmMachine machine(smallMachine());
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk);
+    core::KvmStack stack({.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}});
     std::unique_ptr<core::Vm> vm;
     core::VCpu *vcpu = nullptr;
     StormRun run;
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-        vm = kvm.createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        vm = stack.kvm.createVm(32 * kMiB);
         vcpu = &vm->addVcpu(0);
         vcpu->run(cpu, [&](ArmCpu &c) {
             Cycles t0 = c.now();
@@ -472,14 +459,14 @@ runStorms(CheckMode mode)
             run.stage2Cycles = c.now() - t1;
         });
     });
-    machine.run();
+    stack.machine.run();
 
     std::ostringstream os;
-    machine.cpu(0).stats().dump(os, "cpu0.");
+    stack.machine.cpu(0).stats().dump(os, "cpu0.");
     if (vcpu)
         vcpu->stats.dump(os, "vcpu.");
     run.statDump = os.str();
-    if (check::InvariantEngine *eng = machine.checkEngine())
+    if (check::InvariantEngine *eng = stack.machine.checkEngine())
         run.checkEvents = eng->eventCount();
     return run;
 }

@@ -11,9 +11,7 @@
 
 #include <set>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/random.hh"
 
 namespace kvmarm {
@@ -34,19 +32,7 @@ class NullGuestOs : public arm::OsVectors
 class IsolationTest : public ::testing::TestWithParam<unsigned>
 {
   protected:
-    IsolationTest()
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 256 * kMiB;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
-        kvm = std::make_unique<core::Kvm>(*hostk);
-    }
-
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<core::Kvm> kvm;
+    core::KvmStack stack{{.numCpus = 1, .ramSize = 256 * kMiB, .kvm = {}}};
     NullGuestOs guestOs;
 };
 
@@ -55,21 +41,17 @@ class IsolationTest : public ::testing::TestWithParam<unsigned>
 TEST_P(IsolationTest, RandomAccessesStayInOwnFrames)
 {
     Rng rng(GetParam() * 104729 + 7);
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        ASSERT_TRUE(kvm->initCpu(cpu));
-
-        auto vm_a = kvm->createVm(16 * kMiB);
-        auto vm_b = kvm->createVm(16 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm_a = stack.kvm.createVm(16 * kMiB);
+        auto vm_b = stack.kvm.createVm(16 * kMiB);
         core::VCpu &vcpu_a = vm_a->addVcpu(0);
         core::VCpu &vcpu_b = vm_b->addVcpu(0);
         vcpu_a.setGuestOs(&guestOs);
         vcpu_b.setGuestOs(&guestOs);
 
         // Plant a secret in a host-owned page.
-        Addr secret_page = hostk->mm().allocPage();
-        machine->ram().write(secret_page, 0x5EC12E7, 8);
+        Addr secret_page = stack.host.mm().allocPage();
+        stack.machine.ram().write(secret_page, 0x5EC12E7, 8);
 
         // VM A writes a tag to many random pages of its RAM.
         vcpu_a.run(cpu, [&](ArmCpu &c) {
@@ -109,18 +91,15 @@ TEST_P(IsolationTest, RandomAccessesStayInOwnFrames)
             }
         }
     });
-    machine->run();
+    stack.machine.run();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsolationTest, ::testing::Range(0u, 6u));
 
 TEST_F(IsolationTest, GichIsInvisibleToTheVm)
 {
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        ASSERT_TRUE(kvm->initCpu(cpu));
-        auto vm = kvm->createVm(16 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(16 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guestOs);
 
@@ -129,37 +108,34 @@ TEST_F(IsolationTest, GichIsInvisibleToTheVm)
             // reach the hardware: the access faults and goes to user
             // space, which doesn't model that region.
             c.memWrite(ArmMachine::kGichBase + arm::gich::HCR, 0, 4);
-            EXPECT_TRUE(machine->gich().bank(0).en)
+            EXPECT_TRUE(stack.machine.gich().bank(0).en)
                 << "VM disabled the hypervisor's GICH!";
             // The GICC address, in contrast, reaches GICV transparently.
             c.memWrite(ArmMachine::kGiccBase + arm::gicc::CTLR, 1, 4);
-            EXPECT_TRUE(machine->gich().bank(0).vmEnabled);
+            EXPECT_TRUE(stack.machine.gich().bank(0).vmEnabled);
         });
         EXPECT_GE(vcpu.stats.counterValue("mmio.user"), 1u);
     });
-    machine->run();
+    stack.machine.run();
 }
 
 TEST_F(IsolationTest, TeardownReturnsEveryFrame)
 {
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        ASSERT_TRUE(kvm->initCpu(cpu));
-        std::size_t free_before = hostk->mm().freePages();
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        std::size_t free_before = stack.host.mm().freePages();
         {
-            auto vm = kvm->createVm(16 * kMiB);
+            auto vm = stack.kvm.createVm(16 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&guestOs);
             vcpu.run(cpu, [&](ArmCpu &c) {
                 for (Addr off = 0; off < 32 * kPageSize; off += kPageSize)
                     c.memWrite(ArmMachine::kRamBase + off, 1, 8);
             });
-            EXPECT_LT(hostk->mm().freePages(), free_before);
+            EXPECT_LT(stack.host.mm().freePages(), free_before);
         }
-        EXPECT_EQ(hostk->mm().freePages(), free_before);
+        EXPECT_EQ(stack.host.mm().freePages(), free_before);
     });
-    machine->run();
+    stack.machine.run();
 }
 
 } // namespace

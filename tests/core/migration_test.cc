@@ -7,16 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "power/energy.hh"
 
 namespace kvmarm {
 namespace {
 
 using arm::ArmCpu;
-using arm::ArmMachine;
 using arm::GpReg;
 
 class NullGuestOs : public arm::OsVectors
@@ -28,31 +25,16 @@ class NullGuestOs : public arm::OsVectors
     const char *name() const override { return "null-guest"; }
 };
 
-struct Stack
-{
-    Stack()
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 128 * kMiB;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
-        kvm = std::make_unique<core::Kvm>(*hostk);
-    }
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<core::Kvm> kvm;
-};
+/** Every migration test's stack: one CPU, 128 MiB. */
+const core::KvmStack::Config kOneCpu{
+    .numCpus = 1, .ramSize = 128 * kMiB, .kvm = {}};
 
 TEST(Migration, OneRegAccessorsReadAndWriteContext)
 {
-    Stack s;
+    core::KvmStack s(kOneCpu);
     NullGuestOs os;
-    s.machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = s.machine->cpu(0);
-        s.hostk->boot(0);
-        s.kvm->initCpu(cpu);
-        auto vm = s.kvm->createVm(32 * kMiB);
+    s.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = s.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&os);
 
@@ -65,18 +47,15 @@ TEST(Migration, OneRegAccessorsReadAndWriteContext)
         });
         EXPECT_EQ(vcpu.getOneReg(GpReg::R3), 0x44440004u);
     });
-    s.machine->run();
+    s.machine.run();
 }
 
 TEST(Migration, SnapshotRoundTripsFullState)
 {
-    Stack s;
+    core::KvmStack s(kOneCpu);
     NullGuestOs os;
-    s.machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = s.machine->cpu(0);
-        s.hostk->boot(0);
-        s.kvm->initCpu(cpu);
-        auto vm = s.kvm->createVm(32 * kMiB);
+    s.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = s.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&os);
         vcpu.shadowActlr = 0x777;
@@ -97,7 +76,7 @@ TEST(Migration, SnapshotRoundTripsFullState)
         // Snapshot equality is deep.
         EXPECT_EQ(vcpu.saveState(cpu).regs, snap.regs);
     });
-    s.machine->run();
+    s.machine.run();
 }
 
 TEST(Migration, VirtualTimeContinuesOnTargetMachine)
@@ -107,12 +86,9 @@ TEST(Migration, VirtualTimeContinuesOnTargetMachine)
     std::uint64_t vtime_at_save = 0;
 
     {
-        Stack a;
-        a.machine->cpu(0).setEntry([&] {
-            ArmCpu &cpu = a.machine->cpu(0);
-            a.hostk->boot(0);
-            a.kvm->initCpu(cpu);
-            auto vm = a.kvm->createVm(32 * kMiB);
+        core::KvmStack a(kOneCpu);
+        a.onCpu(0, [&](ArmCpu &cpu) {
+            auto vm = a.kvm.createVm(32 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&os);
             vcpu.run(cpu, [&](ArmCpu &c) {
@@ -121,16 +97,13 @@ TEST(Migration, VirtualTimeContinuesOnTargetMachine)
             });
             snap = vcpu.saveState(cpu);
         });
-        a.machine->run();
+        a.machine.run();
     }
     {
-        Stack b;
-        b.machine->cpu(0).setEntry([&] {
-            ArmCpu &cpu = b.machine->cpu(0);
-            b.hostk->boot(0);
-            b.kvm->initCpu(cpu);
+        core::KvmStack b(kOneCpu);
+        b.onCpu(0, [&](ArmCpu &cpu) {
             cpu.compute(999999); // target machine clock is way ahead
-            auto vm = b.kvm->createVm(32 * kMiB);
+            auto vm = b.kvm.createVm(32 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&os);
             vcpu.restoreState(cpu, snap);
@@ -141,7 +114,7 @@ TEST(Migration, VirtualTimeContinuesOnTargetMachine)
                     << "guest virtual time jumped across migration";
             });
         });
-        b.machine->run();
+        b.machine.run();
     }
 }
 

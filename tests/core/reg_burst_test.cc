@@ -16,9 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 
 namespace kvmarm {
 namespace {
@@ -54,29 +52,16 @@ class BodyHyp : public arm::HypVectors
 /** A booted host with KVM initialized on its one CPU. */
 struct Rig
 {
-    Rig()
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 64 * kMiB;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
-        kvm = std::make_unique<core::Kvm>(*hostk);
-    }
-
     /** Boot, then run @p body in Hyp mode; the host kernel takes any IRQ
      *  pending at the ERET. */
     void
     run(const std::function<void(ArmCpu &)> &body)
     {
-        ArmCpu &cpu = machine->cpu(0);
-        cpu.setEntry([this, &cpu, body] {
-            hostk->boot(0);
-            ASSERT_TRUE(kvm->initCpu(cpu));
-            hostk->requestIrq(kSpi, [this](ArmCpu &c, IrqId) {
+        stack.onCpu(0, [this, body](ArmCpu &cpu) {
+            stack.host.requestIrq(kSpi, [this](ArmCpu &c, IrqId) {
                 irqTakenAt.push_back(c.now());
             });
-            hostk->enableIrq(cpu, kSpi);
+            stack.host.enableIrq(cpu, kSpi);
             BodyHyp hyp(body);
             arm::HypVectors *lowvisor = cpu.hypVectors();
             cpu.setHypVectors(&hyp);
@@ -84,12 +69,10 @@ struct Rig
             cpu.setHypVectors(lowvisor);
             cpu.compute(100);
         });
-        machine->run();
+        stack.machine.run();
     }
 
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<core::Kvm> kvm;
+    core::KvmStack stack{{.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}}};
     std::vector<Cycles> irqTakenAt;
 };
 
@@ -158,8 +141,8 @@ drive(Rig &rig, const std::vector<Transfer> &transfers, bool burst,
         out.hitsInBody = cpu.mmu().tlb().hits() - hits0;
         out.missesInBody = cpu.mmu().tlb().misses() - misses0;
     });
-    arm::Tlb &tlb = rig.machine->cpu(0).mmu().tlb();
-    out.now = rig.machine->cpu(0).now();
+    arm::Tlb &tlb = rig.stack.machine.cpu(0).mmu().tlb();
+    out.now = rig.stack.machine.cpu(0).now();
     out.hits = tlb.hits();
     out.misses = tlb.misses();
     out.epoch = tlb.epoch();
@@ -189,8 +172,8 @@ expectSameAsPerRegister(const std::vector<Transfer> &transfers,
     if (irqs)
         *irqs = bursted.irqTakenAt;
 
-    auto snapA = bursted.machine->takeSnapshot();
-    auto snapB = single.machine->takeSnapshot();
+    auto snapA = bursted.stack.machine.takeSnapshot();
+    auto snapB = single.stack.machine.takeSnapshot();
     EXPECT_EQ(snapA->records.size(), snapB->records.size());
     for (std::size_t i = 0;
          i < std::min(snapA->records.size(), snapB->records.size()); ++i) {
@@ -276,7 +259,7 @@ TEST(RegBurst, OffsetsThatLeaveThePageTakeTheFullPath)
 TEST(RegBurst, MismatchedValueSpanPanics)
 {
     Rig rig;
-    ArmCpu &cpu = rig.machine->cpu(0);
+    ArmCpu &cpu = rig.stack.machine.cpu(0);
     std::array<Addr, 2> offs = {arm::gich::HCR, arm::gich::VMCR};
     std::array<std::uint32_t, 1> vals{};
     EXPECT_DEATH(cpu.regBurst(kGich, offs, vals, false), "register burst");

@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 
 namespace kvmarm {
 namespace {
@@ -27,32 +25,15 @@ using core::Vm;
 class KvmSmokeTest : public ::testing::Test
 {
   protected:
-    KvmSmokeTest()
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 2;
-        mc.ramSize = 256 * kMiB;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
-        kvm = std::make_unique<Kvm>(*hostk);
-    }
-
     /** Boot + KVM init on cpu0, then run @p body there. */
     void
     runOnCpu0(const std::function<void(ArmCpu &)> &body)
     {
-        machine->cpu(0).setEntry([this, body] {
-            ArmCpu &cpu = machine->cpu(0);
-            hostk->boot(0);
-            ASSERT_TRUE(kvm->initCpu(cpu));
-            body(cpu);
-        });
-        machine->run();
+        stack.onCpu(0, body);
+        stack.machine.run();
     }
 
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<Kvm> kvm;
+    core::KvmStack stack{{.numCpus = 2, .ramSize = 256 * kMiB, .kvm = {}}};
 };
 
 /** A minimal guest kernel for smoke testing. */
@@ -80,7 +61,7 @@ class StubGuestOs : public arm::OsVectors
 TEST_F(KvmSmokeTest, HostBootsAndKvmInitializes)
 {
     runOnCpu0([&](ArmCpu &cpu) {
-        EXPECT_TRUE(kvm->enabled());
+        EXPECT_TRUE(stack.kvm.enabled());
         EXPECT_EQ(cpu.mode(), Mode::Svc);
         EXPECT_FALSE(cpu.irqMasked());
         // Hyp stage-1 tables exist and are active.
@@ -93,21 +74,21 @@ TEST_F(KvmSmokeTest, KvmDisabledWithoutHypBoot)
 {
     host::HostKernel::Config hc;
     hc.bootedInHyp = false;
-    auto host2 = std::make_unique<host::HostKernel>(*machine, hc);
-    auto kvm2 = std::make_unique<Kvm>(*host2);
-    machine->cpu(0).setEntry([&] {
-        host2->boot(0);
-        EXPECT_FALSE(kvm2->initCpu(machine->cpu(0)));
-        EXPECT_FALSE(kvm2->enabled());
+    host::HostKernel host2(stack.machine, hc);
+    Kvm kvm2(host2);
+    stack.machine.cpu(0).setEntry([&] {
+        host2.boot(0);
+        EXPECT_FALSE(kvm2.initCpu(stack.machine.cpu(0)));
+        EXPECT_FALSE(kvm2.enabled());
     });
-    machine->run();
+    stack.machine.run();
 }
 
 TEST_F(KvmSmokeTest, GuestRunsAndHypercalls)
 {
     StubGuestOs guest_os;
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = stack.kvm.createVm(64 * kMiB);
         VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest_os);
 
@@ -133,7 +114,7 @@ TEST_F(KvmSmokeTest, GuestMemoryFaultsInOnDemand)
 {
     StubGuestOs guest_os;
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = stack.kvm.createVm(64 * kMiB);
         VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest_os);
 
@@ -154,7 +135,7 @@ TEST_F(KvmSmokeTest, SensitiveInstructionsAreEmulated)
 {
     StubGuestOs guest_os;
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = stack.kvm.createVm(64 * kMiB);
         VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest_os);
         vcpu.shadowActlr = 0x1234;
@@ -185,7 +166,7 @@ TEST_F(KvmSmokeTest, GuestStatePreservedAcrossWorldSwitches)
 {
     StubGuestOs guest_os;
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = stack.kvm.createVm(64 * kMiB);
         VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest_os);
 

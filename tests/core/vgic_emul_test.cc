@@ -10,9 +10,7 @@
 
 #include <functional>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 
 namespace kvmarm {
 namespace {
@@ -61,16 +59,18 @@ class VgicEmulTest : public ::testing::Test
 {
   protected:
     explicit VgicEmulTest(bool vgic = true)
+        : stack({.numCpus = 2,
+                 .ramSize = 256 * kMiB,
+                 .kvm = vgicConfig(vgic)})
     {
-        ArmMachine::Config mc;
-        mc.numCpus = 2;
-        mc.ramSize = 256 * kMiB;
-        mc.hwVgic = vgic;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
+    }
+
+    static core::KvmConfig
+    vgicConfig(bool vgic)
+    {
         core::KvmConfig kc;
         kc.useVgic = vgic;
-        kvm = std::make_unique<core::Kvm>(*hostk, kc);
+        return kc;
     }
 
     /** Run @p body to completion in a booted guest on a one-VCPU VM on
@@ -80,11 +80,8 @@ class VgicEmulTest : public ::testing::Test
                  &body)
     {
         bool done = false;
-        machine->cpu(0).setEntry([&] {
-            ArmCpu &cpu = machine->cpu(0);
-            hostk->boot(0);
-            kvm->initCpu(cpu);
-            auto vm = kvm->createVm(32 * kMiB);
+        stack.onCpu(0, [&](ArmCpu &cpu) {
+            auto vm = stack.kvm.createVm(32 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&guest0);
             vcpu.run(cpu, [&](ArmCpu &c) {
@@ -93,7 +90,7 @@ class VgicEmulTest : public ::testing::Test
                 done = true;
             });
         });
-        machine->run();
+        stack.machine.run();
         EXPECT_TRUE(done);
     }
 
@@ -117,9 +114,7 @@ class VgicEmulTest : public ::testing::Test
         EXPECT_EQ(guest0.received[kSpi], 1);
     }
 
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<core::Kvm> kvm;
+    core::KvmStack stack;
     CountingGuest guest0, guest1;
 };
 
@@ -162,11 +157,8 @@ TEST_F(VgicEmulTest, TrappedDistributorConfigRoundTrips)
 
 TEST_F(VgicEmulTest, UserSpaceInjectionDeliversSpi)
 {
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        kvm->initCpu(cpu);
-        auto vm = kvm->createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest0);
         vcpu.run(cpu, [&](ArmCpu &c) {
@@ -179,7 +171,7 @@ TEST_F(VgicEmulTest, UserSpaceInjectionDeliversSpi)
             EXPECT_EQ(guest0.received[60], 1);
         });
     });
-    machine->run();
+    stack.machine.run();
 }
 
 TEST_F(VgicEmulTest, ClearPendingViaMmio)
@@ -187,11 +179,8 @@ TEST_F(VgicEmulTest, ClearPendingViaMmio)
     // A guest ICPENDR write clears pending state in the emulated
     // distributor, as it does on the physical one: a cleared SPI, PPI or
     // SGI is never delivered once enabled.
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        kvm->initCpu(cpu);
-        auto vm = kvm->createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest0);
         vcpu.run(cpu, [&](ArmCpu &c) {
@@ -221,7 +210,7 @@ TEST_F(VgicEmulTest, ClearPendingViaMmio)
         });
         EXPECT_TRUE(guest0.received.empty());
     });
-    machine->run();
+    stack.machine.run();
 }
 
 TEST_F(VgicEmulTest, SetPendingViaMmioDeliversOnce)
@@ -231,11 +220,8 @@ TEST_F(VgicEmulTest, SetPendingViaMmioDeliversOnce)
 
 TEST_F(VgicEmulTest, LrOverflowDeliversEverything)
 {
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        kvm->initCpu(cpu);
-        auto vm = kvm->createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest0);
         vcpu.run(cpu, [&](ArmCpu &c) {
@@ -253,7 +239,7 @@ TEST_F(VgicEmulTest, LrOverflowDeliversEverything)
             EXPECT_EQ(total, 7);
         });
     });
-    machine->run();
+    stack.machine.run();
 }
 
 TEST_F(VgicEmulTest, VirtualIpiCrossVcpu)
@@ -261,11 +247,8 @@ TEST_F(VgicEmulTest, VirtualIpiCrossVcpu)
     std::unique_ptr<core::Vm> vm;
     bool peer_ready = false, done = false;
 
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        kvm->initCpu(cpu);
-        vm = kvm->createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu0 = vm->addVcpu(0);
         vm->addVcpu(1);
         vcpu0.setGuestOs(&guest0);
@@ -281,10 +264,7 @@ TEST_F(VgicEmulTest, VirtualIpiCrossVcpu)
             done = true;
         });
     });
-    machine->cpu(1).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(1);
-        hostk->boot(1);
-        kvm->initCpu(cpu);
+    stack.onCpu(1, [&](ArmCpu &cpu) {
         while (!vm || vm->vcpus().size() < 2)
             cpu.compute(300);
         core::VCpu &vcpu1 = *vm->vcpus()[1];
@@ -296,7 +276,7 @@ TEST_F(VgicEmulTest, VirtualIpiCrossVcpu)
                 c.compute(150);
         });
     });
-    machine->run();
+    stack.machine.run();
     EXPECT_EQ(guest1.received[9], 1);
     EXPECT_EQ(guest1.lastSgiSource, 0u); // sender was vcpu0
 }
@@ -306,11 +286,8 @@ TEST_F(VgicEmulTest, InjectionWakesWfiBlockedVcpu)
     std::unique_ptr<core::Vm> vm;
     bool peer_in_wfi_phase = false, done = false;
 
-    machine->cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(0);
-        hostk->boot(0);
-        kvm->initCpu(cpu);
-        vm = kvm->createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu0 = vm->addVcpu(0);
         vm->addVcpu(1);
         vcpu0.setGuestOs(&guest0);
@@ -326,10 +303,7 @@ TEST_F(VgicEmulTest, InjectionWakesWfiBlockedVcpu)
             done = true;
         });
     });
-    machine->cpu(1).setEntry([&] {
-        ArmCpu &cpu = machine->cpu(1);
-        hostk->boot(1);
-        kvm->initCpu(cpu);
+    stack.onCpu(1, [&](ArmCpu &cpu) {
         while (!vm || vm->vcpus().size() < 2)
             cpu.compute(300);
         core::VCpu &vcpu1 = *vm->vcpus()[1];
@@ -345,7 +319,7 @@ TEST_F(VgicEmulTest, InjectionWakesWfiBlockedVcpu)
                 c.compute(300);
         });
     });
-    machine->run();
+    stack.machine.run();
     EXPECT_GE(guest1.received[2], 1);
     // The WFI really was emulated by blocking.
     EXPECT_GE(vm->vcpus()[1]->stats.counterValue("emul.wfi"), 1u);

@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 
 namespace kvmarm {
 namespace {
@@ -58,38 +56,27 @@ class VtimerMmioTest : public ::testing::Test
     void
     build(bool vgic_vtimers)
     {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 128 * kMiB;
-        mc.hwVgic = vgic_vtimers;
-        mc.hwVtimers = vgic_vtimers;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
         core::KvmConfig kc;
         kc.useVgic = vgic_vtimers;
         kc.useVtimers = vgic_vtimers;
-        kvm = std::make_unique<core::Kvm>(*hostk, kc);
+        stack = std::make_unique<core::KvmStack>(core::KvmStack::Config{
+            .numCpus = 1, .ramSize = 128 * kMiB, .kvm = kc});
     }
 
     void
     runGuest(const std::function<void(ArmCpu &, core::Vm &)> &body)
     {
-        machine->cpu(0).setEntry([&, body] {
-            ArmCpu &cpu = machine->cpu(0);
-            hostk->boot(0);
-            ASSERT_TRUE(kvm->initCpu(cpu));
-            vm = kvm->createVm(32 * kMiB);
+        stack->onCpu(0, [&, body](ArmCpu &cpu) {
+            vm = stack->kvm.createVm(32 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&guest);
             vcpu.run(cpu,
                      [&](ArmCpu &c) { body(c, *vm); });
         });
-        machine->run();
+        stack->machine.run();
     }
 
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<core::Kvm> kvm;
+    std::unique_ptr<core::KvmStack> stack;
     std::unique_ptr<core::Vm> vm;
     TimerGuest guest;
 };

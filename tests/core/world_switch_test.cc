@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/random.hh"
 
 namespace kvmarm {
@@ -31,30 +29,14 @@ class NullGuestOs : public arm::OsVectors
 class WorldSwitchTest : public ::testing::TestWithParam<unsigned>
 {
   protected:
-    WorldSwitchTest()
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 128 * kMiB;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
-        kvm = std::make_unique<core::Kvm>(*hostk);
-    }
-
     void
     runOnCpu0(const std::function<void(ArmCpu &)> &body)
     {
-        machine->cpu(0).setEntry([this, body] {
-            hostk->boot(0);
-            ASSERT_TRUE(kvm->initCpu(machine->cpu(0)));
-            body(machine->cpu(0));
-        });
-        machine->run();
+        stack.onCpu(0, body);
+        stack.machine.run();
     }
 
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<core::Kvm> kvm;
+    core::KvmStack stack{{.numCpus = 1, .ramSize = 128 * kMiB, .kvm = {}}};
     NullGuestOs guestOs;
 };
 
@@ -64,7 +46,7 @@ TEST_P(WorldSwitchTest, RandomStateSurvivesResidency)
 {
     Rng rng(GetParam() * 7919 + 13);
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(32 * kMiB);
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guestOs);
 
@@ -115,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WorldSwitchTest,
 TEST_F(WorldSwitchTest, TrapConfigurationAppliesOnlyInGuest)
 {
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(32 * kMiB);
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guestOs);
 
@@ -136,7 +118,7 @@ TEST_F(WorldSwitchTest, TrapConfigurationAppliesOnlyInGuest)
 TEST_F(WorldSwitchTest, GuestModePreservedAcrossExits)
 {
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(32 * kMiB);
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guestOs);
         vcpu.guestIrqMasked = true;
@@ -158,7 +140,7 @@ TEST_F(WorldSwitchTest, GuestModePreservedAcrossExits)
 TEST_F(WorldSwitchTest, LazyFpuPreservesBothFpFiles)
 {
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(32 * kMiB);
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guestOs);
         vcpu.regs.vfp[5] = 0xAAAA5555AAAA5555ull;
@@ -184,22 +166,22 @@ TEST_F(WorldSwitchTest, LazyFpuPreservesBothFpFiles)
 TEST_F(WorldSwitchTest, VgicShadowMovesThroughHardware)
 {
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(32 * kMiB);
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guestOs);
 
         vcpu.run(cpu, [&](ArmCpu &c) {
             // The virtual interface is live while the guest runs.
-            EXPECT_TRUE(machine->gich().bank(0).en);
+            EXPECT_TRUE(stack.machine.gich().bank(0).en);
             // Enable the VM view through GICV (the stage-2-mapped GICC).
             c.memWrite(ArmMachine::kGiccBase + arm::gicc::CTLR, 1);
             c.memWrite(ArmMachine::kGiccBase + arm::gicc::PMR, 0xFF);
             c.hvc(core::hvc::kTestHypercall);
             // Still enabled after the round trip (captured + restored).
-            EXPECT_TRUE(machine->gich().bank(0).vmEnabled);
+            EXPECT_TRUE(stack.machine.gich().bank(0).vmEnabled);
         });
         // Back in the host: the virtual interface is off.
-        EXPECT_FALSE(machine->gich().bank(0).en);
+        EXPECT_FALSE(stack.machine.gich().bank(0).en);
         // But the VM's configuration is preserved in the shadow.
         EXPECT_TRUE(vcpu.vgicShadow.vmEnabled);
     });
@@ -208,7 +190,7 @@ TEST_F(WorldSwitchTest, VgicShadowMovesThroughHardware)
 TEST_F(WorldSwitchTest, GuestTimerDoesNotFireForHost)
 {
     runOnCpu0([&](ArmCpu &cpu) {
-        auto vm = kvm->createVm(32 * kMiB);
+        auto vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guestOs);
 
@@ -220,7 +202,7 @@ TEST_F(WorldSwitchTest, GuestTimerDoesNotFireForHost)
         });
         // After the switch out the hardware virtual timer is disabled;
         // the guest's programmed deadline lives in the shadow.
-        EXPECT_FALSE(machine->timer().virt(0).enable);
+        EXPECT_FALSE(stack.machine.timer().virt(0).enable);
         EXPECT_TRUE(vcpu.vtimerShadow.enable);
     });
 }

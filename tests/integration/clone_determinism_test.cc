@@ -20,8 +20,7 @@
 
 #include "arm/machine.hh"
 #include "check/invariants.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/fleet.hh"
 #include "sim/logging.hh"
 
@@ -56,53 +55,45 @@ struct VmSkeleton
 class CloneableVm
 {
   public:
-    CloneableVm()
-        : machine_(makeConfig()), hostk_(machine_), kvm_(hostk_)
-    {
-    }
-
-    ArmMachine &machine() { return machine_; }
+    ArmMachine &machine() { return stack_.machine; }
     core::Vm &vm() { return *vm_; }
 
     /** Boot/warmup leg: boot host + KVM, create the VM, fault in guest
      *  pages and exercise hypercalls/MMIO, then quiesce. */
     void coldBoot()
     {
-        machine_.cpu(0).setEntry([this] {
-            ArmCpu &cpu = machine_.cpu(0);
-            hostk_.boot(0);
-            ASSERT_TRUE(kvm_.initCpu(cpu));
+        stack_.onCpu(0, [this](ArmCpu &cpu) {
             buildVmSkeleton(VmSkeleton{});
             vcpu_->run(cpu, [this](ArmCpu &c) { warmup(c); });
         });
-        machine_.run();
+        stack_.machine.run();
     }
 
     /** Clone path: rebuild the VM skeleton (same calls, same order as the
      *  origin's boot leg) and adopt the snapshot. Never boots. */
     void cloneFrom(const MachineSnapshot &snap, const VmSkeleton &sk = {})
     {
-        kvm_.primeForRestore();
+        stack_.kvm.primeForRestore();
         buildVmSkeleton(sk);
-        machine_.restoreSnapshot(snap);
+        stack_.machine.restoreSnapshot(snap);
     }
 
     /** Workload leg, from a quiesced machine (booted or cloned). */
     VmRun runWorkload(unsigned index)
     {
         VmRun run;
-        machine_.cpu(0).setEntry([this, &run, index] {
-            ArmCpu &cpu = machine_.cpu(0);
+        stack_.machine.cpu(0).setEntry([this, &run, index] {
+            ArmCpu &cpu = stack_.machine.cpu(0);
             vcpu_->run(cpu, [this, &run, index](ArmCpu &c) {
                 Cycles sim0 = c.now();
                 workload(c, index);
                 run.simCycles = c.now() - sim0;
             });
         });
-        machine_.run();
+        stack_.machine.run();
 
         std::ostringstream os;
-        machine_.cpu(0).stats().dump(os, "cpu0.");
+        stack_.machine.cpu(0).stats().dump(os, "cpu0.");
         vcpu_->stats.dump(os, "vcpu.");
         run.statDump = os.str();
         return run;
@@ -111,24 +102,16 @@ class CloneableVm
     /** Run a tiny guest body (for targeted read/write probes). */
     void runGuest(const std::function<void(ArmCpu &)> &body)
     {
-        machine_.cpu(0).setEntry([this, &body] {
-            vcpu_->run(machine_.cpu(0), body);
+        stack_.machine.cpu(0).setEntry([this, &body] {
+            vcpu_->run(stack_.machine.cpu(0), body);
         });
-        machine_.run();
+        stack_.machine.run();
     }
 
   private:
-    static ArmMachine::Config makeConfig()
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 64 * kMiB;
-        return mc;
-    }
-
     void buildVmSkeleton(const VmSkeleton &sk)
     {
-        vm_ = kvm_.createVm(sk.guestRam);
+        vm_ = stack_.kvm.createVm(sk.guestRam);
         vcpu_ = &vm_->addVcpu(0);
         vm_->addKernelDevice(core::Vm::kKernelTestDevBase, sk.deviceSize,
                              [](bool, Addr, std::uint64_t, unsigned) {
@@ -167,9 +150,7 @@ class CloneableVm
             c.memWrite(fresh + Addr(i) * kPageSize, 0xB000 + i, 4);
     }
 
-    ArmMachine machine_;
-    host::HostKernel hostk_;
-    core::Kvm kvm_;
+    core::KvmStack stack_{{.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}}};
     std::unique_ptr<core::Vm> vm_;
     core::VCpu *vcpu_ = nullptr;
 };

@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/fleet.hh"
 #include "sim/logging.hh"
 
@@ -24,7 +22,6 @@ namespace kvmarm {
 namespace {
 
 using arm::ArmCpu;
-using arm::ArmMachine;
 
 /** Everything observable a VM run produced. */
 struct VmRun
@@ -42,18 +39,10 @@ VmRun
 runOneVm(unsigned index)
 {
     VmRun run;
-    ArmMachine::Config mc;
-    mc.numCpus = 1;
-    mc.ramSize = 64 * kMiB;
-    ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk, core::KvmConfig{});
+    core::KvmStack stack({.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}});
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-        std::unique_ptr<core::Vm> vm = kvm.createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        std::unique_ptr<core::Vm> vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vm->addKernelDevice(core::Vm::kKernelTestDevBase, 0x1000,
                             [](bool, Addr, std::uint64_t, unsigned) {
@@ -78,10 +67,10 @@ runOneVm(unsigned index)
             run.simCycles = c.now() - sim0;
         });
     });
-    machine.run();
+    stack.machine.run();
 
     std::ostringstream os;
-    machine.cpu(0).stats().dump(os, "cpu0.");
+    stack.machine.cpu(0).stats().dump(os, "cpu0.");
     run.statDump = os.str();
     return run;
 }

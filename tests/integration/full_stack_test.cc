@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "vdev/qemu.hh"
 #include "workload/arm_port.hh"
 #include "workload/linux_model.hh"
@@ -23,29 +21,21 @@ using arm::ArmMachine;
 
 TEST(Integration, SmpGuestWithDevicesTimersAndIpis)
 {
-    ArmMachine::Config mc;
-    mc.numCpus = 2;
-    mc.ramSize = 768 * kMiB;
-    ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk);
+    core::KvmStack stack({.numCpus = 2, .ramSize = 768 * kMiB, .kvm = {}});
 
     std::unique_ptr<core::Vm> vm;
     std::unique_ptr<vdev::QemuArm> qemu;
     wl::ArmOsImage image;
     image.ramSize = 128 * kMiB;
-    wl::ArmLinuxPort port0(machine.cpu(0), image, 0);
-    wl::ArmLinuxPort port1(machine.cpu(1), image, 1);
+    wl::ArmLinuxPort port0(stack.machine.cpu(0), image, 0);
+    wl::ArmLinuxPort port1(stack.machine.cpu(1), image, 1);
     bool ready = false, done = false;
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-        vm = kvm.createVm(256 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        vm = stack.kvm.createVm(256 * kMiB);
         core::VCpu &vcpu0 = vm->addVcpu(0);
         vm->addVcpu(1);
-        qemu = std::make_unique<vdev::QemuArm>(kvm, *vm);
+        qemu = std::make_unique<vdev::QemuArm>(stack.kvm, *vm);
         qemu->addDevice(0, vdev::usbEthProfile());
         qemu->addDevice(1, vdev::ssdProfile());
         vcpu0.setGuestOs(&port0);
@@ -77,10 +67,7 @@ TEST(Integration, SmpGuestWithDevicesTimersAndIpis)
             done = true;
         });
     });
-    machine.cpu(1).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(1);
-        hostk.boot(1);
-        kvm.initCpu(cpu);
+    stack.onCpu(1, [&](ArmCpu &cpu) {
         while (!ready || vm->vcpus().size() < 2)
             cpu.compute(400);
         core::VCpu &vcpu1 = *vm->vcpus()[1];
@@ -91,7 +78,7 @@ TEST(Integration, SmpGuestWithDevicesTimersAndIpis)
                 c.compute(250);
         });
     });
-    machine.run();
+    stack.machine.run();
 
     EXPECT_TRUE(done);
     EXPECT_GE(vm->vcpus()[0]->stats.counterValue("fault.stage2"), 15u);
@@ -121,22 +108,16 @@ TEST(Integration, SameGuestCodeRunsNativeAndVirtualized)
         return checks;
     };
     auto run_virt = [] {
-        ArmMachine machine(ArmMachine::Config{
-            .numCpus = 1, .ramSize = 768 * kMiB, .hwVgic = true,
-            .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
-        host::HostKernel hostk(machine);
-        core::Kvm kvm(hostk);
+        core::KvmStack stack({.numCpus = 1, .ramSize = 768 * kMiB, .kvm = {}});
         wl::ArmOsImage image;
         image.ramSize = 128 * kMiB;
-        wl::ArmLinuxPort port(machine.cpu(0), image, 0);
+        wl::ArmLinuxPort port(stack.machine.cpu(0), image, 0);
         std::uint64_t checks = 0;
-        machine.cpu(0).setEntry([&] {
-            hostk.boot(0);
-            kvm.initCpu(machine.cpu(0));
-            auto vm = kvm.createVm(256 * kMiB);
+        stack.onCpu(0, [&](ArmCpu &cpu) {
+            auto vm = stack.kvm.createVm(256 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             vcpu.setGuestOs(&port);
-            vcpu.run(machine.cpu(0), [&](ArmCpu &) {
+            vcpu.run(cpu, [&](ArmCpu &) {
                 port.boot();
                 wl::LmbenchOps ops(port);
                 ops.run(wl::LmWorkload::PageFault, 30);
@@ -144,7 +125,7 @@ TEST(Integration, SameGuestCodeRunsNativeAndVirtualized)
                 checks = port.timerIrqsReceived() + 1;
             });
         });
-        machine.run();
+        stack.machine.run();
         return checks;
     };
     EXPECT_EQ(run_native(), run_virt());
@@ -152,12 +133,7 @@ TEST(Integration, SameGuestCodeRunsNativeAndVirtualized)
 
 TEST(Integration, TwoVmsTimeshareOneCpu)
 {
-    ArmMachine::Config mc;
-    mc.numCpus = 1;
-    mc.ramSize = 512 * kMiB;
-    ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk);
+    core::KvmStack stack({.numCpus = 1, .ramSize = 512 * kMiB, .kvm = {}});
 
     class MarkGuest : public arm::OsVectors
     {
@@ -171,12 +147,9 @@ TEST(Integration, TwoVmsTimeshareOneCpu)
         const char *name() const override { return "mark-guest"; }
     } os;
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-        auto vm_a = kvm.createVm(32 * kMiB);
-        auto vm_b = kvm.createVm(32 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm_a = stack.kvm.createVm(32 * kMiB);
+        auto vm_b = stack.kvm.createVm(32 * kMiB);
         core::VCpu &va = vm_a->addVcpu(0);
         core::VCpu &vb = vm_b->addVcpu(0);
         va.setGuestOs(&os);
@@ -201,32 +174,22 @@ TEST(Integration, TwoVmsTimeshareOneCpu)
         }
         EXPECT_NE(vm_a->stage2().vmid(), vm_b->stage2().vmid());
     });
-    machine.run();
+    stack.machine.run();
 }
 
 TEST(Integration, NoVgicStackRunsTheSameGuest)
 {
-    ArmMachine::Config mc;
-    mc.numCpus = 1;
-    mc.ramSize = 512 * kMiB;
-    mc.hwVgic = false;
-    mc.hwVtimers = false;
-    ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
     core::KvmConfig kc;
     kc.useVgic = false;
     kc.useVtimers = false;
-    core::Kvm kvm(hostk, kc);
+    core::KvmStack stack({.numCpus = 1, .ramSize = 512 * kMiB, .kvm = kc});
 
     wl::ArmOsImage image;
     image.ramSize = 64 * kMiB;
-    wl::ArmLinuxPort port(machine.cpu(0), image, 0);
+    wl::ArmLinuxPort port(stack.machine.cpu(0), image, 0);
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-        auto vm = kvm.createVm(128 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(128 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&port);
         vcpu.run(cpu, [&](ArmCpu &) {
@@ -240,7 +203,7 @@ TEST(Integration, NoVgicStackRunsTheSameGuest)
         EXPECT_GE(vcpu.stats.counterValue("mmio.user.gicc"), 2u);
         EXPECT_GE(vcpu.stats.counterValue("vtimer.trapped"), 2u);
     });
-    machine.run();
+    stack.machine.run();
 }
 
 } // namespace

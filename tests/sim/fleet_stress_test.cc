@@ -31,10 +31,8 @@
 
 #include "arm/machine.hh"
 #include "check/invariants.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/fleet.hh"
-#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/ring_channel.hh"
 #include "vdev/vring.hh"
@@ -162,18 +160,12 @@ makePlan(std::uint64_t seed)
 class StressVm
 {
   public:
-    StressVm() : machine_(makeConfig()), hostk_(machine_), kvm_(hostk_) {}
-
-    ArmMachine &machine() { return machine_; }
+    ArmMachine &machine() { return stack_.machine; }
 
     void
     bootAndWarm(const VmSpec &spec)
     {
-        machine_.cpu(0).setEntry([this, &spec] {
-            ArmCpu &cpu = machine_.cpu(0);
-            hostk_.boot(0);
-            if (!kvm_.initCpu(cpu))
-                fatal("fleet_stress: KVM init failed");
+        stack_.onCpu(0, [this, &spec](ArmCpu &cpu) {
             buildVmSkeleton();
             vcpu_->run(cpu, [this, &spec](ArmCpu &c) {
                 const Addr base = vm_->ramBase();
@@ -185,22 +177,22 @@ class StressVm
                     c.hvc(core::hvc::kTestHypercall);
             });
         });
-        machine_.run();
+        stack_.machine.run();
     }
 
     void
     cloneFrom(const MachineSnapshot &snap)
     {
-        kvm_.primeForRestore();
+        stack_.kvm.primeForRestore();
         buildVmSkeleton();
-        machine_.restoreSnapshot(snap);
+        stack_.machine.restoreSnapshot(snap);
     }
 
     void
     runWorkload(const VmSpec &spec, Outcome &out)
     {
-        machine_.cpu(0).setEntry([this, &spec, &out] {
-            ArmCpu &cpu = machine_.cpu(0);
+        stack_.machine.cpu(0).setEntry([this, &spec, &out] {
+            ArmCpu &cpu = stack_.machine.cpu(0);
             vcpu_->run(cpu, [this, &spec, &out](ArmCpu &c) {
                 const Addr base = vm_->ramBase();
                 Cycles sim0 = c.now();
@@ -215,34 +207,23 @@ class StressVm
                 out.simCycles = c.now() - sim0;
             });
         });
-        machine_.run();
+        stack_.machine.run();
 
         std::ostringstream os;
-        machine_.cpu(0).stats().dump(os, "cpu0.");
+        stack_.machine.cpu(0).stats().dump(os, "cpu0.");
         vcpu_->stats.dump(os, "vcpu.");
         out.blob = os.str();
     }
 
   private:
-    static ArmMachine::Config
-    makeConfig()
-    {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 64 * kMiB;
-        return mc;
-    }
-
     void
     buildVmSkeleton()
     {
-        vm_ = kvm_.createVm(32 * kMiB);
+        vm_ = stack_.kvm.createVm(32 * kMiB);
         vcpu_ = &vm_->addVcpu(0);
     }
 
-    ArmMachine machine_;
-    host::HostKernel hostk_;
-    core::Kvm kvm_;
+    core::KvmStack stack_{{.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}}};
     std::unique_ptr<core::Vm> vm_;
     core::VCpu *vcpu_ = nullptr;
 };
@@ -254,25 +235,15 @@ class StressRingVm
     StressRingVm(const std::string &name, RingChannel::Endpoint &ep,
                  bool initiator, unsigned rounds)
     {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 64 * kMiB;
-        machine_ = std::make_unique<ArmMachine>(mc);
-        hostk_ = std::make_unique<host::HostKernel>(*machine_);
-        kvm_ = std::make_unique<core::Kvm>(*hostk_, core::KvmConfig{});
-        pacer_ = std::make_unique<RingPacer>(*machine_, name);
+        pacer_ = std::make_unique<RingPacer>(stack_.machine, name);
         pacer_->attach(ep);
 
-        machine_->cpu(0).setEntry([this, &ep, initiator, rounds] {
-            ArmCpu &cpu = machine_->cpu(0);
-            hostk_->boot(0);
-            if (!kvm_->initCpu(cpu))
-                fatal("fleet_stress: KVM init failed");
-            vm_ = kvm_->createVm(32 * kMiB);
+        stack_.onCpu(0, [this, &ep, initiator, rounds](ArmCpu &cpu) {
+            vm_ = stack_.kvm.createVm(32 * kMiB);
             core::VCpu &vcpu = vm_->addVcpu(0);
             guest_ = std::make_unique<wl::RingGuestOs>();
             vcpu.setGuestOs(guest_.get());
-            dev_ = std::make_unique<vdev::VringDevice>(*kvm_, *vm_, ep);
+            dev_ = std::make_unique<vdev::VringDevice>(stack_.kvm, *vm_, ep);
 
             vcpu.run(cpu, [this, initiator, rounds](ArmCpu &c) {
                 guest_->init(c);
@@ -308,9 +279,7 @@ class StressRingVm
   private:
     // Declaration order is destruction safety: device and pacer deregister
     // from the machine, so the machine must outlive both.
-    std::unique_ptr<ArmMachine> machine_;
-    std::unique_ptr<host::HostKernel> hostk_;
-    std::unique_ptr<core::Kvm> kvm_;
+    core::KvmStack stack_{{.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}}};
     std::unique_ptr<RingPacer> pacer_;
     std::unique_ptr<wl::RingGuestOs> guest_;
     std::unique_ptr<core::Vm> vm_;

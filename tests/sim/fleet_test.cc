@@ -16,9 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "arm/machine.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/fleet.hh"
 #include "sim/logging.hh"
 
@@ -125,18 +123,10 @@ VmOutcome
 runFleetVm(unsigned index, bool fail = false)
 {
     VmOutcome out;
-    arm::ArmMachine::Config mc;
-    mc.numCpus = 1;
-    mc.ramSize = 64 * kMiB;
-    arm::ArmMachine machine(mc);
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk, core::KvmConfig{});
+    core::KvmStack stack({.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}});
 
-    machine.cpu(0).setEntry([&] {
-        arm::ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-        std::unique_ptr<core::Vm> vm = kvm.createVm(32 * kMiB);
+    stack.onCpu(0, [&](arm::ArmCpu &cpu) {
+        std::unique_ptr<core::Vm> vm = stack.kvm.createVm(32 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
 
         vcpu.run(cpu, [&](arm::ArmCpu &c) {
@@ -151,12 +141,12 @@ runFleetVm(unsigned index, bool fail = false)
             out.simCycles = c.now() - sim0;
         });
     });
-    machine.run();
+    stack.machine.run();
     if (fail)
         fatal("fleet-test: injected VM failure");
 
     std::ostringstream os;
-    machine.cpu(0).stats().dump(os, "cpu0.");
+    stack.machine.cpu(0).stats().dump(os, "cpu0.");
     out.statDump = os.str();
     return out;
 }

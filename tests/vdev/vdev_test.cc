@@ -12,8 +12,7 @@
 
 #include "arm/machine.hh"
 #include "check/invariants.hh"
-#include "core/kvm.hh"
-#include "host/kernel.hh"
+#include "core/kvm_stack.hh"
 #include "sim/logging.hh"
 #include "sim/ring_channel.hh"
 #include "vdev/model_dev.hh"
@@ -91,11 +90,7 @@ TEST(ModelDevice, DmaWritesUsedCounter)
 
 TEST(QemuArm, EmulatesUartAndDevicesForVm)
 {
-    ArmMachine machine(ArmMachine::Config{
-        .numCpus = 1, .ramSize = 256 * kMiB, .hwVgic = true,
-        .hwVtimers = true, .clockHz = 1.7e9, .cost = {}});
-    host::HostKernel hostk(machine);
-    core::Kvm kvm(hostk);
+    core::KvmStack stack({.numCpus = 1, .ramSize = 256 * kMiB, .kvm = {}});
 
     class DevGuest : public arm::OsVectors
     {
@@ -124,14 +119,11 @@ TEST(QemuArm, EmulatesUartAndDevicesForVm)
         std::uint64_t completions = 0;
     } guest;
 
-    machine.cpu(0).setEntry([&] {
-        ArmCpu &cpu = machine.cpu(0);
-        hostk.boot(0);
-        ASSERT_TRUE(kvm.initCpu(cpu));
-        auto vm = kvm.createVm(64 * kMiB);
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        auto vm = stack.kvm.createVm(64 * kMiB);
         core::VCpu &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest);
-        vdev::QemuArm qemu(kvm, *vm);
+        vdev::QemuArm qemu(stack.kvm, *vm);
         qemu.addDevice(0, vdev::usbEthProfile());
 
         vcpu.run(cpu, [&](ArmCpu &c) {
@@ -162,36 +154,28 @@ TEST(QemuArm, EmulatesUartAndDevicesForVm)
         // The completion travelled host-iothread -> KVM_IRQ_LINE -> LR.
         EXPECT_GE(cpu.stats().counterValue("host.irq.unhandled"), 0u);
     });
-    machine.run();
+    stack.machine.run();
 }
 
 // ------------------------------------------------------------------ vring
 
 /** One VM of a connected pair: full stack with a vring guest driver,
  *  paced by the window protocol so two of these can ping-pong. */
-struct RingStack
+struct RingStack : core::KvmStack
 {
     RingStack(RingChannel::Endpoint &ep, bool initiator, unsigned rounds)
+        : KvmStack({.numCpus = 1, .ramSize = 128 * kMiB, .kvm = {}})
     {
-        ArmMachine::Config mc;
-        mc.numCpus = 1;
-        mc.ramSize = 128 * kMiB;
-        machine = std::make_unique<ArmMachine>(mc);
-        hostk = std::make_unique<host::HostKernel>(*machine);
-        kvm = std::make_unique<core::Kvm>(*hostk, core::KvmConfig{});
         pacer = std::make_unique<RingPacer>(
-            *machine, initiator ? "ping" : "pong");
+            machine, initiator ? "ping" : "pong");
         pacer->attach(ep);
 
-        machine->cpu(0).setEntry([this, &ep, initiator, rounds] {
-            ArmCpu &cpu = machine->cpu(0);
-            hostk->boot(0);
-            ASSERT_TRUE(kvm->initCpu(cpu));
-            vm = kvm->createVm(64 * kMiB);
+        onCpu(0, [this, &ep, initiator, rounds](ArmCpu &cpu) {
+            vm = kvm.createVm(64 * kMiB);
             core::VCpu &vcpu = vm->addVcpu(0);
             guest = std::make_unique<wl::RingGuestOs>();
             vcpu.setGuestOs(guest.get());
-            dev = std::make_unique<vdev::VringDevice>(*kvm, *vm, ep);
+            dev = std::make_unique<vdev::VringDevice>(kvm, *vm, ep);
 
             vcpu.run(cpu, [this, initiator, rounds](ArmCpu &c) {
                 guest->init(c);
@@ -202,9 +186,6 @@ struct RingStack
 
     bool step() { return pacer->step() == RingPacer::Step::Done; }
 
-    std::unique_ptr<ArmMachine> machine;
-    std::unique_ptr<host::HostKernel> hostk;
-    std::unique_ptr<core::Kvm> kvm;
     std::unique_ptr<RingPacer> pacer;
     std::unique_ptr<wl::RingGuestOs> guest;
     std::unique_ptr<core::Vm> vm;
@@ -273,7 +254,7 @@ TEST(Vring, SnapshotWhileRingConnectedIsFatalBothDirections)
     ASSERT_TRUE(a.dev && b.dev);
 
     try {
-        a.machine->takeSnapshot();
+        a.machine.takeSnapshot();
         FAIL() << "snapshot of the sending machine must fatal";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("snapring"),
@@ -281,7 +262,7 @@ TEST(Vring, SnapshotWhileRingConnectedIsFatalBothDirections)
             << "diagnostic must name the ring: " << e.what();
     }
     try {
-        b.machine->takeSnapshot();
+        b.machine.takeSnapshot();
         FAIL() << "snapshot of the receiving machine must fatal";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("snapring"),
@@ -304,7 +285,7 @@ TEST(Vring, EnforceModeHooksFireOnDoorbellAndDelivery)
     driveToCompletion(a, b);
 
     for (RingStack *s : {&a, &b}) {
-        check::InvariantEngine *eng = s->machine->checkEngine();
+        check::InvariantEngine *eng = s->machine.checkEngine();
         ASSERT_NE(eng, nullptr);
         // rounds doorbells + rounds deliveries at minimum, on top of the
         // world-switch events the run generates anyway.

@@ -7,12 +7,66 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/logging.hh"
 #include "workload/apps.hh"
 #include "workload/harness.hh"
 #include "workload/linux_model.hh"
 
 namespace kvmarm::wl {
 namespace {
+
+/** Every platform must reject @p exp in both runs, before any machine is
+ *  built: neither the prepare hook nor the work function runs. */
+void
+expectDiagnosed(Experiment exp)
+{
+    for (Platform p : {Platform::ArmVgic, Platform::ArmNoVgic,
+                       Platform::X86Laptop, Platform::X86Server}) {
+        SCOPED_TRACE(platformName(p));
+        unsigned prepared = 0;
+        exp.platform = p;
+        exp.prepare = [&prepared] { ++prepared; };
+        EXPECT_THROW(runNative(exp), FatalError);
+        EXPECT_THROW(runVirt(exp), FatalError);
+        EXPECT_THROW(overhead(exp), FatalError);
+        EXPECT_EQ(prepared, 0u);
+    }
+}
+
+Cycles
+idleWork(SysPort &port)
+{
+    return port.now();
+}
+
+TEST(Experiment, MissingWorkIsDiagnosed)
+{
+    Experiment exp;
+    expectDiagnosed(exp);
+    exp.numCpus = 2;
+    exp.side = [](SysPort &) {};
+    expectDiagnosed(exp);
+}
+
+TEST(Experiment, CpuCountOtherThanOneOrTwoIsDiagnosed)
+{
+    for (unsigned n : {0u, 3u, 8u}) {
+        SCOPED_TRACE(n);
+        Experiment exp;
+        exp.numCpus = n;
+        exp.work = idleWork;
+        exp.side = [](SysPort &) {};
+        expectDiagnosed(exp);
+    }
+}
+
+TEST(Experiment, SmpRunWithoutSideIsDiagnosed)
+{
+    Experiment exp;
+    exp.numCpus = 2;
+    exp.work = idleWork;
+    expectDiagnosed(exp);
+}
 
 TEST(Workload, NullSyscallNeverTraps)
 {
