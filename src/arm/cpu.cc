@@ -4,6 +4,7 @@
 #include "arm/machine.hh"
 #include "arm/vgic.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <cstdio>
 #include "sim/logging.hh"
@@ -107,6 +108,7 @@ struct ArmCpu::BurstPage
     Addr vpage = 0;
     Addr ppage = 0;
     const Bus::Region *region = nullptr;
+    Cycles latency = 0; //!< region->dev->accessLatency(), read once
     std::uint64_t tlbEpoch = 0;
     std::uint64_t interleaves = 0;
 };
@@ -124,6 +126,8 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
             burst->region = tr.ok && mode_ == Mode::Hyp && hyp_.hsctlrM
                                 ? armMachine_.bus().regionAt(tr.pa)
                                 : nullptr;
+            burst->latency =
+                burst->region ? burst->region->dev->accessLatency() : 0;
             burst->vpage = pageAlignDown(va);
             burst->ppage = pageAlignDown(tr.pa);
             burst->tlbEpoch = mmu_.tlb().epoch();
@@ -194,6 +198,7 @@ ArmCpu::regBurst(Addr base, std::span<const Addr> offsets,
         panic("cpu%u: register burst of %zu offsets but %zu values", id_,
               offsets.size(), values.size());
     BurstPage page;
+    bool tried_rest = false;
     for (std::size_t i = 0; i < offsets.size(); ++i) {
         const Addr va = base + offsets[i];
         const Addr pa = page.ppage | (va & (kPageSize - 1));
@@ -203,6 +208,12 @@ ArmCpu::regBurst(Addr base, std::span<const Addr> offsets,
             mode_ == Mode::Hyp && hyp_.hsctlrM &&
             mmu_.tlb().epoch() == page.tlbEpoch &&
             interleaves() == page.interleaves) {
+            if (!tried_rest) {
+                tried_rest = true;
+                if (burstRest(page, base, offsets.subspan(i),
+                              values.subspan(i), write))
+                    return;
+            }
             // What translateHyp's micro-TLB hit and Bus would do.
             mmu_.tlb().countHit();
             MmioDevice *dev = page.region->dev;
@@ -210,13 +221,41 @@ ArmCpu::regBurst(Addr base, std::span<const Addr> offsets,
                 dev->write(id_, pa - page.region->base, v, 4);
             else
                 v = dev->read(id_, pa - page.region->base, 4);
-            addCycles(dev->accessLatency());
+            addCycles(page.latency);
         } else {
             v = accessMem(va, write, v, 4, true, &page);
         }
         if (!write)
             values[i] = static_cast<std::uint32_t>(v);
     }
+}
+
+bool
+ArmCpu::burstRest(const BurstPage &page, Addr base,
+                  std::span<const Addr> offsets,
+                  std::span<std::uint32_t> values, bool write)
+{
+    // In Hyp mode the gate is closed, so when the whole remainder's
+    // charge is quiet, no charge inside it would run anything.
+    const Cycles total = page.latency * offsets.size();
+    if (!chargeIsQuiet(total))
+        return false;
+    // Every access must fall in the page and the region: its offset into
+    // the page in [lo, hi).
+    const Bus::Region &r = *page.region;
+    const Addr lo = r.base > page.ppage ? r.base - page.ppage : 0;
+    const Addr hi = std::min<Addr>(kPageSize, r.base + r.size - page.ppage);
+    for (Addr off : offsets) {
+        if (base + off - page.vpage - lo >= hi - lo)
+            return false;
+    }
+    // The device offset of va == base; every base + off is in the page.
+    const Addr dev_base = page.ppage - r.base + (base - page.vpage);
+    if (!r.dev->accessBurst(id_, dev_base, offsets, values, write))
+        return false;
+    mmu_.tlb().countHits(offsets.size());
+    addCycles(total);
+    return true;
 }
 
 void
@@ -516,32 +555,32 @@ ArmCpu::tlbiVa(Addr va)
 }
 
 bool
+ArmCpu::virtIrqLineHigh() const
+{
+    return (armMachine_.config().hwVgic && irqPin(kPinVirtIrq)) ||
+           irqPin(kPinSoftVirq); // software-injected virtual IRQ (no VGIC)
+}
+
+bool
 ArmCpu::interruptPending() const
 {
-    bool phys = armMachine_.gicc().irqLineHigh(id_);
+    bool phys = irqPin(kPinPhysIrq);
     if (phys && mode_ != Mode::Hyp) {
         if (hyp_.hcr.imo)
             return true; // routed to Hyp regardless of CPSR.I
         if (!irqMasked_)
             return true;
     }
-    if (!irqMasked_ && privilegeLevel(mode_) <= 1) {
-        if (armMachine_.config().hwVgic && armMachine_.gich().virqLineHigh(id_))
-            return true;
-        if (hyp_.hcr.vi)
-            return true; // software-injected virtual IRQ (no VGIC)
-    }
-    return false;
+    return !irqMasked_ && privilegeLevel(mode_) <= 1 && virtIrqLineHigh();
 }
 
 void
 ArmCpu::serviceInterrupts()
 {
-    // Nothing is deliverable in Hyp mode: every branch below requires
-    // mode_ != Hyp or PL0/PL1. Returning first keeps the world switch,
-    // which runs entirely in Hyp mode, from polling the GIC on every
-    // addCycles().
-    if (inIrqService_ || mode_ == Mode::Hyp)
+    // Only reached while irqDeliverable(): outside Hyp mode with a pin
+    // high. The branches below still test the mode, because a delivery
+    // changes it.
+    if (inIrqService_)
         return;
     inIrqService_ = true;
     // Livelock detection: every real delivery advances the clock, so a
@@ -554,7 +593,7 @@ ArmCpu::serviceInterrupts()
                 break; // fall through to the panic below
             progress_mark = now_;
         }
-        bool phys = armMachine_.gicc().irqLineHigh(id_);
+        bool phys = irqPin(kPinPhysIrq);
         if (phys && hyp_.hcr.imo && mode_ != Mode::Hyp) {
             statIrqToHyp_.inc(stats_, "irq.toHyp");
             Hsr hsr;
@@ -569,9 +608,7 @@ ArmCpu::serviceInterrupts()
             continue;
         }
         if (!irqMasked_ && privilegeLevel(mode_) <= 1 && osVectors_ &&
-            ((armMachine_.config().hwVgic &&
-              armMachine_.gich().virqLineHigh(id_)) ||
-             hyp_.hcr.vi)) {
+            virtIrqLineHigh()) {
             statIrqVirtual_.inc(stats_, "irq.virtual");
             takeIrqToKernel();
             continue;
@@ -590,8 +627,8 @@ ArmCpu::serviceInterrupts()
           "mode=%s masked=%d imo=%d physLine=%d virtLine=%d vi=%d "
           "bestPhys=%u os=%s",
           id_, modeName(mode_), irqMasked_, hyp_.hcr.imo,
-          armMachine_.gicc().irqLineHigh(id_),
-          armMachine_.config().hwVgic && armMachine_.gich().virqLineHigh(id_),
+          irqPin(kPinPhysIrq),
+          armMachine_.config().hwVgic && irqPin(kPinVirtIrq),
           hyp_.hcr.vi, best.irq, osVectors_ ? osVectors_->name() : "none");
 }
 

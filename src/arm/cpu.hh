@@ -27,6 +27,7 @@
 #include "arm/timer.hh"
 #include "arm/vectors.hh"
 #include "sim/cpu_base.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace kvmarm::arm {
@@ -56,8 +57,25 @@ class ArmCpu : public CpuBase
     {
         KVMARM_CHECK_ON(checkEngine_,
                         modeChange(&armMachine_, id_, mode_, m, hyp_.hcr.vm));
+        // HCR.VI may change only in Hyp mode, behind the closed gate;
+        // outside it the SoftVirq pin set at the last mode change holds.
+        if (mode_ != Mode::Hyp && irqPin(kPinSoftVirq) != hyp_.hcr.vi)
+            panic("cpu%u: HCR.VI written outside Hyp mode", id_);
         mode_ = m;
+        refreshModePins();
     }
+
+    /**
+     * The CPU's interrupt pins (CpuBase::setIrqPin). The GIC CPU interface
+     * drives PhysIrq and the VGIC's GICH drives VirtIrq whenever their
+     * line levels change; SoftVirq mirrors HCR.VI (see refreshModePins()).
+     */
+    enum IrqPin : unsigned
+    {
+        kPinPhysIrq = 0,
+        kPinVirtIrq = 1,
+        kPinSoftVirq = 2,
+    };
 
     RegisterFile &regs() { return regs_; }
     const RegisterFile &regs() const { return regs_; }
@@ -130,8 +148,18 @@ class ArmCpu : public CpuBase
      * costing no cycles, so a reused access counts a TLB hit, calls the
      * device's read/write and charges its accessLatency() through
      * addCycles(): the same cycles, TLB counters, micro-TLB state, device
-     * side effects and event timing. Any other access takes the full
-     * path, which re-arms reuse for its own page.
+     * side effects and event timing. A device's access latency is a fixed
+     * property of the device, so it is read once, when the page is armed.
+     * Any other access takes the full path, which re-arms reuse for its
+     * own page.
+     *
+     * At the first reusable access, if the rest of the burst lies in the
+     * same page and region and its whole charge is quiet
+     * (CpuBase::chargeIsQuiet(): closed gate, no event, no yield), the
+     * rest goes to the device in one MmioDevice::accessBurst() and is
+     * charged as one addCycles(). No charge inside it could have run
+     * anything, so cycles, TLB counters and device state come out the
+     * same.
      */
     void regBurst(Addr base, std::span<const Addr> offsets,
                   std::span<std::uint32_t> values, bool write);
@@ -238,6 +266,8 @@ class ArmCpu : public CpuBase
               hypReturnMode_, hypReturnMask_, hypTrappedMode_,
               hypTrappedMask_, actlr, l2ctlr, l2ectlr, cp14Dbg);
         mmu_.visit(v);
+        if constexpr (V::kLoading)
+            refreshModePins();
     }
     void snapshotSave(SnapshotWriter &w) override { visit(w); }
     void snapshotLoad(SnapshotReader &r) override { visit(r); }
@@ -253,6 +283,31 @@ class ArmCpu : public CpuBase
 
   private:
     struct BurstPage;
+
+    /**
+     * Re-derive the SoftVirq pin and the interrupt gate from the mode.
+     * Nothing is deliverable in Hyp mode, so the gate is closed there.
+     * HCR.VI is written only in Hyp mode (hypSys()), behind the closed
+     * gate, so a mode change is the one point where its pin can need an
+     * update before it matters.
+     */
+    void
+    refreshModePins()
+    {
+        setIrqPin(kPinSoftVirq, hyp_.hcr.vi);
+        setIrqGate(mode_ != Mode::Hyp);
+    }
+
+    /** The virtual IRQ line PL0/PL1 sees: the VGIC's, when the hardware
+     *  has one, or HCR.VI. */
+    bool virtIrqLineHigh() const;
+
+    /** regBurst()'s remainder, from an armed @p page, in one
+     *  MmioDevice::accessBurst() and one charge, when nothing could run
+     *  between its accesses; false, having done nothing, otherwise. */
+    bool burstRest(const BurstPage &page, Addr base,
+                   std::span<const Addr> offsets,
+                   std::span<std::uint32_t> values, bool write);
 
     void takeIrqToKernel();
     bool takePageFaultToKernel(Addr va, bool write, Access acc);

@@ -140,7 +140,7 @@ GicDistributor::snapshotRebind()
 GicCpuInterface::GicCpuInterface(ArmMachine &machine, GicDistributor &dist,
                                  unsigned num_cpus)
     : Snapshottable(&machine, "gicc"), machine_(machine), dist_(dist),
-      banks_(num_cpus), lineHigh_(num_cpus)
+      banks_(num_cpus)
 {
 }
 
@@ -166,7 +166,13 @@ GicCpuInterface::refreshLine(CpuId cpu)
         high = best.irq != kSpuriousIrq && best.priority < b.pmr &&
                best.priority < runningPriority(b);
     }
-    lineHigh_[cpu] = high;
+    machine_.cpu(cpu).setIrqPin(ArmCpu::kPinPhysIrq, high);
+}
+
+bool
+GicCpuInterface::irqLineHigh(CpuId cpu) const
+{
+    return machine_.cpu(cpu).irqPin(ArmCpu::kPinPhysIrq);
 }
 
 void

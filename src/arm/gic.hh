@@ -6,7 +6,7 @@
  * distributor is shared, the CPU interface is banked by the accessing core.
  * The distributor's interrupt state and register decoder are the shared
  * GICv2 model (arm/gic_dist); this file adds the wires, delivery latency
- * and the CPU interface's line levels.
+ * and the CPU interface, which drives each CPU's IRQ pin.
  */
 
 #ifndef KVMARM_ARM_GIC_HH
@@ -151,8 +151,9 @@ class GicCpuInterface : public MmioDevice, public Snapshottable
                     unsigned num_cpus);
 
     /** True if an enabled interrupt should be signalled to @p cpu. The
-     *  level is recomputed whenever its inputs change, so this is a load. */
-    bool irqLineHigh(CpuId cpu) const { return lineHigh_[cpu]; }
+     *  level is recomputed whenever its inputs change and held on the
+     *  CPU's PhysIrq pin, so this is a load. */
+    bool irqLineHigh(CpuId cpu) const;
 
     /** Recompute the IRQ line of every CPU in @p cpu_mask (the
      *  distributor calls this after each state change). */
@@ -206,8 +207,6 @@ class GicCpuInterface : public MmioDevice, public Snapshottable
     ArmMachine &machine_;
     GicDistributor &dist_;
     std::vector<Bank> banks_;
-    /** Per CPU, the IRQ line level; derived, not serialized. */
-    std::vector<std::uint8_t> lineHigh_;
 };
 
 } // namespace kvmarm::arm

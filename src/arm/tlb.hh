@@ -82,6 +82,7 @@ class Tlb
 
     /** Count a lookup outcome (maintained by the MMU). */
     void countHit() { ++hits_; }
+    void countHits(std::uint64_t n) { hits_ += n; }
     void countMiss() { ++misses_; }
 
     /**

@@ -30,7 +30,7 @@ ListReg::unpack(std::uint32_t raw)
 VgicHypInterface::VgicHypInterface(ArmMachine &machine, GicDistributor &dist,
                                    unsigned num_cpus)
     : Snapshottable(&machine, "gich"), machine_(machine), dist_(dist),
-      banks_(num_cpus), lineHigh_(num_cpus)
+      banks_(num_cpus)
 {
 }
 
@@ -67,7 +67,13 @@ VgicHypInterface::refreshLine(CpuId cpu)
             }
         }
     }
-    lineHigh_[cpu] = high;
+    machine_.cpu(cpu).setIrqPin(ArmCpu::kPinVirtIrq, high);
+}
+
+bool
+VgicHypInterface::virqLineHigh(CpuId cpu) const
+{
+    return machine_.cpu(cpu).irqPin(ArmCpu::kPinVirtIrq);
 }
 
 void
@@ -122,34 +128,61 @@ VgicHypInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
                         unsigned len)
 {
     (void)len;
+    if (store(cpu, offset, static_cast<std::uint32_t>(value)))
+        refreshLine(cpu);
+}
+
+bool
+VgicHypInterface::store(CpuId cpu, Addr offset, std::uint32_t v)
+{
     VgicBank &b = banks_.at(cpu);
-    std::uint32_t v = static_cast<std::uint32_t>(value);
     switch (offset) {
       case gich::HCR:
         b.en = v & 1;
         b.uie = v & 2;
-        break;
+        return true;
       case gich::VMCR:
         b.vmEnabled = v & 1;
         b.vmPmr = static_cast<std::uint8_t>(v >> 24);
-        break;
+        return true;
       case gich::APR0:
       case gich::APR1:
       case gich::APR2:
       case gich::APR3:
         b.apr[(offset - gich::APR0) / 4] = v;
-        return;
+        return false;
       default:
         if (offset >= gich::LR0 && offset < gich::LR0 + 4 * kNumListRegs) {
             unsigned idx = (offset - gich::LR0) / 4;
             b.lr[idx] = ListReg::unpack(v);
             KVMARM_CHECK_ON(machine_.checkEngine(), vgicLrWrite(cpu, idx, b));
-            break;
+            return true;
         }
         // VTR/MISR/EISR/ELRSR and alias words are read-only; ignore.
-        return;
+        return false;
     }
-    refreshLine(cpu);
+}
+
+bool
+VgicHypInterface::accessBurst(CpuId cpu, Addr base,
+                              std::span<const Addr> offsets,
+                              std::span<std::uint32_t> values, bool write)
+{
+    if (!write) {
+        for (std::size_t i = 0; i < offsets.size(); ++i) {
+            values[i] = static_cast<std::uint32_t>(
+                VgicHypInterface::read(cpu, base + offsets[i], 4));
+        }
+        return true;
+    }
+    // Nothing runs between the stores, so nothing can see the line level
+    // before the last one.
+    bool refresh = false;
+    for (std::size_t i = 0; i < offsets.size(); ++i)
+        refresh |= store(cpu, base + offsets[i], values[i]);
+    if (refresh)
+        refreshLine(cpu);
+    return true;
 }
 
 IrqId

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arm/gic.hh"
@@ -122,9 +123,9 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
     std::uint32_t emptyLrMask(CpuId cpu) const;
 
     /** True if the virtual interface should assert the guest's IRQ line.
-     *  The level is recomputed whenever its inputs change, so this is a
-     *  load. */
-    bool virqLineHigh(CpuId cpu) const { return lineHigh_[cpu]; }
+     *  The level is recomputed whenever its inputs change and held on the
+     *  CPU's VirtIrq pin, so this is a load. */
+    bool virqLineHigh(CpuId cpu) const;
 
     /** Raise the maintenance interrupt if the underflow condition holds. */
     void checkMaintenance(CpuId cpu);
@@ -147,6 +148,10 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
     void write(CpuId cpu, Addr offset, std::uint64_t value,
                unsigned len) override;
     Cycles accessLatency() const override;
+    /** GICH registers neither read the clock nor schedule events. The
+     *  line level is refreshed once, after the last write. */
+    bool accessBurst(CpuId cpu, Addr base, std::span<const Addr> offsets,
+                     std::span<std::uint32_t> values, bool write) override;
     /// @}
 
     /// @name Snapshottable
@@ -167,12 +172,13 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
 
   private:
     void refreshLine(CpuId cpu);
+    /** write() without the line refresh; true if it changed an input of
+     *  the line level. */
+    bool store(CpuId cpu, Addr offset, std::uint32_t v);
 
     ArmMachine &machine_;
     GicDistributor &dist_;
     std::vector<VgicBank> banks_;
-    /** Per CPU, the virtual IRQ line level; derived, not serialized. */
-    std::vector<std::uint8_t> lineHigh_;
 };
 
 /**

@@ -25,6 +25,26 @@ constexpr std::array<Addr, 2> kLazySaveRegs = {arm::gich::ELRSR0,
                                                arm::gich::VMCR};
 constexpr std::array<Addr, 1> kHcrReg = {arm::gich::HCR};
 
+/** Where @p off sits in the full-switch control list. */
+constexpr std::size_t
+ctrlSlot(Addr off)
+{
+    std::size_t i = 0;
+    while (arm::kVgicCtrlSaveList[i] != off)
+        ++i;
+    return i;
+}
+
+/** The control registers the shadow keeps; every other word of the list
+ *  is written as zero and its read value is dropped. */
+constexpr std::size_t kHcrSlot = ctrlSlot(arm::gich::HCR);
+constexpr std::size_t kVmcrSlot = ctrlSlot(arm::gich::VMCR);
+constexpr std::size_t kApr0Slot = ctrlSlot(arm::gich::APR0);
+static_assert(ctrlSlot(arm::gich::APR1) == kApr0Slot + 1 &&
+              ctrlSlot(arm::gich::APR2) == kApr0Slot + 2 &&
+              ctrlSlot(arm::gich::APR3) == kApr0Slot + 3);
+constexpr std::size_t kLr0Slot = arm::kVgicCtrlSaveList.size();
+
 } // namespace
 
 WorldSwitch::WorldSwitch(Kvm &kvm)
@@ -105,17 +125,12 @@ WorldSwitch::restoreVgic(ArmCpu &cpu, VCpu &vcpu)
     // the 16 control registers and 4 list registers of Table 1 — over
     // MMIO on every switch (paper §3.5).
     std::array<std::uint32_t, arm::kVgicSwitchList.size()> vals{};
-    for (std::size_t i = 0; i < arm::kVgicCtrlSaveList.size(); ++i) {
-        Addr off = arm::kVgicCtrlSaveList[i];
-        if (off == arm::gich::HCR)
-            vals[i] = hcr;
-        else if (off == arm::gich::VMCR)
-            vals[i] = vmcr;
-        else if (off >= arm::gich::APR0 && off <= arm::gich::APR3)
-            vals[i] = sh.apr[(off - arm::gich::APR0) / 4];
-    }
+    vals[kHcrSlot] = hcr;
+    vals[kVmcrSlot] = vmcr;
+    for (unsigned i = 0; i < sh.apr.size(); ++i)
+        vals[kApr0Slot + i] = sh.apr[i];
     for (unsigned i = 0; i < arm::kNumListRegs; ++i)
-        vals[arm::kVgicCtrlSaveList.size() + i] = sh.lr[i].pack();
+        vals[kLr0Slot + i] = sh.lr[i].pack();
     cpu.regBurst(gich, arm::kVgicSwitchList, vals, true);
     vcpu.vgicHwLive = true;
     KVMARM_CHECK_ON(ck, stateTransfer(&cpu.machine(), cpu.id(),
@@ -150,21 +165,14 @@ WorldSwitch::saveVgic(ArmCpu &cpu, VCpu &vcpu)
     // that runs mid-burst can observe the difference.
     std::array<std::uint32_t, arm::kVgicSwitchList.size()> vals{};
     cpu.regBurst(gich, arm::kVgicSwitchList, vals, false);
-    for (std::size_t i = 0; i < arm::kVgicCtrlSaveList.size(); ++i) {
-        Addr off = arm::kVgicCtrlSaveList[i];
-        std::uint32_t v = vals[i];
-        if (off == arm::gich::HCR) {
-            sh.en = v & 1;
-            sh.uie = v & 2;
-        } else if (off == arm::gich::VMCR) {
-            sh.vmEnabled = v & 1;
-            sh.vmPmr = static_cast<std::uint8_t>(v >> 24);
-        } else if (off >= arm::gich::APR0 && off <= arm::gich::APR3) {
-            sh.apr[(off - arm::gich::APR0) / 4] = v;
-        }
-    }
+    sh.en = vals[kHcrSlot] & 1;
+    sh.uie = vals[kHcrSlot] & 2;
+    sh.vmEnabled = vals[kVmcrSlot] & 1;
+    sh.vmPmr = static_cast<std::uint8_t>(vals[kVmcrSlot] >> 24);
+    for (unsigned i = 0; i < sh.apr.size(); ++i)
+        sh.apr[i] = vals[kApr0Slot + i];
     for (unsigned i = 0; i < arm::kNumListRegs; ++i)
-        sh.lr[i] = ListReg::unpack(vals[arm::kVgicCtrlSaveList.size() + i]);
+        sh.lr[i] = ListReg::unpack(vals[kLr0Slot + i]);
     // Disable the virtual interface while the host runs.
     cpu.regBurst(gich, kHcrReg, hcr_disabled, true);
     vcpu.vgicHwLive = false;

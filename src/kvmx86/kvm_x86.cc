@@ -130,7 +130,7 @@ KvmX86::enterVm(X86Cpu &cpu, VCpuX86 &vcpu)
     vmcs.ept = &vcpu.vm();
     vmcs.guestOs = vcpu.guestOs;
     vmcs.tscOffset = vcpu.tscOffset;
-    vmcs.injectVector = 0;
+    cpu.setInjectVector(0);
     injectPending(cpu, vcpu);
     cpu.vmentry();
 }
@@ -142,22 +142,21 @@ KvmX86::saveVcpu(X86Cpu &cpu, VCpuX86 &vcpu)
     vcpu.regs = vmcs.guestRegs;
     vcpu.guestUserMode = vmcs.guestUserMode;
     vcpu.guestIf = vmcs.guestIf;
-    if (vmcs.injectVector) {
+    if (cpu.injectVector()) {
         // An injected-but-not-yet-taken vector returns to the pending set.
         auto &isr = vcpu.apic.inService;
-        auto it = std::find(isr.rbegin(), isr.rend(), vmcs.injectVector);
+        auto it = std::find(isr.rbegin(), isr.rend(), cpu.injectVector());
         if (it != isr.rend())
             isr.erase(std::next(it).base());
-        vcpu.apic.pending.push_back(vmcs.injectVector);
-        vmcs.injectVector = 0;
+        vcpu.apic.pending.push_back(cpu.injectVector());
+        cpu.setInjectVector(0);
     }
 }
 
 void
 KvmX86::injectPending(X86Cpu &cpu, VCpuX86 &vcpu)
 {
-    x86::Vmcs &vmcs = cpu.vmcs();
-    if (vmcs.injectVector || vcpu.apic.pending.empty())
+    if (cpu.injectVector() || vcpu.apic.pending.empty())
         return;
     auto best = std::max_element(vcpu.apic.pending.begin(),
                                  vcpu.apic.pending.end());
@@ -166,7 +165,7 @@ KvmX86::injectPending(X86Cpu &cpu, VCpuX86 &vcpu)
     std::uint8_t vec = *best;
     vcpu.apic.pending.erase(best);
     vcpu.apic.inService.push_back(vec);
-    vmcs.injectVector = vec;
+    cpu.setInjectVector(vec);
     // Hardware event injection on vmentry (paper §2: interrupt delivery
     // itself is cheap; it is EOI that must trap without a virtual APIC).
     cpu.compute(machine().cost().eventInject);
@@ -192,8 +191,8 @@ KvmX86::deliverVirq(X86Cpu &current_cpu, VCpuX86 &target,
     if (resident == &target && target.physCpu() != current_cpu.id()) {
         // Physical reschedule IPI to force the target out of guest mode;
         // costed as a native ICR write plus the wire.
-        machine().apic().bank(current_cpu.id()).icrHi =
-            std::uint64_t(target.physCpu()) << 56;
+        machine().apic().write(current_cpu.id(), x86::apic::ICR_HI,
+                               std::uint64_t(target.physCpu()) << 56, 4);
         current_cpu.memWrite(x86::kApicBase + x86::apic::ICR_LO,
                              kKickVector, 4);
     }

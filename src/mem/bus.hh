@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,26 @@ class MmioDevice
     /**
      * Cycles one register access costs the initiating CPU. Device MMIO is
      * typically far slower than cached memory (paper §3.5); the GIC models
-     * override this.
+     * override this. A fixed property of the device: it must not change
+     * with device state (ArmCpu::regBurst() reads it once per burst page).
      */
     virtual Cycles accessLatency() const { return 50; }
+
+    /**
+     * Access the 32-bit registers at @p base + @p offsets[i] in order, as
+     * that sequence of read()s (into @p values) or write()s (of @p values)
+     * would with no time passing between them; the initiating CPU charges
+     * accessLatency() per register itself (ArmCpu::regBurst()). A device
+     * whose accesses read the clock or schedule events returns false
+     * without doing anything, as the default does.
+     */
+    virtual bool
+    accessBurst(CpuId cpu, Addr base, std::span<const Addr> offsets,
+                std::span<std::uint32_t> values, bool write)
+    {
+        (void)cpu, (void)base, (void)offsets, (void)values, (void)write;
+        return false;
+    }
 };
 
 /** Result of a bus access: the value read (for loads) plus cycles charged. */

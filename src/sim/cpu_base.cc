@@ -17,9 +17,8 @@ CpuBase::CpuBase(CpuId id, MachineBase &machine)
 }
 
 void
-CpuBase::addCycles(Cycles c)
+CpuBase::sync()
 {
-    now_ += c;
     drain();
     if (now_ >= yieldThreshold_ && Fiber::current()) {
         ++interleaves_;
@@ -42,7 +41,8 @@ CpuBase::drain()
 {
     while (events_.mayHaveDue(now_) && events_.runDue(now_))
         ++interleaves_;
-    serviceInterrupts();
+    if (irqDeliverable())
+        serviceInterrupts();
 }
 
 void

@@ -7,6 +7,7 @@
 #ifndef KVMARM_SIM_CPU_BASE_HH
 #define KVMARM_SIM_CPU_BASE_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -50,8 +51,22 @@ class CpuBase : public Snapshottable
      * and yielding to the machine scheduler if another CPU has fallen
      * behind. This is the single place simulated time advances while a CPU
      * is executing.
+     *
+     * The common charge is an add and a compare: it returns at once when
+     * no yield is due, no event is due and no interrupt is deliverable.
+     * Each skip is exact: runDue() would run nothing, serviceInterrupts()
+     * would deliver nothing (and has no other effect), and the yield
+     * condition is false. Otherwise sync() does the full work.
      */
-    void addCycles(Cycles c);
+    void
+    addCycles(Cycles c)
+    {
+        now_ += c;
+        if (now_ < yieldThreshold_ && !events_.mayHaveDue(now_) &&
+            !irqDeliverable())
+            return;
+        sync();
+    }
 
     /** Force the clock forward to @p t (idle fast-forward; never goes
      *  backwards). */
@@ -96,10 +111,33 @@ class CpuBase : public Snapshottable
 
     /**
      * Deliver any pending interrupts for the current execution context.
-     * Called between operations and after time advances. Architectures
-     * route to guest vectors, host vectors, or hypervisor traps.
+     * Called after time advances, and only while irqDeliverable() holds.
+     * Architectures route to guest vectors, host vectors, or hypervisor
+     * traps.
      */
     virtual void serviceInterrupts() = 0;
+
+    /// @name Interrupt pins
+    ///
+    /// The interrupt lines that reach this CPU, one bit each, driven by
+    /// the interrupt controllers at the points where a line level can
+    /// change (each architecture names its pins). The gate is closed in
+    /// contexts where nothing can be delivered whatever the lines say
+    /// (ARM Hyp mode). Pins are derived state: the controllers and the
+    /// architecture recompute them after a snapshot load, so they are
+    /// never serialized.
+    /// @{
+    void
+    setIrqPin(unsigned pin, bool high)
+    {
+        const std::uint32_t m = std::uint32_t{1} << pin;
+        irqPins_ = high ? irqPins_ | m : irqPins_ & ~m;
+    }
+    bool irqPin(unsigned pin) const { return (irqPins_ >> pin) & 1; }
+    /** True when some pin is high and the gate is open: only then can
+     *  serviceInterrupts() deliver anything. */
+    bool irqDeliverable() const { return (irqPins_ & irqGate_) != 0; }
+    /// @}
 
     /// @name Scheduler interface (MachineBase only)
     /// @{
@@ -149,6 +187,24 @@ class CpuBase : public Snapshottable
     /** Run events due at the current clock, then deliver interrupts. */
     void drain();
 
+    /** Open or close the interrupt gate (see irqDeliverable()). */
+    void setIrqGate(bool open) { irqGate_ = open ? ~std::uint32_t{0} : 0; }
+
+    /**
+     * True when a run of charges summing to @p c, with nothing between
+     * them but pin changes, would each take addCycles()' early return:
+     * the sum reaches no event and no yield threshold, and the gate is
+     * closed, so no pin raised on the way is delivered. The run may then
+     * be charged as one addCycles(@p c).
+     */
+    bool
+    chargeIsQuiet(Cycles c) const
+    {
+        const Cycles t = now_ + c;
+        return irqGate_ == 0 && t < yieldThreshold_ &&
+               !events_.mayHaveDue(t);
+    }
+
     CpuId id_;
     MachineBase &machine_;
     Cycles now_ = 0;
@@ -156,6 +212,10 @@ class CpuBase : public Snapshottable
     StatGroup stats_;
 
   private:
+    /** addCycles()'s slow path: drain, then yield if the threshold is
+     *  reached. */
+    void sync();
+
     /** Fatal unless the fiber is finished or never started: a suspended
      *  fiber's stack cannot be serialized. */
     void checkQuiesced() const;
@@ -164,6 +224,8 @@ class CpuBase : public Snapshottable
     std::unique_ptr<Fiber> fiber_;
     bool waiting_ = false;
     Cycles yieldThreshold_ = kNoDeadline;
+    std::uint32_t irqPins_ = 0;
+    std::uint32_t irqGate_ = ~std::uint32_t{0};
     Cycles idleCycles_ = 0;
     std::uint64_t interleaves_ = 0;
 };

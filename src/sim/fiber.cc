@@ -10,6 +10,8 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#include <utility>
+
 #include "sim/logging.hh"
 
 // Neither sanitizer can see through a raw stack switch on its own.
@@ -154,10 +156,19 @@ Fiber::trampoline()
     Fiber *self = currentFiber;
     asanFinishSwitch(nullptr, &self->asanReturnBottom_,
                      &self->asanReturnSize_);
-    self->fn_();
+    // Unwinding cannot cross into the resumer's stack: an exception ends
+    // the fiber here and resume() rethrows it on the resumer's side. The
+    // catch block is left before the jump, so only the exception_ptr
+    // keeps the exception alive.
+    try {
+        self->fn_();
+    } catch (...) {
+        self->exception_ = std::current_exception();
+    }
     self->finished_ = true;
-    // Back to the last resumer for good; this stack is never entered
-    // again, so ASan may drop its fake frames (null save slot).
+    // Back to the last resumer for good, on the same path whether or not
+    // the entry threw; this stack is never entered again, so ASan may
+    // drop its fake frames (null save slot).
     tsanSwitchTo(self->tsanReturn_);
     asanStartSwitch(nullptr, self->asanReturnBottom_, self->asanReturnSize_);
     _longjmp(self->returnCtx_, 1);
@@ -223,6 +234,8 @@ Fiber::resume()
     switchIn();
     asanFinishSwitch(asanResumerFake_, nullptr, nullptr);
     currentFiber = nullptr;
+    if (exception_)
+        std::rethrow_exception(std::exchange(exception_, nullptr));
 }
 
 void

@@ -19,6 +19,7 @@
 #include <setjmp.h>
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 
 namespace kvmarm {
@@ -44,7 +45,8 @@ class Fiber
     ~Fiber();
 
     /** Switch from the caller into the fiber. Must not be called from a
-     *  fiber (no nesting of resumes). */
+     *  fiber (no nesting of resumes). An exception that escapes the entry
+     *  function finishes the fiber and is rethrown here. */
     void resume();
 
     /** Yield from inside the currently running fiber back to its resumer. */
@@ -68,6 +70,8 @@ class Fiber
     jmp_buf returnCtx_; ///< the resumer, suspended in resume()
     bool started_ = false;
     bool finished_ = false;
+    /** What escaped the entry function, until resume() rethrows it. */
+    std::exception_ptr exception_;
 
     /** Sanitizer fiber state (always present so the layout does not
      *  depend on the sanitizer config; only touched under ASan/TSan).

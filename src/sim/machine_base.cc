@@ -175,10 +175,21 @@ MachineBase::runSingle(Cycles haltAt)
         // With no second CPU there is no laggard to yield to; the horizon
         // is the only thing to stop for (kNoDeadline when unbounded).
         c->setYieldThreshold(haltAt);
-        running_ = c;
-        c->resumeFiber();
-        running_ = nullptr;
+        resume(c);
     }
+}
+
+void
+MachineBase::resume(CpuBase *c)
+{
+    running_ = c;
+    try {
+        c->resumeFiber();
+    } catch (...) {
+        running_ = nullptr;
+        throw;
+    }
+    running_ = nullptr;
 }
 
 void
@@ -244,9 +255,7 @@ MachineBase::runMulti(Cycles haltAt)
                                ? kNoDeadline
                                : second_clock + quantum_;
         best->setYieldThreshold(std::min(threshold, haltAt));
-        running_ = best;
-        best->resumeFiber();
-        running_ = nullptr;
+        resume(best);
     }
 }
 

@@ -37,7 +37,10 @@ class MachineBase
     /**
      * Run every CPU that has an entry function until all of them finish or
      * stop is requested. Throws via panic() on cross-CPU deadlock (all
-     * blocked with no pending events).
+     * blocked with no pending events). An exception thrown from a CPU's
+     * entry (a fatal() FatalError, say) finishes that CPU's fiber and
+     * propagates out of run() with no CPU running; the other CPUs' fibers
+     * stay where they last yielded.
      */
     void run() { run(kNoDeadline); }
 
@@ -179,6 +182,10 @@ class MachineBase
     /** The general scheduler scan for multi-CPU machines. Both loops exit
      *  back through run(), which publishes the check epoch. */
     void runMulti(Cycles haltAt);
+
+    /** Resume @p c's fiber with running_ set for the duration, also when
+     *  the fiber's entry throws. */
+    void resume(CpuBase *c);
 
     /** Snapshottable's constructor/destructor maintain snapshottables_. */
     friend class Snapshottable;

@@ -12,6 +12,12 @@ LocalApic::LocalApic(X86Machine &machine, unsigned num_cpus)
 {
 }
 
+void
+LocalApic::refreshPin(CpuId cpu)
+{
+    machine_.cpu(cpu).setIrqPin(X86Cpu::kPinApic, pendingVector(cpu) != 0);
+}
+
 Cycles
 LocalApic::accessLatency() const
 {
@@ -26,6 +32,7 @@ LocalApic::postVector(CpuId cpu, std::uint8_t vec, Cycles when)
         if (std::find(b.pending.begin(), b.pending.end(), vec) ==
             b.pending.end()) {
             b.pending.push_back(vec);
+            refreshPin(cpu);
         }
     });
 }
@@ -52,6 +59,7 @@ LocalApic::acceptVector(CpuId cpu)
         return 0;
     b.pending.erase(std::find(b.pending.begin(), b.pending.end(), vec));
     b.inService.push_back(vec);
+    refreshPin(cpu);
     return vec;
 }
 
@@ -64,6 +72,7 @@ LocalApic::eoi(CpuId cpu)
         return;
     }
     b.inService.pop_back();
+    refreshPin(cpu);
 }
 
 void

@@ -46,7 +46,12 @@ struct ApicBank
     std::uint64_t timerEvent = 0;
 };
 
-/** All local APICs of a machine, exposed as one banked MMIO device. */
+/**
+ * All local APICs of a machine, exposed as one banked MMIO device. Each
+ * CPU's Apic pin (X86Cpu::kPinApic) is high exactly while
+ * pendingVector() is non-zero: every member that changes the pending or
+ * in-service set pushes the new level.
+ */
 class LocalApic : public MmioDevice
 {
   public:
@@ -55,16 +60,15 @@ class LocalApic : public MmioDevice
     /** Post vector @p vec to @p cpu at cycle @p when (wakes idle CPUs). */
     void postVector(CpuId cpu, std::uint8_t vec, Cycles when);
 
-    /** Highest pending vector deliverable to @p cpu, or 0. */
-    std::uint8_t pendingVector(CpuId cpu) const;
-
     /** Deliver (move pending -> in-service); returns the vector. */
     std::uint8_t acceptVector(CpuId cpu);
 
     /** EOI the innermost in-service interrupt. */
     void eoi(CpuId cpu);
 
-    ApicBank &bank(CpuId cpu) { return banks_.at(cpu); }
+    /** Read-only: the pending and in-service sets change only through the
+     *  members above, which keep the CPU's Apic pin current. */
+    const ApicBank &bank(CpuId cpu) const { return banks_.at(cpu); }
 
     /// @name MmioDevice (native/root-mode access path)
     /// @{
@@ -84,6 +88,11 @@ class LocalApic : public MmioDevice
     void cancelTimer(CpuId cpu);
 
   private:
+    /** Highest pending vector deliverable to @p cpu, or 0. */
+    std::uint8_t pendingVector(CpuId cpu) const;
+    /** Push @p cpu's pending level to its Apic pin. */
+    void refreshPin(CpuId cpu);
+
     X86Machine &machine_;
     std::vector<ApicBank> banks_;
 };

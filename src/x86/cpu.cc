@@ -207,6 +207,7 @@ X86Cpu::vmentry()
     userMode_ = vmcs_.guestUserMode;
     ifFlag_ = vmcs_.guestIf;
     nonRoot_ = true;
+    setIrqPin(kPinInject, injectVector_ != 0);
     addCycles(cm.vmentryHw);
 }
 
@@ -226,6 +227,7 @@ X86Cpu::vmexit(const ExitInfo &info)
     vmcs_.guestUserMode = userMode_;
     vmcs_.guestIf = ifFlag_;
     nonRoot_ = false;
+    setIrqPin(kPinInject, false);
     osVectors_ = hostOs_;
     userMode_ = hostUserMode_;
     ifFlag_ = hostIf_;
@@ -251,16 +253,13 @@ X86Cpu::completeMmio(std::uint64_t value)
 bool
 X86Cpu::interruptPending() const
 {
-    std::uint8_t vec = machine_.apic().pendingVector(id_);
-    if (vec) {
+    if (irqPin(kPinApic)) {
         if (nonRoot_)
             return true; // external-interrupt exiting, regardless of IF
         if (ifFlag_)
             return true;
     }
-    if (nonRoot_ && vmcs_.injectVector && ifFlag_)
-        return true;
-    return false;
+    return irqPin(kPinInject) && ifFlag_;
 }
 
 void
@@ -291,7 +290,7 @@ X86Cpu::serviceInterrupts()
                 break;
             progress_mark = now_;
         }
-        std::uint8_t phys = machine_.apic().pendingVector(id_);
+        bool phys = irqPin(kPinApic);
         if (phys && nonRoot_) {
             // External interrupts always exit to root mode while a VM
             // runs; the host services them with interrupts re-enabled.
@@ -307,9 +306,9 @@ X86Cpu::serviceInterrupts()
             takeInterrupt(vec);
             continue;
         }
-        if (nonRoot_ && vmcs_.injectVector && ifFlag_ && osVectors_) {
-            std::uint8_t vec = vmcs_.injectVector;
-            vmcs_.injectVector = 0;
+        if (irqPin(kPinInject) && ifFlag_ && osVectors_) {
+            std::uint8_t vec = injectVector_;
+            setInjectVector(0);
             statIrqInjected_.inc(stats_, "irq.injected");
             takeInterrupt(vec);
             continue;

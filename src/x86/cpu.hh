@@ -72,8 +72,8 @@ struct Vmcs
     RegisterFileX86 hostRegs;
     bool guestUserMode = false;
     bool guestIf = true; //!< guest RFLAGS.IF
-    /** Event injection field: vector injected on the next vmentry. */
-    std::uint8_t injectVector = 0;
+    // The event-injection field is X86Cpu::injectVector(): it is written
+    // only through X86Cpu::setInjectVector(), which keeps the Inject pin.
     /** EPT pointer (EPTP). */
     EptView *ept = nullptr;
     /** Guest kernel receiving the VM's exceptions (VBAR-equivalent). */
@@ -105,6 +105,20 @@ class X86OsVectors
 class X86Cpu : public CpuBase
 {
   public:
+    /**
+     * The CPU's interrupt pins (CpuBase::setIrqPin). The local APIC drives
+     * Apic from every change to its pending or in-service set. Inject is
+     * high while the CPU is in non-root mode with a VMCS injection armed:
+     * set at vmentry or by setInjectVector(), cleared when that vector is
+     * taken or at vmexit. x86 has no gate: every context can take
+     * something.
+     */
+    enum IrqPin : unsigned
+    {
+        kPinApic = 0,
+        kPinInject = 1,
+    };
+
     X86Cpu(CpuId id, X86Machine &machine);
 
     X86Machine &machine() { return machine_; }
@@ -169,6 +183,20 @@ class X86Cpu : public CpuBase
 
     /** True while executing between vmentry and the final vmexit. */
     void setStopVmx(bool stop) { stopVmx_ = stop; }
+
+    /** The VMCS event-injection field: the vector injected on the next
+     *  vmentry (0: none). */
+    std::uint8_t injectVector() const { return injectVector_; }
+
+    /** Write the VMCS event-injection field. KVM may write it from an
+     *  event that runs while the guest executes, so the Inject pin
+     *  follows at once in non-root mode. */
+    void
+    setInjectVector(std::uint8_t vec)
+    {
+        injectVector_ = vec;
+        setIrqPin(kPinInject, nonRoot_ && vec != 0);
+    }
     /// @}
 
     /** Complete a trapped MMIO access with an emulated value. */
@@ -188,6 +216,7 @@ class X86Cpu : public CpuBase
     X86Machine &machine_;
     RegisterFileX86 regs_;
     Vmcs vmcs_;
+    std::uint8_t injectVector_ = 0;
     bool nonRoot_ = false;
     bool userMode_ = false;
     bool ifFlag_ = false;

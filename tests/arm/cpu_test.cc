@@ -242,8 +242,9 @@ TEST_F(CpuTrapTest, IrqRaisedInHypWaitsForEret)
     // Hyp mode masks every interrupt: an SPI that comes due while the CPU
     // is in Hyp with HCR.IMO set stays pending until the ERET, then traps
     // straight back to Hyp at the first addCycles() after it. The cycle
-    // numbers pin that delivery point; they were recorded before
-    // serviceInterrupts() learned to return early in Hyp mode.
+    // numbers pin that delivery point; they were recorded while every
+    // charge still polled the GIC, before Hyp mode closed the CPU's
+    // interrupt gate.
     constexpr IrqId kSpi = kFirstSpi + 8;
     run([&] {
         cpu().memWrite(ArmMachine::kGicdBase + gicd::CTLR, 1);
@@ -292,6 +293,65 @@ TEST_F(CpuTrapTest, IrqRaisedInHypWaitsForEret)
         EXPECT_EQ(h.raisedAt, 443u);
         EXPECT_EQ(h.takenAt, 560u);
         EXPECT_EQ(cpu().now(), 854u);
+    });
+}
+
+TEST_F(CpuTrapTest, SoftVirqSetInHypWaitsForEret)
+{
+    // The no-VGIC path: the hypervisor sets HCR.VI in Hyp mode, where
+    // nothing is deliverable, so the virtual IRQ is taken at the first
+    // charge after the ERET back to kernel mode. The guest's handler
+    // hypercalls to have VI cleared (its trapped EOI).
+    struct Hyp : HypVectors
+    {
+        void
+        hypTrap(ArmCpu &c, const Hsr &hsr) override
+        {
+            bool raise = hsr.iss == 1;
+            c.hypSys("hcr").hcr.vi = raise;
+            if (!raise)
+                return;
+            for (int i = 0; i < 4; ++i)
+                c.compute(25);
+            irqsInHyp = irqs;
+        }
+        const char *name() const override { return "hyp"; }
+        int irqs = 0;
+        int irqsInHyp = -1;
+    } h;
+    struct Guest : OsVectors
+    {
+        explicit Guest(Hyp &hyp) : hyp(hyp) {}
+        void
+        irq(ArmCpu &c) override
+        {
+            ++hyp.irqs;
+            takenAt = c.now();
+            c.hvc(2);
+        }
+        void svc(ArmCpu &, std::uint32_t) override {}
+        bool pageFault(ArmCpu &, Addr, bool, bool) override { return false; }
+        const char *name() const override { return "guest"; }
+        Hyp &hyp;
+        Cycles takenAt = 0;
+    } guest(h);
+    run([&] {
+        cpu().setHypVectors(&h);
+        cpu().setOsVectors(&guest);
+        cpu().setIrqMasked(false);
+        cpu().hvc(1);
+        EXPECT_EQ(h.irqsInHyp, 0);
+        EXPECT_EQ(h.irqs, 0); // back in Svc, but no cycles charged yet
+        EXPECT_TRUE(cpu().irqPin(ArmCpu::kPinSoftVirq));
+        const Cycles eret_at = cpu().now();
+        cpu().compute(10);
+        EXPECT_EQ(h.irqs, 1);
+        EXPECT_EQ(guest.takenAt,
+                  eret_at + 10 + machine->cost().kernelEntry);
+        EXPECT_FALSE(cpu().hyp().hcr.vi);
+        EXPECT_FALSE(cpu().irqPin(ArmCpu::kPinSoftVirq));
+        cpu().compute(10);
+        EXPECT_EQ(h.irqs, 1);
     });
 }
 

@@ -6,8 +6,9 @@
  * 4- and 8-CPU machines. The model keeps the obvious 160-IRQ scan and the
  * line formulas the controllers once evaluated on every poll. After every
  * step each CPU's physical and virtual selection (irq, priority, SGI
- * source), its IRQ and virtual IRQ line levels and its list registers must
- * equal the model's, and at random steps every distributor register kind
+ * source), its IRQ and virtual IRQ line levels (the CPU's PhysIrq and
+ * VirtIrq pins, rebuilt by a restore) and its list registers must equal
+ * the model's, and at random steps every distributor register kind
  * read back through both distributors must too. At a random step the
  * machine is snapshotted and restored into a fresh machine, which the
  * model then keeps driving. The model shares no code with the
@@ -497,7 +498,7 @@ sameLrs(const char *what, unsigned cpu, const VgicBank &got,
            << what << " of cpu" << cpu << " differs from the model";
 }
 
-/** Every CPU's selections, line levels and list registers. */
+/** Every CPU's selections, interrupt pins and list registers. */
 ::testing::AssertionResult
 allMatch(Rig &rig, const Model &m)
 {
@@ -511,14 +512,17 @@ allMatch(Rig &rig, const Model &m)
                     m.vdist.best(c));
         if (!r)
             return r;
-        if (rig.machine.gicc().irqLineHigh(c) != m.irqLine(c))
+        // The line levels live on the CPU's pins, which the charge path
+        // reads.
+        const arm::ArmCpu &cpu = rig.machine.cpu(c);
+        if (cpu.irqPin(arm::ArmCpu::kPinPhysIrq) != m.irqLine(c))
             return ::testing::AssertionFailure()
-                   << "irqLineHigh(" << c << ") is "
-                   << rig.machine.gicc().irqLineHigh(c);
-        if (rig.machine.gich().virqLineHigh(c) != m.virqLine(c))
+                   << "cpu" << c << " PhysIrq pin is "
+                   << cpu.irqPin(arm::ArmCpu::kPinPhysIrq);
+        if (cpu.irqPin(arm::ArmCpu::kPinVirtIrq) != m.virqLine(c))
             return ::testing::AssertionFailure()
-                   << "virqLineHigh(" << c << ") is "
-                   << rig.machine.gich().virqLineHigh(c);
+                   << "cpu" << c << " VirtIrq pin is "
+                   << cpu.irqPin(arm::ArmCpu::kPinVirtIrq);
         bool pending = m.vdist.best(c).irq != kSpuriousIrq ||
                        std::any_of(m.shadow[c].lr.begin(),
                                    m.shadow[c].lr.end(), lrPending);

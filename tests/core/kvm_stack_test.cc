@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/kvm_stack.hh"
+#include "sim/logging.hh"
 
 namespace kvmarm {
 namespace {
@@ -126,6 +128,32 @@ TEST(KvmStack, OnCpuInstallsTheLowvisorOnEachCpu)
     EXPECT_TRUE(stack.kvm.enabled());
     for (CpuId i = 0; i < 2; ++i)
         EXPECT_EQ(stack.machine.cpu(i).hypVectors(), &stack.kvm.lowvisor());
+}
+
+TEST(KvmStack, FatalInCpuEntryThrowsFromRun)
+{
+    // A fatal() inside a CPU's entry (here createVm before KVM's per-CPU
+    // init) reaches the caller of machine.run() as a FatalError, with the
+    // machine left stopped and snapshottable.
+    core::KvmStack stack({.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}});
+    bool created = false;
+    stack.machine.cpu(0).setEntry([&] {
+        stack.host.boot(0);
+        auto vm = stack.kvm.createVm(16 * kMiB);
+        created = true;
+    });
+    try {
+        stack.machine.run();
+        ADD_FAILURE() << "run() did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("before successful initCpu"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(created);
+    EXPECT_TRUE(stack.machine.finished());
+    EXPECT_FALSE(stack.kvm.enabled());
+    EXPECT_NE(stack.machine.takeSnapshot(), nullptr);
 }
 
 } // namespace

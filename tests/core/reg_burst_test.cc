@@ -13,6 +13,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,33 @@ TEST(RegBurst, OffsetsThatLeaveThePageTakeTheFullPath)
     EXPECT_EQ(o.reads.size(), offs.size());
     EXPECT_EQ(o.missesInBody, 3u); // one walk per page
     EXPECT_EQ(o.hitsInBody, offs.size() - 3);
+}
+
+TEST(RegBurst, WriteBurstRefreshesTheVirtualLine)
+{
+    // With nothing due, the rest of a burst goes to GICH in one call,
+    // which refreshes the VirtIrq line once, after its last write:
+    // enabling the interface over a pending list register raises the
+    // line, and disabling it drops it again.
+    arm::ListReg lr;
+    lr.virq = 40;
+    lr.priority = 0x80;
+    lr.state = arm::LrState::Pending;
+    const std::array<Addr, 3> offs = {arm::gich::HCR, arm::gich::VMCR,
+                                      arm::gich::LR0};
+    std::array<std::uint32_t, 3> enable = {1, 1u | (0xF0u << 24), lr.pack()};
+    std::array<std::uint32_t, 1> disable = {0};
+    Rig rig;
+    bool raised = false;
+    bool dropped = false;
+    rig.run([&](ArmCpu &cpu) {
+        cpu.regBurst(kGich, offs, enable, true);
+        raised = cpu.machine().gich().virqLineHigh(0);
+        cpu.regBurst(kGich, std::span(offs).first(1), disable, true);
+        dropped = !cpu.machine().gich().virqLineHigh(0);
+    });
+    EXPECT_TRUE(raised);
+    EXPECT_TRUE(dropped);
 }
 
 TEST(RegBurst, MismatchedValueSpanPanics)

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/fiber.hh"
@@ -76,6 +77,40 @@ TEST(Fiber, CurrentTracksExecution)
     f.resume();
     EXPECT_EQ(seen, &f);
     EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, ExceptionInEntryReachesResumer)
+{
+    // An exception escaping the entry finishes the fiber and comes out of
+    // the resume() that ran it, here after a yield; the resumer's stack
+    // and the fiber machinery work normally afterwards.
+    std::vector<int> trace;
+    Fiber f([&] {
+        trace.push_back(1);
+        Fiber::yield();
+        trace.push_back(2);
+        throw std::runtime_error("entry failed");
+    });
+    f.resume();
+    EXPECT_FALSE(f.finished());
+    try {
+        f.resume();
+        ADD_FAILURE() << "resume() did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "entry failed");
+    }
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(Fiber::current(), nullptr);
+
+    Fiber g([&] {
+        trace.push_back(3);
+        Fiber::yield();
+        trace.push_back(4);
+    });
+    g.resume();
+    g.resume();
+    EXPECT_TRUE(g.finished());
+    EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(Fiber, DeepStackSurvives)

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <string>
+
+#include "sim/random.hh"
 #include "x86/machine.hh"
 
 namespace kvmarm::x86 {
@@ -128,10 +134,47 @@ TEST_F(X86Test, ApicAccessAlwaysExitsInGuest)
         EXPECT_EQ(vmx.exits[0].apicOffset, apic::EOI);
         EXPECT_TRUE(vmx.exits[0].isWrite);
         cpu().vmcall(0xDEAD);
-        // Natively the same access goes straight to the device.
-        machine->apic().bank(0).inService.push_back(0x40);
+        // Natively the same access goes straight to the device. With IF
+        // clear the posted vector stays pending until accepted by hand.
+        machine->apic().postVector(0, 0x40, cpu().now());
+        cpu().compute(1);
+        ASSERT_EQ(machine->apic().acceptVector(0), 0x40);
         cpu().memWrite(kApicBase + apic::EOI, 0, 4);
         EXPECT_TRUE(machine->apic().bank(0).inService.empty());
+    });
+}
+
+TEST_F(X86Test, InjectionArmedInGuestIsTakenAtTheNextCharge)
+{
+    // KVM x86 can arm the VMCS injection from an event that runs while
+    // the guest executes (a host timer delivering a virtual interrupt to
+    // the resident VCPU). The Inject pin follows at once, so the next
+    // charge takes the vector; vmexit drops the pin.
+    class GuestOs : public X86OsVectors
+    {
+      public:
+        void interrupt(X86Cpu &, std::uint8_t vec) override { taken = vec; }
+        void syscall(X86Cpu &, std::uint32_t) override {}
+        const char *name() const override { return "guest-os"; }
+        std::uint8_t taken = 0;
+    } guest;
+    run([&] {
+        cpu().vmcs().ept = &ept;
+        cpu().vmcs().guestOs = &guest;
+        cpu().vmcs().guestIf = true;
+        cpu().vmentry();
+        EXPECT_FALSE(cpu().irqPin(X86Cpu::kPinInject));
+        cpu().setInjectVector(0x41);
+        EXPECT_TRUE(cpu().irqPin(X86Cpu::kPinInject));
+        EXPECT_EQ(guest.taken, 0);
+        cpu().compute(1);
+        EXPECT_EQ(guest.taken, 0x41);
+        EXPECT_EQ(cpu().injectVector(), 0);
+        EXPECT_FALSE(cpu().irqPin(X86Cpu::kPinInject));
+
+        cpu().setInjectVector(0x42); // armed, then the guest exits first
+        cpu().vmcall(0xDEAD);
+        EXPECT_FALSE(cpu().irqPin(X86Cpu::kPinInject));
     });
 }
 
@@ -261,6 +304,67 @@ TEST_F(X86Test, HltWaitsForInterrupt)
         cpu().hlt();
         EXPECT_GE(cpu().now() - t0, 19000u);
     });
+}
+
+/** The level the CPU once polled on every charge: the highest pending
+ *  vector, deliverable only above the innermost in-service one. */
+bool
+scannedApicLevel(const ApicBank &b)
+{
+    std::uint8_t best = 0;
+    for (std::uint8_t v : b.pending)
+        best = std::max(best, v);
+    return best != 0 && (b.inService.empty() || best > b.inService.back());
+}
+
+TEST(X86ApicPin, SeededOpsMatchScan)
+{
+    // Seeded posts (some still in flight), accepts, EOIs and charges, run
+    // from the test thread: with IF clear in root mode nothing is
+    // delivered, so only the pin bookkeeping is under test. After every
+    // step each CPU's Apic pin equals the scan.
+    constexpr int kSteps = 3000;
+    constexpr std::array<std::uint8_t, 5> kVectors = {0x30, 0x41, 0x55,
+                                                      0xD0, 0xEF};
+    X86Machine::Config mc;
+    mc.numCpus = 2;
+    mc.ramSize = 16 * kMiB;
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        X86Machine machine(mc);
+        LocalApic &apic = machine.apic();
+        int high = 0;
+        for (int i = 0; i < kSteps; ++i) {
+            CpuId c = static_cast<CpuId>(rng.range(mc.numCpus));
+            X86Cpu &cpu = machine.cpu(c);
+            switch (rng.range(5)) {
+              case 0:
+              case 1:
+                apic.postVector(c, kVectors[rng.range(kVectors.size())],
+                                cpu.now() + rng.range(300));
+                break;
+              case 2:
+                apic.acceptVector(c);
+                break;
+              case 3:
+                if (!apic.bank(c).inService.empty())
+                    apic.eoi(c);
+                break;
+              default:
+                cpu.compute(1 + rng.range(150));
+                break;
+            }
+            for (CpuId k = 0; k < mc.numCpus; ++k) {
+                bool pin = machine.cpu(k).irqPin(X86Cpu::kPinApic);
+                ASSERT_EQ(pin, scannedApicLevel(apic.bank(k)))
+                    << "cpu" << k << " at step " << i;
+                high += pin;
+            }
+        }
+        EXPECT_GT(high, kSteps / 10);
+        EXPECT_LT(high, 2 * kSteps - kSteps / 10);
+    }
 }
 
 } // namespace
