@@ -174,6 +174,7 @@ InvariantEngine::InvariantEngine()
 {
     for (auto &rule : builtinRules())
         rules_.push_back(std::move(rule));
+    subscribeAll();
     // Join and take the process mode in one critical section, so a
     // setProcessMode() racing this constructor either finds the engine
     // registered or has already updated the mode it starts in.
@@ -195,6 +196,34 @@ InvariantEngine::~InvariantEngine()
 }
 
 void
+InvariantEngine::subscribeAll()
+{
+    for (std::vector<InvariantRule *> &subs : subscribers_) {
+        subs.clear();
+        for (auto &rule : rules_)
+            subs.push_back(rule.get());
+    }
+}
+
+template <auto On, typename Event>
+void
+InvariantEngine::fanOut(Hook hook, const Event &ev)
+{
+    std::vector<InvariantRule *> &subs = subscribers_[hook];
+    for (std::size_t i = 0; i < subs.size();) {
+        InvariantRule *rule = subs[i];
+        (rule->*On)(*this, ev);
+        if (rule->unhandled_) {
+            // The base-class no-op ran: the rule does not check this hook.
+            rule->unhandled_ = false;
+            subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+            ++i;
+        }
+    }
+}
+
+void
 InvariantEngine::refreshGate()
 {
     active_.store(mode() != CheckMode::Off && !rules_.empty(),
@@ -212,6 +241,7 @@ void
 InvariantEngine::addRule(std::unique_ptr<InvariantRule> rule)
 {
     rules_.push_back(std::move(rule));
+    subscribeAll();
     refreshGate();
 }
 
@@ -263,8 +293,7 @@ InvariantEngine::hypAccess(CpuId cpu, arm::Mode mode, const char *reg)
 {
     ++events_;
     HypAccessEvent ev{cpu, mode, reg};
-    for (auto &rule : rules_)
-        rule->onHypAccess(*this, ev);
+    fanOut<&InvariantRule::onHypAccess>(kHypAccess, ev);
 }
 
 void
@@ -273,8 +302,7 @@ InvariantEngine::modeChange(const void *domain, CpuId cpu, arm::Mode from,
 {
     ++events_;
     ModeChangeEvent ev{domain, cpu, from, to, stage2_on};
-    for (auto &rule : rules_)
-        rule->onModeChange(*this, ev);
+    fanOut<&InvariantRule::onModeChange>(kModeChange, ev);
 }
 
 void
@@ -283,8 +311,7 @@ InvariantEngine::worldSwitchBegin(const void *domain, CpuId cpu,
 {
     ++events_;
     WorldSwitchEvent ev{domain, cpu, dir, true, nullptr};
-    for (auto &rule : rules_)
-        rule->onWorldSwitch(*this, ev);
+    fanOut<&InvariantRule::onWorldSwitch>(kWorldSwitch, ev);
 }
 
 void
@@ -293,8 +320,7 @@ InvariantEngine::worldSwitchEnd(const void *domain, CpuId cpu, SwitchDir dir,
 {
     ++events_;
     WorldSwitchEvent ev{domain, cpu, dir, false, &hyp};
-    for (auto &rule : rules_)
-        rule->onWorldSwitch(*this, ev);
+    fanOut<&InvariantRule::onWorldSwitch>(kWorldSwitch, ev);
 }
 
 void
@@ -303,8 +329,7 @@ InvariantEngine::stateTransfer(const void *domain, CpuId cpu, StateClass cls,
 {
     ++events_;
     StateTransferEvent ev{domain, cpu, cls, kind};
-    for (auto &rule : rules_)
-        rule->onStateTransfer(*this, ev);
+    fanOut<&InvariantRule::onStateTransfer>(kStateTransfer, ev);
 }
 
 void
@@ -313,8 +338,7 @@ InvariantEngine::stage2Map(const void *domain, std::uint16_t vmid, Addr ipa,
 {
     ++events_;
     Stage2Event ev{domain, vmid, ipa, pa, device, true};
-    for (auto &rule : rules_)
-        rule->onStage2Update(*this, ev);
+    fanOut<&InvariantRule::onStage2Update>(kStage2Update, ev);
 }
 
 void
@@ -323,8 +347,7 @@ InvariantEngine::stage2Unmap(const void *domain, std::uint16_t vmid,
 {
     ++events_;
     Stage2Event ev{domain, vmid, ipa, pa, false, false};
-    for (auto &rule : rules_)
-        rule->onStage2Update(*this, ev);
+    fanOut<&InvariantRule::onStage2Update>(kStage2Update, ev);
 }
 
 void
@@ -332,8 +355,7 @@ InvariantEngine::protectPage(const void *domain, Addr pa, const char *tag)
 {
     ++events_;
     PageGuardEvent ev{domain, pa, tag, true};
-    for (auto &rule : rules_)
-        rule->onPageGuard(*this, ev);
+    fanOut<&InvariantRule::onPageGuard>(kPageGuard, ev);
 }
 
 void
@@ -341,8 +363,7 @@ InvariantEngine::unprotectPage(const void *domain, Addr pa)
 {
     ++events_;
     PageGuardEvent ev{domain, pa, "", false};
-    for (auto &rule : rules_)
-        rule->onPageGuard(*this, ev);
+    fanOut<&InvariantRule::onPageGuard>(kPageGuard, ev);
 }
 
 void
@@ -351,8 +372,7 @@ InvariantEngine::vgicLrWrite(CpuId cpu, unsigned idx,
 {
     ++events_;
     VgicLrEvent ev{cpu, idx, &bank};
-    for (auto &rule : rules_)
-        rule->onVgicLr(*this, ev);
+    fanOut<&InvariantRule::onVgicLr>(kVgicLr, ev);
 }
 
 void
@@ -360,8 +380,7 @@ InvariantEngine::maintenanceIrq(CpuId cpu, const arm::VgicBank &bank)
 {
     ++events_;
     MaintenanceEvent ev{cpu, &bank};
-    for (auto &rule : rules_)
-        rule->onMaintenance(*this, ev);
+    fanOut<&InvariantRule::onMaintenance>(kMaintenance, ev);
 }
 
 void
@@ -371,8 +390,7 @@ InvariantEngine::ringDoorbell(const void *domain, CpuId cpu, const char *ring,
 {
     ++events_;
     RingEvent ev{domain, cpu, ring, true, seq, cycle, availIdx};
-    for (auto &rule : rules_)
-        rule->onRing(*this, ev);
+    fanOut<&InvariantRule::onRing>(kRing, ev);
 }
 
 void
@@ -382,8 +400,7 @@ InvariantEngine::ringDeliver(const void *domain, CpuId cpu, const char *ring,
 {
     ++events_;
     RingEvent ev{domain, cpu, ring, false, seq, cycle, usedIdx};
-    for (auto &rule : rules_)
-        rule->onRing(*this, ev);
+    fanOut<&InvariantRule::onRing>(kRing, ev);
 }
 
 } // namespace kvmarm::check

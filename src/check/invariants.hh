@@ -8,8 +8,9 @@
  * touched exclusively from Hyp mode (§3.2), (2) the world switch moves
  * *all* of Table 1's state symmetrically, (3) Stage-2 translation isolates
  * each VM's IPA space and the protected Hyp region (§3.3), (4) guest entry
- * programs the full KVM/ARM trap configuration, and (5) the VGIC list
- * registers stay consistent (§3.5). The simulator executes those paths;
+ * programs the full KVM/ARM trap configuration, (5) the VGIC list
+ * registers stay consistent (§3.5), and (6) inter-VM ring messages keep
+ * a gapless, monotonic order. The simulator executes those paths;
  * this engine *checks* them, so a silent save/restore asymmetry or a
  * cross-VM Stage-2 mapping fails loudly instead of corrupting results.
  *
@@ -43,7 +44,9 @@
 #ifndef KVMARM_CHECK_INVARIANTS_HH
 #define KVMARM_CHECK_INVARIANTS_HH
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,6 +87,10 @@ enum class StateClass
     Timer, //!< architected timer control registers
 };
 
+/** Number of StateClass values (for per-class bitmasks). */
+inline constexpr unsigned kNumStateClasses =
+    static_cast<unsigned>(StateClass::Timer) + 1;
+
 /** What a world-switch state transfer did. */
 enum class Xfer
 {
@@ -92,6 +99,10 @@ enum class Xfer
     SaveGuest,    //!< guest copy captured (toHost)
     RestoreHost,  //!< host copy reloaded (toHost)
 };
+
+/** Number of Xfer values (for per-kind tables). */
+inline constexpr unsigned kNumXfers =
+    static_cast<unsigned>(Xfer::RestoreHost) + 1;
 
 const char *switchDirName(SwitchDir d);
 const char *stateClassName(StateClass c);
@@ -209,6 +220,11 @@ class InvariantEngine;
  * own shadow state and must clear it in reset(). Each engine instance
  * owns a private set of rule instances, so one machine's shadow state can
  * never alias another's.
+ *
+ * The base-class hooks are no-ops that also tell the engine the rule does
+ * not handle that hook: the engine then stops sending it events of that
+ * kind (DESIGN.md §4.3). An override therefore must not call the base
+ * hook.
  */
 class InvariantRule
 {
@@ -220,25 +236,67 @@ class InvariantRule
     /** Drop all shadow state (engine reset between test cases). */
     virtual void reset() {}
 
-    virtual void onHypAccess(InvariantEngine &, const HypAccessEvent &) {}
-    virtual void onModeChange(InvariantEngine &, const ModeChangeEvent &) {}
-    virtual void onWorldSwitch(InvariantEngine &, const WorldSwitchEvent &) {}
+    virtual void
+    onHypAccess(InvariantEngine &, const HypAccessEvent &)
+    {
+        unhandled_ = true;
+    }
+    virtual void
+    onModeChange(InvariantEngine &, const ModeChangeEvent &)
+    {
+        unhandled_ = true;
+    }
+    virtual void
+    onWorldSwitch(InvariantEngine &, const WorldSwitchEvent &)
+    {
+        unhandled_ = true;
+    }
     virtual void
     onStateTransfer(InvariantEngine &, const StateTransferEvent &)
     {
+        unhandled_ = true;
     }
-    virtual void onStage2Update(InvariantEngine &, const Stage2Event &) {}
-    virtual void onPageGuard(InvariantEngine &, const PageGuardEvent &) {}
-    virtual void onVgicLr(InvariantEngine &, const VgicLrEvent &) {}
-    virtual void onMaintenance(InvariantEngine &, const MaintenanceEvent &) {}
-    virtual void onRing(InvariantEngine &, const RingEvent &) {}
+    virtual void
+    onStage2Update(InvariantEngine &, const Stage2Event &)
+    {
+        unhandled_ = true;
+    }
+    virtual void
+    onPageGuard(InvariantEngine &, const PageGuardEvent &)
+    {
+        unhandled_ = true;
+    }
+    virtual void
+    onVgicLr(InvariantEngine &, const VgicLrEvent &)
+    {
+        unhandled_ = true;
+    }
+    virtual void
+    onMaintenance(InvariantEngine &, const MaintenanceEvent &)
+    {
+        unhandled_ = true;
+    }
+    virtual void
+    onRing(InvariantEngine &, const RingEvent &)
+    {
+        unhandled_ = true;
+    }
+
+  private:
+    friend class InvariantEngine;
+
+    /** Set by a base-class hook; the engine reads and clears it after
+     *  each call. */
+    bool unhandled_ = false;
 };
 
 /**
  * An invariant engine: a set of rules, their shadow state, a violation
  * log and an event counter. Instrumented code funnels events in through
- * the entry points below; the engine fans them out to every registered
- * rule.
+ * the entry points below; the engine fans each one out to the rules that
+ * handle its hook. It keeps one subscriber list per hook: every rule
+ * starts on every list and leaves a list the first time its base-class
+ * no-op runs, so an event costs one virtual call per rule that checks it.
  *
  * An engine belongs to one MachineBase (or to a test that drives it
  * directly) and is fed only from that owner's single execution thread,
@@ -272,12 +330,13 @@ class InvariantEngine
         return active_.load(std::memory_order_relaxed);
     }
 
-    /** Register an additional rule (the five built-in rules are installed
-     *  by the constructor). */
+    /** Register an additional rule (the six built-in rules are installed
+     *  by the constructor) and put every rule back on every hook's
+     *  subscriber list. */
     void addRule(std::unique_ptr<InvariantRule> rule);
 
     /** Clear recorded violations, the event counter and every rule's
-     *  shadow state. */
+     *  shadow state. The subscriber lists are kept. */
     void reset();
 
     /// @name Results
@@ -349,11 +408,35 @@ class InvariantEngine
     /// @}
 
   private:
+    /** The rule hooks, one subscriber list each. */
+    enum Hook : unsigned
+    {
+        kHypAccess,
+        kModeChange,
+        kWorldSwitch,
+        kStateTransfer,
+        kStage2Update,
+        kPageGuard,
+        kVgicLr,
+        kMaintenance,
+        kRing,
+        kNumHooks,
+    };
+
     void refreshGate();
+
+    /** Put every rule on every hook's subscriber list, in rule order. */
+    void subscribeAll();
+
+    /** Call hook @p On of every rule subscribed to @p hook, dropping the
+     *  rules whose base-class no-op ran. */
+    template <auto On, typename Event>
+    void fanOut(Hook hook, const Event &ev);
 
     std::atomic<CheckMode> mode_{CheckMode::Off};
     std::atomic<bool> active_{false};
     std::vector<std::unique_ptr<InvariantRule>> rules_;
+    std::array<std::vector<InvariantRule *>, kNumHooks> subscribers_;
     std::vector<Violation> violations_;
     std::uint64_t events_ = 0;
     /** Epoch counters: live is bumped by every report(); published is

@@ -1,10 +1,10 @@
 #include "check/rules.hh"
 
+#include <cstdint>
 #include <map>
-#include <set>
 #include <string>
-#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "arm/gic.hh"
 #include "arm/vgic.hh"
@@ -16,10 +16,51 @@ namespace {
 
 using arm::Mode;
 
-/** (machine/Mm, id) pair keying per-CPU or per-PA shadow state, so two
- *  machines in one process (migration tests) cannot alias. */
-using DomainCpu = std::pair<const void *, CpuId>;
+/** (machine/Mm, pa) pair keying per-PA shadow state, so two machines in
+ *  one process (migration tests) cannot alias. */
 using DomainPa = std::pair<const void *, Addr>;
+
+/**
+ * Per-CPU shadow state keyed by (machine, cpu), for the same reason. An
+ * engine sees one machine's CPUs, so the table holds a few entries and a
+ * linear scan beats any tree or hash lookup.
+ */
+template <typename T>
+class PerCpu
+{
+  public:
+    /** The entry for (@p domain, @p cpu), or null if never created. */
+    T *
+    find(const void *domain, CpuId cpu)
+    {
+        for (Entry &e : entries_) {
+            if (e.domain == domain && e.cpu == cpu)
+                return &e.value;
+        }
+        return nullptr;
+    }
+
+    /** The entry for (@p domain, @p cpu), value-initialized on first use. */
+    T &
+    operator()(const void *domain, CpuId cpu)
+    {
+        if (T *v = find(domain, cpu))
+            return *v;
+        entries_.push_back(Entry{domain, cpu, T{}});
+        return entries_.back().value;
+    }
+
+    void clear() { entries_.clear(); }
+
+  private:
+    struct Entry
+    {
+        const void *domain;
+        CpuId cpu;
+        T value;
+    };
+    std::vector<Entry> entries_;
+};
 
 /**
  * Rule 1 — privilege: the registers backing split-mode operation (HCR,
@@ -44,6 +85,16 @@ class PrivilegeRule : public InvariantRule
     }
 };
 
+/** A set of StateClass values, bit i standing for class i. */
+using ClassMask = std::uint8_t;
+static_assert(kNumStateClasses <= 8, "StateClass outgrew ClassMask");
+
+constexpr ClassMask
+bit(StateClass cls)
+{
+    return static_cast<ClassMask>(1u << static_cast<unsigned>(cls));
+}
+
 /**
  * Rule 2 — ws-pairing: a per-switch ledger proving the world switch moves
  * Table 1's state symmetrically. Every state group saved for the host on
@@ -61,7 +112,7 @@ class WsPairingRule : public InvariantRule
     void
     onWorldSwitch(InvariantEngine &eng, const WorldSwitchEvent &ev) override
     {
-        Epoch &ep = epochs_[{ev.domain, ev.cpu}];
+        Epoch &ep = epochs_(ev.domain, ev.cpu);
         if (ev.dir == SwitchDir::ToVm && ev.begin) {
             if (ep.open) {
                 eng.report(*this,
@@ -75,13 +126,16 @@ class WsPairingRule : public InvariantRule
         }
         if (ev.dir == SwitchDir::ToVm && !ev.begin) {
             // Guest entry: the minimal Table 1 set must have moved.
-            requireCls(eng, ev.cpu, ep.savedHost, StateClass::Gp,
+            requireCls(eng, ev.cpu, ep.moved(Xfer::SaveHost), StateClass::Gp,
                        "host gp registers not saved before guest entry");
-            requireCls(eng, ev.cpu, ep.savedHost, StateClass::Ctrl,
+            requireCls(eng, ev.cpu, ep.moved(Xfer::SaveHost),
+                       StateClass::Ctrl,
                        "host ctrl registers not saved before guest entry");
-            requireCls(eng, ev.cpu, ep.restoredGuest, StateClass::Gp,
+            requireCls(eng, ev.cpu, ep.moved(Xfer::RestoreGuest),
+                       StateClass::Gp,
                        "guest gp registers not restored before guest entry");
-            requireCls(eng, ev.cpu, ep.restoredGuest, StateClass::Ctrl,
+            requireCls(eng, ev.cpu, ep.moved(Xfer::RestoreGuest),
+                       StateClass::Ctrl,
                        "guest ctrl registers not restored before guest "
                        "entry");
             return;
@@ -93,75 +147,71 @@ class WsPairingRule : public InvariantRule
     }
 
     void
-    onStateTransfer(InvariantEngine &eng,
-                    const StateTransferEvent &ev) override
+    onStateTransfer(InvariantEngine &, const StateTransferEvent &ev) override
     {
-        (void)eng;
-        auto it = epochs_.find({ev.domain, ev.cpu});
-        if (it == epochs_.end() || !it->second.open)
+        Epoch *ep = epochs_.find(ev.domain, ev.cpu);
+        if (!ep || !ep->open)
             return; // transfer outside any switch epoch: unit-test traffic
-        Epoch &ep = it->second;
-        switch (ev.kind) {
-          case Xfer::SaveHost:
-            ep.savedHost.insert(ev.cls);
-            break;
-          case Xfer::RestoreGuest:
-            ep.restoredGuest.insert(ev.cls);
-            break;
-          case Xfer::SaveGuest:
-            ep.savedGuest.insert(ev.cls);
-            break;
-          case Xfer::RestoreHost:
-            ep.restoredHost.insert(ev.cls);
-            break;
-        }
+        ep->moved(ev.kind) |= bit(ev.cls);
     }
 
   private:
+    /** One switch epoch: the classes each transfer kind moved. */
     struct Epoch
     {
         bool open = false;
-        std::set<StateClass> savedHost;
-        std::set<StateClass> restoredGuest;
-        std::set<StateClass> savedGuest;
-        std::set<StateClass> restoredHost;
+        ClassMask masks[kNumXfers] = {};
+
+        ClassMask &moved(Xfer k) { return masks[static_cast<unsigned>(k)]; }
+        ClassMask
+        moved(Xfer k) const
+        {
+            return masks[static_cast<unsigned>(k)];
+        }
     };
 
     void
-    requireCls(InvariantEngine &eng, CpuId cpu,
-               const std::set<StateClass> &set, StateClass cls,
+    requireCls(InvariantEngine &eng, CpuId cpu, ClassMask set, StateClass cls,
                const char *what)
     {
-        if (!set.count(cls))
+        if (!(set & bit(cls)))
             eng.report(*this, strfmt("cpu%u: %s", cpu, what));
     }
 
     void
     checkSymmetry(InvariantEngine &eng, CpuId cpu, const Epoch &ep)
     {
-        diff(eng, cpu, ep.savedHost, ep.restoredHost,
+        const ClassMask saved_host = ep.moved(Xfer::SaveHost);
+        const ClassMask restored_host = ep.moved(Xfer::RestoreHost);
+        const ClassMask saved_guest = ep.moved(Xfer::SaveGuest);
+        const ClassMask restored_guest = ep.moved(Xfer::RestoreGuest);
+        diff(eng, cpu, saved_host, restored_host,
              "saved for the host in toVm but never restored in toHost");
-        diff(eng, cpu, ep.restoredHost, ep.savedHost,
+        diff(eng, cpu, restored_host, saved_host,
              "restored for the host in toHost but never saved in toVm");
-        diff(eng, cpu, ep.restoredGuest, ep.savedGuest,
+        diff(eng, cpu, restored_guest, saved_guest,
              "loaded for the guest but never saved back on exit");
-        diff(eng, cpu, ep.savedGuest, ep.restoredGuest,
+        diff(eng, cpu, saved_guest, restored_guest,
              "saved for the guest on exit but never loaded on entry");
     }
 
+    /** Report every class in @p a missing from @p b, in enum order. */
     void
-    diff(InvariantEngine &eng, CpuId cpu, const std::set<StateClass> &a,
-         const std::set<StateClass> &b, const char *what)
+    diff(InvariantEngine &eng, CpuId cpu, ClassMask a, ClassMask b,
+         const char *what)
     {
-        for (StateClass cls : a) {
-            if (!b.count(cls)) {
-                eng.report(*this, strfmt("cpu%u: %s state %s", cpu,
-                                         stateClassName(cls), what));
+        const ClassMask missing = a & ~b;
+        for (unsigned c = 0; c < kNumStateClasses; ++c) {
+            if (missing & (1u << c)) {
+                eng.report(*this,
+                           strfmt("cpu%u: %s state %s", cpu,
+                                  stateClassName(static_cast<StateClass>(c)),
+                                  what));
             }
         }
     }
 
-    std::map<DomainCpu, Epoch> epochs_;
+    PerCpu<Epoch> epochs_;
 };
 
 /**
@@ -281,7 +331,7 @@ class TrapConfigRule : public InvariantRule
                            strfmt("cpu%u: guest entry with null VTTBR",
                                   ev.cpu));
             }
-            world_[{ev.domain, ev.cpu}] = World::Guest;
+            world_(ev.domain, ev.cpu) = World::Guest;
         } else {
             if (h.hcr.vm) {
                 eng.report(*this,
@@ -296,7 +346,7 @@ class TrapConfigRule : public InvariantRule
                                   "bits still set",
                                   ev.cpu));
             }
-            world_[{ev.domain, ev.cpu}] = World::Host;
+            world_(ev.domain, ev.cpu) = World::Host;
         }
     }
 
@@ -305,15 +355,15 @@ class TrapConfigRule : public InvariantRule
     {
         if (ev.to == Mode::Hyp || ev.to == Mode::Mon)
             return;
-        auto it = world_.find({ev.domain, ev.cpu});
-        if (it == world_.end())
+        const World *world = world_.find(ev.domain, ev.cpu);
+        if (!world)
             return; // no world switch seen yet (boot, bare-metal model)
-        if (it->second == World::Guest && !ev.stage2On) {
+        if (*world == World::Guest && !ev.stage2On) {
             eng.report(*this,
                        strfmt("cpu%u: entered %s mode in the guest world "
                               "with Stage-2 disabled",
                               ev.cpu, arm::modeName(ev.to)));
-        } else if (it->second == World::Host && ev.stage2On) {
+        } else if (*world == World::Host && ev.stage2On) {
             eng.report(*this,
                        strfmt("cpu%u: entered %s mode in the host world "
                               "with Stage-2 enabled",
@@ -334,7 +384,7 @@ class TrapConfigRule : public InvariantRule
         }
     }
 
-    std::map<DomainCpu, World> world_;
+    PerCpu<World> world_;
 };
 
 /**
@@ -406,7 +456,7 @@ class RingOrderRule : public InvariantRule
     void
     onRing(InvariantEngine &eng, const RingEvent &ev) override
     {
-        DirState &st = dirs_[Key{ev.domain, ev.ring, ev.doorbell}];
+        DirState &st = dirState(ev);
         const char *what = ev.doorbell ? "doorbell" : "delivery";
         if (ev.seq != st.nextSeq) {
             eng.report(*this,
@@ -438,14 +488,37 @@ class RingOrderRule : public InvariantRule
     }
 
   private:
-    using Key = std::tuple<const void *, std::string, bool>;
     struct DirState
     {
         std::uint64_t nextSeq = 0;
         Cycles lastCycle = 0;
         std::uint32_t lastRingIdx = 0;
     };
-    std::map<Key, DirState> dirs_;
+    /** One (machine, ring, direction). Names compare by content, so two
+     *  buffers spelling one name share state. */
+    struct Dir
+    {
+        const void *domain;
+        std::string ring;
+        bool doorbell;
+        DirState state;
+    };
+
+    /** The state of @p ev's direction. A machine has a few rings, so a
+     *  scan finds it; the name is copied only when first seen. */
+    DirState &
+    dirState(const RingEvent &ev)
+    {
+        for (Dir &d : dirs_) {
+            if (d.domain == ev.domain && d.doorbell == ev.doorbell &&
+                d.ring == ev.ring)
+                return d.state;
+        }
+        dirs_.push_back(Dir{ev.domain, ev.ring, ev.doorbell, DirState{}});
+        return dirs_.back().state;
+    }
+
+    std::vector<Dir> dirs_;
 };
 
 } // namespace

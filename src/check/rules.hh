@@ -7,10 +7,12 @@
  *  - stage2-isolation: no cross-VM or hyp-region Stage-2 mappings
  *  - trap-config:      guest entry trap set + Stage-2 enable discipline
  *  - vgic:             list-register uniqueness, genuine maintenance IRQs
+ *  - ring-order:       gapless, monotonic inter-VM ring message order
  *
  * To add a rule: subclass InvariantRule, override the hooks you need, and
  * either append it in builtinRules() or install it at runtime with
- * InvariantEngine::addRule().
+ * InvariantEngine::addRule(). The engine sends a rule only the events of
+ * the hooks it overrides.
  */
 
 #ifndef KVMARM_CHECK_RULES_HH

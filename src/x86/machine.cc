@@ -51,6 +51,13 @@ X86Machine::X86Machine(const Config &config)
         cpus_.push_back(std::make_unique<X86Cpu>(i, *this));
         registerCpu(cpus_.back().get());
     }
+    // The CPUs snapshot only their CpuBase clock, events and stats, and
+    // the APICs not at all: a restored machine would look whole but run
+    // from default registers. Refuse the snapshot instead.
+    addSnapshotBlocker(
+        "x86 machine: X86Cpu registers, VMCS, pending injection and VMX "
+        "mode, and the LocalApic pending/in-service vectors and timers, "
+        "are not snapshottable");
 }
 
 double

@@ -4,27 +4,36 @@
  * exercised with a deliberately injected violation (proving the rule
  * fires), with the nearest legal behaviour (proving it stays quiet), and
  * the full KVM/ARM stack is driven under Enforce mode to prove the real
- * hypervisor paths are violation-free.
+ * hypervisor paths are violation-free. The engine's per-hook fan-out is
+ * held to naive all-rules dispatch on seeded streams of every event kind.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arm/machine.hh"
+#include "arm/vgic.hh"
 #include "check/invariants.hh"
+#include "check/rules.hh"
 #include "core/kvm_stack.hh"
 #include "core/stage2_mmu.hh"
 #include "host/mm.hh"
 #include "sim/fleet.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace kvmarm {
 namespace {
@@ -536,6 +545,743 @@ TEST(InvariantEngine, ResetClearsViolationsAndShadowState)
     // as entering twice.
     eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
     EXPECT_EQ(eng.violationCount(), 0u);
+
+    // reset() kept the subscriber lists: the rules still get their events.
+    eng.hypAccess(0, Mode::Usr, "httbr");
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
+    eng.ringDoorbell(&dom, 0, "ring0", 3, 1000, 1);
+    EXPECT_EQ(eng.violationCount("privilege"), 1u);
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 1u);
+    EXPECT_EQ(eng.violationCount("ring-order"), 1u);
+    EXPECT_EQ(eng.eventCount(), 4u);
+}
+
+// ------------------------------------------------------------------ fan-out
+
+/** Counts the state transfers and ring events it is sent. */
+class TransferRingCounter : public check::InvariantRule
+{
+  public:
+    const char *name() const override { return "transfer-ring-counter"; }
+    void
+    onStateTransfer(check::InvariantEngine &,
+                    const check::StateTransferEvent &) override
+    {
+        ++transfers;
+    }
+    void
+    onRing(check::InvariantEngine &, const check::RingEvent &) override
+    {
+        ++rings;
+    }
+    int transfers = 0;
+    int rings = 0;
+};
+
+/** Counts hypervisor-register accesses, then defers to the base no-op. */
+class DeferringHypAccessRule : public check::InvariantRule
+{
+  public:
+    const char *name() const override { return "deferring"; }
+    void
+    onHypAccess(check::InvariantEngine &eng,
+                const check::HypAccessEvent &ev) override
+    {
+        ++calls;
+        InvariantRule::onHypAccess(eng, ev);
+    }
+    int calls = 0;
+};
+
+/** One event of every hook kind, on domain @p dom. */
+void
+sendOneOfEach(check::InvariantEngine &eng, const void *dom,
+              std::uint64_t ring_seq)
+{
+    arm::VgicBank bank;
+    bank.en = true;
+    bank.uie = true;
+    eng.hypAccess(0, Mode::Hyp, "hcr");
+    eng.modeChange(dom, 0, Mode::Svc, Mode::Usr, false);
+    eng.worldSwitchBegin(dom, 0, SwitchDir::ToHost);
+    eng.stateTransfer(dom, 0, StateClass::Gp, Xfer::SaveGuest);
+    eng.worldSwitchEnd(dom, 0, SwitchDir::ToHost, arm::HypState{});
+    eng.stage2Map(dom, 1, 0x80000000, 0x1000, false);
+    eng.stage2Unmap(dom, 1, 0x80000000, 0x1000);
+    eng.protectPage(dom, 0x5000, "hyp-table");
+    eng.unprotectPage(dom, 0x5000);
+    eng.vgicLrWrite(0, 0, bank);
+    eng.maintenanceIrq(0, bank);
+    eng.ringDoorbell(dom, 0, "ring0", ring_seq, 1000 * (ring_seq + 1),
+                     static_cast<std::uint32_t>(ring_seq + 1));
+    eng.ringDeliver(dom, 0, "ring0", ring_seq, 1000 * (ring_seq + 1) + 1,
+                    static_cast<std::uint32_t>(ring_seq + 1));
+}
+
+TEST(CheckFanout, RuleReceivesEveryEventOfItsHooksOnly)
+{
+    LogEngine eng;
+    auto rule = std::make_unique<TransferRingCounter>();
+    TransferRingCounter *raw = rule.get();
+    eng.addRule(std::move(rule));
+    int dom = 0;
+
+    for (std::uint64_t i = 0; i < 5; ++i)
+        sendOneOfEach(eng, &dom, i);
+    // One transfer and two ring events per round, however often the
+    // other hooks ran.
+    EXPECT_EQ(raw->transfers, 5);
+    EXPECT_EQ(raw->rings, 10);
+    EXPECT_EQ(eng.eventCount(), 5u * 13u);
+    EXPECT_EQ(eng.violationCount(), 0u);
+}
+
+TEST(CheckFanout, BaseHookDropsTheRuleFromThatHookOnly)
+{
+    LogEngine eng;
+    auto rule = std::make_unique<DeferringHypAccessRule>();
+    DeferringHypAccessRule *raw = rule.get();
+    eng.addRule(std::move(rule));
+
+    eng.hypAccess(0, Mode::Hyp, "hcr");
+    eng.hypAccess(0, Mode::Hyp, "hcr");
+    eng.hypAccess(0, Mode::Svc, "hcr");
+    // Its base no-op ran on the first call: it is off the list...
+    EXPECT_EQ(raw->calls, 1);
+    // ...while the privilege rule on the same hook still sees every access.
+    EXPECT_EQ(eng.violationCount("privilege"), 1u);
+}
+
+TEST(CheckFanout, RuleAddedAfterTrafficReceivesEverythingAfter)
+{
+    LogEngine eng;
+    int dom = 0;
+    // Traffic on every hook first, so the built-in rules have left the
+    // lists of the hooks they do not handle.
+    sendOneOfEach(eng, &dom, 0);
+    sendOneOfEach(eng, &dom, 1);
+
+    auto rule = std::make_unique<TransferRingCounter>();
+    TransferRingCounter *raw = rule.get();
+    eng.addRule(std::move(rule));
+    sendOneOfEach(eng, &dom, 2);
+    sendOneOfEach(eng, &dom, 3);
+    EXPECT_EQ(raw->transfers, 2);
+    EXPECT_EQ(raw->rings, 4);
+
+    // The built-in rules were re-subscribed and still check: a ring gap
+    // and a Svc-mode Hyp access are caught after the addRule().
+    eng.ringDoorbell(&dom, 0, "ring0", 9, 99000, 5);
+    eng.hypAccess(0, Mode::Svc, "vttbr");
+    EXPECT_EQ(raw->rings, 5);
+    EXPECT_EQ(eng.violationCount("ring-order"), 1u);
+    EXPECT_EQ(eng.violationCount("privilege"), 1u);
+}
+
+/**
+ * The ws-pairing ledger as it was built on std::set: the reference model
+ * the bitmask ledger must match report for report.
+ */
+class SetLedgerWsPairing : public check::InvariantRule
+{
+  public:
+    const char *name() const override { return "ws-pairing"; }
+
+    void reset() override { epochs_.clear(); }
+
+    void
+    onWorldSwitch(check::InvariantEngine &eng,
+                  const check::WorldSwitchEvent &ev) override
+    {
+        Epoch &ep = epochs_[{ev.domain, ev.cpu}];
+        if (ev.dir == SwitchDir::ToVm && ev.begin) {
+            if (ep.open) {
+                eng.report(*this,
+                           strfmt("cpu%u: toVm entered twice with no "
+                                  "intervening toHost",
+                                  ev.cpu));
+            }
+            ep = Epoch{};
+            ep.open = true;
+            return;
+        }
+        if (ev.dir == SwitchDir::ToVm && !ev.begin) {
+            require(eng, ev.cpu, ep.savedHost, StateClass::Gp,
+                    "host gp registers not saved before guest entry");
+            require(eng, ev.cpu, ep.savedHost, StateClass::Ctrl,
+                    "host ctrl registers not saved before guest entry");
+            require(eng, ev.cpu, ep.restoredGuest, StateClass::Gp,
+                    "guest gp registers not restored before guest entry");
+            require(eng, ev.cpu, ep.restoredGuest, StateClass::Ctrl,
+                    "guest ctrl registers not restored before guest entry");
+            return;
+        }
+        if (ev.dir == SwitchDir::ToHost && !ev.begin && ep.open) {
+            diff(eng, ev.cpu, ep.savedHost, ep.restoredHost,
+                 "saved for the host in toVm but never restored in toHost");
+            diff(eng, ev.cpu, ep.restoredHost, ep.savedHost,
+                 "restored for the host in toHost but never saved in toVm");
+            diff(eng, ev.cpu, ep.restoredGuest, ep.savedGuest,
+                 "loaded for the guest but never saved back on exit");
+            diff(eng, ev.cpu, ep.savedGuest, ep.restoredGuest,
+                 "saved for the guest on exit but never loaded on entry");
+            ep.open = false;
+        }
+    }
+
+    void
+    onStateTransfer(check::InvariantEngine &,
+                    const check::StateTransferEvent &ev) override
+    {
+        auto it = epochs_.find({ev.domain, ev.cpu});
+        if (it == epochs_.end() || !it->second.open)
+            return;
+        Epoch &ep = it->second;
+        switch (ev.kind) {
+          case Xfer::SaveHost: ep.savedHost.insert(ev.cls); break;
+          case Xfer::RestoreGuest: ep.restoredGuest.insert(ev.cls); break;
+          case Xfer::SaveGuest: ep.savedGuest.insert(ev.cls); break;
+          case Xfer::RestoreHost: ep.restoredHost.insert(ev.cls); break;
+        }
+    }
+
+  private:
+    struct Epoch
+    {
+        bool open = false;
+        std::set<StateClass> savedHost, restoredGuest, savedGuest,
+            restoredHost;
+    };
+
+    void
+    require(check::InvariantEngine &eng, CpuId cpu,
+            const std::set<StateClass> &set, StateClass cls,
+            const char *what)
+    {
+        if (!set.count(cls))
+            eng.report(*this, strfmt("cpu%u: %s", cpu, what));
+    }
+
+    void
+    diff(check::InvariantEngine &eng, CpuId cpu,
+         const std::set<StateClass> &a, const std::set<StateClass> &b,
+         const char *what)
+    {
+        for (StateClass cls : a) {
+            if (!b.count(cls)) {
+                eng.report(*this, strfmt("cpu%u: %s state %s", cpu,
+                                         check::stateClassName(cls), what));
+            }
+        }
+    }
+
+    std::map<std::pair<const void *, CpuId>, Epoch> epochs_;
+};
+
+/**
+ * The engine's dispatch before per-hook fan-out: every event to every
+ * hook of every rule, in rule order. The rules are a second builtinRules()
+ * set with ws-pairing swapped for the std::set model; they report into a
+ * Log-mode engine that sees no events of its own.
+ */
+class NaiveDispatch
+{
+  public:
+    NaiveDispatch()
+    {
+        for (auto &rule : check::builtinRules()) {
+            if (std::string(rule->name()) == "ws-pairing")
+                rule = std::make_unique<SetLedgerWsPairing>();
+            rules_.push_back(std::move(rule));
+        }
+    }
+
+    const std::vector<check::Violation> &
+    violations() const
+    {
+        return sink_.violations();
+    }
+    std::uint64_t eventCount() const { return events_; }
+
+    void
+    hypAccess(CpuId cpu, Mode mode, const char *reg)
+    {
+        all(&check::InvariantRule::onHypAccess,
+            check::HypAccessEvent{cpu, mode, reg});
+    }
+    void
+    modeChange(const void *domain, CpuId cpu, Mode from, Mode to,
+               bool stage2_on)
+    {
+        all(&check::InvariantRule::onModeChange,
+            check::ModeChangeEvent{domain, cpu, from, to, stage2_on});
+    }
+    void
+    worldSwitchBegin(const void *domain, CpuId cpu, SwitchDir dir)
+    {
+        all(&check::InvariantRule::onWorldSwitch,
+            check::WorldSwitchEvent{domain, cpu, dir, true, nullptr});
+    }
+    void
+    worldSwitchEnd(const void *domain, CpuId cpu, SwitchDir dir,
+                   const arm::HypState &hyp)
+    {
+        all(&check::InvariantRule::onWorldSwitch,
+            check::WorldSwitchEvent{domain, cpu, dir, false, &hyp});
+    }
+    void
+    stateTransfer(const void *domain, CpuId cpu, StateClass cls, Xfer kind)
+    {
+        all(&check::InvariantRule::onStateTransfer,
+            check::StateTransferEvent{domain, cpu, cls, kind});
+    }
+    void
+    stage2Map(const void *domain, std::uint16_t vmid, Addr ipa, Addr pa,
+              bool device)
+    {
+        all(&check::InvariantRule::onStage2Update,
+            check::Stage2Event{domain, vmid, ipa, pa, device, true});
+    }
+    void
+    stage2Unmap(const void *domain, std::uint16_t vmid, Addr ipa, Addr pa)
+    {
+        all(&check::InvariantRule::onStage2Update,
+            check::Stage2Event{domain, vmid, ipa, pa, false, false});
+    }
+    void
+    protectPage(const void *domain, Addr pa, const char *tag)
+    {
+        all(&check::InvariantRule::onPageGuard,
+            check::PageGuardEvent{domain, pa, tag, true});
+    }
+    void
+    unprotectPage(const void *domain, Addr pa)
+    {
+        all(&check::InvariantRule::onPageGuard,
+            check::PageGuardEvent{domain, pa, "", false});
+    }
+    void
+    vgicLrWrite(CpuId cpu, unsigned idx, const arm::VgicBank &bank)
+    {
+        all(&check::InvariantRule::onVgicLr,
+            check::VgicLrEvent{cpu, idx, &bank});
+    }
+    void
+    maintenanceIrq(CpuId cpu, const arm::VgicBank &bank)
+    {
+        all(&check::InvariantRule::onMaintenance,
+            check::MaintenanceEvent{cpu, &bank});
+    }
+    void
+    ringDoorbell(const void *domain, CpuId cpu, const char *ring,
+                 std::uint64_t seq, Cycles cycle, std::uint32_t avail_idx)
+    {
+        all(&check::InvariantRule::onRing,
+            check::RingEvent{domain, cpu, ring, true, seq, cycle, avail_idx});
+    }
+    void
+    ringDeliver(const void *domain, CpuId cpu, const char *ring,
+                std::uint64_t seq, Cycles cycle, std::uint32_t used_idx)
+    {
+        all(&check::InvariantRule::onRing,
+            check::RingEvent{domain, cpu, ring, false, seq, cycle, used_idx});
+    }
+
+  private:
+    template <typename Event>
+    void
+    all(void (check::InvariantRule::*on)(check::InvariantEngine &,
+                                         const Event &),
+        const Event &ev)
+    {
+        ++events_;
+        for (auto &rule : rules_)
+            ((*rule).*on)(sink_, ev);
+    }
+
+    LogEngine sink_;
+    std::vector<std::unique_ptr<check::InvariantRule>> rules_;
+    std::uint64_t events_ = 0;
+};
+
+/** One generated checker event: the arguments of one entry point. */
+struct GenEvent
+{
+    enum Kind
+    {
+        HypAccess,
+        ModeChange,
+        SwitchBegin,
+        SwitchEnd,
+        Transfer,
+        Stage2Map,
+        Stage2Unmap,
+        Protect,
+        Unprotect,
+        VgicLr,
+        Maintenance,
+        Doorbell,
+        Deliver,
+    };
+
+    Kind kind = HypAccess;
+    const void *domain = nullptr;
+    CpuId cpu = 0;
+    Mode mode = Mode::Hyp; //!< access mode / mode-change source
+    Mode to = Mode::Svc;
+    bool flag = false; //!< stage2On (mode change) / device (map)
+    SwitchDir dir = SwitchDir::ToVm;
+    StateClass cls = StateClass::Gp;
+    Xfer xfer = Xfer::SaveHost;
+    std::uint16_t vmid = 0;
+    Addr ipa = 0;
+    Addr pa = 0;
+    const char *name = ""; //!< register, page tag or ring name
+    unsigned idx = 0;
+    arm::VgicBank bank;
+    arm::HypState hyp;
+    std::uint64_t seq = 0;
+    Cycles cycle = 0;
+    std::uint32_t ringIdx = 0;
+};
+
+/** Feed @p e to an engine or to the naive reference. */
+template <typename Sink>
+void
+apply(Sink &s, const GenEvent &e)
+{
+    switch (e.kind) {
+      case GenEvent::HypAccess: s.hypAccess(e.cpu, e.mode, e.name); break;
+      case GenEvent::ModeChange:
+        s.modeChange(e.domain, e.cpu, e.mode, e.to, e.flag);
+        break;
+      case GenEvent::SwitchBegin:
+        s.worldSwitchBegin(e.domain, e.cpu, e.dir);
+        break;
+      case GenEvent::SwitchEnd:
+        s.worldSwitchEnd(e.domain, e.cpu, e.dir, e.hyp);
+        break;
+      case GenEvent::Transfer:
+        s.stateTransfer(e.domain, e.cpu, e.cls, e.xfer);
+        break;
+      case GenEvent::Stage2Map:
+        s.stage2Map(e.domain, e.vmid, e.ipa, e.pa, e.flag);
+        break;
+      case GenEvent::Stage2Unmap:
+        s.stage2Unmap(e.domain, e.vmid, e.ipa, e.pa);
+        break;
+      case GenEvent::Protect: s.protectPage(e.domain, e.pa, e.name); break;
+      case GenEvent::Unprotect: s.unprotectPage(e.domain, e.pa); break;
+      case GenEvent::VgicLr: s.vgicLrWrite(e.cpu, e.idx, e.bank); break;
+      case GenEvent::Maintenance: s.maintenanceIrq(e.cpu, e.bank); break;
+      case GenEvent::Doorbell:
+        s.ringDoorbell(e.domain, e.cpu, e.name, e.seq, e.cycle, e.ringIdx);
+        break;
+      case GenEvent::Deliver:
+        s.ringDeliver(e.domain, e.cpu, e.name, e.seq, e.cycle, e.ringIdx);
+        break;
+    }
+}
+
+/**
+ * A seeded event stream over 2 domains x 4 CPUs. Each CPU walks the
+ * world-switch cycle (toVm, guest, toHost, host) with state transfers in
+ * between, but the walk is perturbed: a Table 1 class may be skipped or
+ * moved by the wrong kind, a switch may begin twice or end without a
+ * begin, and trap bits may be missing. Between steps come Hyp register
+ * accesses, Stage-2 (un)maps and page guards over a small page pool,
+ * list-register writes and maintenance interrupts over a small virq
+ * range, and ring traffic with occasional sequence gaps and replays.
+ */
+class EventGen
+{
+  public:
+    static constexpr unsigned kDomains = 2;
+    static constexpr unsigned kCpus = 4;
+
+    explicit EventGen(std::uint64_t seed) : rng_(seed) {}
+
+    GenEvent
+    next()
+    {
+        GenEvent e;
+        const unsigned d = static_cast<unsigned>(rng_.range(kDomains));
+        e.domain = &domains_[d];
+        e.cpu = static_cast<CpuId>(rng_.range(kCpus));
+        switch (rng_.range(10)) {
+          case 0: hypAccess(e); break;
+          case 1: stage2(e); break;
+          case 2: vgic(e); break;
+          case 3: ring(e, d); break;
+          default: worldSwitchStep(e, walks_[d][e.cpu]); break;
+        }
+        return e;
+    }
+
+  private:
+    /** Where one CPU is in its world-switch walk. */
+    enum class Phase { Host, Guest, Exiting };
+
+    /** One CPU's walk: its phase, the classes its open epoch moves and
+     *  the transfers still to emit. */
+    struct CpuWalk
+    {
+        Phase phase = Phase::Host;
+        bool entered = false;
+        std::vector<StateClass> moved;
+        std::vector<std::pair<StateClass, Xfer>> queue;
+    };
+
+    Mode
+    anyMode()
+    {
+        return static_cast<Mode>(rng_.range(8));
+    }
+
+    void
+    hypAccess(GenEvent &e)
+    {
+        static const char *const kRegs[] = {"hcr", "vttbr", "httbr", "hsr"};
+        e.kind = GenEvent::HypAccess;
+        e.mode = rng_.chance(0.9) ? Mode::Hyp : anyMode();
+        e.name = kRegs[rng_.range(4)];
+    }
+
+    void
+    stage2(GenEvent &e)
+    {
+        static const char *const kTags[] = {"hyp-table", "stage2-table"};
+        e.vmid = static_cast<std::uint16_t>(1 + rng_.range(3));
+        e.ipa = 0x80000000 + rng_.range(64) * kPageSize;
+        e.pa = 0x100000 + rng_.range(24) * kPageSize;
+        switch (rng_.range(6)) {
+          case 0:
+          case 1:
+          case 2:
+            e.kind = GenEvent::Stage2Map;
+            e.flag = rng_.chance(0.1);
+            break;
+          case 3:
+          case 4: e.kind = GenEvent::Stage2Unmap; break;
+          default:
+            e.kind = rng_.chance(0.5) ? GenEvent::Protect
+                                      : GenEvent::Unprotect;
+            e.name = kTags[rng_.range(2)];
+            break;
+        }
+    }
+
+    void
+    vgic(GenEvent &e)
+    {
+        e.kind = rng_.chance(0.8) ? GenEvent::VgicLr : GenEvent::Maintenance;
+        e.bank.en = rng_.chance(0.9);
+        e.bank.uie = rng_.chance(0.9);
+        for (arm::ListReg &lr : e.bank.lr) {
+            if (rng_.chance(0.6))
+                continue; // empty
+            lr.virq = static_cast<IrqId>(rng_.chance(0.5) ? rng_.range(4)
+                                                          : 32 + rng_.range(8));
+            lr.state = arm::LrState::Pending;
+            lr.source = static_cast<CpuId>(rng_.range(2));
+        }
+        e.idx = static_cast<unsigned>(rng_.range(arm::kNumListRegs));
+    }
+
+    void
+    ring(GenEvent &e, unsigned d)
+    {
+        const unsigned r = static_cast<unsigned>(rng_.range(2));
+        const bool doorbell = rng_.chance(0.5);
+        RingDir &st = rings_[d][r][doorbell];
+        e.kind = doorbell ? GenEvent::Doorbell : GenEvent::Deliver;
+        // Two buffers spell each ring name: state follows the content.
+        e.name = ringNames_[r][rng_.range(2)].c_str();
+        e.seq = st.seq;
+        if (rng_.chance(0.05))
+            e.seq = rng_.chance(0.5) ? st.seq + 1 + rng_.range(3)
+                                     : st.seq - std::min<std::uint64_t>(
+                                                    st.seq, 1);
+        st.cycle += rng_.chance(0.05) ? 0 : 1 + rng_.range(500);
+        e.cycle = rng_.chance(0.03) ? st.cycle / 2 : st.cycle;
+        e.ringIdx = static_cast<std::uint32_t>(e.seq + 1);
+        if (rng_.chance(0.03))
+            e.ringIdx += 2;
+        st.seq = e.seq + 1;
+    }
+
+    void
+    worldSwitchStep(GenEvent &e, CpuWalk &w)
+    {
+        if (rng_.chance(0.01)) {
+            // A switch edge out of turn: double begin, end without begin.
+            e.kind = rng_.chance(0.5) ? GenEvent::SwitchBegin
+                                      : GenEvent::SwitchEnd;
+            e.dir = rng_.chance(0.5) ? SwitchDir::ToVm : SwitchDir::ToHost;
+            e.hyp = e.dir == SwitchDir::ToVm ? guestEntryHypState()
+                                             : arm::HypState{};
+            return;
+        }
+        if (!w.queue.empty()) {
+            transfer(e, w.queue.front());
+            w.queue.erase(w.queue.begin());
+            return;
+        }
+        switch (w.phase) {
+          case Phase::Host:
+            if (rng_.chance(0.3)) {
+                modeChange(e, /*stage2_on=*/rng_.chance(0.02));
+                return;
+            }
+            e.kind = GenEvent::SwitchBegin;
+            e.dir = SwitchDir::ToVm;
+            // Plan the entry transfers: Table 1's minimal set plus some
+            // of the optional classes.
+            w.moved = {StateClass::Gp, StateClass::Ctrl};
+            for (StateClass c : {StateClass::Vgic, StateClass::Timer}) {
+                if (rng_.chance(0.8))
+                    w.moved.push_back(c);
+            }
+            plan(w, Xfer::SaveHost, Xfer::RestoreGuest);
+            w.phase = Phase::Guest;
+            w.entered = false;
+            return;
+          case Phase::Guest:
+            if (!w.entered) {
+                e.kind = GenEvent::SwitchEnd;
+                e.dir = SwitchDir::ToVm;
+                e.hyp = guestEntryHypState();
+                perturbTraps(e.hyp, 0.01);
+                w.entered = true;
+                return;
+            }
+            if (rng_.chance(0.4)) {
+                modeChange(e, /*stage2_on=*/rng_.chance(0.98));
+                return;
+            }
+            if (rng_.chance(0.2) &&
+                std::find(w.moved.begin(), w.moved.end(), StateClass::Fpu) ==
+                    w.moved.end()) {
+                // Lazy VFP switch through the HCPTR trap.
+                w.moved.push_back(StateClass::Fpu);
+                transfer(e, {StateClass::Fpu, Xfer::SaveHost});
+                w.queue.push_back({StateClass::Fpu, Xfer::RestoreGuest});
+                return;
+            }
+            e.kind = GenEvent::SwitchBegin;
+            e.dir = SwitchDir::ToHost;
+            plan(w, Xfer::SaveGuest, Xfer::RestoreHost);
+            w.phase = Phase::Exiting;
+            return;
+          case Phase::Exiting:
+            e.kind = GenEvent::SwitchEnd;
+            e.dir = SwitchDir::ToHost;
+            perturbTraps(e.hyp, 0.01);
+            w.phase = Phase::Host;
+            return;
+        }
+    }
+
+    /** Queue a @p first and a @p second transfer of every moved class,
+     *  each dropped now and then. */
+    void
+    plan(CpuWalk &w, Xfer first, Xfer second)
+    {
+        for (StateClass c : w.moved) {
+            for (Xfer k : {first, second}) {
+                if (!rng_.chance(0.02))
+                    w.queue.push_back({c, k});
+            }
+        }
+    }
+
+    /** Transfer @p t, now and then of a random class or kind instead. */
+    void
+    transfer(GenEvent &e, std::pair<StateClass, Xfer> t)
+    {
+        e.kind = GenEvent::Transfer;
+        e.cls = t.first;
+        e.xfer = t.second;
+        if (rng_.chance(0.02))
+            e.cls = static_cast<StateClass>(
+                rng_.range(check::kNumStateClasses));
+        if (rng_.chance(0.02))
+            e.xfer = static_cast<Xfer>(rng_.range(check::kNumXfers));
+    }
+
+    void
+    modeChange(GenEvent &e, bool stage2_on)
+    {
+        e.kind = GenEvent::ModeChange;
+        e.mode = Mode::Hyp;
+        e.to = rng_.chance(0.8) ? (rng_.chance(0.5) ? Mode::Svc : Mode::Usr)
+                                : anyMode();
+        e.flag = stage2_on;
+    }
+
+    /** Flip each HCR trap bit and the Stage-2 enable with chance @p p. */
+    void
+    perturbTraps(arm::HypState &h, double p)
+    {
+        for (bool *bit : {&h.hcr.vm, &h.hcr.imo, &h.hcr.fmo, &h.hcr.twi,
+                          &h.hcr.twe, &h.hcr.tsc, &h.hcr.tac, &h.hcr.swio,
+                          &h.hcr.tidcp}) {
+            if (rng_.chance(p))
+                *bit = !*bit;
+        }
+        if (rng_.chance(p))
+            h.vttbr = 0;
+    }
+
+    struct RingDir
+    {
+        std::uint64_t seq = 0;
+        Cycles cycle = 0;
+    };
+
+    Rng rng_;
+    int domains_[kDomains] = {};
+    CpuWalk walks_[kDomains][kCpus];
+    RingDir rings_[kDomains][2][2];
+    const std::string ringNames_[2][2] = {{"net0", "net0"},
+                                          {"net1", "net1"}};
+};
+
+/**
+ * Per-hook fan-out, the bitmask ledger and the flat per-CPU tables change
+ * no report: a seeded stream of every event kind gives an engine exactly
+ * the violations (rule, text and order) and the event count of naive
+ * all-rules dispatch over the std::set ledger.
+ */
+TEST(CheckFanout, SeededEventsMatchNaiveDispatch)
+{
+    constexpr int kEvents = 4000;
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        EventGen gen(seed);
+        LogEngine eng;
+        NaiveDispatch ref;
+        for (int i = 0; i < kEvents; ++i) {
+            const GenEvent e = gen.next();
+            apply(eng, e);
+            apply(ref, e);
+            ASSERT_EQ(eng.violations().size(), ref.violations().size())
+                << "after event " << i << " (kind " << e.kind << ")";
+        }
+        EXPECT_EQ(eng.eventCount(), ref.eventCount());
+        const auto &got = eng.violations();
+        const auto &want = ref.violations();
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].rule, want[i].rule) << "violation " << i;
+            ASSERT_EQ(got[i].detail, want[i].detail) << "violation " << i;
+        }
+        // Every rule fired, and far from every event is a violation.
+        for (const char *rule : {"privilege", "ws-pairing",
+                                 "stage2-isolation", "trap-config", "vgic",
+                                 "ring-order"})
+            EXPECT_GT(eng.violationCount(rule), 0u) << rule;
+        EXPECT_LT(eng.violationCount(), std::size_t(kEvents / 4));
+    }
 }
 
 // --------------------------------------------------------- engine sharding
@@ -656,6 +1402,26 @@ TEST(RingOrderRule, DirectionsAndDomainsTrackIndependently)
     // ...and the same ring name in a different machine starts fresh.
     eng.ringDoorbell(&domB, 0, "ring0", 0, 800, 1);
     EXPECT_EQ(eng.violationCount("ring-order"), 0u);
+}
+
+TEST(RingOrderRule, EqualNamesFromDistinctBuffersShareState)
+{
+    LogEngine eng;
+    int dom = 0;
+    char first[] = "ring0";
+    const char second[] = "ring0";
+    eng.ringDoorbell(&dom, 0, first, 0, 1000, 1);
+    eng.ringDoorbell(&dom, 0, second, 1, 2000, 2); // continues ring0
+    EXPECT_EQ(eng.violationCount("ring-order"), 0u);
+
+    // State follows the name, not the buffer: rewritten to another name,
+    // the first buffer starts a fresh stream, and ring0 goes on at seq 2.
+    std::memcpy(first, "ring1", sizeof first);
+    eng.ringDoorbell(&dom, 0, first, 0, 3000, 1);
+    eng.ringDoorbell(&dom, 0, second, 2, 4000, 3);
+    EXPECT_EQ(eng.violationCount("ring-order"), 0u);
+    eng.ringDoorbell(&dom, 0, first, 2, 5000, 3); // ring1 skipped seq 1
+    EXPECT_EQ(eng.violationCount("ring-order"), 2u); // seq gap + index jump
 }
 
 TEST(RingOrderRule, EnforceModeThrowsOnViolation)

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "x86/machine.hh"
 
@@ -365,6 +366,22 @@ TEST(X86ApicPin, SeededOpsMatchScan)
         EXPECT_GT(high, kSteps / 10);
         EXPECT_LT(high, 2 * kSteps - kSteps / 10);
     }
+}
+
+TEST(X86Snapshot, TakeSnapshotFailsInsteadOfDroppingCpuAndApicState)
+{
+    X86Machine machine(X86Machine::Config{.numCpus = 2,
+                                          .ramSize = 16 * kMiB,
+                                          .platform = X86Platform::Laptop});
+    try {
+        machine.takeSnapshot();
+        FAIL() << "an x86 machine snapshot must be refused";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("X86Cpu"), std::string::npos) << what;
+        EXPECT_NE(what.find("LocalApic"), std::string::npos) << what;
+    }
+    EXPECT_THROW(machine.takeSnapshot(), FatalError);
 }
 
 } // namespace
