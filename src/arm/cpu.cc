@@ -39,8 +39,7 @@ ArmCpu::trapToHyp(const Hsr &hsr)
               "was the kernel booted in Hyp mode?",
               id_, excClassName(hsr.ec));
     }
-    statTrap_[static_cast<std::size_t>(hsr.ec)].inc(
-        stats_, [&] { return std::string("trap.") + excClassName(hsr.ec); });
+    stats_.inc(kTrapStats[static_cast<std::size_t>(hsr.ec)]);
 
     // Save the trapped-from state; the handler may retarget the ERET via
     // setHypReturn (SPSR_hyp semantics). Nested traps (an IRQ trapping to
@@ -80,7 +79,7 @@ ArmCpu::takePageFaultToKernel(Addr va, bool write, Access acc)
     if (!osVectors_)
         panic("cpu%u: stage-1 fault at %#llx with no OS vectors", id_,
               static_cast<unsigned long long>(va));
-    statFaultStage1_.inc(stats_, "fault.stage1");
+    stats_.inc("fault.stage1");
 
     Mode saved_mode = mode_;
     bool saved_mask = irqMasked_;
@@ -321,7 +320,7 @@ ArmCpu::wfi()
         trapToHyp(hsr);
         return;
     }
-    statWfiNative_.inc(stats_, "wfi.native");
+    stats_.inc("wfi.native");
     // WFI completes once an interrupt occurs — even if it was serviced
     // while waiting (the wake condition is "interrupt taken or pending",
     // not "still pending").
@@ -595,7 +594,7 @@ ArmCpu::serviceInterrupts()
         }
         bool phys = irqPin(kPinPhysIrq);
         if (phys && hyp_.hcr.imo && mode_ != Mode::Hyp) {
-            statIrqToHyp_.inc(stats_, "irq.toHyp");
+            stats_.inc("irq.toHyp");
             Hsr hsr;
             hsr.ec = ExcClass::Irq;
             inIrqService_ = false;
@@ -609,7 +608,7 @@ ArmCpu::serviceInterrupts()
         }
         if (!irqMasked_ && privilegeLevel(mode_) <= 1 && osVectors_ &&
             virtIrqLineHigh()) {
-            statIrqVirtual_.inc(stats_, "irq.virtual");
+            stats_.inc("irq.virtual");
             takeIrqToKernel();
             continue;
         }
@@ -635,7 +634,7 @@ ArmCpu::serviceInterrupts()
 void
 ArmCpu::takeIrqToKernel()
 {
-    statIrqToKernel_.inc(stats_, "irq.toKernel");
+    stats_.inc("irq.toKernel");
     ++interruptsTaken_;
     Mode saved = mode_;
     bool saved_mask = irqMasked_;

@@ -334,14 +334,6 @@ class ArmCpu : public CpuBase
     std::uint64_t mmioValue_ = 0;
     std::uint64_t trappedReadValue_ = 0;
 
-    /// Call-site caches for counters bumped on every trap/interrupt.
-    std::array<CachedCounter, kNumExcClasses> statTrap_;
-    CachedCounter statFaultStage1_;
-    CachedCounter statWfiNative_;
-    CachedCounter statIrqToHyp_;
-    CachedCounter statIrqVirtual_;
-    CachedCounter statIrqToKernel_;
-
     bool inIrqService_ = false;
     std::uint64_t interruptsTaken_ = 0;
     Mode hypReturnMode_ = Mode::Svc;

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "arm/registers.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace kvmarm::arm {
@@ -60,7 +61,30 @@ enum class TimerAccess : std::uint8_t
     VirtTimer,
 };
 
-const char *excClassName(ExcClass ec);
+constexpr const char *
+excClassName(ExcClass ec)
+{
+    switch (ec) {
+      case ExcClass::Unknown: return "unknown";
+      case ExcClass::Wfi: return "wfi";
+      case ExcClass::Cp15Trap: return "cp15";
+      case ExcClass::Cp14Trap: return "cp14";
+      case ExcClass::Hvc: return "hvc";
+      case ExcClass::Smc: return "smc";
+      case ExcClass::PrefetchAbort: return "iabt";
+      case ExcClass::DataAbort: return "dabt";
+      case ExcClass::Irq: return "irq";
+      case ExcClass::TimerTrap: return "timer";
+      case ExcClass::FpTrap: return "fp";
+    }
+    return "?";
+}
+
+/** trap.<ec>: the CPU's count of Hyp traps, indexed by ExcClass. */
+inline constexpr auto kTrapStats =
+    statFamily<kNumExcClasses>("trap.", [](std::size_t i) {
+        return excClassName(static_cast<ExcClass>(i));
+    });
 
 /** Decoded trap syndrome passed to the Hyp-mode trap handler. */
 struct Hsr

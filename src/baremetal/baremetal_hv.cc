@@ -145,7 +145,7 @@ BareMetalHv::handleStage2Fault(ArmCpu &cpu, const Hsr &hsr)
     Addr ipa = hsr.hpfar | (hsr.hdfar & (kPageSize - 1));
     if (ipa >= kHypDevBase && ipa < kHypDevBase + 0x1000) {
         // In-hypervisor device emulation: no world switch, no kernel.
-        stats.counter("bm.iodev").inc();
+        stats.inc("bm.iodev");
         cpu.compute(300);
         cpu.completeMmio(0);
         return;
@@ -166,7 +166,7 @@ BareMetalHv::hypTrap(ArmCpu &cpu, const Hsr &hsr)
     switch (hsr.ec) {
       case ExcClass::Hvc:
         if (hsr.iss == bmhvc::kTestHypercall) {
-            stats.counter("bm.hypercall").inc();
+            stats.inc("bm.hypercall");
             cpu.compute(140); // dispatch + handler
             return;
         }
@@ -180,13 +180,13 @@ BareMetalHv::hypTrap(ArmCpu &cpu, const Hsr &hsr)
         handleStage2Fault(cpu, hsr);
         return;
       case ExcClass::Wfi:
-        stats.counter("bm.wfi").inc();
+        stats.inc("bm.wfi");
         // One VM per core: idle in the hypervisor until an interrupt.
         cpu.waitUntil([&] { return cpu.interruptPending(); });
         return;
       case ExcClass::Irq:
         // Hypervisor-owned interrupt: ACK/EOI right here in Hyp mode.
-        stats.counter("bm.irq").inc();
+        stats.inc("bm.irq");
         {
             std::uint32_t iar = static_cast<std::uint32_t>(cpu.memRead(
                 ArmMachine::kGiccBase + arm::gicc::IAR, 4));
@@ -197,7 +197,7 @@ BareMetalHv::hypTrap(ArmCpu &cpu, const Hsr &hsr)
         }
         return;
       default:
-        stats.counter("bm.emul").inc();
+        stats.inc("bm.emul");
         cpu.compute(300); // in-hypervisor emulation
         cpu.setTrappedReadValue(0);
         return;

@@ -285,7 +285,17 @@ InvariantEngine::report(const InvariantRule &rule, std::string detail)
         fatal("invariant violation [%s]: %s", v.rule.c_str(),
               v.detail.c_str());
     }
-    warn("invariant violation [%s]: %s", v.rule.c_str(), v.detail.c_str());
+    // A flood would bury the first violation: print the first few since
+    // the last reset(), then only count.
+    const std::size_t n = violations_.size();
+    if (n <= kLogPrintedViolations) {
+        warn("invariant violation [%s]: %s", v.rule.c_str(),
+             v.detail.c_str());
+    } else if (n == kLogPrintedViolations + 1) {
+        warn("invariant engine: more than %zu violations; further ones are "
+             "counted (violationCount()) but not printed",
+             kLogPrintedViolations);
+    }
 }
 
 void

@@ -66,7 +66,7 @@ namespace kvmarm::check {
 enum class CheckMode
 {
     Off,     //!< events are dropped at the hook site
-    Log,     //!< violations are recorded and warn()ed
+    Log,     //!< violations are recorded; the first few are warn()ed
     Enforce, //!< violations are recorded and throw FatalError
 };
 
@@ -379,8 +379,13 @@ class InvariantEngine
     }
     /// @}
 
-    /** Record a violation (called by rules). Log mode warns; Enforce mode
-     *  throws FatalError after recording. */
+    /** Log mode warns about this many violations since the last reset();
+     *  later ones are recorded silently after a one-line notice. */
+    static constexpr std::size_t kLogPrintedViolations = 16;
+
+    /** Record a violation (called by rules). Log mode warns about the
+     *  first kLogPrintedViolations; Enforce mode throws FatalError after
+     *  recording. */
     void report(const InvariantRule &rule, std::string detail);
 
     /// @name Event entry points (hook sites call these via KVMARM_CHECK_ON)

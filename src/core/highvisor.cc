@@ -45,7 +45,7 @@ Highvisor::handleExit(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
       case ExcClass::Smc:
         // Emulated as an architecturally-undefined no-op: KVM/ARM traps
         // SMC so a guest cannot reach the secure monitor (Table 1).
-        vcpu.stats.counter("emul.smc").inc();
+        vcpu.stats.inc("emul.smc");
         return;
       case ExcClass::Irq:
         // The host kernel serviced the physical interrupt the moment the
@@ -65,7 +65,7 @@ Highvisor::handleDataAbort(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
     if (vcpu.vm().stage2().isGuestRam(ipa)) {
         // Stage-2 page fault on normal memory: allocate through the host
         // kernel (get_user_pages) and map it — paper §3.3.
-        vcpu.hotStats.faultStage2.inc(vcpu.stats, "fault.stage2");
+        vcpu.stats.inc("fault.stage2");
         cpu.compute(host::Mm::kGetUserPagesCost);
         vcpu.vm().stage2().handleRamFault(ipa);
         return;
@@ -90,7 +90,7 @@ Highvisor::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr ipa, const Hsr &hsr)
             panic("highvisor: MMIO at %#llx without syndrome and decode "
                   "support disabled", static_cast<unsigned long long>(ipa));
         }
-        vcpu.hotStats.mmioDecoded.inc(vcpu.stats, "mmio.decoded");
+        vcpu.stats.inc("mmio.decoded");
         cpu.compute(cfg.mmioDecodeCost);
     }
 
@@ -103,11 +103,11 @@ Highvisor::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr ipa, const Hsr &hsr)
         Addr off = ipa - ArmMachine::kGicdBase;
         std::uint64_t result = 0;
         if (cfg.useVgic) {
-            vcpu.hotStats.mmioVdist.inc(vcpu.stats, "mmio.vdist");
+            vcpu.stats.inc("mmio.vdist");
             result = vdist.handleMmio(cpu, vcpu, off, hsr.isWrite,
                                       hsr.sysValue, hsr.accessLen);
         } else {
-            vcpu.stats.counter("mmio.user.gicd").inc();
+            vcpu.stats.inc("mmio.user.gicd");
             kvm_.host().runInUserspace(cpu, [&] {
                 cpu.compute(cfg.qemuGicCost); // QEMU GIC device model
                 result = vdist.handleMmio(cpu, vcpu, off, hsr.isWrite,
@@ -126,7 +126,7 @@ Highvisor::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr ipa, const Hsr &hsr)
         ipa < ArmMachine::kGiccBase + ArmMachine::kGicRegionSize) {
         Addr off = ipa - ArmMachine::kGiccBase;
         std::uint64_t result = 0;
-        vcpu.stats.counter("mmio.user.gicc").inc();
+        vcpu.stats.inc("mmio.user.gicc");
         kvm_.host().runInUserspace(cpu, [&] {
             cpu.compute(cfg.qemuGicCost); // QEMU GIC device model
             if (!hsr.isWrite && off == arm::gicc::IAR)
@@ -144,7 +144,7 @@ Highvisor::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr ipa, const Hsr &hsr)
     // In-kernel emulated devices (KVM_CREATE_DEVICE-shaped).
     Addr dev_off = 0;
     if (auto *handler = vcpu.vm().kernelDeviceAt(ipa, dev_off)) {
-        vcpu.hotStats.mmioKernel.inc(vcpu.stats, "mmio.kernel");
+        vcpu.stats.inc("mmio.kernel");
         std::uint64_t result =
             (*handler)(hsr.isWrite, dev_off, hsr.sysValue, hsr.accessLen);
         cpu.completeMmio(result);
@@ -152,7 +152,7 @@ Highvisor::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr ipa, const Hsr &hsr)
     }
 
     // Everything else exits to user space (QEMU), paper §3.4.
-    vcpu.hotStats.mmioUser.inc(vcpu.stats, "mmio.user");
+    vcpu.stats.inc("mmio.user");
     MmioExit exit;
     exit.ipa = ipa;
     exit.isWrite = hsr.isWrite;
@@ -179,7 +179,7 @@ Highvisor::handleWfi(ArmCpu &cpu, VCpu &vcpu)
     // Block the VCPU thread on the host scheduler until a virtual
     // interrupt is deliverable (paper §3.2: WFI "should only be performed
     // by the hypervisor to maintain control of the hardware").
-    vcpu.hotStats.emulWfi.inc(vcpu.stats, "emul.wfi");
+    vcpu.stats.inc("emul.wfi");
     vcpu.blocked = true;
     VgicDistEmul &vdist = vcpu.vm().vdist();
     kvm_.host().blockUntil(cpu, [&] {
@@ -194,7 +194,7 @@ void
 Highvisor::handleSysTrap(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
 {
     auto op = static_cast<SensitiveOp>(hsr.iss);
-    vcpu.hotStats.emulSysreg.inc(vcpu.stats, "emul.sysreg");
+    vcpu.stats.inc("emul.sysreg");
     switch (op) {
       case SensitiveOp::ActlrRead:
         cpu.setTrappedReadValue(vcpu.shadowActlr);
@@ -235,7 +235,7 @@ Highvisor::handleHvc(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
     switch (hsr.iss) {
       case hvc::kTestHypercall:
         // Table 3 "Hypercall": two world switches and no work.
-        vcpu.hotStats.emulHypercall.inc(vcpu.stats, "emul.hypercall");
+        vcpu.stats.inc("emul.hypercall");
         return;
       case hvc::kPsciOff:
         // PSCI SYSTEM_OFF: request every VCPU of the VM to stop.
@@ -246,7 +246,7 @@ Highvisor::handleHvc(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
         }
         return;
       default:
-        vcpu.stats.counter("emul.hvc.unknown").inc();
+        vcpu.stats.inc("emul.hvc.unknown");
         return;
     }
 }

@@ -82,19 +82,19 @@ Kvm::registerHostIrqHandlers()
     // VGIC maintenance interrupt: no action needed beyond the world
     // switch that already happened — the next entry refills the LRs.
     host_.requestIrq(arm::kMaintenancePpi, [](arm::ArmCpu &cpu, IrqId) {
-        cpu.stats().counter("kvm.maintenance").inc();
+        cpu.stats().inc("kvm.maintenance");
     });
 
     // The host timer tick KVM uses to preempt a running guest when a
     // same-CPU software injection needs delivery (hrtimer semantics).
     host_.requestIrq(arm::kHypTimerPpi, [](arm::ArmCpu &cpu, IrqId) {
-        cpu.stats().counter("kvm.tick").inc();
+        cpu.stats().inc("kvm.tick");
     });
 
     // Kick SGI: its only purpose is to force the target out of guest
     // mode so the next entry picks up new virtual interrupt state.
     host_.requestIrq(kKickSgi, [this](arm::ArmCpu &cpu, IrqId) {
-        cpu.stats().counter("kvm.kick").inc();
+        cpu.stats().inc("kvm.kick");
         cpu.compute(config_.kickHandlerCost);
     });
 }

@@ -31,12 +31,12 @@ Lowvisor::hypTrap(ArmCpu &cpu, const Hsr &hsr)
     // Light traps the lowvisor disposes of without a world switch.
     if (hsr.ec == ExcClass::Hvc && hsr.iss == hvc::kTrapOnly) {
         // Table 3 "Trap": enter Hyp mode and return immediately.
-        vcpu->hotStats.exitTraponly.inc(vcpu->stats, "exit.traponly");
+        vcpu->stats.inc("exit.traponly");
         return;
     }
     if (hsr.ec == ExcClass::FpTrap) {
         // Lazy VFP switch, handled entirely in Hyp mode (paper §3.2).
-        vcpu->hotStats.exitFp.inc(vcpu->stats, "exit.fp");
+        vcpu->stats.inc("exit.fp");
         ws_.switchFpuToVm(cpu, *vcpu);
         vcpu->fpuLoaded = true;
         cpu.hypSys("hcptr").trapFpu = false;
@@ -54,9 +54,7 @@ void
 Lowvisor::guestTrap(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
 {
     const auto &cm = cpu.machine().cost();
-    vcpu.hotStats.exitByClass[static_cast<std::size_t>(hsr.ec)].inc(
-        vcpu.stats,
-        [&] { return std::string("exit.") + arm::excClassName(hsr.ec); });
+    vcpu.stats.inc(kExitStats[static_cast<std::size_t>(hsr.ec)]);
     KVMARM_TRACE(Debug, "cpu%u: guest exit %s", cpu.id(),
                  arm::excClassName(hsr.ec));
 

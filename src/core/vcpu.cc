@@ -41,8 +41,7 @@ VCpu::run(ArmCpu &cpu, const std::function<void(ArmCpu &)> &guest_main)
     // Final exit back to the host.
     cpu.hvc(hvc::kStopVcpu);
 
-    hotStats.residencyCycles.inc(stats, "residency.cycles",
-                                 cpu.now() - entered);
+    stats.inc("residency.cycles", cpu.now() - entered);
 }
 
 VcpuState

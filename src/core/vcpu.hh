@@ -31,6 +31,12 @@ namespace kvmarm::core {
 
 class Vm;
 
+/** exit.<ec>: a VCPU's count of guest exits, indexed by ExcClass. */
+inline constexpr auto kExitStats =
+    statFamily<arm::kNumExcClasses>("exit.", [](std::size_t i) {
+        return arm::excClassName(static_cast<arm::ExcClass>(i));
+    });
+
 /** Serializable VCPU state, the unit of user-space save/restore. */
 struct VcpuState
 {
@@ -117,34 +123,13 @@ class VCpu : public Snapshottable
     /** Per-VCPU statistics: exit counts by reason, residency cycles. */
     StatGroup stats;
 
-    /**
-     * Call-site caches for the counters bumped on every exit / world
-     * switch (see CachedCounter). Grouped so the lowvisor, world switch
-     * and highvisor can share them without each growing its own table.
-     */
-    struct HotStats
-    {
-        std::array<CachedCounter, arm::kNumExcClasses> exitByClass;
-        CachedCounter exitTraponly;
-        CachedCounter exitFp;
-        CachedCounter worldSwitchIn;
-        CachedCounter worldSwitchOut;
-        CachedCounter residencyCycles;
-        CachedCounter faultStage2;
-        CachedCounter mmioDecoded;
-        CachedCounter mmioKernel;
-        CachedCounter mmioUser;
-        CachedCounter mmioVdist;
-        CachedCounter emulWfi;
-        CachedCounter emulSysreg;
-        CachedCounter emulHypercall;
-    } hotStats;
-
     /// @name Snapshottable (machine-level, for whole-machine clone)
     ///
     /// Serializes the full guest context plus run-control flags and the
-    /// per-VCPU stats — distinct from the user-space VcpuState facade
-    /// above, which models only what GET_ONE_REG-era migration moves.
+    /// per-VCPU stats (a flat StatGroup: a restore brings back the
+    /// origin's values and the set of counters its dump lists) —
+    /// distinct from the user-space VcpuState facade above, which
+    /// models only what GET_ONE_REG-era migration moves.
     /// The guest OS pointer is harness-owned and saved as presence only;
     /// a clone must setGuestOs() before restoring if one was installed.
     /// @{
@@ -155,8 +140,8 @@ class VCpu : public Snapshottable
         bool has_guest_os = guestOs != nullptr;
         v.pod(has_guest_os, regs, guestMode, guestIrqMasked, vgicShadow,
               vtimerShadow, cntvoff, fpuLoaded, shadowActlr, shadowCp14,
-              blocked, kicked, stopRequested, vgicHwLive, softVirqPending);
-        v.stats(stats);
+              blocked, kicked, stopRequested, vgicHwLive, softVirqPending,
+              stats);
         if constexpr (V::kLoading) {
             if (has_guest_os && !guestOs)
                 fatal("%s: snapshot had a guest OS installed — "

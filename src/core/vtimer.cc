@@ -122,7 +122,7 @@ VTimerEmul::onHostVtimerIrq(ArmCpu &cpu, VCpu &vcpu)
     // The guest's hardware virtual timer fired as a *hardware* interrupt
     // (architectural limitation, paper §3.6); the highvisor ACK/EOIs it
     // (done by the host IRQ path) and injects the virtual counterpart.
-    vcpu.stats.counter("vtimer.hwfire").inc();
+    vcpu.stats.inc("vtimer.hwfire");
     // Prevent immediate re-fire while the VM is out: mask the hardware
     // instance; the guest's view is restored at the next switch in.
     TimerRegs cur = kvm_.machine().timer().virt(cpu.id());
@@ -139,7 +139,7 @@ VTimerEmul::emulateTrappedAccess(ArmCpu &cpu, VCpu &vcpu, TimerAccess which,
     // Without virtual timer hardware, timer and counter accesses are
     // emulated by the user-space machine model (QEMU) — the cause of the
     // large pipe/ctxsw overheads in Figure 3's no-vtimers runs.
-    vcpu.stats.counter("vtimer.trapped").inc();
+    vcpu.stats.inc("vtimer.trapped");
     kvm_.host().runInUserspace(cpu, [&] {
         cpu.compute(500); // QEMU timer device model
         switch (which) {

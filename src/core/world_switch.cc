@@ -273,7 +273,7 @@ WorldSwitch::toVm(ArmCpu &cpu, VCpu &vcpu)
     //      the end of the current Hyp trap.
     cpu.setOsVectors(vcpu.guestOs);
     cpu.setHypReturn(vcpu.guestMode, vcpu.guestIrqMasked);
-    vcpu.hotStats.worldSwitchIn.inc(vcpu.stats, "worldswitch.in");
+    vcpu.stats.inc("worldswitch.in");
     KVMARM_TRACE(Debug, "cpu%u: world switch in (vcpu %u)", cpu.id(),
                  vcpu.index());
     KVMARM_CHECK_ON(ck, worldSwitchEnd(&cpu.machine(), cpu.id(),
@@ -361,7 +361,7 @@ WorldSwitch::toHost(ArmCpu &cpu, VCpu &vcpu)
     // (9) Trap into kernel mode.
     cpu.setOsVectors(&kvm_.host());
     cpu.setHypReturn(Mode::Svc, false);
-    vcpu.hotStats.worldSwitchOut.inc(vcpu.stats, "worldswitch.out");
+    vcpu.stats.inc("worldswitch.out");
     KVMARM_TRACE(Debug, "cpu%u: world switch out (vcpu %u)", cpu.id(),
                  vcpu.index());
     KVMARM_CHECK_ON(ck, worldSwitchEnd(&cpu.machine(), cpu.id(),

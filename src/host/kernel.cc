@@ -139,7 +139,7 @@ HostKernel::irq(ArmCpu &cpu)
     if (handlers_[irq])
         handlers_[irq](cpu, irq);
     else
-        cpu.stats().counter("host.irq.unhandled").inc();
+        cpu.stats().inc("host.irq.unhandled");
 
     cpu.memWrite(ArmMachine::kGiccBase + arm::gicc::EOIR, iar);
 }

@@ -32,7 +32,7 @@ X86Host::interrupt(X86Cpu &cpu, std::uint8_t vector)
     if (handlers_[vector])
         handlers_[vector](cpu);
     else
-        cpu.stats().counter("x86host.irq.unhandled").inc();
+        cpu.stats().inc("x86host.irq.unhandled");
     cpu.memWrite(x86::kApicBase + x86::apic::EOI, 0, 4);
 }
 

@@ -28,7 +28,7 @@ VCpuX86::run(X86Cpu &cpu,
     cpu.vmcall(vmcallnr::kRunVcpu);
     guest_main(cpu);
     cpu.vmcall(vmcallnr::kStopVcpu);
-    stats.counter("residency.cycles").inc(cpu.now() - entered);
+    stats.inc("residency.cycles", cpu.now() - entered);
 }
 
 VmX86::VmX86(KvmX86 &kvm, Addr guest_ram_size)
@@ -107,7 +107,7 @@ KvmX86::initCpu(X86Cpu &cpu)
     if (!vectorsRegistered_) {
         vectorsRegistered_ = true;
         host_.requestVector(kKickVector, [this](X86Cpu &c) {
-            c.stats().counter("kvmx86.kick").inc();
+            c.stats().inc("kvmx86.kick");
             c.compute(machine().cost().kvmKickCost);
         });
     }
@@ -222,17 +222,17 @@ KvmX86::handleEpt(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
 {
     const x86::X86CostModel &cm = machine().cost();
     if (vcpu.vm().handleEptFault(info.gpa)) {
-        vcpu.stats.counter("fault.ept").inc();
+        vcpu.stats.inc("fault.ept");
         cpu.compute(host::Mm::kGetUserPagesCost);
         return;
     }
     // MMIO: x86 KVM must decode the instruction in software (paper §5.3).
-    vcpu.stats.counter("mmio").inc();
+    vcpu.stats.inc("mmio");
     cpu.compute(cm.mmioDecode + cm.mmioDispatch);
 
     Addr off = 0;
     if (auto *h = vcpu.vm().kernelDeviceAt(info.gpa, off)) {
-        vcpu.stats.counter("mmio.kernel").inc();
+        vcpu.stats.inc("mmio.kernel");
         std::uint64_t result = (*h)(info.isWrite, off, info.value, info.len);
         cpu.completeMmio(result);
         return;
@@ -248,7 +248,7 @@ KvmX86::handleEpt(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
 void
 KvmX86::userMmioExit(X86Cpu &cpu, VCpuX86 &vcpu, X86MmioExit &exit)
 {
-    vcpu.stats.counter("mmio.user").inc();
+    vcpu.stats.inc("mmio.user");
     auto &handler = vcpu.vm().userMmioHandler();
     if (!handler) {
         warn("kvm-x86: MMIO exit with no user-space emulator");
@@ -263,7 +263,7 @@ void
 KvmX86::handleApicAccess(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
 {
     const x86::X86CostModel &cm = machine().cost();
-    vcpu.stats.counter("apic.access").inc();
+    vcpu.stats.inc("apic.access");
 
     if (info.isWrite && info.apicOffset == x86::apic::EOI) {
         // Fast path: no decode needed, the EOI value is ignored. Still a
@@ -361,7 +361,7 @@ KvmX86::handleIo(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
 void
 KvmX86::handleHlt(X86Cpu &cpu, VCpuX86 &vcpu)
 {
-    vcpu.stats.counter("emul.hlt").inc();
+    vcpu.stats.inc("emul.hlt");
     vcpu.blocked = true;
     host_.blockUntil(cpu, [&] {
         return vcpu.kicked || vcpu.stopRequested ||
@@ -383,13 +383,12 @@ KvmX86::vmexit(X86Cpu &cpu, const ExitInfo &info)
     if (info.reason == ExitReason::Vmcall &&
         info.vmcallNr == vmcallnr::kTrapOnly) {
         // Table 3 "Trap": the bare hardware transition cost.
-        vcpu->stats.counter("exit.traponly").inc();
+        vcpu->stats.inc("exit.traponly");
         return;
     }
 
     const x86::X86CostModel &cm = machine().cost();
-    vcpu->stats.counter(std::string("exit.") + exitReasonName(info.reason))
-        .inc();
+    vcpu->stats.inc(kExitStats[static_cast<std::size_t>(info.reason)]);
     cpu.setIf(true); // host runs with interrupts enabled
     cpu.compute(cm.exitDispatch);
 
@@ -416,7 +415,7 @@ KvmX86::vmexit(X86Cpu &cpu, const ExitInfo &info)
         // TSC-deadline write: in-kernel APIC timer emulation, no decode
         // (the value arrives in registers).
         cpu.compute(cm.apicEmulate);
-        vcpu->stats.counter("emul.tscdeadline").inc();
+        vcpu->stats.inc("emul.tscdeadline");
         VCpuX86 *target = vcpu;
         X86Machine &m = machine();
         CpuId phys = vcpu->physCpu();

@@ -34,6 +34,12 @@ inline constexpr std::uint32_t kTrapOnly = 0x4B860003;
 inline constexpr std::uint32_t kTestHypercall = 0x4B860004;
 } // namespace vmcallnr
 
+/** exit.<reason>: a VCPU's count of VM exits, indexed by ExitReason. */
+inline constexpr auto kExitStats =
+    statFamily<x86::kNumExitReasons>("exit.", [](std::size_t i) {
+        return x86::exitReasonName(static_cast<x86::ExitReason>(i));
+    });
+
 /** The vector KVM uses to kick a remote VCPU out of guest mode. */
 inline constexpr std::uint8_t kKickVector = 0xF2;
 /** Vector of the guest's (virtual) APIC timer. */

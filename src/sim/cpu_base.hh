@@ -168,7 +168,7 @@ class CpuBase : public Snapshottable
             checkQuiesced();
         v.pod(now_, idleCycles_, waiting_);
         events_.visit(v);
-        v.stats(stats_);
+        v.pod(stats_);
         if constexpr (V::kLoading) {
             yieldThreshold_ = kNoDeadline;
             // The restored CPU runs whatever entry the clone installs next;

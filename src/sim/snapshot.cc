@@ -2,7 +2,6 @@
 
 #include "sim/logging.hh"
 #include "sim/machine_base.hh"
-#include "sim/stats.hh"
 
 namespace kvmarm {
 
@@ -18,31 +17,6 @@ SnapshotWriter::size(std::size_t n)
 {
     auto n32 = static_cast<std::uint32_t>(n);
     raw(&n32, sizeof(n32));
-}
-
-void
-SnapshotWriter::str(const std::string &s)
-{
-    size(s.size());
-    raw(s.data(), s.size());
-}
-
-void
-SnapshotWriter::stats(const StatGroup &stats)
-{
-    size(stats.counters().size());
-    for (const auto &[name, c] : stats.counters()) {
-        str(name);
-        std::uint64_t v = c.value();
-        pod(v);
-    }
-    size(stats.scalars().size());
-    for (const auto &[name, s] : stats.scalars()) {
-        str(name);
-        std::uint64_t count = s.count();
-        double sum = s.sum(), mn = s.min(), mx = s.max();
-        pod(count, sum, mn, mx);
-    }
 }
 
 void
@@ -83,39 +57,6 @@ SnapshotReader::size()
         fatal("SnapshotReader: record '%s' count %u overruns the record",
               rec_.key.c_str(), n);
     return n;
-}
-
-std::string
-SnapshotReader::str()
-{
-    std::string s(size(), '\0');
-    raw(s.data(), s.size());
-    return s;
-}
-
-void
-SnapshotReader::stats(StatGroup &stats)
-{
-    // Never erase from the maps: CachedCounter call sites hold raw Counter
-    // pointers into the map nodes (which never move). Zero everything
-    // already present, then load snapshot values into existing-or-new
-    // entries.
-    stats.resetAll();
-    std::uint32_t nc = size();
-    for (std::uint32_t i = 0; i < nc; ++i) {
-        std::string name = str();
-        std::uint64_t v;
-        pod(v);
-        stats.counter(name).set(v);
-    }
-    std::uint32_t ns = size();
-    for (std::uint32_t i = 0; i < ns; ++i) {
-        std::string name = str();
-        std::uint64_t count;
-        double sum, mn, mx;
-        pod(count, sum, mn, mx);
-        stats.scalar(name).load(count, sum, mn, mx);
-    }
 }
 
 void

@@ -26,7 +26,6 @@
  *   v.seq(c)             a variable-length container
  *   v.map(m)             a map (unordered or not), captured in sorted key
  *                        order so records never depend on hash layout
- *   v.stats(g)           a StatGroup
  *   v.same(x, "what")    an integer the restoring machine must already
  *                        hold (configuration a clone rebuilds before it
  *                        restores); a difference is fatal
@@ -70,7 +69,6 @@
 namespace kvmarm {
 
 class MachineBase;
-class StatGroup;
 
 /** One component's captured state: a key for pairing, raw bytes, and an
  *  optional shared immutable attachment. */
@@ -226,8 +224,6 @@ class SnapshotWriter : public SnapshotVisitor<SnapshotWriter>
         raw(&v, sizeof(v));
     }
 
-    void stats(const StatGroup &stats);
-
     /** Attach a shared immutable object to this record (at most one). */
     void attach(std::shared_ptr<const void> a);
 
@@ -239,7 +235,6 @@ class SnapshotWriter : public SnapshotVisitor<SnapshotWriter>
 
     void raw(const void *p, std::size_t n);
     void size(std::size_t n);
-    void str(const std::string &s);
 
     std::vector<std::uint8_t> bytes_;
     std::shared_ptr<const void> attachment_;
@@ -302,8 +297,6 @@ class SnapshotReader : public SnapshotVisitor<SnapshotReader>
                           static_cast<unsigned long long>(expect));
     }
 
-    void stats(StatGroup &stats);
-
     /** The record's shared attachment (null if none was written). */
     const std::shared_ptr<const void> &attachment() const;
 
@@ -317,7 +310,6 @@ class SnapshotReader : public SnapshotVisitor<SnapshotReader>
 
     void raw(void *p, std::size_t n);
     std::uint32_t size();
-    std::string str();
     [[noreturn]] void shapeMismatch(const char *what, std::uint32_t got,
                                     std::size_t have) const;
     [[noreturn]] void valueMismatch(const char *what, unsigned long long got,

@@ -1,62 +1,32 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
 #include <iomanip>
 
+#include "sim/logging.hh"
+
 namespace kvmarm {
-
-void
-Scalar::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        if (v < min_)
-            min_ = v;
-        if (v > max_)
-            max_ = v;
-    }
-    sum_ += v;
-    ++count_;
-}
-
-void
-Scalar::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
 
 std::uint64_t
 StatGroup::counterValue(const std::string &name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : scalars_)
-        kv.second.reset();
+    const auto *end = std::end(kStatNames);
+    const auto *it = std::lower_bound(std::begin(kStatNames), end, name);
+    if (it == end || *it != name)
+        fatal("StatGroup::counterValue: '%s' is not a declared counter "
+              "(sim/stat_names.hh)",
+              name.c_str());
+    return values_[static_cast<std::size_t>(it - std::begin(kStatNames))];
 }
 
 void
 StatGroup::dump(std::ostream &os, const std::string &prefix) const
 {
-    for (const auto &kv : counters_) {
-        os << std::left << std::setw(48) << (prefix + kv.first)
-           << kv.second.value() << "\n";
-    }
-    for (const auto &kv : scalars_) {
-        os << std::left << std::setw(48) << (prefix + kv.first)
-           << "mean=" << kv.second.mean() << " min=" << kv.second.min()
-           << " max=" << kv.second.max() << " n=" << kv.second.count()
-           << "\n";
+    for (std::size_t i = 0; i < kNumStats; ++i) {
+        if (!(touched_[i / 64] >> (i % 64) & 1))
+            continue;
+        os << std::left << std::setw(48) << (prefix + std::string(kStatNames[i]))
+           << values_[i] << "\n";
     }
 }
 

@@ -1,144 +1,139 @@
 /**
  * @file
- * Lightweight named statistics: counters and scalar samples with a
- * table-style dump, in the spirit of gem5's stats package.
+ * Declared statistics: named event counters with a table-style dump, in
+ * the spirit of gem5's stats package and of Linux KVM's per-vCPU stats
+ * (plain fields described once by a descriptor table).
+ *
+ * Every counter name is declared once, in kStatNames (sim/stat_names.hh).
+ * A StatGroup holds one slot per declared name plus a bitmap of the slots
+ * ever bumped, so it is trivially copyable and snapshots with v.pod. A call
+ * site names its counter with a string literal,
+ *
+ *     vcpu.stats.inc("exit.fp");
+ *
+ * which StatId resolves to its slot at compile time: an undeclared name
+ * does not compile, and a bump is an add and an or. Families composed from
+ * an enum (trap.<ec>, exit.<reason>, ...) are id arrays built by
+ * statFamily().
  */
 
 #ifndef KVMARM_SIM_STATS_HH
 #define KVMARM_SIM_STATS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <iterator>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 
-#include "sim/types.hh"
+#include "sim/stat_names.hh"
 
 namespace kvmarm {
 
-/** A monotonically increasing event counter. */
-class Counter
+inline constexpr std::size_t kNumStats = std::size(kStatNames);
+
+/** dump() walks kStatNames in order, so the table must be in the order
+ *  std::map<std::string, ...> kept the names it replaced. */
+consteval bool
+statNamesSortedAndUnique()
+{
+    for (std::size_t i = 1; i < kNumStats; ++i) {
+        if (!(kStatNames[i - 1] < kStatNames[i]))
+            return false;
+    }
+    return true;
+}
+static_assert(statNamesSortedAndUnique(),
+              "kStatNames must be sorted byte-wise and free of duplicates");
+
+namespace detail {
+consteval std::size_t
+statIndex(std::string_view prefix, std::string_view suffix)
+{
+    for (std::size_t i = 0; i < kNumStats; ++i) {
+        std::string_view n = kStatNames[i];
+        if (n.size() == prefix.size() + suffix.size() &&
+            n.starts_with(prefix) && n.ends_with(suffix))
+            return i;
+    }
+    throw "undeclared stat name: add it to kStatNames (sim/stat_names.hh)";
+}
+} // namespace detail
+
+/** A declared counter: its slot in kStatNames, resolved at compile time. */
+class StatId
 {
   public:
-    void inc(std::uint64_t n = 1) { value_ += n; }
-    void reset() { value_ = 0; }
-    /** Overwrite the value (snapshot restore only). */
-    void set(std::uint64_t v) { value_ = v; }
-    std::uint64_t value() const { return value_; }
+    /** The counter named @p name; an undeclared name fails to compile. */
+    consteval StatId(const char *name) : StatId(std::string_view{}, name) {}
 
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** Running scalar statistic: count, sum, min, max, mean. */
-class Scalar
-{
-  public:
-    void sample(double v);
-    void reset();
-
-    /** Overwrite all fields (snapshot restore only). */
-    void
-    load(std::uint64_t count, double sum, double min, double max)
+    /** The counter named @p prefix + @p suffix (composed families). */
+    consteval StatId(std::string_view prefix, std::string_view suffix)
+        : index_(detail::statIndex(prefix, suffix))
     {
-        count_ = count;
-        sum_ = sum;
-        min_ = min;
-        max_ = max;
     }
 
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
+    constexpr std::size_t index() const { return index_; }
+    constexpr std::string_view name() const { return kStatNames[index_]; }
 
   private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
+    std::size_t index_;
 };
 
-class StatGroup;
+namespace detail {
+template <class NameFn, std::size_t... I>
+consteval std::array<StatId, sizeof...(I)>
+statFamily(std::string_view prefix, NameFn name, std::index_sequence<I...>)
+{
+    return {StatId(prefix, name(I))...};
+}
+} // namespace detail
 
 /**
- * A call-site cache for one StatGroup counter. Hot paths bump the same
- * named counter millions of times; resolving the name each time costs a
- * string construction and a map walk. Holding a CachedCounter next to the
- * group turns that into a null check plus an increment: the name is
- * resolved once and the Counter pointer kept (map nodes never move).
- * The counter is still created only when first bumped, so stat dumps are
- * unchanged for paths never taken.
+ * The ids of a family of counters indexed by an enum: entry i is the
+ * counter named @p prefix + @p name(i). A member whose name is not
+ * declared fails to compile.
  */
-class CachedCounter
+template <std::size_t N, class NameFn>
+consteval std::array<StatId, N>
+statFamily(std::string_view prefix, NameFn name)
 {
-  public:
-    /** Bump by @p n, resolving @p name in @p group on first use. */
-    void inc(StatGroup &group, const char *name, std::uint64_t n = 1);
-
-    /**
-     * Bump by @p n; @p make_name() produces the name and is only invoked
-     * on the first bump (for names composed at the call site).
-     */
-    template <typename NameFn>
-    void
-    inc(StatGroup &group, NameFn &&make_name, std::uint64_t n = 1)
-    {
-        if (!counter_)
-            resolve(group, make_name());
-        counter_->inc(n);
-    }
-
-  private:
-    void resolve(StatGroup &group, const std::string &name);
-
-    Counter *counter_ = nullptr;
-};
+    return detail::statFamily(prefix, name, std::make_index_sequence<N>{});
+}
 
 /**
- * A registry of named counters and scalars. Subsystems hold a StatGroup and
- * name their stats hierarchically ("cpu0.traps.wfi").
+ * One owner's counters (a CPU, a VCPU, a bare-metal hypervisor): a slot
+ * per declared name. Named hierarchically at dump time ("cpu0.trap.wfi").
  */
 class StatGroup
 {
   public:
-    /** Find or create a counter by name. */
-    Counter &counter(const std::string &name) { return counters_[name]; }
+    /** Bump a counter by @p n. A bump by 0 still lists it in dump(). */
+    void
+    inc(StatId id, std::uint64_t n = 1)
+    {
+        const std::size_t i = id.index();
+        values_[i] += n;
+        touched_[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
 
-    /** Find or create a scalar by name. */
-    Scalar &scalar(const std::string &name) { return scalars_[name]; }
-
-    /** Read a counter's value, 0 if it does not exist. */
+    /** Read a counter by name; 0 if never bumped. A name that is not in
+     *  kStatNames is a misuse and throws FatalError. */
     std::uint64_t counterValue(const std::string &name) const;
 
-    /** Reset every stat in the group. */
-    void resetAll();
+    /** Zero every counter; a bumped counter stays listed in dump(). */
+    void resetAll() { values_.fill(0); }
 
-    /** Dump all stats, sorted by name, one per line. */
+    /** Dump every bumped counter, sorted by name, one per line. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
 
-    const std::map<std::string, Counter> &counters() const { return counters_; }
-    const std::map<std::string, Scalar> &scalars() const { return scalars_; }
-
   private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Scalar> scalars_;
+    std::array<std::uint64_t, kNumStats> values_{};
+    std::array<std::uint64_t, (kNumStats + 63) / 64> touched_{};
 };
-
-inline void
-CachedCounter::inc(StatGroup &group, const char *name, std::uint64_t n)
-{
-    if (!counter_)
-        resolve(group, name);
-    counter_->inc(n);
-}
-
-inline void
-CachedCounter::resolve(StatGroup &group, const std::string &name)
-{
-    counter_ = &group.counter(name);
-}
 
 } // namespace kvmarm
 

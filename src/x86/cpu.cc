@@ -6,21 +6,6 @@
 
 namespace kvmarm::x86 {
 
-const char *
-exitReasonName(ExitReason r)
-{
-    switch (r) {
-      case ExitReason::Vmcall: return "vmcall";
-      case ExitReason::EptViolation: return "ept";
-      case ExitReason::IoInstruction: return "io";
-      case ExitReason::Hlt: return "hlt";
-      case ExitReason::ExternalInterrupt: return "extint";
-      case ExitReason::ApicAccess: return "apic";
-      case ExitReason::MsrWrite: return "msr";
-    }
-    return "?";
-}
-
 X86Cpu::X86Cpu(CpuId id, X86Machine &machine)
     : CpuBase(id, machine), machine_(machine)
 {
@@ -148,7 +133,7 @@ X86Cpu::hlt()
         vmexit(info);
         return;
     }
-    statHltNative_.inc(stats_, "hlt.native");
+    stats_.inc("hlt.native");
     std::uint64_t before = interruptsTaken_;
     waitUntil([this, before] {
         return interruptPending() || interruptsTaken_ > before;
@@ -216,9 +201,7 @@ X86Cpu::vmexit(const ExitInfo &info)
 {
     if (!vmxHandler_)
         panic("x86 cpu%u: vmexit with no handler", id_);
-    statVmexit_[static_cast<std::size_t>(info.reason)].inc(
-        stats_,
-        [&] { return std::string("vmexit.") + exitReasonName(info.reason); });
+    stats_.inc(kVmexitStats[static_cast<std::size_t>(info.reason)]);
     const X86CostModel &cm = machine_.cost();
 
     // Hardware saves the guest state and loads host state.
@@ -309,7 +292,7 @@ X86Cpu::serviceInterrupts()
         if (irqPin(kPinInject) && ifFlag_ && osVectors_) {
             std::uint8_t vec = injectVector_;
             setInjectVector(0);
-            statIrqInjected_.inc(stats_, "irq.injected");
+            stats_.inc("irq.injected");
             takeInterrupt(vec);
             continue;
         }

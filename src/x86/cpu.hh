@@ -39,7 +39,26 @@ enum class ExitReason : std::uint8_t
 inline constexpr std::size_t kNumExitReasons =
     static_cast<std::size_t>(ExitReason::MsrWrite) + 1;
 
-const char *exitReasonName(ExitReason r);
+constexpr const char *
+exitReasonName(ExitReason r)
+{
+    switch (r) {
+      case ExitReason::Vmcall: return "vmcall";
+      case ExitReason::EptViolation: return "ept";
+      case ExitReason::IoInstruction: return "io";
+      case ExitReason::Hlt: return "hlt";
+      case ExitReason::ExternalInterrupt: return "extint";
+      case ExitReason::ApicAccess: return "apic";
+      case ExitReason::MsrWrite: return "msr";
+    }
+    return "?";
+}
+
+/** vmexit.<reason>: the CPU's count of VM exits, indexed by ExitReason. */
+inline constexpr auto kVmexitStats =
+    statFamily<kNumExitReasons>("vmexit.", [](std::size_t i) {
+        return exitReasonName(static_cast<ExitReason>(i));
+    });
 
 /** VMX exit information (exit reason + qualification). */
 struct ExitInfo
@@ -230,11 +249,6 @@ class X86Cpu : public CpuBase
     X86OsVectors *hostOs_ = nullptr;
     bool hostUserMode_ = false;
     bool hostIf_ = false;
-
-    /// Call-site caches for counters bumped on every VM exit.
-    std::array<CachedCounter, kNumExitReasons> statVmexit_;
-    CachedCounter statHltNative_;
-    CachedCounter statIrqInjected_;
 };
 
 } // namespace kvmarm::x86

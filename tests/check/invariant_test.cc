@@ -556,6 +556,37 @@ TEST(InvariantEngine, ResetClearsViolationsAndShadowState)
     EXPECT_EQ(eng.eventCount(), 4u);
 }
 
+TEST(InvariantEngine, LogModePrintsTheFirstViolationsThenCounts)
+{
+    LogEngine eng;
+    const std::size_t limit = check::InvariantEngine::kLogPrintedViolations;
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 1000; ++i)
+        eng.hypAccess(0, Mode::Svc, "hcr"); // a privilege violation each
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(eng.violationCount(), 1000u);
+    EXPECT_EQ(eng.violations().size(), 1000u);
+    std::istringstream lines(err);
+    std::vector<std::string> warned;
+    for (std::string line; std::getline(lines, line);)
+        warned.push_back(line);
+    ASSERT_EQ(warned.size(), limit + 1) << err;
+    for (std::size_t i = 0; i < limit; ++i)
+        EXPECT_EQ(warned[i].rfind("warn: invariant violation [privilege]", 0),
+                  0u)
+            << warned[i];
+    EXPECT_NE(warned[limit].find("not printed"), std::string::npos)
+        << warned[limit];
+
+    // reset() starts a fresh run: its first violation is printed again.
+    eng.reset();
+    testing::internal::CaptureStderr();
+    eng.hypAccess(0, Mode::Svc, "hcr");
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("[privilege]"),
+              std::string::npos);
+}
+
 // ------------------------------------------------------------------ fan-out
 
 /** Counts the state transfers and ring events it is sent. */
