@@ -27,8 +27,7 @@ printHeader(const std::string &title, const std::vector<std::string> &cols,
 
 void
 printTable(const std::string &title, const std::vector<std::string> &columns,
-           const std::vector<Row> &rows, const std::string &footer,
-           int precision)
+           const std::vector<Row> &rows, int precision)
 {
     bool with_paper = false;
     for (const Row &r : rows)
@@ -54,15 +53,48 @@ printTable(const std::string &title, const std::vector<std::string> &columns,
     }
     if (with_paper)
         std::printf("(* = value reported in the paper)\n");
-    if (!footer.empty())
-        std::printf("%s\n", footer.c_str());
 }
 
 void
-printFigure(const std::string &title, const std::vector<std::string> &series,
-            const std::vector<Row> &rows, const std::string &footer)
+printFigure(const std::string &title, wl::Figure f)
 {
-    printTable(title, series, rows, footer, 2);
+    using wl::Figure;
+    const wl::FigureResults r = wl::runFigure(f);
+    std::vector<Row> rows;
+    if (f == Figure::Fig3 || f == Figure::Fig4) {
+        const wl::LmFigure &fig =
+            f == Figure::Fig3 ? r.lmbenchUp : r.lmbenchSmp;
+        for (const auto &[w, v] : fig)
+            rows.push_back({wl::lmWorkloadName(w), {v.begin(), v.end()}, {}});
+    } else {
+        const wl::AppFigure &fig = f == Figure::Fig5 ? r.appsUp : r.appsSmp;
+        for (const auto &[app, outcomes] : fig) {
+            rows.push_back({wl::appName(app), {}, {}});
+            for (const wl::AppOutcome &o : outcomes)
+                rows.back().measured.push_back(o.overhead);
+        }
+    }
+    printTable(title, {"ARM", "ARM-noVGIC", "x86-lap", "x86-srv"}, rows, 2);
+    printClaims(f, r);
+}
+
+void
+printClaims(wl::Figure f, const wl::FigureResults &r)
+{
+    // Claim lines are indented: kvmarm_bench finds the Table 3 rows of the
+    // golden by their label at the start of a line.
+    const char *header = "Claims (src/workload/claims.cc), verdicts computed "
+                         "from the rows above:\n";
+    for (const wl::Claim &c : wl::claims()) {
+        if (c.figure != f)
+            continue;
+        std::printf("%s  %s (%s, %s): %s\n    %s\n", header, c.id,
+                    c.kind == wl::ClaimKind::Calibration ? "calibration"
+                                                         : "prediction",
+                    c.section, c.holds(r) ? "holds" : "does not hold",
+                    c.statement);
+        header = "";
+    }
 }
 
 void

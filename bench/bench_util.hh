@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the reproduction benches: paper-style table printing
- * with side-by-side paper-reported values and deltas, and the single-VCPU
- * stack the ablations measure on.
+ * with side-by-side paper-reported values and claim verdicts, and the
+ * single-VCPU stack the ablations measure on.
  */
 
 #ifndef KVMARM_BENCH_BENCH_UTIL_HH
@@ -14,6 +14,7 @@
 
 #include "arm/vectors.hh"
 #include "core/types.hh"
+#include "workload/claims.hh"
 
 namespace kvmarm::bench {
 
@@ -28,14 +29,13 @@ struct Row
 /** Print a table comparing measured vs paper values column by column. */
 void printTable(const std::string &title,
                 const std::vector<std::string> &columns,
-                const std::vector<Row> &rows, const std::string &footer = "",
-                int precision = 0);
+                const std::vector<Row> &rows, int precision = 0);
 
-/** Print a normalized-overhead figure (values around 1.0). */
-void printFigure(const std::string &title,
-                 const std::vector<std::string> &series,
-                 const std::vector<Row> &rows,
-                 const std::string &footer = "");
+/** Run Figure 3, 4, 5 or 6 and print it and its claims' verdicts. */
+void printFigure(const std::string &title, wl::Figure f);
+
+/** Print the verdict of each paper claim about @p f, computed from @p r. */
+void printClaims(wl::Figure f, const wl::FigureResults &r);
 
 /** Guest kernel vectors that ignore every exception. */
 class NullOs : public arm::OsVectors

@@ -4,19 +4,13 @@
  * eight Table 2 workloads on two cores, virtualized/native.
  */
 
-#include "fig_apps_common.hh"
+#include "bench_util.hh"
 
 int
 main()
 {
     using namespace kvmarm;
-    benchfig::printAppFigure(
-        "Figure 6: SMP VM Normalized Application Performance",
-        benchfig::runAppFigure(true),
-        "Paper claims reproduced: on multicore, KVM x86 shows higher "
-        "overhead than KVM/ARM for the\nserver workloads (Apache, MySQL), "
-        "while KVM/ARM stays close to native for the application\n"
-        "workloads (paper §5.2; hackbench, a pure scheduling stress, is "
-        "the outlier for both).");
+    bench::printFigure("Figure 6: SMP VM Normalized Application Performance",
+                       wl::Figure::Fig6);
     return 0;
 }

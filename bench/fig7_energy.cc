@@ -6,27 +6,22 @@
  * (battery/ACPI model) — the only platforms the paper measured power on.
  */
 
-#include "fig_apps_common.hh"
+#include "bench_util.hh"
 
 int
 main()
 {
     using namespace kvmarm;
-    // Figure 7 plots only ARM and the x86 laptop.
+    using wl::column, wl::Platform;
+    const wl::FigureResults r = wl::runFigure(wl::Figure::Fig7);
     std::vector<bench::Row> rows;
-    for (const auto &[app, outcomes] : benchfig::runAppFigure(true)) {
+    for (const auto &[app, o] : r.appsSmp)
         rows.push_back({wl::appName(app),
-                        {outcomes[0].energyOverhead,
-                         outcomes[2].energyOverhead},
+                        {o[column(Platform::ArmVgic)].energyOverhead,
+                         o[column(Platform::X86Laptop)].energyOverhead},
                         {}});
-    }
-    bench::printFigure(
-        "Figure 7: SMP VM Normalized Energy Consumption",
-        {"ARM", "x86-laptop"}, rows,
-        "Paper claim: KVM/ARM is more power efficient than KVM x86 for "
-        "the CPU-bound and server\nworkloads; for I/O-bound workloads "
-        "(paper: memcached, untar; here also the curls) power is\nnear "
-        "idle either way and small ARM overheads can exceed x86's — see "
-        "EXPERIMENTS.md for the\nper-workload comparison.");
+    bench::printTable("Figure 7: SMP VM Normalized Energy Consumption",
+                      {"ARM", "x86-laptop"}, rows, 2);
+    bench::printClaims(wl::Figure::Fig7, r);
     return 0;
 }

@@ -6,48 +6,23 @@
  */
 
 #include "bench_util.hh"
-#include "workload/microbench.hh"
-#include "workload/microbench_x86.hh"
 
 int
 main()
 {
     using namespace kvmarm;
-    const auto a = wl::runArmMicrobench({true, true, 64});
-    const auto b = wl::runArmMicrobench({false, false, 64});
-    const auto l = wl::runX86Microbench({x86::X86Platform::Laptop, 64});
-    const auto s = wl::runX86Microbench({x86::X86Platform::Server, 64});
-
-    using bench::Row;
-    std::vector<Row> rows = {
-        {"Hypercall",
-         {double(a.hypercall), double(b.hypercall), double(l.hypercall),
-          double(s.hypercall)},
-         {5326, 2270, 1336, 1638}},
-        {"Trap",
-         {double(a.trap), double(b.trap), double(l.trap), double(s.trap)},
-         {27, 27, 632, 821}},
-        {"I/O Kernel",
-         {double(a.ioKernel), double(b.ioKernel), double(l.ioKernel),
-          double(s.ioKernel)},
-         {5990, 2850, 3190, 3291}},
-        {"I/O User",
-         {double(a.ioUser), double(b.ioUser), double(l.ioUser),
-          double(s.ioUser)},
-         {10119, 6704, 10985, 12218}},
-        {"IPI",
-         {double(a.ipi), double(b.ipi), double(l.ipi), double(s.ipi)},
-         {14366, 32951, 17138, 21177}},
-        {"EOI+ACK",
-         {double(a.eoiAck), double(b.eoiAck), double(l.eoiAck),
-          double(s.eoiAck)},
-         {427, 13726, 2043, 2305}},
-    };
-    bench::printTable(
-        "Table 3: Micro-Architectural Cycle Counts",
-        {"ARM", "ARM-noVGIC", "x86-laptop", "x86-server"}, rows,
-        "Shapes reproduced: VGIC state >50% of the ARM hypercall; ARM trap "
-        "~25x cheaper than x86;\nARM IPI cheaper than x86 despite costlier "
-        "world switches; trap-free EOI+ACK with the VGIC.");
+    const wl::FigureResults r = wl::runFigure(wl::Figure::Table3);
+    std::vector<bench::Row> rows;
+    for (const wl::Table3Row &row : wl::kTable3Rows) {
+        rows.push_back({row.name, {}, {}});
+        for (std::size_t c = 0; c < wl::kPlatforms.size(); ++c) {
+            rows.back().measured.push_back(double(r.table3[c].*row.cell));
+            rows.back().paper.push_back(double(wl::kPaperTable3[c].*row.cell));
+        }
+    }
+    bench::printTable("Table 3: Micro-Architectural Cycle Counts",
+                      {"ARM", "ARM-noVGIC", "x86-laptop", "x86-server"},
+                      rows);
+    bench::printClaims(wl::Figure::Table3, r);
     return 0;
 }

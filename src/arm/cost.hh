@@ -7,8 +7,8 @@
  * by step — land near the paper's measured cycle counts on the Arndale
  * board (dual Cortex-A15, 1.7 GHz). The constants themselves are plausible
  * per-operation latencies for that microarchitecture; the *composition* is
- * what the simulation computes. tests/core/calibration_test.cc pins the
- * resulting totals to the paper within a tolerance.
+ * what the simulation computes. The Calibration claims (workload/claims.cc)
+ * pin the resulting totals to the paper within a tolerance.
  */
 
 #ifndef KVMARM_ARM_COST_HH
@@ -60,7 +60,7 @@ struct ArmCostModel
     Cycles gicdLatency = 65;  //!< distributor
     Cycles giccLatency = 140; //!< physical CPU interface
     Cycles gicvLatency = 213; //!< virtual CPU interface (EOI+ACK = 2
-                              //!< accesses + issue ≈ Table 3's 427)
+                              //!< accesses + issue ≈ Table 3 ARM EOI+ACK)
     Cycles gichLatency = 73;  //!< hyp control interface; the unoptimized
                               //!< world switch moves 20 registers each
                               //!< direction (§3.5), making VGIC state >50%

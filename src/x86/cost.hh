@@ -4,7 +4,7 @@
  * paper's two testbeds: the 2011 MacBook Air (dual 1.8 GHz i7-2677M) and
  * the OVH SP3 server (dual 3.4 GHz Xeon E3-1245v2). Constants are chosen
  * so the literally-executed Table 3 paths land near the paper's
- * measurements; see tests/core/calibration_test.cc.
+ * measurements; the Calibration claims of src/workload/claims.cc pin them.
  */
 
 #ifndef KVMARM_X86_COST_HH

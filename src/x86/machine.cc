@@ -10,7 +10,7 @@ laptopCosts()
     X86CostModel c;
     c.vmexitHw = 316;
     c.vmentryHw = 316;
-    c.exitDispatch = 704; // Table 3: hypercall 1336 - trap 632
+    c.exitDispatch = 704; // Table 3 laptop: hypercall - trap
     c.mmioDecode = 1250;
     c.mmioDispatch = 540;
     c.kernelToUser = 3400;
@@ -25,7 +25,7 @@ serverCosts()
     X86CostModel c;
     c.vmexitHw = 410;
     c.vmentryHw = 411;
-    c.exitDispatch = 817; // Table 3: hypercall 1638 - trap 821
+    c.exitDispatch = 817; // Table 3 server: hypercall - trap
     c.mmioDecode = 1060;
     c.mmioDispatch = 540;
     c.kernelToUser = 3900;

@@ -9,6 +9,7 @@
 
 #include "sim/logging.hh"
 #include "workload/apps.hh"
+#include "workload/claims.hh"
 #include "workload/harness.hh"
 #include "workload/linux_model.hh"
 
@@ -20,8 +21,7 @@ namespace {
 void
 expectDiagnosed(Experiment exp)
 {
-    for (Platform p : {Platform::ArmVgic, Platform::ArmNoVgic,
-                       Platform::X86Laptop, Platform::X86Server}) {
+    for (Platform p : kPlatforms) {
         SCOPED_TRACE(platformName(p));
         unsigned prepared = 0;
         exp.platform = p;
@@ -107,36 +107,9 @@ TEST(Workload, DeterministicAcrossRuns)
 
 TEST(Workload, VirtualizationNeverSpeedsUpLmbench)
 {
-    for (LmWorkload w : allLmWorkloads()) {
-        Experiment exp;
-        exp.platform = Platform::ArmVgic;
-        exp.numCpus = 1;
-        exp.work = [w](SysPort &port) -> Cycles {
-            LmbenchOps ops(port);
-            ops.run(w, 30);
-            return ops.run(w, 30);
-        };
-        EXPECT_GE(overhead(exp), 0.999) << lmWorkloadName(w);
-    }
-}
-
-TEST(Workload, NoVtimersHurtsClockHeavyWorkloads)
-{
-    auto pipe_overhead = [](Platform p) {
-        Experiment exp;
-        exp.platform = p;
-        exp.numCpus = 1;
-        exp.work = [](SysPort &port) -> Cycles {
-            LmbenchOps ops(port);
-            ops.run(LmWorkload::Pipe, 30);
-            return ops.run(LmWorkload::Pipe, 40);
-        };
-        return overhead(exp);
-    };
-    double with = pipe_overhead(Platform::ArmVgic);
-    double without = pipe_overhead(Platform::ArmNoVgic);
-    EXPECT_LT(with, 1.05);
-    EXPECT_GT(without, 2.0); // "the difference is substantial" (paper)
+    for (const auto &[w, overheads] : runFigure(Figure::Fig3).lmbenchUp)
+        for (double oh : overheads)
+            EXPECT_GE(oh, 0.999) << lmWorkloadName(w);
 }
 
 TEST(Workload, AppOutcomesAreSane)
@@ -179,11 +152,11 @@ TEST(Workload, SmpPingPongCompletes)
 TEST(Workload, AllAppsRunOnAllPlatformsUp)
 {
     // Broad integration sweep: every app on every platform, UP.
-    for (App app : allApps()) {
-        AppOutcome out = runApp(app, Platform::ArmVgic, false);
-        EXPECT_GT(out.overhead, 0.97) << appName(app);
-        EXPECT_LT(out.overhead, 4.0) << appName(app);
-    }
+    for (const auto &[app, outcomes] : runFigure(Figure::Fig5).appsUp)
+        for (const AppOutcome &out : outcomes) {
+            EXPECT_GT(out.overhead, 0.97) << appName(app);
+            EXPECT_LT(out.overhead, 4.0) << appName(app);
+        }
 }
 
 } // namespace
