@@ -12,12 +12,12 @@
  * (arm/gic_dist) too, because the virtual distributor is built on it.
  *
  * Note: our src/kvmx86 is a *behavioral model* of KVM x86 built for the
- * performance comparison, not a reimplementation of its 25,367 lines; the
- * x86 column therefore reports the paper's numbers, and the bench prints
- * our model's size for transparency. The paper's five reasons for x86's
- * extra complexity (shadow paging, feature evolution, instruction
- * decoding, paging modes, interrupts/timers) are design history a clean
- * reimplementation cannot reproduce.
+ * performance comparison, not a reimplementation of it; the x86 column
+ * therefore reports the paper's numbers (23,426 lines over the five
+ * rows), and the bench prints our model's size for transparency. The
+ * paper's five reasons for x86's extra complexity (shadow paging, feature
+ * evolution, instruction decoding, paging modes, interrupts/timers) are
+ * design history a clean reimplementation cannot reproduce.
  */
 
 #include <cstdio>

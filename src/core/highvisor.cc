@@ -79,9 +79,6 @@ Highvisor::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr ipa, const Hsr &hsr)
 {
     const KvmConfig &cfg = kvm_.config();
     cpu.compute(cfg.mmioFaultCost);
-    KVMARM_TRACE(Debug, "cpu%u: MMIO %s at ipa %#llx", cpu.id(),
-                 hsr.isWrite ? "write" : "read",
-                 static_cast<unsigned long long>(ipa));
 
     if (!hsr.isv) {
         // The instruction did not populate the syndrome register; load

@@ -55,8 +55,6 @@ Lowvisor::guestTrap(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
 {
     const auto &cm = cpu.machine().cost();
     vcpu.stats.inc(kExitStats[static_cast<std::size_t>(hsr.ec)]);
-    KVMARM_TRACE(Debug, "cpu%u: guest exit %s", cpu.id(),
-                 arm::excClassName(hsr.ec));
 
     // First half of the split-mode double trap: world switch to the host
     // and ERET into kernel mode, where the highvisor handles the exit.

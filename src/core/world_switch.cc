@@ -274,8 +274,6 @@ WorldSwitch::toVm(ArmCpu &cpu, VCpu &vcpu)
     cpu.setOsVectors(vcpu.guestOs);
     cpu.setHypReturn(vcpu.guestMode, vcpu.guestIrqMasked);
     vcpu.stats.inc("worldswitch.in");
-    KVMARM_TRACE(Debug, "cpu%u: world switch in (vcpu %u)", cpu.id(),
-                 vcpu.index());
     KVMARM_CHECK_ON(ck, worldSwitchEnd(&cpu.machine(), cpu.id(),
                                 check::SwitchDir::ToVm, cpu.hyp()));
 }
@@ -362,8 +360,6 @@ WorldSwitch::toHost(ArmCpu &cpu, VCpu &vcpu)
     cpu.setOsVectors(&kvm_.host());
     cpu.setHypReturn(Mode::Svc, false);
     vcpu.stats.inc("worldswitch.out");
-    KVMARM_TRACE(Debug, "cpu%u: world switch out (vcpu %u)", cpu.id(),
-                 vcpu.index());
     KVMARM_CHECK_ON(ck, worldSwitchEnd(&cpu.machine(), cpu.id(),
                                 check::SwitchDir::ToHost, cpu.hyp()));
 }

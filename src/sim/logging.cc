@@ -1,5 +1,6 @@
 #include "sim/logging.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -26,27 +27,7 @@ writerMutex()
     return m;
 }
 
-TraceLevel
-traceLevelFromEnv()
-{
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): runs once during static
-    // init, before any fleet worker thread exists; nothing calls setenv.
-    const char *env = std::getenv("KVMARM_TRACE");
-    if (!env)
-        return TraceLevel::Off;
-    std::string v(env);
-    if (v == "debug" || v == "2")
-        return TraceLevel::Debug;
-    if (v == "info" || v == "1")
-        return TraceLevel::Info;
-    return TraceLevel::Off;
-}
-
 } // namespace
-
-namespace detail {
-std::atomic<TraceLevel> traceLevel{traceLevelFromEnv()};
-} // namespace detail
 
 std::string
 vstrfmt(const char *fmt, std::va_list ap)
@@ -124,29 +105,6 @@ void
 setInformEnabled(bool enabled)
 {
     informEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-TraceLevel
-traceLevel()
-{
-    return detail::traceLevel.load(std::memory_order_relaxed);
-}
-
-void
-setTraceLevel(TraceLevel lv)
-{
-    detail::traceLevel.store(lv, std::memory_order_relaxed);
-}
-
-void
-traceMsg(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    MutexLock lock(writerMutex());
-    std::fprintf(stderr, "trace: %s\n", msg.c_str());
 }
 
 } // namespace kvmarm

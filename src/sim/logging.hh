@@ -10,7 +10,6 @@
 #ifndef KVMARM_SIM_LOGGING_HH
 #define KVMARM_SIM_LOGGING_HH
 
-#include <atomic>
 #include <cstdarg>
 #include <stdexcept>
 #include <string>
@@ -46,55 +45,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Enable or disable inform() output (benches silence it). */
 void setInformEnabled(bool enabled);
-
-/// @name Leveled trace logging
-///
-/// Diagnostics that live on simulation hot paths (world switches, traps,
-/// MMIO dispatch). The KVMARM_TRACE macro checks the level inline before
-/// evaluating or formatting any argument, so a disabled trace point costs
-/// one predictable branch — never a string format or a function call.
-/// Enable with setTraceLevel() or the KVMARM_TRACE environment variable
-/// ("info" or "debug").
-/// @{
-
-enum class TraceLevel : int
-{
-    Off = 0,
-    Info = 1,
-    Debug = 2,
-};
-
-namespace detail {
-/**
- * Current level; read directly by KVMARM_TRACE's inline check. Initialized
- * once from the environment before main() and otherwise only written by
- * setTraceLevel() in single-threaded setup code (tests, bench main), so a
- * relaxed load keeps the disabled-trace cost at one predictable branch
- * while staying race-free when a machine fleet runs on many host threads.
- */
-extern std::atomic<TraceLevel> traceLevel;
-} // namespace detail
-
-inline bool
-traceEnabled(TraceLevel lv)
-{
-    return static_cast<int>(lv) <=
-           static_cast<int>(detail::traceLevel.load(std::memory_order_relaxed));
-}
-
-TraceLevel traceLevel();
-void setTraceLevel(TraceLevel lv);
-
-/** Emit one trace line (already known to be enabled). */
-void traceMsg(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-#define KVMARM_TRACE(level, ...)                                       \
-    do {                                                               \
-        if (kvmarm::traceEnabled(kvmarm::TraceLevel::level))           \
-            kvmarm::traceMsg(__VA_ARGS__);                             \
-    } while (0)
-
-/// @}
 
 } // namespace kvmarm
 

@@ -151,35 +151,6 @@ MachineBase::nextActivity() const
 }
 
 void
-MachineBase::runSingle(Cycles haltAt)
-{
-    CpuBase *c = cpusBase_.front();
-    while (!stopRequested_) {
-        if (!c->hasEntry() || c->fiberFinished())
-            break;
-        // Only a bounded run treats the horizon as a quiesce point; in an
-        // unbounded run an idle CPU (kNoDeadline) must fall through to the
-        // deadlock diagnosis below, not match kNoDeadline >= kNoDeadline.
-        if (haltAt != kNoDeadline && c->effectiveClock() >= haltAt)
-            break;
-        if (c->effectiveClock() == kNoDeadline) {
-            std::fprintf(stderr,
-                         "  cpu%u: now=%llu waiting=%d finished=%d "
-                         "events=%zu\n",
-                         c->id(), static_cast<unsigned long long>(c->now()),
-                         c->waiting(), c->fiberFinished(),
-                         c->events().size());
-            panic("MachineBase::run: deadlock — every CPU is blocked with "
-                  "no pending events");
-        }
-        // With no second CPU there is no laggard to yield to; the horizon
-        // is the only thing to stop for (kNoDeadline when unbounded).
-        c->setYieldThreshold(haltAt);
-        resume(c);
-    }
-}
-
-void
 MachineBase::resume(CpuBase *c)
 {
     running_ = c;
@@ -196,21 +167,6 @@ void
 MachineBase::run(Cycles haltAt)
 {
     stopRequested_ = false;
-    if (cpusBase_.size() == 1)
-        runSingle(haltAt);
-    else
-        runMulti(haltAt);
-    // Every exit from run() — completion, bounded horizon, requestStop —
-    // leaves the machine quiesced on its own execution thread: publish
-    // the invariant-violation counter so the epoch aggregation
-    // (check::beginEpoch()/aggregateEpoch()) can read it live while
-    // other machines keep running.
-    KVMARM_CHECK_PUBLISH(*this);
-}
-
-void
-MachineBase::runMulti(Cycles haltAt)
-{
     while (!stopRequested_) {
         CpuBase *best = nullptr;
         Cycles best_clock = kNoDeadline;
@@ -251,12 +207,20 @@ MachineBase::runMulti(Cycles haltAt)
                   "no pending events");
         }
 
+        // With no other unfinished CPU there is no laggard to yield to:
+        // the horizon is the threshold (kNoDeadline when unbounded).
         Cycles threshold = second_clock == kNoDeadline
                                ? kNoDeadline
                                : second_clock + quantum_;
         best->setYieldThreshold(std::min(threshold, haltAt));
         resume(best);
     }
+    // Every exit from run() — completion, bounded horizon, requestStop —
+    // leaves the machine quiesced on its own execution thread: publish
+    // the invariant-violation counter so the epoch aggregation
+    // (check::beginEpoch()/aggregateEpoch()) can read it live while
+    // other machines keep running.
+    KVMARM_CHECK_PUBLISH(*this);
 }
 
 void

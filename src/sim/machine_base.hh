@@ -174,15 +174,6 @@ class MachineBase
     CpuBase *running_ = nullptr;
 
   private:
-    /** Run loop specialization for machines with one CPU: no second-best
-     *  clock exists, so skip the scheduler scan and resume the lone fiber
-     *  with the horizon as its yield threshold. */
-    void runSingle(Cycles haltAt);
-
-    /** The general scheduler scan for multi-CPU machines. Both loops exit
-     *  back through run(), which publishes the check epoch. */
-    void runMulti(Cycles haltAt);
-
     /** Resume @p c's fiber with running_ set for the duration, also when
      *  the fiber's entry throws. */
     void resume(CpuBase *c);

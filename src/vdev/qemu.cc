@@ -24,188 +24,77 @@ ssdProfile()
     return {"ssd", 85000, 7, 80};
 }
 
+QemuCore::QemuCore(Addr uart_base, Addr virtio_base)
+    : uartBase_(uart_base), virtioBase_(virtio_base), uart_(120)
+{
+}
+
+void
+QemuCore::addDevice(unsigned slot, const DevProfile &profile)
+{
+    if (devs_.size() <= slot)
+        devs_.resize(slot + 1);
+    devs_[slot] = {true, profile, 0};
+}
+
+std::uint64_t
+QemuCore::completed(unsigned slot) const
+{
+    return slot < devs_.size() ? devs_[slot].completed : 0;
+}
+
 QemuArm::QemuArm(core::Kvm &kvm, core::Vm &vm)
-    : kvm_(kvm), vm_(vm), uart_(120)
+    : QemuCore(ArmMachine::kUartBase, ArmMachine::kVirtioBase), kvm_(kvm),
+      vm_(vm)
 {
     vm_.setUserMmioHandler(
-        [this](arm::ArmCpu &cpu, core::VCpu &vcpu, core::MmioExit &exit) {
-            handleMmio(cpu, vcpu, exit);
+        [this](arm::ArmCpu &cpu, core::VCpu &, core::MmioExit &exit) {
+            handleMmio(cpu, exit.ipa, exit, [this](Cycles done) {
+                kvm_.machine().gicd().raiseSpi(kIothreadSpi, done);
+            });
         });
     kvm_.host().requestIrq(kIothreadSpi, [this](arm::ArmCpu &cpu, IrqId) {
-        iothreadIrq(cpu);
+        drainCompletions(cpu, [this, &cpu](unsigned slot,
+                                           std::uint64_t count) {
+            // DMA the used counter into guest memory (virtio used ring).
+            Addr ipa = ArmMachine::kRamBase + kUsedPageOffset + slot * 8;
+            vm_.stage2().handleRamFault(ipa);
+            if (auto pa = vm_.stage2().ipaToPa(ipa))
+                kvm_.machine().ram().write(*pa, count, 8);
+            vm_.irqLine(cpu, kDevSpiBase + slot);
+        });
     });
     kvm_.host().enableIrq(kvm_.machine().cpu(0), kIothreadSpi);
 }
 
-void
-QemuArm::addDevice(unsigned slot, const DevProfile &profile)
+QemuX86::QemuX86(kvmx86::KvmX86 &kvm, kvmx86::VmX86 &vm)
+    : QemuCore(X86Machine::kUartMmioBase, X86Machine::kVirtioBase),
+      kvm_(kvm), vm_(vm)
 {
-    if (devs_.size() <= slot)
-        devs_.resize(slot + 1);
-    devs_[slot] = {true, profile, 0};
-}
-
-std::uint64_t
-QemuArm::completed(unsigned slot) const
-{
-    return slot < devs_.size() ? devs_[slot].completed : 0;
-}
-
-void
-QemuArm::handleMmio(arm::ArmCpu &cpu, core::VCpu &vcpu,
-                    core::MmioExit &exit)
-{
-    (void)vcpu;
-    cpu.compute(kQemuDeviceWork);
-
-    // UART region.
-    if (exit.ipa >= ArmMachine::kUartBase &&
-        exit.ipa < ArmMachine::kUartBase + 0x1000) {
-        Addr off = exit.ipa - ArmMachine::kUartBase;
-        if (exit.isWrite)
-            uart_.write(cpu.id(), off, exit.data, exit.len);
-        else
-            exit.data = uart_.read(cpu.id(), off, exit.len);
-        exit.handled = true;
-        return;
-    }
-
-    // Emulated kick/complete devices in the virtio slots.
-    if (exit.ipa >= ArmMachine::kVirtioBase) {
-        unsigned slot =
-            static_cast<unsigned>((exit.ipa - ArmMachine::kVirtioBase) /
-                                  0x1000);
-        Addr off = (exit.ipa - ArmMachine::kVirtioBase) % 0x1000;
-        if (slot < devs_.size() && devs_[slot].present) {
-            EmuDev &dev = devs_[slot];
-            if (exit.isWrite && off == modeldev::KICK) {
-                Cycles latency = dev.profile.fixedLatency +
-                                 exit.data * dev.profile.cyclesPerByte;
-                Cycles done = cpu.now() + latency;
-                // The completion lands in QEMU's iothread: queue it and
-                // signal the host through the iothread interrupt.
-                cpu.events().schedule(done, [this, slot, done] {
-                    completions_.push_back(slot);
-                    kvm_.machine().gicd().raiseSpi(kIothreadSpi, done);
-                });
-            } else if (!exit.isWrite && off == modeldev::STATUS) {
-                exit.data = dev.completed;
-            }
+    vm_.setUserMmioHandler([this](x86::X86Cpu &cpu, kvmx86::VCpuX86 &,
+                                  kvmx86::X86MmioExit &exit) {
+        if (exit.isPortIo) {
+            // Console on a port: swallow writes.
+            cpu.compute(kQemuDeviceWork);
             exit.handled = true;
             return;
         }
-    }
-
-    exit.handled = false;
-}
-
-void
-QemuArm::iothreadIrq(arm::ArmCpu &cpu)
-{
-    // Host-side completion processing: eventfd wakeup, then inject the
-    // guest's virtual interrupt through KVM_IRQ_LINE (paper §3.5).
-    while (!completions_.empty()) {
-        unsigned slot = completions_.front();
-        completions_.pop_front();
-        cpu.compute(kIothreadWork);
-        ++devs_[slot].completed;
-        // DMA the used counter into guest memory (virtio used ring).
-        Addr ipa = ArmMachine::kRamBase + kUsedPageOffset + slot * 8;
-        vm_.stage2().handleRamFault(ipa);
-        if (auto pa = vm_.stage2().ipaToPa(ipa))
-            kvm_.machine().ram().write(*pa, devs_[slot].completed, 8);
-        vm_.irqLine(cpu, kDevSpiBase + slot);
-    }
-}
-
-QemuX86::QemuX86(kvmx86::KvmX86 &kvm, kvmx86::VmX86 &vm)
-    : kvm_(kvm), vm_(vm), uart_(120)
-{
-    vm_.setUserMmioHandler([this](x86::X86Cpu &cpu, kvmx86::VCpuX86 &vcpu,
-                                  kvmx86::X86MmioExit &exit) {
-        handleMmio(cpu, vcpu, exit);
+        handleMmio(cpu, exit.gpa, exit, [this, &cpu](Cycles done) {
+            kvm_.machine().apic().postVector(cpu.id(), kIothreadVector,
+                                             done);
+        });
     });
     kvm_.host().requestVector(kIothreadVector, [this](x86::X86Cpu &cpu) {
-        iothreadIrq(cpu);
+        drainCompletions(cpu, [this, &cpu](unsigned slot,
+                                           std::uint64_t count) {
+            Addr gpa = kUsedPageOffset + slot * 8;
+            vm_.handleEptFault(gpa);
+            Addr hpa = 0;
+            if (vm_.translate(gpa, hpa))
+                kvm_.machine().ram().write(hpa, count, 8);
+            vm_.irqLine(cpu, kDevVectorBase + slot, 0);
+        });
     });
-}
-
-void
-QemuX86::addDevice(unsigned slot, const DevProfile &profile)
-{
-    if (devs_.size() <= slot)
-        devs_.resize(slot + 1);
-    devs_[slot] = {true, profile, 0};
-}
-
-std::uint64_t
-QemuX86::completed(unsigned slot) const
-{
-    return slot < devs_.size() ? devs_[slot].completed : 0;
-}
-
-void
-QemuX86::handleMmio(x86::X86Cpu &cpu, kvmx86::VCpuX86 &vcpu,
-                    kvmx86::X86MmioExit &exit)
-{
-    (void)vcpu;
-    cpu.compute(kQemuDeviceWork);
-
-    if (exit.isPortIo) {
-        // Console on a port: swallow writes.
-        exit.handled = true;
-        return;
-    }
-    if (exit.gpa >= X86Machine::kUartMmioBase &&
-        exit.gpa < X86Machine::kUartMmioBase + 0x1000) {
-        Addr off = exit.gpa - X86Machine::kUartMmioBase;
-        if (exit.isWrite)
-            uart_.write(cpu.id(), off, exit.data, exit.len);
-        else
-            exit.data = uart_.read(cpu.id(), off, exit.len);
-        exit.handled = true;
-        return;
-    }
-    if (exit.gpa >= X86Machine::kVirtioBase) {
-        unsigned slot = static_cast<unsigned>(
-            (exit.gpa - X86Machine::kVirtioBase) / 0x1000);
-        Addr off = (exit.gpa - X86Machine::kVirtioBase) % 0x1000;
-        if (slot < devs_.size() && devs_[slot].present) {
-            EmuDev &dev = devs_[slot];
-            if (exit.isWrite && off == modeldev::KICK) {
-                Cycles latency = dev.profile.fixedLatency +
-                                 exit.data * dev.profile.cyclesPerByte;
-                Cycles done = cpu.now() + latency;
-                cpu.events().schedule(done, [this, slot, done, &cpu] {
-                    completions_.push_back(slot);
-                    kvm_.machine().apic().postVector(cpu.id(),
-                                                     kIothreadVector, done);
-                });
-            } else if (!exit.isWrite && off == modeldev::STATUS) {
-                exit.data = dev.completed;
-            }
-            exit.handled = true;
-            return;
-        }
-    }
-    exit.handled = false;
-}
-
-void
-QemuX86::iothreadIrq(x86::X86Cpu &cpu)
-{
-    while (!completions_.empty()) {
-        unsigned slot = completions_.front();
-        completions_.pop_front();
-        cpu.compute(kIothreadWork);
-        ++devs_[slot].completed;
-        Addr gpa = kUsedPageOffset + slot * 8;
-        vm_.handleEptFault(gpa);
-        Addr hpa = 0;
-        if (vm_.translate(gpa, hpa))
-            kvm_.machine().ram().write(hpa, devs_[slot].completed, 8);
-        vm_.irqLine(cpu, kDevVectorBase + slot, 0);
-    }
 }
 
 } // namespace kvmarm::vdev

@@ -3,19 +3,11 @@
 #include <memory>
 #include <vector>
 
-#include "arm/machine.hh"
-#include "core/kvm_stack.hh"
-#include "kvmx86/kvm_x86.hh"
 #include "sim/logging.hh"
 #include "vdev/model_dev.hh"
-#include "vdev/qemu.hh"
-#include "workload/arm_port.hh"
-#include "workload/x86_port.hh"
+#include "workload/arch.hh"
 
 namespace kvmarm::wl {
-
-using arm::ArmMachine;
-using x86::X86Machine;
 
 const char *
 platformName(Platform p)
@@ -75,225 +67,115 @@ measure(Machine &machine, const Experiment &exp, RunMetrics &rm)
     return rm;
 }
 
-/** Native run: boot each port on its CPU, then run work on CPU0 and, on
- *  a 2-CPU run, side on CPU1. */
-template <class Machine, class Port>
-RunMetrics
-runOnPorts(Machine &machine, const Experiment &exp, Port &port0, Port *port1)
+/** One Linux instance on @p Arch: the shared image and a port per CPU
+ *  (port1 only on a 2-CPU run). */
+template <class Arch>
+struct LinuxInstance
 {
-    RunMetrics rm;
-    machine.cpu(0).setEntry([&] {
-        port0.boot();
-        rm.elapsed = exp.work(port0);
-    });
-    if (port1) {
-        machine.cpu(1).setEntry([&] {
-            port1->boot();
-            exp.side(*port1);
-        });
+    LinuxInstance(typename Arch::Machine &machine, unsigned num_cpus)
+        : port0(machine.cpu(0), image, 0)
+    {
+        if (num_cpus == 2) {
+            port1 = std::make_unique<typename Arch::Port>(machine.cpu(1),
+                                                          image, 1);
+            Arch::peer(port0, *port1);
+        }
     }
-    return measure(machine, exp, rm);
-}
 
+    typename Arch::OsImage image{.ramSize = 256 * kMiB};
+    typename Arch::Port port0;
+    std::unique_ptr<typename Arch::Port> port1;
+};
+
+/** Native run: the devices sit on the machine's bus; boot each port on
+ *  its CPU, then run work on CPU0 and, on a 2-CPU run, side on CPU1. */
+template <class Arch>
 RunMetrics
-runArmNative(const Experiment &exp)
+runNativeOn(const Experiment &exp)
 {
-    ArmMachine::Config mc;
-    mc.numCpus = exp.numCpus;
-    mc.ramSize = 512 * kMiB;
-    ArmMachine machine(mc);
+    typename Arch::Machine machine(
+        Arch::machineConfig(exp.platform, exp.numCpus, 512 * kMiB));
 
     auto profiles = deviceProfiles(exp.devices);
     std::vector<std::unique_ptr<vdev::ModelDevice>> devs(profiles.size());
     for (unsigned slot = 0; slot < profiles.size(); ++slot) {
         if (profiles[slot].name.empty())
             continue;
-        IrqId spi = vdev::kDevSpiBase + slot;
-        Addr used = ArmMachine::kRamBase + vdev::kUsedPageOffset + slot * 8;
+        Addr used = Arch::kRamBase + vdev::kUsedPageOffset + slot * 8;
         devs[slot] = std::make_unique<vdev::ModelDevice>(
             profiles[slot], machine.cpuBase(0),
-            [&machine, spi](Cycles when) {
-                machine.gicd().raiseSpi(spi, when);
+            [&machine, slot](Cycles when) {
+                Arch::raiseDevIrq(machine, slot, when);
             },
             [&machine, used](std::uint64_t completed) {
                 machine.ram().write(used, completed, 8);
             });
-        machine.bus().addDevice(ArmMachine::kVirtioBase + slot * 0x1000,
+        machine.bus().addDevice(Arch::Machine::kVirtioBase + slot * 0x1000,
                                 0x1000, devs[slot].get());
     }
 
-    ArmOsImage image;
-    image.ramSize = 256 * kMiB;
-    ArmLinuxPort port0(machine.cpu(0), image, 0);
-    std::unique_ptr<ArmLinuxPort> port1;
-    if (exp.numCpus == 2)
-        port1 = std::make_unique<ArmLinuxPort>(machine.cpu(1), image, 1);
-
-    return runOnPorts(machine, exp, port0, port1.get());
+    LinuxInstance<Arch> os(machine, exp.numCpus);
+    RunMetrics rm;
+    machine.cpu(0).setEntry([&] {
+        os.port0.boot();
+        rm.elapsed = exp.work(os.port0);
+    });
+    if (os.port1) {
+        machine.cpu(1).setEntry([&] {
+            os.port1->boot();
+            exp.side(*os.port1);
+        });
+    }
+    return measure(machine, exp, rm);
 }
 
+/** Virtualized run: the same ports as guest kernels on the platform's
+ *  KVM, with QEMU emulating the devices. */
+template <class Arch>
 RunMetrics
-runArmVirt(const Experiment &exp)
+runVirtOn(const Experiment &exp)
 {
-    core::KvmConfig kc;
-    kc.useVgic = exp.platform == Platform::ArmVgic;
-    kc.useVtimers = kc.useVgic;
-    core::KvmStack stack(
-        {.numCpus = exp.numCpus, .ramSize = 768 * kMiB, .kvm = kc});
+    using Cpu = typename Arch::Cpu;
+    typename Arch::Stack stack(
+        Arch::stackConfig(exp.platform, exp.numCpus, 768 * kMiB));
 
-    std::unique_ptr<core::Vm> vm;
-    std::unique_ptr<vdev::QemuArm> qemu;
-    ArmOsImage image;
-    image.ramSize = 256 * kMiB;
-    ArmLinuxPort port0(stack.machine.cpu(0), image, 0);
-    std::unique_ptr<ArmLinuxPort> port1;
-    if (exp.numCpus == 2)
-        port1 = std::make_unique<ArmLinuxPort>(stack.machine.cpu(1), image, 1);
-
+    std::unique_ptr<typename Arch::Vm> vm;
+    std::unique_ptr<typename Arch::Qemu> qemu;
+    LinuxInstance<Arch> os(stack.machine, exp.numCpus);
     auto profiles = deviceProfiles(exp.devices);
 
     RunMetrics rm;
     bool ready = false;
-    stack.onCpu(0, [&](arm::ArmCpu &cpu) {
+    stack.onCpu(0, [&](Cpu &cpu) {
         vm = stack.kvm.createVm(384 * kMiB);
-        core::VCpu &vcpu0 = vm->addVcpu(0);
+        auto &vcpu0 = vm->addVcpu(0);
         if (exp.numCpus == 2)
             vm->addVcpu(1);
-        qemu = std::make_unique<vdev::QemuArm>(stack.kvm, *vm);
+        qemu = std::make_unique<typename Arch::Qemu>(stack.kvm, *vm);
         for (unsigned slot = 0; slot < profiles.size(); ++slot) {
             if (!profiles[slot].name.empty())
                 qemu->addDevice(slot, profiles[slot]);
         }
-        vcpu0.setGuestOs(&port0);
+        vcpu0.setGuestOs(&os.port0);
         ready = true;
-        vcpu0.run(cpu, [&](arm::ArmCpu &) {
-            port0.boot();
-            rm.elapsed = exp.work(port0);
+        vcpu0.run(cpu, [&](Cpu &) {
+            os.port0.boot();
+            rm.elapsed = exp.work(os.port0);
         });
     });
-    if (port1) {
-        stack.onCpu(1, [&](arm::ArmCpu &cpu) {
+    if (os.port1) {
+        stack.onCpu(1, [&](Cpu &cpu) {
             while (!ready)
                 cpu.compute(500);
-            core::VCpu &vcpu1 = *vm->vcpus()[1];
-            vcpu1.setGuestOs(port1.get());
-            vcpu1.run(cpu, [&](arm::ArmCpu &) {
-                port1->boot();
-                exp.side(*port1);
+            auto &vcpu1 = *vm->vcpus()[1];
+            vcpu1.setGuestOs(os.port1.get());
+            vcpu1.run(cpu, [&](Cpu &) {
+                os.port1->boot();
+                exp.side(*os.port1);
             });
         });
     }
     return measure(stack.machine, exp, rm);
-}
-
-RunMetrics
-runX86Native(const Experiment &exp)
-{
-    X86Machine::Config mc;
-    mc.numCpus = exp.numCpus;
-    mc.ramSize = 512 * kMiB;
-    mc.platform = exp.platform == Platform::X86Laptop
-                      ? x86::X86Platform::Laptop
-                      : x86::X86Platform::Server;
-    X86Machine machine(mc);
-
-    auto profiles = deviceProfiles(exp.devices);
-    std::vector<std::unique_ptr<vdev::ModelDevice>> devs(profiles.size());
-    for (unsigned slot = 0; slot < profiles.size(); ++slot) {
-        if (profiles[slot].name.empty())
-            continue;
-        std::uint8_t vec = vdev::kDevVectorBase + slot;
-        Addr used = vdev::kUsedPageOffset + slot * 8;
-        devs[slot] = std::make_unique<vdev::ModelDevice>(
-            profiles[slot], machine.cpuBase(0),
-            [&machine, vec](Cycles when) {
-                machine.apic().postVector(0, vec, when);
-            },
-            [&machine, used](std::uint64_t completed) {
-                machine.ram().write(used, completed, 8);
-            });
-        machine.bus().addDevice(X86Machine::kVirtioBase + slot * 0x1000,
-                                0x1000, devs[slot].get());
-    }
-
-    X86OsImage image;
-    image.ramSize = 256 * kMiB;
-    X86LinuxPort port0(machine.cpu(0), image, 0);
-    std::unique_ptr<X86LinuxPort> port1;
-    if (exp.numCpus == 2) {
-        port1 = std::make_unique<X86LinuxPort>(machine.cpu(1), image, 1);
-        port0.peer = port1.get();
-        port1->peer = &port0;
-    }
-
-    return runOnPorts(machine, exp, port0, port1.get());
-}
-
-RunMetrics
-runX86Virt(const Experiment &exp)
-{
-    X86Machine::Config mc;
-    mc.numCpus = exp.numCpus;
-    mc.ramSize = 768 * kMiB;
-    mc.platform = exp.platform == Platform::X86Laptop
-                      ? x86::X86Platform::Laptop
-                      : x86::X86Platform::Server;
-    X86Machine machine(mc);
-    kvmx86::X86Host hostx(machine);
-    kvmx86::KvmX86 kvm(hostx);
-
-    std::unique_ptr<kvmx86::VmX86> vm;
-    std::unique_ptr<vdev::QemuX86> qemu;
-    X86OsImage image;
-    image.ramSize = 256 * kMiB;
-    X86LinuxPort port0(machine.cpu(0), image, 0);
-    std::unique_ptr<X86LinuxPort> port1;
-    if (exp.numCpus == 2) {
-        port1 = std::make_unique<X86LinuxPort>(machine.cpu(1), image, 1);
-        port0.peer = port1.get();
-        port1->peer = &port0;
-    }
-
-    auto profiles = deviceProfiles(exp.devices);
-
-    RunMetrics rm;
-    bool ready = false;
-    machine.cpu(0).setEntry([&] {
-        x86::X86Cpu &cpu = machine.cpu(0);
-        hostx.boot(0);
-        kvm.initCpu(cpu);
-        vm = kvm.createVm(384 * kMiB);
-        kvmx86::VCpuX86 &vcpu0 = vm->addVcpu(0);
-        if (exp.numCpus == 2)
-            vm->addVcpu(1);
-        qemu = std::make_unique<vdev::QemuX86>(kvm, *vm);
-        for (unsigned slot = 0; slot < profiles.size(); ++slot) {
-            if (!profiles[slot].name.empty())
-                qemu->addDevice(slot, profiles[slot]);
-        }
-        vcpu0.setGuestOs(&port0);
-        ready = true;
-        vcpu0.run(cpu, [&](x86::X86Cpu &) {
-            port0.boot();
-            rm.elapsed = exp.work(port0);
-        });
-    });
-    if (port1) {
-        machine.cpu(1).setEntry([&] {
-            x86::X86Cpu &cpu = machine.cpu(1);
-            hostx.boot(1);
-            kvm.initCpu(cpu);
-            while (!ready)
-                cpu.compute(500);
-            kvmx86::VCpuX86 &vcpu1 = *vm->vcpus()[1];
-            vcpu1.setGuestOs(port1.get());
-            vcpu1.run(cpu, [&](x86::X86Cpu &) {
-                port1->boot();
-                exp.side(*port1);
-            });
-        });
-    }
-    return measure(machine, exp, rm);
 }
 
 /** Start a run: diagnose a malformed experiment before any machine is
@@ -318,14 +200,16 @@ RunMetrics
 runNative(const Experiment &exp)
 {
     start(exp);
-    return isArm(exp.platform) ? runArmNative(exp) : runX86Native(exp);
+    return isArm(exp.platform) ? runNativeOn<ArmArch>(exp)
+                              : runNativeOn<X86Arch>(exp);
 }
 
 RunMetrics
 runVirt(const Experiment &exp)
 {
     start(exp);
-    return isArm(exp.platform) ? runArmVirt(exp) : runX86Virt(exp);
+    return isArm(exp.platform) ? runVirtOn<ArmArch>(exp)
+                              : runVirtOn<X86Arch>(exp);
 }
 
 double

@@ -2,137 +2,78 @@
 
 #include <memory>
 
-#include "core/kvm_stack.hh"
+#include "workload/arch.hh"
+#include "workload/microbench_x86.hh"
 
 namespace kvmarm::wl {
 
-using arm::ArmCpu;
-using arm::ArmMachine;
-using core::VCpu;
-using core::Vm;
-
 namespace {
 
-/** Shared-guest-memory mailbox addresses (IPAs, VA==IPA, MMU off). */
-constexpr Addr kFlagResponse = ArmMachine::kRamBase + 0x1000;
-
-/**
- * The "custom small guest OS": enough of a kernel to take interrupts
- * through the (virtual) GIC CPU interface and run the measurement loops.
- */
-class MicroGuestOs : public arm::OsVectors
-{
-  public:
-    void
-    irq(ArmCpu &cpu) override
-    {
-        Cycles t0 = cpu.now();
-        std::uint32_t iar = static_cast<std::uint32_t>(
-            cpu.memRead(ArmMachine::kGiccBase + arm::gicc::IAR, 4));
-        IrqId irq_id = iar & 0x3FF;
-        if (irq_id == arm::kSpuriousIrq)
-            return;
-        cpu.memWrite(ArmMachine::kGiccBase + arm::gicc::EOIR, iar);
-        lastAckEoiCycles = cpu.now() - t0;
-        totalAckEoiCycles += lastAckEoiCycles;
-        ++irqCount;
-        // Respond to IPIs through shared guest memory only after the IPI
-        // is complete (the paper measures "until the other core responds
-        // and completes the IPI").
-        if (irq_id < arm::kNumSgis) {
-            ++ipisReceived;
-            cpu.memWrite(kFlagResponse, ipisReceived, 4);
-        }
-    }
-
-    void svc(ArmCpu &, std::uint32_t) override {}
-    bool pageFault(ArmCpu &, Addr, bool, bool) override { return false; }
-    const char *name() const override { return "micro-guest"; }
-
-    /** Guest boot: enable the distributor, the SGIs, and the CPU
-     *  interface — all through (trapped or virtualized) MMIO. */
-    void
-    boot(ArmCpu &cpu)
-    {
-        cpu.memWrite(ArmMachine::kGicdBase + arm::gicd::CTLR, 1);
-        cpu.memWrite(ArmMachine::kGicdBase + arm::gicd::ISENABLER, 0xFFFF);
-        cpu.memWrite(ArmMachine::kGiccBase + arm::gicc::PMR, 0xFF);
-        cpu.memWrite(ArmMachine::kGiccBase + arm::gicc::CTLR, 1);
-        cpu.setIrqMasked(false);
-    }
-
-    std::uint64_t ipisReceived = 0;
-    std::uint64_t irqCount = 0;
-    Cycles lastAckEoiCycles = 0;
-    Cycles totalAckEoiCycles = 0;
-};
-
-} // namespace
-
+/** The Table 3 measurement loops on a fresh 2-CPU @p Arch stack: VCPU0
+ *  times each operation, VCPU1 spins inside the VM answering IPIs. */
+template <class Arch>
 MicroResults
-runArmMicrobench(const ArmMicroSetup &setup)
+runTable3(const typename Arch::Stack::Config &config, unsigned iters)
 {
-    core::KvmConfig kc;
-    kc.useVgic = setup.useVgic;
-    kc.useVtimers = setup.useVtimers;
-    core::KvmStack stack({.numCpus = 2, .ramSize = 256 * kMiB, .kvm = kc});
-    MicroResults results;
-    const unsigned iters = setup.iterations;
+    using Cpu = typename Arch::Cpu;
+    constexpr Addr kFlagResponse = Arch::kRamBase + kMicroFlagOffset;
 
-    std::unique_ptr<Vm> vm;
-    MicroGuestOs guest_os0;
-    MicroGuestOs guest_os1;
+    typename Arch::Stack stack(config);
+    MicroResults results;
+    std::unique_ptr<typename Arch::Vm> vm;
+    typename Arch::MicroGuest guest0;
+    typename Arch::MicroGuest guest1;
     bool responder_ready = false;
     bool responder_done = false;
 
-    stack.onCpu(0, [&](ArmCpu &cpu) {
+    stack.onCpu(0, [&](Cpu &cpu) {
         vm = stack.kvm.createVm(128 * kMiB);
-        VCpu &vcpu0 = vm->addVcpu(0);
-        VCpu &vcpu1 = vm->addVcpu(1);
-        vcpu0.setGuestOs(&guest_os0);
-        vcpu1.setGuestOs(&guest_os1);
+        auto &vcpu0 = vm->addVcpu(0);
+        auto &vcpu1 = vm->addVcpu(1);
+        vcpu0.setGuestOs(&guest0);
+        vcpu1.setGuestOs(&guest1);
 
         // In-kernel test device for "I/O Kernel".
-        vm->addKernelDevice(Vm::kKernelTestDevBase, 0x1000,
+        vm->addKernelDevice(Arch::Vm::kKernelTestDevBase, 0x1000,
                             [](bool, Addr, std::uint64_t, unsigned) {
                                 return std::uint64_t{0};
                             });
         // User-space (QEMU) emulation for everything else ("I/O User").
-        vm->setUserMmioHandler([](ArmCpu &c, VCpu &, core::MmioExit &exit) {
+        vm->setUserMmioHandler([](Cpu &c, auto &, auto &exit) {
             c.compute(800); // QEMU device model work
             exit.handled = true;
             exit.data = 0;
         });
 
-        vcpu0.run(cpu, [&](ArmCpu &c) {
-            guest_os0.boot(c);
+        vcpu0.run(cpu, [&](Cpu &c) {
+            guest0.boot(c);
 
             // Warm up: map the mailbox page and settle lazy state.
             c.memWrite(kFlagResponse, 0, 4);
-            c.hvc(core::hvc::kTestHypercall);
+            Arch::hypercall(c);
 
             // --- Hypercall ---
             Cycles t0 = c.now();
             for (unsigned i = 0; i < iters; ++i)
-                c.hvc(core::hvc::kTestHypercall);
+                Arch::hypercall(c);
             results.hypercall = (c.now() - t0) / iters;
 
             // --- Trap (no world switch) ---
             t0 = c.now();
             for (unsigned i = 0; i < iters; ++i)
-                c.hvc(core::hvc::kTrapOnly);
+                Arch::trapOnly(c);
             results.trap = (c.now() - t0) / iters;
 
             // --- I/O Kernel ---
             t0 = c.now();
             for (unsigned i = 0; i < iters; ++i)
-                c.memWrite(Vm::kKernelTestDevBase, i, 4);
+                c.memWrite(Arch::Vm::kKernelTestDevBase, i, 4);
             results.ioKernel = (c.now() - t0) / iters;
 
             // --- I/O User ---
             t0 = c.now();
             for (unsigned i = 0; i < iters; ++i)
-                c.memWrite(ArmMachine::kUartBase, 'x', 4);
+                c.memWrite(Arch::kUserIoBase, 'x', 4);
             results.ioUser = (c.now() - t0) / iters;
 
             // --- IPI round trip (needs the responder on VCPU1) ---
@@ -140,43 +81,38 @@ runArmMicrobench(const ArmMicroSetup &setup)
                 c.compute(200);
             t0 = c.now();
             for (unsigned i = 0; i < iters; ++i) {
-                // GICD_SGIR: target list = vcpu1, SGI 5.
-                c.memWrite(ArmMachine::kGicdBase + arm::gicd::SGIR,
-                           (1u << 17) | 5);
+                Arch::ipi(c);
                 while (c.memRead(kFlagResponse, 4) < i + 1)
                     c.compute(40);
             }
             results.ipi = (c.now() - t0) / iters;
 
             // --- EOI+ACK (measured inside the IRQ handler) ---
-            guest_os0.totalAckEoiCycles = 0;
-            guest_os0.irqCount = 0;
+            guest0.totalAckEoiCycles = 0;
+            guest0.irqCount = 0;
             for (unsigned i = 0; i < iters; ++i) {
-                // Self-IPI delivers a virtual interrupt whose handler
-                // times its ACK+EOI sequence; the SGIR trap itself forces
-                // the world switch that programs the list register.
-                c.memWrite(ArmMachine::kGicdBase + arm::gicd::SGIR,
-                           (2u << 24) | 7);
-                while (guest_os0.irqCount < i + 1)
+                // A self-IPI delivers a virtual interrupt whose handler
+                // times its ACK+EOI sequence.
+                Arch::selfIpi(c);
+                while (guest0.irqCount < i + 1)
                     c.compute(40);
             }
-            results.eoiAck = guest_os0.irqCount
-                                 ? guest_os0.totalAckEoiCycles /
-                                       guest_os0.irqCount
-                                 : 0;
+            results.eoiAck = guest0.irqCount ? guest0.totalAckEoiCycles /
+                                                   guest0.irqCount
+                                             : 0;
 
             responder_done = true;
         });
     });
 
-    stack.onCpu(1, [&](ArmCpu &cpu) {
+    stack.onCpu(1, [&](Cpu &cpu) {
         // Spin (stay schedulable) until cpu0 has created the VM.
         while (!vm || vm->vcpus().size() < 2)
             cpu.compute(500);
-        VCpu &vcpu1 = *vm->vcpus()[1];
+        auto &vcpu1 = *vm->vcpus()[1];
 
-        vcpu1.run(cpu, [&](ArmCpu &c) {
-            guest_os1.boot(c);
+        vcpu1.run(cpu, [&](Cpu &c) {
+            guest1.boot(c);
             responder_ready = true;
             // Actively spin inside the VM (paper: "both are actively
             // running inside the VM") responding to IPIs via the handler.
@@ -187,6 +123,26 @@ runArmMicrobench(const ArmMicroSetup &setup)
 
     stack.machine.run();
     return results;
+}
+
+} // namespace
+
+MicroResults
+runArmMicrobench(const ArmMicroSetup &setup)
+{
+    return runTable3<ArmArch>(
+        {.numCpus = 2,
+         .ramSize = 256 * kMiB,
+         .kvm = {.useVgic = setup.useVgic, .useVtimers = setup.useVtimers}},
+        setup.iterations);
+}
+
+MicroResults
+runX86Microbench(const X86MicroSetup &setup)
+{
+    return runTable3<X86Arch>(
+        {.numCpus = 2, .ramSize = 256 * kMiB, .platform = setup.platform},
+        setup.iterations);
 }
 
 } // namespace kvmarm::wl

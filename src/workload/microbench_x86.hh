@@ -1,7 +1,8 @@
 /**
  * @file
  * The Table 3 micro-benchmarks on the x86 comparison machines (laptop and
- * server calibrations), mirroring workload/microbench.hh.
+ * server calibrations), mirroring workload/microbench.hh; the ARM and x86
+ * columns share the Table 3 loops in workload/microbench.cc.
  */
 
 #ifndef KVMARM_WORKLOAD_MICROBENCH_X86_HH

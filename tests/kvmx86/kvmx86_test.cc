@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "kvmx86/kvm_x86.hh"
+#include "kvmx86/kvm_x86_stack.hh"
 
 namespace kvmarm {
 namespace {
@@ -15,9 +15,7 @@ namespace {
 using kvmx86::KvmX86;
 using kvmx86::VCpuX86;
 using kvmx86::VmX86;
-using kvmx86::X86Host;
 using x86::X86Cpu;
-using x86::X86Machine;
 
 class CountingGuestX86 : public x86::X86OsVectors
 {
@@ -37,37 +35,22 @@ class CountingGuestX86 : public x86::X86OsVectors
 class KvmX86Test : public ::testing::Test
 {
   protected:
-    KvmX86Test()
-    {
-        X86Machine::Config mc;
-        mc.numCpus = 2;
-        mc.ramSize = 128 * kMiB;
-        machine = std::make_unique<X86Machine>(mc);
-        hostx = std::make_unique<X86Host>(*machine);
-        kvm = std::make_unique<KvmX86>(*hostx);
-    }
-
     void
     runOnCpu0(const std::function<void(X86Cpu &)> &body)
     {
-        machine->cpu(0).setEntry([this, body] {
-            hostx->boot(0);
-            kvm->initCpu(machine->cpu(0));
-            body(machine->cpu(0));
-        });
-        machine->run();
+        stack.onCpu(0, body);
+        stack.machine.run();
     }
 
-    std::unique_ptr<X86Machine> machine;
-    std::unique_ptr<X86Host> hostx;
-    std::unique_ptr<KvmX86> kvm;
+    kvmx86::KvmX86Stack stack{{.numCpus = 2, .ramSize = 128 * kMiB}};
+    KvmX86 &kvm = stack.kvm;
     CountingGuestX86 guest;
 };
 
 TEST_F(KvmX86Test, GuestRunsAndHypercalls)
 {
     runOnCpu0([&](X86Cpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = kvm.createVm(64 * kMiB);
         VCpuX86 &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest);
         vcpu.run(cpu, [&](X86Cpu &c) {
@@ -82,7 +65,7 @@ TEST_F(KvmX86Test, GuestRunsAndHypercalls)
 TEST_F(KvmX86Test, EptFaultsPopulateMemory)
 {
     runOnCpu0([&](X86Cpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = kvm.createVm(64 * kMiB);
         VCpuX86 &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest);
         vcpu.run(cpu, [&](X86Cpu &c) {
@@ -97,7 +80,7 @@ TEST_F(KvmX86Test, EptFaultsPopulateMemory)
 TEST_F(KvmX86Test, GuestStateSurvivesResidency)
 {
     runOnCpu0([&](X86Cpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = kvm.createVm(64 * kMiB);
         VCpuX86 &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest);
         cpu.regs()[x86::Gpr::RBX] = 0x1234;
@@ -117,7 +100,7 @@ TEST_F(KvmX86Test, GuestStateSurvivesResidency)
 TEST_F(KvmX86Test, EoiTrapsAndIsEmulated)
 {
     runOnCpu0([&](X86Cpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = kvm.createVm(64 * kMiB);
         VCpuX86 &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest);
         vcpu.run(cpu, [&](X86Cpu &c) {
@@ -139,11 +122,8 @@ TEST_F(KvmX86Test, VirtualIpiAcrossVcpus)
     CountingGuestX86 guest1;
     bool ready = false, done = false;
 
-    machine->cpu(0).setEntry([&] {
-        X86Cpu &cpu = machine->cpu(0);
-        hostx->boot(0);
-        kvm->initCpu(cpu);
-        vm = kvm->createVm(64 * kMiB);
+    stack.onCpu(0, [&](X86Cpu &cpu) {
+        vm = kvm.createVm(64 * kMiB);
         VCpuX86 &vcpu0 = vm->addVcpu(0);
         vm->addVcpu(1);
         vcpu0.setGuestOs(&guest);
@@ -159,10 +139,7 @@ TEST_F(KvmX86Test, VirtualIpiAcrossVcpus)
             done = true;
         });
     });
-    machine->cpu(1).setEntry([&] {
-        X86Cpu &cpu = machine->cpu(1);
-        hostx->boot(1);
-        kvm->initCpu(cpu);
+    stack.onCpu(1, [&](X86Cpu &cpu) {
         while (!vm || vm->vcpus().size() < 2)
             cpu.compute(300);
         VCpuX86 &vcpu1 = *vm->vcpus()[1];
@@ -174,14 +151,14 @@ TEST_F(KvmX86Test, VirtualIpiAcrossVcpus)
                 c.compute(150);
         });
     });
-    machine->run();
+    stack.machine.run();
     EXPECT_EQ(guest1.received[0xC1], 1);
 }
 
 TEST_F(KvmX86Test, HltBlocksUntilInjection)
 {
     runOnCpu0([&](X86Cpu &cpu) {
-        auto vm = kvm->createVm(64 * kMiB);
+        auto vm = kvm.createVm(64 * kMiB);
         VCpuX86 &vcpu = vm->addVcpu(0);
         vcpu.setGuestOs(&guest);
         vcpu.run(cpu, [&](X86Cpu &c) {

@@ -13,6 +13,7 @@
 #include "arm/machine.hh"
 #include "check/invariants.hh"
 #include "core/kvm_stack.hh"
+#include "kvmx86/kvm_x86_stack.hh"
 #include "sim/logging.hh"
 #include "sim/ring_channel.hh"
 #include "vdev/model_dev.hh"
@@ -88,26 +89,47 @@ TEST(ModelDevice, DmaWritesUsedCounter)
     machine.run();
 }
 
-TEST(QemuArm, EmulatesUartAndDevicesForVm)
-{
-    core::KvmStack stack({.numCpus = 1, .ramSize = 256 * kMiB, .kvm = {}});
+// ------------------------------------------------------------------ QEMU
 
-    class DevGuest : public arm::OsVectors
+/** What a QEMU test guest saw of the device interrupts. */
+struct DevIrqLog
+{
+    unsigned lastIrq = 0;
+    std::uint64_t used = 0; //!< the slot's used counter, read on its irq
+
+    /** Interrupt @p irq arrived: if it is device slot (irq - @p dev_base)'s,
+     *  read that slot's used counter from guest RAM at @p ram_base. */
+    template <class Cpu>
+    void
+    record(Cpu &cpu, unsigned irq, unsigned dev_base, Addr ram_base)
+    {
+        if (irq < dev_base || irq >= dev_base + 8)
+            return;
+        lastIrq = irq;
+        used = cpu.memRead(
+            ram_base + vdev::kUsedPageOffset + (irq - dev_base) * 8, 8);
+    }
+};
+
+/** The ARM half of the QEMU test. */
+struct ArmQemuCase
+{
+    using Stack = core::KvmStack;
+    using Qemu = vdev::QemuArm;
+    static constexpr Addr kUartBase = ArmMachine::kUartBase;
+    static constexpr Addr kVirtioBase = ArmMachine::kVirtioBase;
+    static constexpr unsigned kDevIrqBase = vdev::kDevSpiBase;
+
+    class Guest : public arm::OsVectors, public DevIrqLog
     {
       public:
         void
         irq(ArmCpu &cpu) override
         {
-            std::uint32_t iar = static_cast<std::uint32_t>(cpu.memRead(
-                ArmMachine::kGiccBase + arm::gicc::IAR, 4));
-            IrqId id = iar & 0x3FF;
-            if (id >= vdev::kDevSpiBase && id < vdev::kDevSpiBase + 8) {
-                completions = cpu.memRead(
-                    ArmMachine::kRamBase + vdev::kUsedPageOffset +
-                        (id - vdev::kDevSpiBase) * 8,
-                    8);
-            }
-            if (id != arm::kSpuriousIrq)
+            auto iar = static_cast<std::uint32_t>(
+                cpu.memRead(ArmMachine::kGiccBase + arm::gicc::IAR, 4));
+            record(cpu, iar & 0x3FF, kDevIrqBase, ArmMachine::kRamBase);
+            if ((iar & 0x3FF) != arm::kSpuriousIrq)
                 cpu.memWrite(ArmMachine::kGiccBase + arm::gicc::EOIR, iar);
         }
         void svc(ArmCpu &, std::uint32_t) override {}
@@ -116,45 +138,117 @@ TEST(QemuArm, EmulatesUartAndDevicesForVm)
             return false;
         }
         const char *name() const override { return "dev-guest"; }
-        std::uint64_t completions = 0;
-    } guest;
 
-    stack.onCpu(0, [&](ArmCpu &cpu) {
-        auto vm = stack.kvm.createVm(64 * kMiB);
-        core::VCpu &vcpu = vm->addVcpu(0);
-        vcpu.setGuestOs(&guest);
-        vdev::QemuArm qemu(stack.kvm, *vm);
-        qemu.addDevice(0, vdev::usbEthProfile());
-
-        vcpu.run(cpu, [&](ArmCpu &c) {
-            // Guest GIC bring-up.
+        /** Enable and target the device SPIs, then the CPU interface. */
+        void
+        boot(ArmCpu &c)
+        {
             c.memWrite(ArmMachine::kGicdBase + arm::gicd::CTLR, 1);
             c.memWrite(ArmMachine::kGicdBase + arm::gicd::ISENABLER + 4,
-                       0xFFu << (vdev::kDevSpiBase - 32));
+                       0xFFu << (kDevIrqBase - 32));
             c.memWrite(ArmMachine::kGicdBase + arm::gicd::ITARGETSR +
-                           vdev::kDevSpiBase,
-                       1);
+                           kDevIrqBase,
+                       0x01010101);
             c.memWrite(ArmMachine::kGiccBase + arm::gicc::PMR, 0xFF);
             c.memWrite(ArmMachine::kGiccBase + arm::gicc::CTLR, 1);
             c.setIrqMasked(false);
+        }
+    };
 
-            // UART through user space.
-            c.memWrite(ArmMachine::kUartBase + vdev::uart::DR, 'V', 4);
+    /** ARM has no port I/O. @return the port writes made. */
+    static unsigned consoleOnPort(ArmCpu &) { return 0; }
+};
 
-            // Kick the net device and wait for its completion interrupt.
-            c.memWrite(ArmMachine::kVirtioBase + vdev::modeldev::KICK,
-                       256);
-            while (guest.completions < 1)
+/** The x86 half of the QEMU test. */
+struct X86QemuCase
+{
+    using Stack = kvmx86::KvmX86Stack;
+    using Qemu = vdev::QemuX86;
+    static constexpr Addr kUartBase = x86::X86Machine::kUartMmioBase;
+    static constexpr Addr kVirtioBase = x86::X86Machine::kVirtioBase;
+    static constexpr unsigned kDevIrqBase = vdev::kDevVectorBase;
+
+    class Guest : public x86::X86OsVectors, public DevIrqLog
+    {
+      public:
+        void
+        interrupt(x86::X86Cpu &cpu, std::uint8_t vector) override
+        {
+            record(cpu, vector, kDevIrqBase, x86::X86Machine::kRamBase);
+            cpu.memWrite(x86::kApicBase + x86::apic::EOI, 0, 4);
+        }
+        void syscall(x86::X86Cpu &, std::uint32_t) override {}
+        const char *name() const override { return "dev-guest-x86"; }
+
+        void boot(x86::X86Cpu &c) { c.setIf(true); }
+    };
+
+    /** A console write on the legacy COM1 port, which QEMU swallows.
+     *  @return the port writes made. */
+    static unsigned
+    consoleOnPort(x86::X86Cpu &c)
+    {
+        c.portIo(0x3F8, true, 'P');
+        return 1;
+    }
+};
+
+/** Drive one 1-CPU VM's UART, port console and device slot 1 through
+ *  @p Case's QEMU. */
+template <class Case>
+void
+emulateUartAndDevices()
+{
+    constexpr Addr kSlot1 = Case::kVirtioBase + 0x1000;
+    typename Case::Stack::Config config;
+    config.numCpus = 1;
+    config.ramSize = 256 * kMiB;
+    typename Case::Stack stack(config);
+    typename Case::Guest guest;
+    unsigned port_writes = 0;
+
+    stack.onCpu(0, [&](auto &cpu) {
+        auto vm = stack.kvm.createVm(64 * kMiB);
+        auto &vcpu = vm->addVcpu(0);
+        vcpu.setGuestOs(&guest);
+        typename Case::Qemu qemu(stack.kvm, *vm);
+        qemu.addDevice(1, vdev::usbEthProfile());
+
+        vcpu.run(cpu, [&](auto &c) {
+            guest.boot(c);
+            // UART through user space; TX is always ready.
+            c.memWrite(Case::kUartBase + vdev::uart::DR, 'V', 4);
+            EXPECT_EQ(c.memRead(Case::kUartBase + vdev::uart::FR, 4), 0u);
+            port_writes = Case::consoleOnPort(c);
+
+            // Kick slot 1 and wait (boundedly) for its completion irq.
+            c.memWrite(kSlot1 + vdev::modeldev::KICK, 256, 4);
+            for (int i = 0; i < 1000 && guest.used < 1; ++i)
                 c.compute(2000);
+            EXPECT_EQ(c.memRead(kSlot1 + vdev::modeldev::STATUS, 4), 1u);
         });
 
         EXPECT_EQ(qemu.uart().output(), "V");
-        EXPECT_EQ(qemu.completed(0), 1u);
-        EXPECT_EQ(guest.completions, 1u);
-        // The completion travelled host-iothread -> KVM_IRQ_LINE -> LR.
-        EXPECT_GE(cpu.stats().counterValue("host.irq.unhandled"), 0u);
+        EXPECT_EQ(qemu.completed(1), 1u);
+        // The completion travelled host iothread -> KVM_IRQ_LINE -> guest
+        // as slot 1's interrupt, after the used counter was DMAed.
+        EXPECT_EQ(guest.lastIrq, Case::kDevIrqBase + 1);
+        EXPECT_EQ(guest.used, 1u);
+        // UART write and read, kick, status read, and any port write
+        // each exited to user space.
+        EXPECT_EQ(vcpu.stats.counterValue("mmio.user"), 4u + port_writes);
     });
     stack.machine.run();
+}
+
+TEST(Qemu, EmulatesUartAndDevicesForVm)
+{
+    {
+        SCOPED_TRACE("ARM");
+        emulateUartAndDevices<ArmQemuCase>();
+    }
+    SCOPED_TRACE("x86");
+    emulateUartAndDevices<X86QemuCase>();
 }
 
 // ------------------------------------------------------------------ vring
