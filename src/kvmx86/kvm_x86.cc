@@ -1,6 +1,7 @@
 #include "kvmx86/kvm_x86.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -9,7 +10,6 @@ namespace kvmarm::kvmx86 {
 using x86::ExitInfo;
 using x86::ExitReason;
 using x86::X86Cpu;
-using x86::X86Machine;
 
 VCpuX86::VCpuX86(VmX86 &vm, unsigned index, CpuId phys_cpu)
     : vm_(vm), index_(index), physCpu_(phys_cpu)
@@ -32,7 +32,8 @@ VCpuX86::run(X86Cpu &cpu,
 }
 
 VmX86::VmX86(KvmX86 &kvm, Addr guest_ram_size)
-    : kvm_(kvm), ramSize_(guest_ram_size)
+    : kvm_(kvm), ramSize_(guest_ram_size),
+      pages_(pageAlignUp(guest_ram_size) >> kPageShift)
 {
 }
 
@@ -51,19 +52,24 @@ VmX86::handleEptFault(Addr gpa)
 {
     if (gpa >= ramSize_)
         return false;
-    Addr page = pageAlignDown(gpa);
-    if (!pages_.count(page))
-        pages_[page] = kvm_.host().mm().getUserPages();
+    std::optional<Addr> &slot = pages_.at(gpa >> kPageShift);
+    if (!slot) {
+        slot = kvm_.host().mm().getUserPages();
+        ++mappedPages_;
+    }
     return true;
 }
 
 bool
 VmX86::translate(Addr gpa, Addr &hpa)
 {
-    auto it = pages_.find(pageAlignDown(gpa));
-    if (it == pages_.end())
+    // Every non-APIC guest access lands here, MMIO included.
+    if (gpa >= ramSize_)
         return false;
-    hpa = it->second | (gpa & (kPageSize - 1));
+    const std::optional<Addr> *slot = pages_.find(gpa >> kPageShift);
+    if (!slot || !*slot)
+        return false;
+    hpa = **slot | (gpa & (kPageSize - 1));
     return true;
 }
 
@@ -143,12 +149,8 @@ KvmX86::saveVcpu(X86Cpu &cpu, VCpuX86 &vcpu)
     vcpu.guestUserMode = vmcs.guestUserMode;
     vcpu.guestIf = vmcs.guestIf;
     if (cpu.injectVector()) {
-        // An injected-but-not-yet-taken vector returns to the pending set.
-        auto &isr = vcpu.apic.inService;
-        auto it = std::find(isr.rbegin(), isr.rend(), cpu.injectVector());
-        if (it != isr.rend())
-            isr.erase(std::next(it).base());
-        vcpu.apic.pending.push_back(cpu.injectVector());
+        // An injected-but-not-yet-taken vector returns to the IRR.
+        vcpu.apic.unaccept(cpu.injectVector());
         cpu.setInjectVector(0);
     }
 }
@@ -156,15 +158,10 @@ KvmX86::saveVcpu(X86Cpu &cpu, VCpuX86 &vcpu)
 void
 KvmX86::injectPending(X86Cpu &cpu, VCpuX86 &vcpu)
 {
-    if (cpu.injectVector() || vcpu.apic.pending.empty())
+    // One injection at a time: the VMCS field holds a single vector.
+    std::uint8_t vec = cpu.injectVector() ? 0 : vcpu.apic.accept();
+    if (!vec)
         return;
-    auto best = std::max_element(vcpu.apic.pending.begin(),
-                                 vcpu.apic.pending.end());
-    if (!vcpu.apic.inService.empty() && *best <= vcpu.apic.inService.back())
-        return;
-    std::uint8_t vec = *best;
-    vcpu.apic.pending.erase(best);
-    vcpu.apic.inService.push_back(vec);
     cpu.setInjectVector(vec);
     // Hardware event injection on vmentry (paper §2: interrupt delivery
     // itself is cheap; it is EOI that must trap without a virtual APIC).
@@ -177,7 +174,7 @@ KvmX86::deliverVirq(X86Cpu &current_cpu, VCpuX86 &target,
 {
     const x86::X86CostModel &cm = machine().cost();
     current_cpu.compute(2 * cm.atomicOp); // irq routing lock
-    target.apic.pending.push_back(vector);
+    target.apic.pend(vector);
 
     if (target.blocked) {
         // Waking a halted VCPU is a real reschedule IPI to its physical
@@ -256,6 +253,11 @@ KvmX86::userMmioExit(X86Cpu &cpu, VCpuX86 &vcpu, X86MmioExit &exit)
         return;
     }
     host_.runInUserspace(cpu, [&] { handler(cpu, vcpu, exit); });
+    if (!exit.handled)
+        warn("qemu: unhandled %s %s at %#llx",
+             exit.isPortIo ? "port" : "MMIO", exit.isWrite ? "write" : "read",
+             static_cast<unsigned long long>(exit.isPortIo ? exit.port
+                                                            : exit.gpa));
     cpu.completeMmio(exit.data);
 }
 
@@ -269,8 +271,7 @@ KvmX86::handleApicAccess(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
         // Fast path: no decode needed, the EOI value is ignored. Still a
         // full trap to root mode — Table 3's EOI+ACK on x86.
         cpu.compute(cm.apicEmulate + cm.atomicOp);
-        if (!vcpu.apic.inService.empty())
-            vcpu.apic.inService.pop_back();
+        vcpu.apic.eoi();
         injectPending(cpu, vcpu);
         cpu.completeMmio(0);
         return;
@@ -278,71 +279,46 @@ KvmX86::handleApicAccess(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
 
     // All other APIC registers go through the instruction emulator.
     cpu.compute(cm.mmioDecode + cm.apicEmulate);
-    if (info.isWrite) {
-        switch (info.apicOffset) {
-          case x86::apic::ICR_HI:
-            vcpu.apic.icrHi = info.value;
-            break;
-          case x86::apic::ICR_LO: {
-            // Virtual IPI: route to the destination VCPU under the
-            // emulation lock (paper §6's x86 analogue).
-            cpu.compute(2 * cm.atomicOp);
-            std::uint8_t vec = info.value & 0xFF;
-            unsigned shorthand = (info.value >> 18) & 0x3;
-            unsigned dest = (vcpu.apic.icrHi >> 56) & 0xFF;
-            auto &vcpus = vcpu.vm().vcpus();
-            if (shorthand == 1) {
-                deliverVirq(cpu, vcpu, vec);
-            } else if (shorthand == 0 && dest < vcpus.size()) {
-                deliverVirq(cpu, *vcpus[dest], vec);
-            } else if (shorthand == 3) {
-                for (auto &v : vcpus)
-                    if (v.get() != &vcpu)
-                        deliverVirq(cpu, *v, vec);
-            }
-            break;
-          }
-          case x86::apic::TIMER_INIT: {
-            // In-kernel APIC timer emulation via a host software timer.
-            VCpuX86 *target = &vcpu;
-            X86Machine &m = machine();
-            CpuId phys = vcpu.physCpu();
-            if (vcpu.apic.timerSoftId)
-                host_.timers().cancel(vcpu.apic.timerSoftId);
-            vcpu.apic.timerSoftId = host_.timers().start(
-                phys, cpu.now() + info.value, [this, &m, phys, target] {
-                    target->apic.timerSoftId = 0;
-                    deliverVirq(m.cpu(phys), *target,
-                                target->apic.timerVector);
-                });
-            break;
-          }
-          case x86::apic::LVT_TIMER:
-            vcpu.apic.timerVector = info.value & 0xFF;
-            if ((info.value & (1u << 16)) && vcpu.apic.timerSoftId) {
-                host_.timers().cancel(vcpu.apic.timerSoftId);
-                vcpu.apic.timerSoftId = 0;
-            }
-            break;
-          default:
-            break;
-        }
-        cpu.completeMmio(0);
+    if (!info.isWrite) {
+        cpu.completeMmio(vcpu.apic.read(info.apicOffset, vcpu.index()));
         return;
     }
-
-    std::uint64_t result = 0;
-    switch (info.apicOffset) {
-      case x86::apic::ID:
-        result = std::uint64_t(vcpu.index()) << 24;
-        break;
-      case x86::apic::ICR_HI:
-        result = vcpu.apic.icrHi;
-        break;
-      default:
-        break;
+    if (info.apicOffset == x86::apic::ICR_LO) {
+        // Virtual IPI: route to the destination VCPUs under the
+        // emulation lock (paper §6's x86 analogue).
+        cpu.compute(2 * cm.atomicOp);
+        auto &vcpus = vcpu.vm().vcpus();
+        x86::ApicState::Ipi ipi = vcpu.apic.decodeIcr(
+            info.value, vcpu.index(), static_cast<unsigned>(vcpus.size()));
+        for (std::uint64_t t = ipi.targets; t; t &= t - 1)
+            deliverVirq(cpu, *vcpus[std::countr_zero(t)], ipi.vector);
+    } else if (info.apicOffset == x86::apic::TIMER_INIT) {
+        armGuestTimer(vcpu, cpu.now() + info.value);
+    } else if (vcpu.apic.write(info.apicOffset, info.value)) {
+        cancelGuestTimer(vcpu);
     }
-    cpu.completeMmio(result);
+    cpu.completeMmio(0);
+}
+
+void
+KvmX86::armGuestTimer(VCpuX86 &vcpu, Cycles deadline)
+{
+    // In-kernel APIC timer emulation via a host software timer.
+    cancelGuestTimer(vcpu);
+    CpuId phys = vcpu.physCpu();
+    vcpu.apicTimer = host_.timers().start(phys, deadline, [this, phys, &vcpu] {
+        vcpu.apicTimer = 0;
+        deliverVirq(machine().cpu(phys), vcpu, vcpu.apic.timerVector());
+    });
+}
+
+void
+KvmX86::cancelGuestTimer(VCpuX86 &vcpu)
+{
+    if (vcpu.apicTimer) {
+        host_.timers().cancel(vcpu.apicTimer);
+        vcpu.apicTimer = 0;
+    }
 }
 
 void
@@ -364,8 +340,7 @@ KvmX86::handleHlt(X86Cpu &cpu, VCpuX86 &vcpu)
     vcpu.stats.inc("emul.hlt");
     vcpu.blocked = true;
     host_.blockUntil(cpu, [&] {
-        return vcpu.kicked || vcpu.stopRequested ||
-               !vcpu.apic.pending.empty();
+        return vcpu.kicked || vcpu.stopRequested || vcpu.apic.anyPending();
     });
     vcpu.blocked = false;
     vcpu.kicked = false;
@@ -411,27 +386,14 @@ KvmX86::vmexit(X86Cpu &cpu, const ExitInfo &info)
       case ExitReason::IoInstruction:
         handleIo(cpu, *vcpu, info);
         break;
-      case ExitReason::MsrWrite: {
+      case ExitReason::MsrWrite:
         // TSC-deadline write: in-kernel APIC timer emulation, no decode
         // (the value arrives in registers).
         cpu.compute(cm.apicEmulate);
         vcpu->stats.inc("emul.tscdeadline");
-        VCpuX86 *target = vcpu;
-        X86Machine &m = machine();
-        CpuId phys = vcpu->physCpu();
-        if (vcpu->apic.timerSoftId)
-            host_.timers().cancel(vcpu->apic.timerSoftId);
-        Cycles deadline = info.value + vcpu->tscOffset;
-        if (deadline <= cpu.now())
-            deadline = cpu.now() + 1;
-        vcpu->apic.timerSoftId = host_.timers().start(
-            phys, deadline, [this, &m, phys, target] {
-                target->apic.timerSoftId = 0;
-                deliverVirq(m.cpu(phys), *target,
-                            target->apic.timerVector);
-            });
+        armGuestTimer(*vcpu, std::max<Cycles>(info.value + vcpu->tscOffset,
+                                              cpu.now() + 1));
         break;
-      }
       case ExitReason::Hlt:
         handleHlt(cpu, *vcpu);
         break;

@@ -14,11 +14,13 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "kvmx86/host_x86.hh"
+#include "mem/page_map.hh"
 #include "sim/stats.hh"
+#include "x86/apic.hh"
 #include "x86/cpu.hh"
 
 namespace kvmarm::kvmx86 {
@@ -42,8 +44,6 @@ inline constexpr auto kExitStats =
 
 /** The vector KVM uses to kick a remote VCPU out of guest mode. */
 inline constexpr std::uint8_t kKickVector = 0xF2;
-/** Vector of the guest's (virtual) APIC timer. */
-inline constexpr std::uint8_t kGuestTimerVector = 0xEF;
 
 /** MMIO exit to user space (KVM_EXIT_MMIO / KVM_EXIT_IO). */
 struct X86MmioExit
@@ -55,16 +55,6 @@ struct X86MmioExit
     unsigned len = 4;
     std::uint64_t data = 0;
     bool handled = false;
-};
-
-/** Per-VCPU in-kernel virtual APIC state. */
-struct VirtApic
-{
-    std::vector<std::uint8_t> pending;
-    std::vector<std::uint8_t> inService;
-    std::uint64_t icrHi = 0;
-    std::uint8_t timerVector = kGuestTimerVector;
-    std::uint64_t timerSoftId = 0;
 };
 
 /** One x86 virtual CPU. */
@@ -84,7 +74,10 @@ class VCpuX86
     std::uint64_t tscOffset = 0;
     x86::X86OsVectors *guestOs = nullptr;
 
-    VirtApic apic;
+    /** The in-kernel virtual APIC, and the host soft timer that stands
+     *  in for its timer (0 when disarmed). */
+    x86::ApicState apic;
+    std::uint64_t apicTimer = 0;
     bool blocked = false;
     bool kicked = false;
     bool stopRequested = false;
@@ -119,7 +112,7 @@ class VmX86 : public x86::EptView
      *  GPA is not guest RAM (treated as MMIO). */
     bool handleEptFault(Addr gpa);
 
-    std::size_t mappedPages() const { return pages_.size(); }
+    std::size_t mappedPages() const { return mappedPages_; }
 
     /// @name x86::EptView
     /// @{
@@ -152,7 +145,8 @@ class VmX86 : public x86::EptView
 
     KvmX86 &kvm_;
     Addr ramSize_;
-    std::unordered_map<Addr, Addr> pages_; //!< gpa page -> hpa page
+    PageMap<std::optional<Addr>> pages_; //!< gpa page -> hpa page
+    std::size_t mappedPages_ = 0;
     std::vector<std::unique_ptr<VCpuX86>> vcpus_;
     std::vector<KernelDevice> kernelDevices_;
     UserMmioHandler userMmio_;
@@ -198,6 +192,9 @@ class KvmX86 : public x86::VmxHandler
                   const x86::ExitInfo &info);
     void handleHlt(x86::X86Cpu &cpu, VCpuX86 &vcpu);
     void injectPending(x86::X86Cpu &cpu, VCpuX86 &vcpu);
+    /** (Re)arm @p vcpu's APIC timer as a host soft timer at @p deadline. */
+    void armGuestTimer(VCpuX86 &vcpu, Cycles deadline);
+    void cancelGuestTimer(VCpuX86 &vcpu);
     void userMmioExit(x86::X86Cpu &cpu, VCpuX86 &vcpu, X86MmioExit &exit);
 
     X86Host &host_;

@@ -71,7 +71,7 @@ class X86LinuxPort : public SysPort, public x86::X86OsVectors
     /// @}
 
     static constexpr std::uint8_t kRescheduleVector = 0xFD;
-    static constexpr std::uint8_t kTimerVector = 0xEF;
+    static constexpr std::uint8_t kTimerVector = x86::kDefaultTimerVector;
     static constexpr std::uint8_t kShootdownVector = 0xFB;
 
     /** Shootdown acks this CPU's handler has produced. */

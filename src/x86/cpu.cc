@@ -151,7 +151,7 @@ X86Cpu::wrmsrTscDeadline(std::uint64_t deadline)
         return;
     }
     addCycles(40); // wrmsr
-    machine_.apic().programTimer(id_, deadline, 0xEF);
+    machine_.apic().programTimer(id_, deadline);
 }
 
 void

@@ -71,9 +71,21 @@ TEST_F(KvmX86Test, EptFaultsPopulateMemory)
         vcpu.run(cpu, [&](X86Cpu &c) {
             c.memWrite(0x5000, 0xAB, 8);
             EXPECT_EQ(c.memRead(0x5000, 8), 0xABu);
+            c.memWrite(0x5008, 0xCD, 8); // same page: no second fault
+            c.memWrite(0x9000, 0xEF, 8);
         });
-        EXPECT_EQ(vcpu.stats.counterValue("fault.ept"), 1u);
-        EXPECT_EQ(vm->mappedPages(), 1u);
+        EXPECT_EQ(vcpu.stats.counterValue("fault.ept"), 2u);
+        EXPECT_EQ(vm->mappedPages(), 2u);
+        // Populating a faulted page again maps nothing new.
+        EXPECT_TRUE(vm->handleEptFault(0x5010));
+        EXPECT_EQ(vm->mappedPages(), 2u);
+        // A GPA at or beyond the end of guest RAM is never translated.
+        Addr hpa = 0;
+        EXPECT_TRUE(vm->translate(0x9004, hpa));
+        EXPECT_FALSE(vm->handleEptFault(vm->ramSize()));
+        EXPECT_FALSE(vm->translate(vm->ramSize(), hpa));
+        EXPECT_FALSE(vm->translate(vm->ramSize() + 0x5000, hpa));
+        EXPECT_EQ(vm->mappedPages(), 2u);
     });
 }
 
@@ -112,8 +124,43 @@ TEST_F(KvmX86Test, EoiTrapsAndIsEmulated)
         });
         // The handler's EOI was an APIC-access exit (no vAPIC, paper §2).
         EXPECT_GE(vcpu.stats.counterValue("apic.access"), 1u);
-        EXPECT_TRUE(vcpu.apic.inService.empty());
+        EXPECT_FALSE(vcpu.apic.anyInService());
     });
+}
+
+TEST_F(KvmX86Test, RepostedVectorIsDeliveredOnce)
+{
+    // CPU1 (root mode, like QEMU's iothread) raises the same vector twice
+    // for VCPU0 before the kick IPI gets VCPU0 out of guest mode. The
+    // virtual IRR holds it once, so the guest takes it once and EOIs
+    // once.
+    std::unique_ptr<VmX86> vm;
+    bool ready = false, done = false;
+
+    stack.onCpu(0, [&](X86Cpu &cpu) {
+        vm = kvm.createVm(64 * kMiB);
+        VCpuX86 &vcpu = vm->addVcpu(0);
+        vcpu.setGuestOs(&guest);
+        vcpu.run(cpu, [&](X86Cpu &c) {
+            c.setIf(true);
+            ready = true;
+            while (!done)
+                c.compute(200);
+        });
+        EXPECT_EQ(vcpu.stats.counterValue("apic.access"), 1u);
+    });
+    stack.onCpu(1, [&](X86Cpu &cpu) {
+        while (!ready)
+            cpu.compute(300);
+        vm->irqLine(cpu, 0xA5, 0);
+        vm->irqLine(cpu, 0xA5, 0);
+        while (guest.received[0xA5] < 1)
+            cpu.compute(300);
+        cpu.compute(50000); // room for a second delivery
+        done = true;
+    });
+    stack.machine.run();
+    EXPECT_EQ(guest.received[0xA5], 1);
 }
 
 TEST_F(KvmX86Test, VirtualIpiAcrossVcpus)
@@ -167,7 +214,7 @@ TEST_F(KvmX86Test, HltBlocksUntilInjection)
             c.wrmsrTscDeadline(c.rdtsc() + 40000);
             c.hlt();
             c.compute(10);
-            EXPECT_EQ(guest.received[kvmx86::kGuestTimerVector], 1);
+            EXPECT_EQ(guest.received[x86::kDefaultTimerVector], 1);
         });
         EXPECT_GE(vcpu.stats.counterValue("exit.hlt"), 1u);
         EXPECT_GE(vcpu.stats.counterValue("emul.tscdeadline"), 1u);

@@ -219,7 +219,17 @@ emulateUartAndDevices()
             // UART through user space; TX is always ready.
             c.memWrite(Case::kUartBase + vdev::uart::DR, 'V', 4);
             EXPECT_EQ(c.memRead(Case::kUartBase + vdev::uart::FR, 4), 0u);
+            testing::internal::CaptureStderr();
             port_writes = Case::consoleOnPort(c);
+            EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+            // Slot 3 has no device: QEMU leaves the access unhandled.
+            testing::internal::CaptureStderr();
+            (void)c.memRead(Case::kVirtioBase + 0x3000, 4);
+            const std::string warned = testing::internal::GetCapturedStderr();
+            EXPECT_NE(warned.find("qemu: unhandled MMIO read"),
+                      std::string::npos)
+                << warned;
 
             // Kick slot 1 and wait (boundedly) for its completion irq.
             c.memWrite(kSlot1 + vdev::modeldev::KICK, 256, 4);
@@ -234,9 +244,9 @@ emulateUartAndDevices()
         // as slot 1's interrupt, after the used counter was DMAed.
         EXPECT_EQ(guest.lastIrq, Case::kDevIrqBase + 1);
         EXPECT_EQ(guest.used, 1u);
-        // UART write and read, kick, status read, and any port write
-        // each exited to user space.
-        EXPECT_EQ(vcpu.stats.counterValue("mmio.user"), 4u + port_writes);
+        // UART write and read, the unclaimed read, kick, status read,
+        // and any port write each exited to user space.
+        EXPECT_EQ(vcpu.stats.counterValue("mmio.user"), 5u + port_writes);
     });
     stack.machine.run();
 }

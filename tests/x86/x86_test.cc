@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "sim/logging.hh"
@@ -141,7 +142,7 @@ TEST_F(X86Test, ApicAccessAlwaysExitsInGuest)
         cpu().compute(1);
         ASSERT_EQ(machine->apic().acceptVector(0), 0x40);
         cpu().memWrite(kApicBase + apic::EOI, 0, 4);
-        EXPECT_TRUE(machine->apic().bank(0).inService.empty());
+        EXPECT_FALSE(machine->apic().state(0).anyInService());
     });
 }
 
@@ -310,12 +311,17 @@ TEST_F(X86Test, HltWaitsForInterrupt)
 /** The level the CPU once polled on every charge: the highest pending
  *  vector, deliverable only above the innermost in-service one. */
 bool
-scannedApicLevel(const ApicBank &b)
+scannedApicLevel(const ApicState &s)
 {
     std::uint8_t best = 0;
-    for (std::uint8_t v : b.pending)
-        best = std::max(best, v);
-    return best != 0 && (b.inService.empty() || best > b.inService.back());
+    int innermost = -1;
+    for (unsigned v = 0; v < 256; ++v) {
+        if (s.pending(std::uint8_t(v)))
+            best = std::uint8_t(v);
+        if (s.inService(std::uint8_t(v)))
+            innermost = int(v);
+    }
+    return best != 0 && (innermost < 0 || best > innermost);
 }
 
 TEST(X86ApicPin, SeededOpsMatchScan)
@@ -349,7 +355,7 @@ TEST(X86ApicPin, SeededOpsMatchScan)
                 apic.acceptVector(c);
                 break;
               case 3:
-                if (!apic.bank(c).inService.empty())
+                if (apic.state(c).anyInService())
                     apic.eoi(c);
                 break;
               default:
@@ -358,7 +364,7 @@ TEST(X86ApicPin, SeededOpsMatchScan)
             }
             for (CpuId k = 0; k < mc.numCpus; ++k) {
                 bool pin = machine.cpu(k).irqPin(X86Cpu::kPinApic);
-                ASSERT_EQ(pin, scannedApicLevel(apic.bank(k)))
+                ASSERT_EQ(pin, scannedApicLevel(apic.state(k)))
                     << "cpu" << k << " at step " << i;
                 high += pin;
             }
@@ -366,6 +372,165 @@ TEST(X86ApicPin, SeededOpsMatchScan)
         EXPECT_GT(high, kSteps / 10);
         EXPECT_LT(high, 2 * kSteps - kSteps / 10);
     }
+}
+
+/** The xAPIC as ordered sets: the IRR, and the ISR whose highest member
+ *  an EOI clears. */
+struct SetApicModel
+{
+    std::set<unsigned> irr, isr;
+
+    unsigned
+    deliverable() const
+    {
+        if (irr.empty() || *irr.rbegin() == 0)
+            return 0;
+        if (!isr.empty() && *irr.rbegin() <= *isr.rbegin())
+            return 0;
+        return *irr.rbegin();
+    }
+
+    unsigned
+    accept()
+    {
+        unsigned v = deliverable();
+        if (v) {
+            irr.erase(v);
+            isr.insert(v);
+        }
+        return v;
+    }
+
+    bool
+    eoi()
+    {
+        if (isr.empty())
+            return false;
+        isr.erase(std::prev(isr.end()));
+        return true;
+    }
+
+    /** CPUs an ICR_LO write from @p self reaches among @p n CPUs. */
+    static std::set<unsigned>
+    targets(std::uint64_t icr_lo, std::uint64_t icr_hi, unsigned self,
+            unsigned n)
+    {
+        std::set<unsigned> t;
+        unsigned dest = unsigned(icr_hi >> 56);
+        for (unsigned c = 0; c < n; ++c) {
+            switch ((icr_lo >> 18) & 3) {
+              case 0:
+                if (c == dest)
+                    t.insert(c);
+                break;
+              case 1:
+                if (c == self)
+                    t.insert(c);
+                break;
+              case 2:
+                t.insert(c);
+                break;
+              case 3:
+                if (c != self)
+                    t.insert(c);
+                break;
+            }
+        }
+        return t;
+    }
+};
+
+TEST(X86ApicState, SeededOpsMatchSetModel)
+{
+    // Seeded pends (often of a vector already pending), accepts, EOIs
+    // (some on an empty ISR), returns of an accepted vector, and ICR
+    // writes with every shorthand. After every step the IRR, the ISR and
+    // the deliverable vector equal the model's.
+    constexpr int kSteps = 4000;
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        ApicState apic;
+        SetApicModel model;
+        std::array<std::uint8_t, 6> pool{};
+        for (std::uint8_t &v : pool)
+            v = std::uint8_t(0x10 + rng.range(0xF0));
+        std::array<int, 6> seen{};
+        for (int i = 0; i < kSteps; ++i) {
+            unsigned op = unsigned(rng.range(6));
+            ++seen[op];
+            switch (op) {
+              case 0: {
+                auto v = pool[rng.range(pool.size())];
+                apic.pend(v);
+                model.irr.insert(v);
+                break;
+              }
+              case 1:
+                ASSERT_EQ(apic.accept(), model.accept()) << "step " << i;
+                break;
+              case 2:
+                ASSERT_EQ(apic.eoi(), model.eoi()) << "step " << i;
+                break;
+              case 3: {
+                // Return a vector that was accepted but never taken.
+                unsigned v = model.accept();
+                ASSERT_EQ(apic.accept(), v) << "step " << i;
+                if (v) {
+                    apic.unaccept(std::uint8_t(v));
+                    model.isr.erase(v);
+                    model.irr.insert(v);
+                }
+                break;
+              }
+              case 4: {
+                unsigned n = 1 + unsigned(rng.range(8));
+                unsigned self = unsigned(rng.range(n));
+                std::uint64_t hi = rng.range(10) << 56;
+                std::uint64_t lo = (rng.range(4) << 18) | rng.range(256);
+                EXPECT_FALSE(apic.write(apic::ICR_HI, hi));
+                EXPECT_EQ(apic.read(apic::ICR_HI, self), hi);
+                ApicState::Ipi ipi = apic.decodeIcr(lo, self, n);
+                EXPECT_EQ(ipi.vector, lo & 0xFF);
+                EXPECT_EQ(ipi.shorthand, (lo >> 18) & 3);
+                std::set<unsigned> got;
+                for (unsigned c = 0; c < 64; ++c)
+                    if (ipi.targets >> c & 1)
+                        got.insert(c);
+                ASSERT_EQ(got, SetApicModel::targets(lo, hi, self, n))
+                    << "step " << i << " icr " << std::hex << lo;
+                break;
+              }
+              default:
+                break;
+            }
+            for (unsigned v = 0; v < 256; ++v) {
+                ASSERT_EQ(apic.pending(std::uint8_t(v)), model.irr.count(v))
+                    << "vector " << v << " at step " << i;
+                ASSERT_EQ(apic.inService(std::uint8_t(v)), model.isr.count(v))
+                    << "vector " << v << " at step " << i;
+            }
+            ASSERT_EQ(apic.deliverable(), model.deliverable());
+            ASSERT_EQ(apic.anyPending(), !model.irr.empty());
+            ASSERT_EQ(apic.anyInService(), !model.isr.empty());
+        }
+        for (int n : seen)
+            EXPECT_GT(n, kSteps / 10);
+    }
+}
+
+TEST(X86ApicState, RegisterDecode)
+{
+    ApicState apic;
+    EXPECT_EQ(apic.read(apic::ID, 3), std::uint64_t(3) << 24);
+    EXPECT_EQ(apic.timerVector(), kDefaultTimerVector);
+    EXPECT_FALSE(apic.write(apic::LVT_TIMER, 0x31));
+    EXPECT_EQ(apic.timerVector(), 0x31);
+    EXPECT_TRUE(apic.write(apic::LVT_TIMER, (1u << 16) | 0x32));
+    EXPECT_EQ(apic.timerVector(), 0x32);
+    EXPECT_EQ(apic.read(apic::LVT_TIMER, 0), 0u);
+    EXPECT_FALSE(apic.write(apic::TPR, 0x20));
+    EXPECT_FALSE(apic.eoi()); // empty ISR
 }
 
 TEST(X86Snapshot, TakeSnapshotFailsInsteadOfDroppingCpuAndApicState)
