@@ -5,8 +5,9 @@
 #include "arm/vgic.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <cstdio>
+#include <cstring>
+#include <sstream>
 #include "sim/logging.hh"
 
 namespace kvmarm::arm {
@@ -112,13 +113,47 @@ struct ArmCpu::BurstPage
     std::uint64_t interleaves = 0;
 };
 
+namespace {
+
+/** Little-endian load of @p len (1/2/4/8) bytes, as PhysMem::read. */
+inline std::uint64_t
+loadBytes(const std::uint8_t *p, unsigned len)
+{
+    std::uint64_t v = 0;
+    switch (len) {
+      case 1: std::memcpy(&v, p, 1); break;
+      case 2: std::memcpy(&v, p, 2); break;
+      case 4: std::memcpy(&v, p, 4); break;
+      case 8: std::memcpy(&v, p, 8); break;
+      default: std::memcpy(&v, p, len); break;
+    }
+    return v;
+}
+
+/** Store of the low @p len bytes of @p v, as PhysMem::write. */
+inline void
+storeBytes(std::uint8_t *p, std::uint64_t v, unsigned len)
+{
+    switch (len) {
+      case 1: std::memcpy(p, &v, 1); break;
+      case 2: std::memcpy(p, &v, 2); break;
+      case 4: std::memcpy(p, &v, 4); break;
+      case 8: std::memcpy(p, &v, 8); break;
+      default: std::memcpy(p, &v, len); break;
+    }
+}
+
+} // namespace
+
 std::uint64_t
 ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
-                  bool isv, BurstPage *burst)
+                  bool isv, BurstPage *burst, const Tlb::Probe *probe)
 {
     Access acc = write ? Access::Write : Access::Read;
     for (int attempt = 0; attempt < 16; ++attempt) {
-        TranslateResult tr = mmu_.translate(va, acc, mode_);
+        TranslateResult tr = mmu_.translate(va, acc, mode_, probe);
+        probe = nullptr; // a retry follows a trap that may change the TLB
+        const std::uint64_t tlb_epoch = mmu_.tlb().epoch();
         if (burst) {
             // Taken before any cycles are charged: an event run by the
             // addCycles() calls below bumps interleaves() and disarms.
@@ -134,6 +169,27 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
         }
         if (tr.cost)
             addCycles(tr.cost);
+        PhysMem &ram = armMachine_.ram();
+        if (tr.ok && (va & (kPageSize - 1)) + len <= kPageSize &&
+            ram.contains(tr.pa)) {
+            // A RAM access within one page: what Bus and PhysMem would do,
+            // through the one page lookup whose result the TLB slot then
+            // keeps, unless the charge above changed the TLB.
+            const PhysMem::HostPage h = write ? ram.hostPageForWrite(tr.pa)
+                                              : ram.hostPageForRead(tr.pa);
+            const Addr off = tr.pa & (kPageSize - 1);
+            std::uint64_t v = 0;
+            if (write)
+                storeBytes(const_cast<std::uint8_t *>(h.bytes) + off, value,
+                           len);
+            else if (h.bytes)
+                v = loadBytes(h.bytes + off, len);
+            if (tr.slot != Tlb::kNone && h.bytes &&
+                mmu_.tlb().epoch() == tlb_epoch)
+                mmu_.tlb().hostPage(tr.slot) = h;
+            addCycles(Bus::kRamLatency);
+            return v;
+        }
         if (tr.ok) {
             BusAccess ba = write
                                ? armMachine_.bus().write(id_, tr.pa, value, len)
@@ -174,13 +230,27 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
 std::uint64_t
 ArmCpu::memRead(Addr va, unsigned len, bool isv)
 {
-    return accessMem(va, false, 0, len, isv);
+    Tlb::Probe probe;
+    if (const std::uint8_t *p =
+            mmu_.hostAccess(va, len, Access::Read, mode_, probe)) {
+        const std::uint64_t v = loadBytes(p, len);
+        addCycles(Bus::kRamLatency);
+        return v;
+    }
+    return accessMem(va, false, 0, len, isv, nullptr, &probe);
 }
 
 void
 ArmCpu::memWrite(Addr va, std::uint64_t value, unsigned len, bool isv)
 {
-    accessMem(va, true, value, len, isv);
+    Tlb::Probe probe;
+    if (std::uint8_t *p =
+            mmu_.hostAccess(va, len, Access::Write, mode_, probe)) {
+        storeBytes(p, value, len);
+        addCycles(Bus::kRamLatency);
+        return;
+    }
+    accessMem(va, true, value, len, isv, nullptr, &probe);
 }
 
 void

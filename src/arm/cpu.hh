@@ -312,10 +312,12 @@ class ArmCpu : public CpuBase
     void takeIrqToKernel();
     bool takePageFaultToKernel(Addr va, bool write, Access acc);
     /** The full load/store path. A non-null @p burst is re-armed with the
-     *  successful translation when regBurst() may reuse it. */
+     *  successful translation when regBurst() may reuse it; @p probe is
+     *  Mmu::hostAccess()'s set scan for this access, if it made one. */
     std::uint64_t accessMem(Addr va, bool write, std::uint64_t value,
                             unsigned len, bool isv,
-                            BurstPage *burst = nullptr);
+                            BurstPage *burst = nullptr,
+                            const Tlb::Probe *probe = nullptr);
 
     ArmMachine &armMachine_;
     /** The owning machine's invariant engine (null when the check layer is

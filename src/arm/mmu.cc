@@ -48,7 +48,7 @@ checkS2Perms(const Perms &p, Access acc)
 
 } // namespace
 
-Mmu::Mmu(ArmCpu &cpu) : cpu_(cpu)
+Mmu::Mmu(ArmCpu &cpu) : cpu_(cpu), ram_(cpu.machine().ram())
 {
 }
 
@@ -199,8 +199,43 @@ Mmu::translateHyp(Addr va, Access acc)
     return res;
 }
 
+TlbKey
+Mmu::pl1Key(Addr va) const
+{
+    const RegisterFile &regs = cpu_.regs();
+    bool s1_on = regs[CtrlReg::SCTLR] & 1;
+    bool s2_on = cpu_.hyp().hcr.vm;
+    std::uint8_t vmid = s2_on ? std::uint8_t(cpu_.hyp().vmid()) : 0;
+    std::uint32_t asid = s1_on ? regs[CtrlReg::CONTEXTIDR] : 0;
+    return {TlbRegime::Pl0Pl1, vmid, asid, pageAlignDown(va)};
+}
+
+std::uint8_t *
+Mmu::hostAccess(Addr va, unsigned len, Access acc, Mode mode,
+                Tlb::Probe &probe)
+{
+    if (mode == Mode::Hyp)
+        return nullptr;
+    const TlbKey key = pl1Key(va);
+    probe = tlb_.probe(key);
+    if (probe.hit == Tlb::kNone)
+        return nullptr;
+    const PhysMem::HostPage &h = tlb_.hostPage(probe.hit);
+    const Addr off = va & (kPageSize - 1);
+    const TlbEntry &e = tlb_.entry(probe.hit);
+    if (!h.bytes || !ram_.current(h) || (acc == Access::Write && !h.priv) ||
+        off + len > kPageSize || !checkS1Perms(e.s1Perms, acc, mode) ||
+        (e.hasStage2 && !checkS2Perms(e.s2Perms, acc)))
+        return nullptr;
+    // translate()'s TLB hit, less the TranslateResult. A private page is
+    // a non-const object, so writing through it is sound.
+    tlb_.countHit();
+    microFill(key, e, acc);
+    return const_cast<std::uint8_t *>(h.bytes) + off;
+}
+
 TranslateResult
-Mmu::translate(Addr va, Access acc, Mode mode)
+Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
 {
     if (mode == Mode::Hyp)
         return translateHyp(va, acc);
@@ -212,40 +247,31 @@ Mmu::translate(Addr va, Access acc, Mode mode)
 
     bool s1_on = regs[CtrlReg::SCTLR] & 1;
     bool s2_on = cpu_.hyp().hcr.vm;
-    std::uint8_t vmid = s2_on ? std::uint8_t(cpu_.hyp().vmid()) : 0;
-    std::uint32_t asid = s1_on ? regs[CtrlReg::CONTEXTIDR] : 0;
 
-    TlbKey key{TlbRegime::Pl0Pl1, vmid, asid, pageAlignDown(va)};
-    if (const TlbEntry *e = microLookup(key, acc)) {
-        // Fast path: same page as the last access of this kind. Taken only
-        // when the access fully succeeds; permission problems fall through
-        // to the full lookup/walk for precise fault reporting.
-        if (checkS1Perms(e->s1Perms, acc, mode) &&
-            (!e->hasStage2 || checkS2Perms(e->s2Perms, acc))) {
-            tlb_.countHit();
-            res.ok = true;
-            res.pa = e->ppage | (va & (kPageSize - 1));
-            res.device = e->device;
-            return res;
-        }
-    }
-    if (const TlbEntry *e = tlb_.lookup(key)) {
-        if (!checkS1Perms(e->s1Perms, acc, mode)) {
+    // No micro-TLB lookup here: the probe answers what it would (a micro
+    // entry is valid only while the slot it copies is unchanged), and a
+    // hit refills it with the same key, entry and epoch.
+    const TlbKey key = pl1Key(va);
+    const Tlb::Probe p = probe ? *probe : tlb_.probe(key);
+    if (p.hit != Tlb::kNone) {
+        const TlbEntry &e = tlb_.entry(p.hit);
+        if (!checkS1Perms(e.s1Perms, acc, mode)) {
             tlb_.countHit();
             res.fault = FaultType::Permission;
             res.faultAddr = va;
             res.level = 3;
             return res;
         }
-        if (e->hasStage2 && !checkS2Perms(e->s2Perms, acc)) {
+        if (e.hasStage2 && !checkS2Perms(e.s2Perms, acc)) {
             // Rare: fall through to a full walk so the Stage-2 fault is
             // reported with precise IPA/level information.
         } else {
             tlb_.countHit();
-            microFill(key, *e, acc);
+            microFill(key, e, acc);
             res.ok = true;
-            res.pa = e->ppage | (va & (kPageSize - 1));
-            res.device = e->device;
+            res.pa = e.ppage | (va & (kPageSize - 1));
+            res.device = e.device;
+            res.slot = p.hit;
             return res;
         }
     }
@@ -332,7 +358,7 @@ Mmu::translate(Addr va, Access acc, Mode mode)
     entry.s2Perms = s2_perms;
     entry.hasStage2 = s2_on;
     entry.device = device;
-    tlb_.insert(key, entry);
+    res.slot = tlb_.insert(p, key, entry);
     microFill(key, entry, acc); // after insert: epoch may have moved
 
     res.ok = true;

@@ -25,6 +25,9 @@ struct TranslateResult
     bool device = false;
     Cycles cost = 0; //!< cycles spent walking (0 on a TLB hit)
     Perms perms;     //!< leaf permissions of the final stage walked
+    /** TLB slot now holding a successful PL0/PL1 translation
+     *  (Tlb::kNone for Hyp or a fault). */
+    std::size_t slot = Tlb::kNone;
 
     /// @name Fault information (when !ok)
     /// @{
@@ -41,8 +44,27 @@ class Mmu
   public:
     explicit Mmu(ArmCpu &cpu);
 
-    /** Translate @p va for an access of kind @p acc in mode @p mode. */
-    TranslateResult translate(Addr va, Access acc, Mode mode);
+    /**
+     * Translate @p va for an access of kind @p acc in mode @p mode. A
+     * PL0/PL1 translation may pass the set scan hostAccess() just made
+     * for the same access as @p probe.
+     */
+    TranslateResult translate(Addr va, Access acc, Mode mode,
+                              const Tlb::Probe *probe = nullptr);
+
+    /**
+     * The PL0/PL1 RAM fast path (DESIGN.md §4.6, "Host page pointers").
+     * When @p va's TLB slot hits, allows @p acc in @p mode and holds a
+     * current host page (a private one for a write), and the @p len bytes
+     * stay in the page: do what translate() does on that hit (count it,
+     * leave the data micro-TLB holding the entry) and return the host
+     * address of @p va's bytes, which the caller reads or writes and
+     * charges Bus::kRamLatency for. Otherwise change nothing and return
+     * null, leaving in @p probe the set scan translate() may reuse (Hyp
+     * mode makes none; translate() does not use one there).
+     */
+    std::uint8_t *hostAccess(Addr va, unsigned len, Access acc, Mode mode,
+                             Tlb::Probe &probe);
 
     /** Stage-2 only translation of an IPA (also used by tests). */
     TranslateResult stage2Translate(Addr ipa, Access acc);
@@ -79,12 +101,15 @@ class Mmu
     };
 
     TranslateResult translateHyp(Addr va, Access acc);
+    /** The PL0/PL1 TLB key of @p va in the current context. */
+    TlbKey pl1Key(Addr va) const;
     TranslateResult walkStage2(Addr ipa, Access acc, Cycles &cost);
 
     const TlbEntry *microLookup(const TlbKey &key, Access acc);
     void microFill(const TlbKey &key, const TlbEntry &entry, Access acc);
 
     ArmCpu &cpu_;
+    const PhysMem &ram_;
     Tlb tlb_;
     MicroTlbEntry microCode_;
     MicroTlbEntry microData_;

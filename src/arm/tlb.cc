@@ -24,54 +24,52 @@ Tlb::Tlb(std::size_t capacity)
     numSets_ = floorPow2(capacity / ways_ ? capacity / ways_ : 1);
     setMask_ = numSets_ - 1;
     slots_.resize(numSets_ * ways_);
+    host_.resize(slots_.size());
     nextWay_.resize(numSets_, 0);
 }
 
 const TlbEntry *
 Tlb::lookup(const TlbKey &key) const
 {
-    const Slot *set = &slots_[setIndex(key.vpage) * ways_];
-    for (std::size_t w = 0; w < ways_; ++w) {
-        if (set[w].key == key && valid(set[w]))
-            return &set[w].entry;
-    }
-    return nullptr;
+    Probe p = probe(key);
+    return p.hit != kNone ? &slots_[p.hit].entry : nullptr;
 }
 
 void
 Tlb::insert(const TlbKey &key, const TlbEntry &entry)
 {
-    const std::size_t si = setIndex(key.vpage);
-    Slot *set = &slots_[si * ways_];
+    insert(probe(key), key, entry);
+}
 
-    // One probe finds, in order of preference: the existing tagging of
+std::size_t
+Tlb::insert(const Probe &p, const TlbKey &key, const TlbEntry &entry)
+{
+    // The probe found, in order of preference: the existing tagging of
     // this key (update in place, replacement order unchanged) or any
     // invalid slot to fill.
-    Slot *victim = nullptr;
-    for (std::size_t w = 0; w < ways_; ++w) {
-        if (!valid(set[w])) {
-            if (!victim)
-                victim = &set[w];
-            continue;
-        }
-        if (set[w].key == key) {
-            set[w].entry = entry;
-            ++epoch_; // a cached copy of the old mapping is now stale
-            return;
-        }
-    }
-    if (!victim) {
+    std::size_t i = p.hit;
+    if (i != kNone) {
+        ++epoch_; // a cached copy of the old mapping is now stale
+    } else if (p.free != kNone) {
+        i = p.free;
+    } else {
         // Set full: FIFO within the set, as the old fully-associative
         // implementation evicted oldest-first within its capacity.
+        const std::size_t si = p.set / ways_;
         std::uint8_t w = nextWay_[si];
         nextWay_[si] = static_cast<std::uint8_t>((w + 1) % ways_);
-        victim = &set[w];
+        i = p.set + w;
         ++epoch_; // eviction: a cached copy of the victim is now stale
     }
-    victim->key = key;
-    victim->entry = entry;
-    victim->globalGen = globalGen_;
-    victim->vmidGen = vmidGen_[key.vmid];
+    Slot &s = slots_[i];
+    s.key = key;
+    s.entry = entry;
+    s.globalGen = globalGen_;
+    s.vmidGen = vmidGen_[key.vmid];
+    // The old page, whether rewritten, evicted or left by a flush, is not
+    // this entry's until the next full-path access says so.
+    host_[i] = {};
+    return i;
 }
 
 void

@@ -9,6 +9,12 @@
  * the matching generation counter instead of erasing entries. `flushVa`
  * touches exactly one set (the index depends only on the page number, so
  * every tagging of a VA lives in the same set).
+ *
+ * Beside each slot the TLB keeps a host-side view of the slot's RAM page
+ * (PhysMem::HostPage), filled by the MMU's user after a full-path RAM
+ * access through the slot and never snapshotted: a hit with a current view
+ * reads or writes the page's bytes directly (DESIGN.md §4.6, "Host page
+ * pointers").
  */
 
 #ifndef KVMARM_ARM_TLB_HH
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "arm/pagetable.hh"
+#include "mem/phys_mem.hh"
 #include "sim/types.hh"
 
 namespace kvmarm::arm {
@@ -55,8 +62,47 @@ class Tlb
   public:
     explicit Tlb(std::size_t capacity = 256);
 
+    static constexpr std::size_t kNone = ~std::size_t(0);
+
+    /** One scan of the set a key indexes, made before a lookup and reused
+     *  by the insert that may follow it (nothing may change the TLB in
+     *  between). */
+    struct Probe
+    {
+        std::size_t hit = kNone;  //!< slot validly holding the key
+        std::size_t free = kNone; //!< first invalid slot of the set
+        std::size_t set = 0;      //!< first slot of the set
+    };
+
+    Probe
+    probe(const TlbKey &key) const
+    {
+        Probe p;
+        p.set = setIndex(key.vpage) * ways_;
+        for (std::size_t i = p.set; i < p.set + ways_; ++i) {
+            if (!valid(slots_[i])) {
+                if (p.free == kNone)
+                    p.free = i;
+            } else if (slots_[i].key == key) {
+                p.hit = i;
+                break;
+            }
+        }
+        return p;
+    }
+
     const TlbEntry *lookup(const TlbKey &key) const;
     void insert(const TlbKey &key, const TlbEntry &entry);
+
+    /** Insert @p key per @p p, its probe; @return the slot it now holds.
+     *  Every fill clears the slot's host page. */
+    std::size_t insert(const Probe &p, const TlbKey &key,
+                       const TlbEntry &entry);
+
+    const TlbEntry &entry(std::size_t slot) const { return slots_[slot].entry; }
+
+    /** The host view of @p slot's page (bytes null when none). */
+    PhysMem::HostPage &hostPage(std::size_t slot) { return host_[slot]; }
 
     void flushAll();
     void flushVmid(std::uint8_t vmid);
@@ -90,7 +136,9 @@ class Tlb
      * replacement cursors, and generation/epoch counters — so a restored
      * machine's TLB is warm in exactly the origin's state and every future
      * hit/miss/eviction sequence is cycle-identical. The slot and set
-     * counts pin the geometry.
+     * counts pin the geometry. Host page views are not state and are not
+     * visited: a save or restore of the machine's PhysMem ends every one
+     * of them (PhysMem::current()).
      */
     template <class V>
     void
@@ -128,6 +176,7 @@ class Tlb
     std::size_t ways_;
     std::size_t setMask_;
     std::vector<Slot> slots_;           //!< set-major, numSets_ * ways_
+    std::vector<PhysMem::HostPage> host_; //!< parallel to slots_
     std::vector<std::uint8_t> nextWay_; //!< per-set FIFO replacement cursor
     std::uint64_t globalGen_ = 1;
     std::array<std::uint64_t, 256> vmidGen_{};

@@ -280,7 +280,15 @@ KvmX86::handleApicAccess(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
     // All other APIC registers go through the instruction emulator.
     cpu.compute(cm.mmioDecode + cm.apicEmulate);
     if (!info.isWrite) {
-        cpu.completeMmio(vcpu.apic.read(info.apicOffset, vcpu.index()));
+        // TIMER_CUR counts down to the deadline while the timer is armed,
+        // as LocalApic::read has it.
+        const Cycles now = cpu.now();
+        cpu.completeMmio(
+            info.apicOffset != x86::apic::TIMER_CUR
+                ? vcpu.apic.read(info.apicOffset, vcpu.index())
+            : vcpu.apicTimer && vcpu.apicTimerDeadline > now
+                ? vcpu.apicTimerDeadline - now
+                : 0);
         return;
     }
     if (info.apicOffset == x86::apic::ICR_LO) {
@@ -293,7 +301,11 @@ KvmX86::handleApicAccess(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
         for (std::uint64_t t = ipi.targets; t; t &= t - 1)
             deliverVirq(cpu, *vcpus[std::countr_zero(t)], ipi.vector);
     } else if (info.apicOffset == x86::apic::TIMER_INIT) {
-        armGuestTimer(vcpu, cpu.now() + info.value);
+        // An initial count of 0 stops the timer.
+        if (info.value)
+            armGuestTimer(vcpu, cpu.now() + info.value);
+        else
+            cancelGuestTimer(vcpu);
     } else if (vcpu.apic.write(info.apicOffset, info.value)) {
         cancelGuestTimer(vcpu);
     }
@@ -306,6 +318,7 @@ KvmX86::armGuestTimer(VCpuX86 &vcpu, Cycles deadline)
     // In-kernel APIC timer emulation via a host software timer.
     cancelGuestTimer(vcpu);
     CpuId phys = vcpu.physCpu();
+    vcpu.apicTimerDeadline = deadline;
     vcpu.apicTimer = host_.timers().start(phys, deadline, [this, phys, &vcpu] {
         vcpu.apicTimer = 0;
         deliverVirq(machine().cpu(phys), vcpu, vcpu.apic.timerVector());

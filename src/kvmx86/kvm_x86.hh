@@ -74,10 +74,11 @@ class VCpuX86
     std::uint64_t tscOffset = 0;
     x86::X86OsVectors *guestOs = nullptr;
 
-    /** The in-kernel virtual APIC, and the host soft timer that stands
-     *  in for its timer (0 when disarmed). */
+    /** The in-kernel virtual APIC, the host soft timer that stands in
+     *  for its timer (0 when disarmed) and that timer's deadline. */
     x86::ApicState apic;
     std::uint64_t apicTimer = 0;
+    Cycles apicTimerDeadline = 0;
     bool blocked = false;
     bool kicked = false;
     bool stopRequested = false;

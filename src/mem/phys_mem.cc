@@ -39,15 +39,20 @@ PhysMem::cachePrivate(Addr frame, Page *pg) const
     // copy of this frame, which just became stale for this machine.
     readFrame_ = frame;
     readPage_ = pg;
+    readPrivate_ = true;
 }
 
 void
-PhysMem::invalidateCaches() const
+PhysMem::invalidateCaches()
 {
     cachedFrame_ = ~static_cast<Addr>(0);
     cachedPage_ = nullptr;
     readFrame_ = ~static_cast<Addr>(0);
     readPage_ = nullptr;
+    // Every HostPage taken so far may point at a page that just moved
+    // into the image or was freed.
+    ++layoutGen_;
+    ++sharedGen_;
 }
 
 PhysMem::Page &
@@ -68,6 +73,7 @@ PhysMem::pageFor(Addr pa)
             // snapshot image; copy it into a machine-private page.
             *slot = **shared;
             ++cowFaults_;
+            ++sharedGen_;
         } else {
             slot->fill(0);
         }
@@ -84,34 +90,63 @@ PhysMem::pageForZero(Addr pa)
     Addr frame = pageAlignDown(pa);
     if (frame == cachedFrame_)
         return *cachedPage_;
-    std::unique_ptr<Page> &slot = pages_.at(frameIndex(frame));
+    std::size_t i = frameIndex(frame);
+    std::unique_ptr<Page> &slot = pages_.at(i);
     if (!slot) {
         slot = std::make_unique_for_overwrite<Page>();
         ++privatePages_;
+        if (const std::shared_ptr<const Page> *shared =
+                image_ ? image_->pages.find(i) : nullptr;
+            shared && *shared)
+            ++sharedGen_; // the image page no longer shows this frame
     }
     cachePrivate(frame, slot.get());
     return *slot;
 }
 
 const PhysMem::Page *
-PhysMem::pageForRead(Addr pa) const
+PhysMem::pageForRead(Addr pa, bool *priv) const
 {
     Addr frame = pageAlignDown(pa);
-    if (frame == readFrame_)
+    if (frame == readFrame_) {
+        if (priv)
+            *priv = readPrivate_;
         return readPage_;
+    }
     std::size_t i = frameIndex(frame);
     const Page *pg = nullptr;
-    if (const std::unique_ptr<Page> *own = pages_.find(i); own && *own)
+    bool own_page = false;
+    if (const std::unique_ptr<Page> *own = pages_.find(i); own && *own) {
         pg = own->get();
-    else if (image_) {
+        own_page = true;
+    } else if (image_) {
         if (const std::shared_ptr<const Page> *shared = image_->pages.find(i))
             pg = shared->get();
     }
     if (pg) {
         readFrame_ = frame;
         readPage_ = pg;
+        readPrivate_ = own_page;
     }
+    if (priv)
+        *priv = own_page;
     return pg;
+}
+
+PhysMem::HostPage
+PhysMem::hostPageForRead(Addr pa) const
+{
+    HostPage h;
+    const Page *pg = pageForRead(pa, &h.priv);
+    h.bytes = pg ? pg->data() : nullptr;
+    h.gen = h.priv ? layoutGen_ : sharedGen_;
+    return h;
+}
+
+PhysMem::HostPage
+PhysMem::hostPageForWrite(Addr pa)
+{
+    return {pageFor(pa).data(), layoutGen_, true};
 }
 
 std::uint64_t

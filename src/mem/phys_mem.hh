@@ -67,6 +67,38 @@ class PhysMem : public Snapshottable
     /** Number of distinct pages materialized (private + shared-only). */
     std::size_t touchedPages() const;
 
+    /**
+     * One RAM frame's bytes as this machine sees them, for a caller that
+     * keeps the pointer across accesses (the TLB's host page pointers,
+     * DESIGN.md §4.6). A private page is this machine's own and may be
+     * written in place; an image page is shared with every clone of the
+     * snapshot and is only ever read. The view is good while current()
+     * holds: a private page until the next snapshotSave()/snapshotLoad(),
+     * an image page also until this machine takes a private copy of any
+     * image frame.
+     */
+    struct HostPage
+    {
+        const std::uint8_t *bytes = nullptr; //!< null: frame never written
+        std::uint64_t gen = 0;               //!< generation taken at
+        bool priv = false;                   //!< machine-private page
+    };
+
+    /** The page holding @p pa as read() would find it (bytes null when
+     *  the frame reads as zero). @p pa must be in RAM. */
+    HostPage hostPageForRead(Addr pa) const;
+
+    /** The private page holding @p pa as write() would find it: the frame
+     *  is materialized, and COW-faulted when shared, first. */
+    HostPage hostPageForWrite(Addr pa);
+
+    /** True while @p h still shows this machine's bytes of its frame. */
+    bool
+    current(const HostPage &h) const
+    {
+        return h.gen == (h.priv ? layoutGen_ : sharedGen_);
+    }
+
     /// @name COW introspection
     /// @{
     /** Writes that had to copy a shared image page into a private one. */
@@ -114,10 +146,13 @@ class PhysMem : public Snapshottable
 
     Page &pageFor(Addr pa);
     Page &pageForZero(Addr pa);
-    const Page *pageForRead(Addr pa) const;
+    /** The page read() finds for @p pa, or null; @p priv (if given)
+     *  receives whether it is a private page. */
+    const Page *pageForRead(Addr pa, bool *priv = nullptr) const;
     void checkRange(Addr pa, Addr len) const;
     void cachePrivate(Addr frame, Page *pg) const;
-    void invalidateCaches() const;
+    /** Drop the last-page caches and end every HostPage view. */
+    void invalidateCaches();
     std::size_t frameIndex(Addr frame) const { return (frame - base_) >> kPageShift; }
 
     Addr base_;
@@ -133,6 +168,17 @@ class PhysMem : public Snapshottable
     std::uint64_t cowFaults_ = 0;
 
     /**
+     * HostPage generations (host-side, never snapshotted). layoutGen_
+     * moves when pages_ or image_ is replaced (snapshotSave/Load), which
+     * is when a private page can move into the image or be freed.
+     * sharedGen_ moves then too, and whenever an image frame gets a
+     * private copy, which is when an image page stops being this
+     * machine's bytes of its frame.
+     */
+    std::uint64_t layoutGen_ = 0;
+    std::uint64_t sharedGen_ = 0;
+
+    /**
      * Last pages touched: accesses cluster heavily (code fetch, stack, the
      * active buffer), so these turn most lookups into one compare.
      * Private pages live as long as the PhysMem and never move, and image
@@ -146,6 +192,7 @@ class PhysMem : public Snapshottable
     mutable Page *cachedPage_ = nullptr;
     mutable Addr readFrame_ = ~static_cast<Addr>(0);
     mutable const Page *readPage_ = nullptr;
+    mutable bool readPrivate_ = false; //!< readPage_ is a private page
 };
 
 } // namespace kvmarm

@@ -188,7 +188,11 @@ LocalApic::write(CpuId cpu, Addr offset, std::uint64_t value, unsigned len)
                        local ? now : now + machine_.cost().ipiWire);
         }
     } else if (offset == apic::TIMER_INIT) {
-        programTimer(cpu, now + value);
+        // An initial count of 0 stops the timer.
+        if (value)
+            programTimer(cpu, now + value);
+        else
+            cancelTimer(cpu);
     } else if (cpus_.at(cpu).state.write(offset, value)) {
         cancelTimer(cpu);
     }

@@ -75,8 +75,6 @@ struct X86CostModel
 
     /** 4-level EPT walk on a TLB miss. */
     Cycles eptWalk = 160;
-    /** Guest page walk without virtualization. */
-    Cycles nativeWalk = 60;
 
     Cycles tlbFlush = 120;
 };

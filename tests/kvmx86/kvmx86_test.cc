@@ -202,6 +202,39 @@ TEST_F(KvmX86Test, VirtualIpiAcrossVcpus)
     EXPECT_EQ(guest1.received[0xC1], 1);
 }
 
+TEST_F(KvmX86Test, TimerCurCountsDownWhileArmed)
+{
+    runOnCpu0([&](X86Cpu &cpu) {
+        auto vm = kvm.createVm(64 * kMiB);
+        VCpuX86 &vcpu = vm->addVcpu(0);
+        vcpu.setGuestOs(&guest);
+        vcpu.run(cpu, [&](X86Cpu &c) {
+            const Addr init = x86::kApicBase + x86::apic::TIMER_INIT;
+            const Addr cur = x86::kApicBase + x86::apic::TIMER_CUR;
+            c.setIf(true);
+            c.memWrite(init, 1'000'000, 4);
+            const std::uint64_t first = c.memRead(cur, 4);
+            const std::uint64_t second = c.memRead(cur, 4);
+            EXPECT_GT(first, 0u);
+            EXPECT_LT(first, 1'000'000u);
+            EXPECT_LT(second, first);
+
+            // Expired: the timer fired once and reads 0.
+            c.compute(1'000'000);
+            EXPECT_EQ(guest.received[x86::kDefaultTimerVector], 1);
+            EXPECT_EQ(c.memRead(cur, 4), 0u);
+
+            // An initial count of 0 cancels an armed timer.
+            c.memWrite(init, 1'000'000, 4);
+            EXPECT_GT(c.memRead(cur, 4), 0u);
+            c.memWrite(init, 0, 4);
+            EXPECT_EQ(c.memRead(cur, 4), 0u);
+            c.compute(2'000'000);
+            EXPECT_EQ(guest.received[x86::kDefaultTimerVector], 1);
+        });
+    });
+}
+
 TEST_F(KvmX86Test, HltBlocksUntilInjection)
 {
     runOnCpu0([&](X86Cpu &cpu) {

@@ -281,6 +281,13 @@ TEST_F(X86Test, ApicTimerFiresVector)
         c.wrmsrTscDeadline(c.rdtsc() + 4000);
         c.compute(10000);
         EXPECT_EQ(fired, 2);
+        // An initial count of 0 stops an armed timer.
+        c.memWrite(kApicBase + apic::TIMER_INIT, 5000, 4);
+        EXPECT_GT(c.memRead(kApicBase + apic::TIMER_CUR, 4), 0u);
+        c.memWrite(kApicBase + apic::TIMER_INIT, 0, 4);
+        EXPECT_EQ(c.memRead(kApicBase + apic::TIMER_CUR, 4), 0u);
+        c.compute(10000);
+        EXPECT_EQ(fired, 2);
     });
     machine->run();
 }

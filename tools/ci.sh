@@ -77,14 +77,16 @@ leg_tsan() {
     # tests park and notify through the ring-channel mutex at up to 8
     # workers, fleet_tput_smoke sweeps 1/2/4/8 workers in both check
     # modes, EngineSharding races engine construction against process
-    # mode changes, and EpochProtocol samples a fleet worker's engine.
+    # mode changes, EpochProtocol samples a fleet worker's engine, and
+    # GuestRamFleet has clones on 4 workers read one snapshot image
+    # through their TLBs' host page pointers while they COW-fault it.
     cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DKVMARM_SANITIZE=thread
     cmake --build build-ci-tsan -j"$JOBS" --target fleet_tput fleet_test \
-        fleet_stress_test sim_test check_invariant_test
+        fleet_stress_test sim_test check_invariant_test arm_test
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-ci-tsan --output-on-failure -L sanitize-thread \
-        -R '^(Fleet|fleet_|Ring|Fiber|MachineSched|EngineSharding|EpochProtocol)'
+        -R '^(Fleet|fleet_|Ring|Fiber|MachineSched|EngineSharding|EpochProtocol|GuestRamFleet)'
     # The seeded stress schedule under TSan: live submissions, mid-run
     # spawns, ring rendezvous and park/notify all race-checked at up to
     # 8 workers (the suite sweeps 1/2/4/8 internally).
