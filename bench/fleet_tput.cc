@@ -50,7 +50,7 @@ using arm::ArmCpu;
 /** The four VM workload flavors; vm index i runs flavor i % 4. */
 enum class Flavor
 {
-    Compute,     //!< straight-line guest loads (micro-TLB resident)
+    Compute,     //!< straight-line guest loads (TLB resident)
     WorldSwitch, //!< back-to-back null hypercalls
     Mmio,        //!< stores to an in-kernel emulated device
     Stage2,      //!< every access touches a fresh page

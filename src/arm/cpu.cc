@@ -102,17 +102,6 @@ ArmCpu::takePageFaultToKernel(Addr va, bool write, Access acc)
     return handled;
 }
 
-/** The page a regBurst() may reuse; `region` is null while disarmed. */
-struct ArmCpu::BurstPage
-{
-    Addr vpage = 0;
-    Addr ppage = 0;
-    const Bus::Region *region = nullptr;
-    Cycles latency = 0; //!< region->dev->accessLatency(), read once
-    std::uint64_t tlbEpoch = 0;
-    std::uint64_t interleaves = 0;
-};
-
 namespace {
 
 /** Little-endian load of @p len (1/2/4/8) bytes, as PhysMem::read. */
@@ -147,34 +136,21 @@ storeBytes(std::uint8_t *p, std::uint64_t v, unsigned len)
 
 std::uint64_t
 ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
-                  bool isv, BurstPage *burst, const Tlb::Probe *probe)
+                  bool isv, const Tlb::Probe *probe)
 {
     Access acc = write ? Access::Write : Access::Read;
     for (int attempt = 0; attempt < 16; ++attempt) {
         TranslateResult tr = mmu_.translate(va, acc, mode_, probe);
         probe = nullptr; // a retry follows a trap that may change the TLB
         const std::uint64_t tlb_epoch = mmu_.tlb().epoch();
-        if (burst) {
-            // Taken before any cycles are charged: an event run by the
-            // addCycles() calls below bumps interleaves() and disarms.
-            burst->region = tr.ok && mode_ == Mode::Hyp && hyp_.hsctlrM
-                                ? armMachine_.bus().regionAt(tr.pa)
-                                : nullptr;
-            burst->latency =
-                burst->region ? burst->region->dev->accessLatency() : 0;
-            burst->vpage = pageAlignDown(va);
-            burst->ppage = pageAlignDown(tr.pa);
-            burst->tlbEpoch = mmu_.tlb().epoch();
-            burst->interleaves = interleaves();
-        }
         if (tr.cost)
             addCycles(tr.cost);
         PhysMem &ram = armMachine_.ram();
-        if (tr.ok && (va & (kPageSize - 1)) + len <= kPageSize &&
-            ram.contains(tr.pa)) {
-            // A RAM access within one page: what Bus and PhysMem would do,
-            // through the one page lookup whose result the TLB slot then
-            // keeps, unless the charge above changed the TLB.
+        if (tr.ok && ram.contains(tr.pa)) {
+            // What Bus and PhysMem would do, through the one page lookup
+            // that the TLB slot then keeps as its view (a slot mapping RAM
+            // has no device view), unless the charge above changed the
+            // TLB: the slot may hold another key by now.
             const PhysMem::HostPage h = write ? ram.hostPageForWrite(tr.pa)
                                               : ram.hostPageForRead(tr.pa);
             const Addr off = tr.pa & (kPageSize - 1);
@@ -184,22 +160,30 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
                            len);
             else if (h.bytes)
                 v = loadBytes(h.bytes + off, len);
-            if (tr.slot != Tlb::kNone && h.bytes &&
-                mmu_.tlb().epoch() == tlb_epoch)
-                mmu_.tlb().hostPage(tr.slot) = h;
+            if (tr.slot != Tlb::kNone && mmu_.tlb().epoch() == tlb_epoch)
+                mmu_.tlb().view(tr.slot).ram = h;
             addCycles(Bus::kRamLatency);
             return v;
         }
         if (tr.ok) {
-            BusAccess ba = write
-                               ? armMachine_.bus().write(id_, tr.pa, value, len)
-                               : armMachine_.bus().read(id_, tr.pa, len);
-            if (!ba.ok) {
+            // A device, decoded as Bus would and kept likewise, unless the
+            // charge or the device changed the TLB.
+            const Bus::Region *r = armMachine_.bus().regionAt(tr.pa);
+            if (!r) {
                 panic("cpu%u: external abort at PA %#llx (va %#llx)", id_,
-                      static_cast<unsigned long long>(tr.pa), static_cast<unsigned long long>(va));
+                      static_cast<unsigned long long>(tr.pa),
+                      static_cast<unsigned long long>(va));
             }
-            addCycles(ba.latency);
-            return ba.value;
+            const Tlb::View view{{}, *r, r->dev->accessLatency()};
+            std::uint64_t v = 0;
+            if (write)
+                r->dev->write(id_, tr.pa - r->base, value, len);
+            else
+                v = r->dev->read(id_, tr.pa - r->base, len);
+            if (tr.slot != Tlb::kNone && mmu_.tlb().epoch() == tlb_epoch)
+                mmu_.tlb().view(tr.slot) = view;
+            addCycles(view.latency);
+            return v;
         }
         if (tr.stage2) {
             Hsr hsr;
@@ -228,35 +212,73 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
 }
 
 std::uint64_t
-ArmCpu::memRead(Addr va, unsigned len, bool isv)
+ArmCpu::accessPage(Addr va, bool write, std::uint64_t value, unsigned len,
+                   bool isv)
 {
     Tlb::Probe probe;
-    if (const std::uint8_t *p =
-            mmu_.hostAccess(va, len, Access::Read, mode_, probe)) {
-        const std::uint64_t v = loadBytes(p, len);
+    const Tlb::View *view = mmu_.slotView(
+        va, write ? Access::Write : Access::Read, mode_, probe);
+    if (!view)
+        return accessMem(va, write, value, len, isv, &probe);
+    // translate()'s TLB hit, then what the page or the device does.
+    Tlb &tlb = mmu_.tlb();
+    tlb.countHit();
+    const Addr off = va & (kPageSize - 1);
+    std::uint64_t v = 0;
+    if (view->ram.bytes) {
+        // A write view is a private page, a non-const object.
+        auto *p = const_cast<std::uint8_t *>(view->ram.bytes) + off;
+        if (write)
+            storeBytes(p, value, len);
+        else
+            v = loadBytes(p, len);
         addCycles(Bus::kRamLatency);
         return v;
     }
-    return accessMem(va, false, 0, len, isv, nullptr, &probe);
+    const Bus::Region r = view->dev;
+    const Cycles latency = view->latency;
+    const Addr dev_off = (tlb.entry(probe.hit).ppage | off) - r.base;
+    if (write)
+        r.dev->write(id_, dev_off, value, len);
+    else
+        v = r.dev->read(id_, dev_off, len);
+    addCycles(latency);
+    return v;
+}
+
+std::uint64_t
+ArmCpu::memRead(Addr va, unsigned len, bool isv)
+{
+    const auto room =
+        static_cast<unsigned>(kPageSize - (va & (kPageSize - 1)));
+    if (len <= room)
+        return accessPage(va, false, 0, len, isv);
+    // One load per page: guest pages need not be adjacent in RAM.
+    const std::uint64_t low =
+        memRead(va, room, isv) & ((std::uint64_t{1} << (8 * room)) - 1);
+    return low | memRead(va + room, len - room, isv) << (8 * room);
 }
 
 void
 ArmCpu::memWrite(Addr va, std::uint64_t value, unsigned len, bool isv)
 {
-    Tlb::Probe probe;
-    if (std::uint8_t *p =
-            mmu_.hostAccess(va, len, Access::Write, mode_, probe)) {
-        storeBytes(p, value, len);
-        addCycles(Bus::kRamLatency);
+    const auto room =
+        static_cast<unsigned>(kPageSize - (va & (kPageSize - 1)));
+    if (len <= room) {
+        accessPage(va, true, value, len, isv);
         return;
     }
-    accessMem(va, true, value, len, isv, nullptr, &probe);
+    memWrite(va, value, room, isv);
+    memWrite(va + room, value >> (8 * room), len - room, isv);
 }
 
 void
 ArmCpu::memTouch(Addr va, Access acc)
 {
-    accessMem(va, acc == Access::Write, 0, 4, true);
+    if (acc == Access::Write)
+        memWrite(va, 0, 4);
+    else
+        memRead(va, 4);
 }
 
 void
@@ -266,60 +288,44 @@ ArmCpu::regBurst(Addr base, std::span<const Addr> offsets,
     if (offsets.size() != values.size())
         panic("cpu%u: register burst of %zu offsets but %zu values", id_,
               offsets.size(), values.size());
-    BurstPage page;
-    bool tried_rest = false;
+    if (offsets.empty() || burstRest(base, offsets, values, write))
+        return;
     for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const Addr va = base + offsets[i];
-        const Addr pa = page.ppage | (va & (kPageSize - 1));
-        std::uint64_t v = values[i];
-        if (page.region && pageAlignDown(va) == page.vpage &&
-            pa - page.region->base < page.region->size &&
-            mode_ == Mode::Hyp && hyp_.hsctlrM &&
-            mmu_.tlb().epoch() == page.tlbEpoch &&
-            interleaves() == page.interleaves) {
-            if (!tried_rest) {
-                tried_rest = true;
-                if (burstRest(page, base, offsets.subspan(i),
-                              values.subspan(i), write))
-                    return;
-            }
-            // What translateHyp's micro-TLB hit and Bus would do.
-            mmu_.tlb().countHit();
-            MmioDevice *dev = page.region->dev;
-            if (write)
-                dev->write(id_, pa - page.region->base, v, 4);
-            else
-                v = dev->read(id_, pa - page.region->base, 4);
-            addCycles(page.latency);
-        } else {
-            v = accessMem(va, write, v, 4, true, &page);
-        }
-        if (!write)
-            values[i] = static_cast<std::uint32_t>(v);
+        if (write)
+            memWrite(base + offsets[i], values[i]);
+        else
+            values[i] = static_cast<std::uint32_t>(memRead(base + offsets[i]));
     }
 }
 
 bool
-ArmCpu::burstRest(const BurstPage &page, Addr base,
-                  std::span<const Addr> offsets,
+ArmCpu::burstRest(Addr base, std::span<const Addr> offsets,
                   std::span<std::uint32_t> values, bool write)
 {
-    // In Hyp mode the gate is closed, so when the whole remainder's
-    // charge is quiet, no charge inside it would run anything.
-    const Cycles total = page.latency * offsets.size();
+    Tlb::Probe probe;
+    const Tlb::View *view =
+        mmu_.slotView(base + offsets[0], write ? Access::Write : Access::Read,
+                      mode_, probe);
+    if (!view || !view->dev.dev)
+        return false;
+    // In Hyp mode the gate is closed, so when the whole burst's charge is
+    // quiet, no charge inside it would run anything.
+    const Cycles total = view->latency * offsets.size();
     if (!chargeIsQuiet(total))
         return false;
     // Every access must fall in the page and the region: its offset into
     // the page in [lo, hi).
-    const Bus::Region &r = *page.region;
-    const Addr lo = r.base > page.ppage ? r.base - page.ppage : 0;
-    const Addr hi = std::min<Addr>(kPageSize, r.base + r.size - page.ppage);
+    const Bus::Region r = view->dev;
+    const Addr vpage = pageAlignDown(base + offsets[0]);
+    const Addr ppage = mmu_.tlb().entry(probe.hit).ppage;
+    const Addr lo = r.base > ppage ? r.base - ppage : 0;
+    const Addr hi = std::min<Addr>(kPageSize, r.base + r.size - ppage);
     for (Addr off : offsets) {
-        if (base + off - page.vpage - lo >= hi - lo)
+        if (base + off - vpage - lo >= hi - lo)
             return false;
     }
     // The device offset of va == base; every base + off is in the page.
-    const Addr dev_base = page.ppage - r.base + (base - page.vpage);
+    const Addr dev_base = ppage - r.base + (base - vpage);
     if (!r.dev->accessBurst(id_, dev_base, offsets, values, write))
         return false;
     mmu_.tlb().countHits(offsets.size());

@@ -117,14 +117,17 @@ class ArmCpu : public CpuBase
     /** Load through the MMU; Stage-2 faults trap to Hyp (and may be
      *  completed by MMIO emulation), Stage-1 faults go to the current
      *  kernel. @p isv models whether the instruction populates the MMIO
-     *  syndrome (paper §4). */
+     *  syndrome (paper §4). A load whose bytes cross a page is two loads,
+     *  one per page, each translated, faulted and charged on its own. */
     std::uint64_t memRead(Addr va, unsigned len = 4, bool isv = true);
 
-    /** Store through the MMU (same fault behaviour as memRead). */
+    /** Store through the MMU (same fault and page-crossing behaviour as
+     *  memRead). */
     void memWrite(Addr va, std::uint64_t value, unsigned len = 4,
                   bool isv = true);
 
-    /** Touch @p va (translate + fault handling) without data movement. */
+    /** Touch @p va (translate + fault handling) as a 4-byte load, or as
+     *  a 4-byte store of zero for Access::Write. */
     void memTouch(Addr va, Access acc);
 
     /**
@@ -134,32 +137,16 @@ class ArmCpu : public CpuBase
      * exactly that of the same memWrite()/memRead() sequence; only the
      * host cost differs. The lowvisor moves the GICH state this way.
      *
-     * An access goes through memRead/memWrite's full path — faults,
-     * traps, Stage-2 — unless it can reuse the translation and decoded
-     * device of the last full-path access of this burst. Reuse requires
-     * all of:
-     *  - the access falls in the same page and device region;
-     *  - the CPU is still in Hyp mode with HSCTLR.M set (as it was when
-     *    that page was translated);
-     *  - the TLB epoch is unchanged since that translation;
-     *  - interleaves() is unchanged since that translation: no event ran
-     *    and no fiber yielded, so nothing else touched the micro-TLB.
-     * Under those conditions translateHyp() would be a micro-TLB hit
-     * costing no cycles, so a reused access counts a TLB hit, calls the
-     * device's read/write and charges its accessLatency() through
-     * addCycles(): the same cycles, TLB counters, micro-TLB state, device
-     * side effects and event timing. A device's access latency is a fixed
-     * property of the device, so it is read once, when the page is armed.
-     * Any other access takes the full path, which re-arms reuse for its
-     * own page.
-     *
-     * At the first reusable access, if the rest of the burst lies in the
-     * same page and region and its whole charge is quiet
+     * When the first register's TLB slot holds a device view (DESIGN.md
+     * §4.6, "TLB slot views"), every register falls in that page and
+     * region, and the whole burst's charge is quiet
      * (CpuBase::chargeIsQuiet(): closed gate, no event, no yield), the
-     * rest goes to the device in one MmioDevice::accessBurst() and is
-     * charged as one addCycles(). No charge inside it could have run
-     * anything, so cycles, TLB counters and device state come out the
-     * same.
+     * burst goes to the device in one MmioDevice::accessBurst() and is
+     * charged as one addCycles(), with one TLB hit per register: each
+     * memRead()/memWrite() would have hit that slot, called the device
+     * and charged its latency, and no charge could have run anything in
+     * between. Otherwise every register goes through
+     * memRead()/memWrite().
      */
     void regBurst(Addr base, std::span<const Addr> offsets,
                   std::span<std::uint32_t> values, bool write);
@@ -282,8 +269,6 @@ class ArmCpu : public CpuBase
     /// @}
 
   private:
-    struct BurstPage;
-
     /**
      * Re-derive the SoftVirq pin and the interrupt gate from the mode.
      * Nothing is deliverable in Hyp mode, so the gate is closed there.
@@ -302,22 +287,21 @@ class ArmCpu : public CpuBase
      *  has one, or HCR.VI. */
     bool virtIrqLineHigh() const;
 
-    /** regBurst()'s remainder, from an armed @p page, in one
-     *  MmioDevice::accessBurst() and one charge, when nothing could run
-     *  between its accesses; false, having done nothing, otherwise. */
-    bool burstRest(const BurstPage &page, Addr base,
-                   std::span<const Addr> offsets,
+    /** regBurst() in one MmioDevice::accessBurst() and one charge, when
+     *  its rules allow; false, having done nothing, otherwise. */
+    bool burstRest(Addr base, std::span<const Addr> offsets,
                    std::span<std::uint32_t> values, bool write);
 
     void takeIrqToKernel();
     bool takePageFaultToKernel(Addr va, bool write, Access acc);
-    /** The full load/store path. A non-null @p burst is re-armed with the
-     *  successful translation when regBurst() may reuse it; @p probe is
-     *  Mmu::hostAccess()'s set scan for this access, if it made one. */
+    /** One access that stays in a page, through its TLB slot's view when
+     *  Mmu::slotView() gives one, else the full path. */
+    std::uint64_t accessPage(Addr va, bool write, std::uint64_t value,
+                             unsigned len, bool isv);
+    /** The full path of accessPage(); @p probe is Mmu::slotView()'s set
+     *  scan for this access, if it made one. */
     std::uint64_t accessMem(Addr va, bool write, std::uint64_t value,
-                            unsigned len, bool isv,
-                            BurstPage *burst = nullptr,
-                            const Tlb::Probe *probe = nullptr);
+                            unsigned len, bool isv, const Tlb::Probe *probe);
 
     ArmMachine &armMachine_;
     /** The owning machine's invariant engine (null when the check layer is

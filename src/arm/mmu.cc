@@ -52,25 +52,6 @@ Mmu::Mmu(ArmCpu &cpu) : cpu_(cpu), ram_(cpu.machine().ram())
 {
 }
 
-const TlbEntry *
-Mmu::microLookup(const TlbKey &key, Access acc)
-{
-    MicroTlbEntry &m = acc == Access::Exec ? microCode_ : microData_;
-    if (m.valid && m.epoch == tlb_.epoch() && m.key == key)
-        return &m.entry;
-    return nullptr;
-}
-
-void
-Mmu::microFill(const TlbKey &key, const TlbEntry &entry, Access acc)
-{
-    MicroTlbEntry &m = acc == Access::Exec ? microCode_ : microData_;
-    m.key = key;
-    m.entry = entry;
-    m.epoch = tlb_.epoch();
-    m.valid = true;
-}
-
 TranslateResult
 Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost)
 {
@@ -112,56 +93,97 @@ Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost)
     return res;
 }
 
-TranslateResult
-Mmu::stage2Translate(Addr ipa, Access acc)
+bool
+Mmu::tlbKey(Addr va, Mode mode, TlbKey &key) const
 {
-    Cycles cost = 0;
-    TranslateResult r = walkStage2(ipa, acc, cost);
-    r.cost = cost;
-    return r;
+    if (mode == Mode::Hyp) {
+        key = {TlbRegime::Hyp, 0, 0, pageAlignDown(va)};
+        return cpu_.hyp().hsctlrM;
+    }
+    const RegisterFile &regs = cpu_.regs();
+    bool s1_on = regs[CtrlReg::SCTLR] & 1;
+    bool s2_on = cpu_.hyp().hcr.vm;
+    std::uint8_t vmid = s2_on ? std::uint8_t(cpu_.hyp().vmid()) : 0;
+    std::uint32_t asid = s1_on ? regs[CtrlReg::CONTEXTIDR] : 0;
+    key = {TlbRegime::Pl0Pl1, vmid, asid, pageAlignDown(va)};
+    return true;
+}
+
+const Tlb::View *
+Mmu::slotView(Addr va, Access acc, Mode mode, Tlb::Probe &probe)
+{
+    TlbKey key;
+    if (!tlbKey(va, mode, key))
+        return nullptr;
+    probe = tlb_.probe(key);
+    if (probe.hit == Tlb::kNone)
+        return nullptr;
+    const TlbEntry &e = tlb_.entry(probe.hit);
+    if (!checkS1Perms(e.s1Perms, acc, mode) ||
+        (e.hasStage2 && !checkS2Perms(e.s2Perms, acc)))
+        return nullptr;
+    const Tlb::View &v = tlb_.view(probe.hit);
+    if (v.ram.bytes) {
+        // A write goes only through a private page.
+        if (ram_.current(v.ram) && (acc != Access::Write || v.ram.priv))
+            return &v;
+    } else if (v.dev.dev &&
+               (e.ppage | (va & (kPageSize - 1))) - v.dev.base < v.dev.size) {
+        return &v; // the page may hold other regions, or none
+    }
+    return nullptr;
 }
 
 TranslateResult
-Mmu::translateHyp(Addr va, Access acc)
+Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
 {
     TranslateResult res;
-    const ArmCostModel &cm = cpu_.machine().cost();
-    PhysMem &ram = cpu_.machine().ram();
-
-    if (!cpu_.hyp().hsctlrM) {
+    TlbKey key;
+    if (!tlbKey(va, mode, key)) {
+        // Hyp mode with its MMU off: the identity, and no TLB.
         res.ok = true;
         res.pa = va;
-        res.device = !ram.contains(va);
+        res.device = !ram_.contains(va);
         return res;
     }
 
-    TlbKey key{TlbRegime::Hyp, 0, 0, pageAlignDown(va)};
-    if (const TlbEntry *e = microLookup(key, acc)) {
-        // Fast path: same page as the last Hyp access of this kind. Taken
-        // only when the access succeeds; permission problems fall through
-        // to the full lookup for precise fault reporting.
-        if (checkS1Perms(e->s1Perms, acc, Mode::Hyp)) {
+    const Tlb::Probe p = probe ? *probe : tlb_.probe(key);
+    if (p.hit != Tlb::kNone) {
+        const TlbEntry &e = tlb_.entry(p.hit);
+        if (!checkS1Perms(e.s1Perms, acc, mode)) {
             tlb_.countHit();
-            res.ok = true;
-            res.pa = e->ppage | (va & (kPageSize - 1));
-            res.device = e->device;
-            return res;
-        }
-    }
-    if (const TlbEntry *e = tlb_.lookup(key)) {
-        tlb_.countHit();
-        if (!checkS1Perms(e->s1Perms, acc, Mode::Hyp)) {
             res.fault = FaultType::Permission;
             res.faultAddr = va;
+            res.level = 3;
             return res;
         }
-        microFill(key, *e, acc);
-        res.ok = true;
-        res.pa = e->ppage | (va & (kPageSize - 1));
-        res.device = e->device;
-        return res;
+        if (e.hasStage2 && !checkS2Perms(e.s2Perms, acc)) {
+            // Rare: fall through to a full walk so the Stage-2 fault is
+            // reported with precise IPA/level information.
+        } else {
+            tlb_.countHit();
+            res.ok = true;
+            res.pa = e.ppage | (va & (kPageSize - 1));
+            res.device = e.device;
+            res.slot = p.hit;
+            return res;
+        }
     }
     tlb_.countMiss();
+
+    // The walks change nothing in the TLB, so the probe still holds.
+    TlbEntry entry;
+    if (mode == Mode::Hyp ? walkHyp(va, acc, res, entry)
+                          : walkPl1(va, acc, mode, res, entry))
+        res.slot = tlb_.insert(p, key, entry);
+    return res;
+}
+
+bool
+Mmu::walkHyp(Addr va, Access acc, TranslateResult &res, TlbEntry &entry)
+{
+    const ArmCostModel &cm = cpu_.machine().cost();
+    PhysMem &ram = cpu_.machine().ram();
 
     Cycles cost = 0;
     WalkResult wr = walkTable(
@@ -178,104 +200,33 @@ Mmu::translateHyp(Addr va, Access acc)
         res.fault = wr.fault;
         res.faultAddr = va;
         res.level = wr.level;
-        return res;
+        return false;
     }
     if (!checkS1Perms(wr.perms, acc, Mode::Hyp)) {
         res.fault = FaultType::Permission;
         res.faultAddr = va;
-        return res;
+        return false;
     }
 
-    TlbEntry entry;
     entry.ppage = pageAlignDown(wr.pa);
     entry.s1Perms = wr.perms;
     entry.device = wr.perms.device;
-    tlb_.insert(key, entry);
-    microFill(key, entry, acc); // after insert: epoch may have moved
-
     res.ok = true;
     res.pa = wr.pa;
     res.device = wr.perms.device;
-    return res;
+    return true;
 }
 
-TlbKey
-Mmu::pl1Key(Addr va) const
+bool
+Mmu::walkPl1(Addr va, Access acc, Mode mode, TranslateResult &res,
+             TlbEntry &entry)
 {
-    const RegisterFile &regs = cpu_.regs();
-    bool s1_on = regs[CtrlReg::SCTLR] & 1;
-    bool s2_on = cpu_.hyp().hcr.vm;
-    std::uint8_t vmid = s2_on ? std::uint8_t(cpu_.hyp().vmid()) : 0;
-    std::uint32_t asid = s1_on ? regs[CtrlReg::CONTEXTIDR] : 0;
-    return {TlbRegime::Pl0Pl1, vmid, asid, pageAlignDown(va)};
-}
-
-std::uint8_t *
-Mmu::hostAccess(Addr va, unsigned len, Access acc, Mode mode,
-                Tlb::Probe &probe)
-{
-    if (mode == Mode::Hyp)
-        return nullptr;
-    const TlbKey key = pl1Key(va);
-    probe = tlb_.probe(key);
-    if (probe.hit == Tlb::kNone)
-        return nullptr;
-    const PhysMem::HostPage &h = tlb_.hostPage(probe.hit);
-    const Addr off = va & (kPageSize - 1);
-    const TlbEntry &e = tlb_.entry(probe.hit);
-    if (!h.bytes || !ram_.current(h) || (acc == Access::Write && !h.priv) ||
-        off + len > kPageSize || !checkS1Perms(e.s1Perms, acc, mode) ||
-        (e.hasStage2 && !checkS2Perms(e.s2Perms, acc)))
-        return nullptr;
-    // translate()'s TLB hit, less the TranslateResult. A private page is
-    // a non-const object, so writing through it is sound.
-    tlb_.countHit();
-    microFill(key, e, acc);
-    return const_cast<std::uint8_t *>(h.bytes) + off;
-}
-
-TranslateResult
-Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
-{
-    if (mode == Mode::Hyp)
-        return translateHyp(va, acc);
-
-    TranslateResult res;
     const ArmCostModel &cm = cpu_.machine().cost();
     PhysMem &ram = cpu_.machine().ram();
     const RegisterFile &regs = cpu_.regs();
 
     bool s1_on = regs[CtrlReg::SCTLR] & 1;
     bool s2_on = cpu_.hyp().hcr.vm;
-
-    // No micro-TLB lookup here: the probe answers what it would (a micro
-    // entry is valid only while the slot it copies is unchanged), and a
-    // hit refills it with the same key, entry and epoch.
-    const TlbKey key = pl1Key(va);
-    const Tlb::Probe p = probe ? *probe : tlb_.probe(key);
-    if (p.hit != Tlb::kNone) {
-        const TlbEntry &e = tlb_.entry(p.hit);
-        if (!checkS1Perms(e.s1Perms, acc, mode)) {
-            tlb_.countHit();
-            res.fault = FaultType::Permission;
-            res.faultAddr = va;
-            res.level = 3;
-            return res;
-        }
-        if (e.hasStage2 && !checkS2Perms(e.s2Perms, acc)) {
-            // Rare: fall through to a full walk so the Stage-2 fault is
-            // reported with precise IPA/level information.
-        } else {
-            tlb_.countHit();
-            microFill(key, e, acc);
-            res.ok = true;
-            res.pa = e.ppage | (va & (kPageSize - 1));
-            res.device = e.device;
-            res.slot = p.hit;
-            return res;
-        }
-    }
-    tlb_.countMiss();
 
     Cycles cost = 0;
     Addr ipa = va;
@@ -318,14 +269,15 @@ Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
 
         if (have_nested_fault) {
             nested_fault.cost = cost;
-            return nested_fault;
+            res = nested_fault;
+            return false;
         }
         if (!wr.ok()) {
             res.fault = wr.fault;
             res.faultAddr = va;
             res.level = wr.level;
             res.cost = cost;
-            return res;
+            return false;
         }
         s1_perms = wr.perms;
         ipa = wr.pa;
@@ -334,7 +286,7 @@ Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
             res.faultAddr = va;
             res.level = wr.level;
             res.cost = cost;
-            return res;
+            return false;
         }
     }
 
@@ -345,27 +297,25 @@ Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
         TranslateResult r2 = walkStage2(ipa, acc, cost);
         if (!r2.ok) {
             r2.cost = cost;
-            return r2;
+            res = r2;
+            return false;
         }
         pa = r2.pa;
         device = device || r2.device;
         s2_perms = r2.perms;
     }
 
-    TlbEntry entry;
     entry.ppage = pageAlignDown(pa);
     entry.s1Perms = s1_on ? s1_perms : identityPerms();
     entry.s2Perms = s2_perms;
     entry.hasStage2 = s2_on;
     entry.device = device;
-    res.slot = tlb_.insert(p, key, entry);
-    microFill(key, entry, acc); // after insert: epoch may have moved
 
     res.ok = true;
     res.pa = pa;
     res.device = device;
     res.cost = cost;
-    return res;
+    return true;
 }
 
 } // namespace kvmarm::arm

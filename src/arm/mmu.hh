@@ -25,8 +25,8 @@ struct TranslateResult
     bool device = false;
     Cycles cost = 0; //!< cycles spent walking (0 on a TLB hit)
     Perms perms;     //!< leaf permissions of the final stage walked
-    /** TLB slot now holding a successful PL0/PL1 translation
-     *  (Tlb::kNone for Hyp or a fault). */
+    /** TLB slot now holding a successful translation (Tlb::kNone for a
+     *  fault or for Hyp mode with its MMU off). */
     std::size_t slot = Tlb::kNone;
 
     /// @name Fault information (when !ok)
@@ -45,29 +45,25 @@ class Mmu
     explicit Mmu(ArmCpu &cpu);
 
     /**
-     * Translate @p va for an access of kind @p acc in mode @p mode. A
-     * PL0/PL1 translation may pass the set scan hostAccess() just made
-     * for the same access as @p probe.
+     * Translate @p va for an access of kind @p acc in mode @p mode. May
+     * pass the set scan slotView() just made for the same access as
+     * @p probe.
      */
     TranslateResult translate(Addr va, Access acc, Mode mode,
                               const Tlb::Probe *probe = nullptr);
 
     /**
-     * The PL0/PL1 RAM fast path (DESIGN.md §4.6, "Host page pointers").
-     * When @p va's TLB slot hits, allows @p acc in @p mode and holds a
-     * current host page (a private one for a write), and the @p len bytes
-     * stay in the page: do what translate() does on that hit (count it,
-     * leave the data micro-TLB holding the entry) and return the host
-     * address of @p va's bytes, which the caller reads or writes and
-     * charges Bus::kRamLatency for. Otherwise change nothing and return
-     * null, leaving in @p probe the set scan translate() may reuse (Hyp
-     * mode makes none; translate() does not use one there).
+     * The fast path (DESIGN.md §4.6, "TLB slot views"). When @p va's TLB
+     * slot (@p probe's hit) allows @p acc in @p mode and its view reaches
+     * the target — a current RAM page (a private one for a write) or a
+     * device region holding @p va's PA — return the view. The caller
+     * counts the TLB hit translate() would count, then copies the bytes
+     * or calls the device and charges the view's cost. Otherwise change
+     * nothing and return null, leaving in @p probe the set scan
+     * translate() may reuse.
      */
-    std::uint8_t *hostAccess(Addr va, unsigned len, Access acc, Mode mode,
-                             Tlb::Probe &probe);
-
-    /** Stage-2 only translation of an IPA (also used by tests). */
-    TranslateResult stage2Translate(Addr ipa, Access acc);
+    const Tlb::View *slotView(Addr va, Access acc, Mode mode,
+                              Tlb::Probe &probe);
 
     Tlb &tlb() { return tlb_; }
 
@@ -76,43 +72,24 @@ class Mmu
     void
     visit(V &v)
     {
-        v.pod(microCode_, microData_);
         tlb_.visit(v);
     }
 
   private:
-    /**
-     * One-entry "micro-TLB" in front of the set-associative lookup: the
-     * last page translated for instruction fetches and the last page for
-     * data accesses. Straight-line guest execution stays within a page for
-     * long stretches, so most translations are resolved by a key compare.
-     *
-     * A micro entry is a *copy* of a main-TLB entry, valid only while the
-     * TLB's invalidation epoch is unchanged (any flush, eviction or
-     * remap bumps it), so it can never outlive the entry it shadows and
-     * simulated cycle attribution is identical with or without it.
-     */
-    struct MicroTlbEntry
-    {
-        TlbKey key{};
-        TlbEntry entry{};
-        std::uint64_t epoch = 0;
-        bool valid = false;
-    };
-
-    TranslateResult translateHyp(Addr va, Access acc);
-    /** The PL0/PL1 TLB key of @p va in the current context. */
-    TlbKey pl1Key(Addr va) const;
+    /** The TLB key of @p va in @p mode and the current context; false
+     *  when the mode's translation uses no TLB (Hyp with HSCTLR.M clear). */
+    bool tlbKey(Addr va, Mode mode, TlbKey &key) const;
+    /** The miss walks: put the translation or its fault in @p res and,
+     *  when it succeeds, the entry to insert in @p entry; @return
+     *  res.ok. */
+    bool walkHyp(Addr va, Access acc, TranslateResult &res, TlbEntry &entry);
+    bool walkPl1(Addr va, Access acc, Mode mode, TranslateResult &res,
+                 TlbEntry &entry);
     TranslateResult walkStage2(Addr ipa, Access acc, Cycles &cost);
-
-    const TlbEntry *microLookup(const TlbKey &key, Access acc);
-    void microFill(const TlbKey &key, const TlbEntry &entry, Access acc);
 
     ArmCpu &cpu_;
     const PhysMem &ram_;
     Tlb tlb_;
-    MicroTlbEntry microCode_;
-    MicroTlbEntry microData_;
 };
 
 } // namespace kvmarm::arm

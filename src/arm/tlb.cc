@@ -24,21 +24,8 @@ Tlb::Tlb(std::size_t capacity)
     numSets_ = floorPow2(capacity / ways_ ? capacity / ways_ : 1);
     setMask_ = numSets_ - 1;
     slots_.resize(numSets_ * ways_);
-    host_.resize(slots_.size());
+    views_.resize(slots_.size());
     nextWay_.resize(numSets_, 0);
-}
-
-const TlbEntry *
-Tlb::lookup(const TlbKey &key) const
-{
-    Probe p = probe(key);
-    return p.hit != kNone ? &slots_[p.hit].entry : nullptr;
-}
-
-void
-Tlb::insert(const TlbKey &key, const TlbEntry &entry)
-{
-    insert(probe(key), key, entry);
 }
 
 std::size_t
@@ -66,9 +53,9 @@ Tlb::insert(const Probe &p, const TlbKey &key, const TlbEntry &entry)
     s.entry = entry;
     s.globalGen = globalGen_;
     s.vmidGen = vmidGen_[key.vmid];
-    // The old page, whether rewritten, evicted or left by a flush, is not
-    // this entry's until the next full-path access says so.
-    host_[i] = {};
+    // The old target, whether rewritten, evicted or left by a flush, is
+    // not this entry's until the next full-path access says so.
+    views_[i] = {};
     return i;
 }
 

@@ -10,11 +10,11 @@
  * touches exactly one set (the index depends only on the page number, so
  * every tagging of a VA lives in the same set).
  *
- * Beside each slot the TLB keeps a host-side view of the slot's RAM page
- * (PhysMem::HostPage), filled by the MMU's user after a full-path RAM
- * access through the slot and never snapshotted: a hit with a current view
- * reads or writes the page's bytes directly (DESIGN.md §4.6, "Host page
- * pointers").
+ * Beside each slot the TLB keeps a host-side view of what a hit on the
+ * slot reaches: its RAM page (PhysMem::HostPage) or its device region.
+ * The CPU fills it after a full-path access through the slot, and it is
+ * never snapshotted: a hit with a usable view copies the page's bytes or
+ * calls the device directly (DESIGN.md §4.6, "TLB slot views").
  */
 
 #ifndef KVMARM_ARM_TLB_HH
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "arm/pagetable.hh"
-#include "mem/phys_mem.hh"
+#include "mem/bus.hh"
 #include "sim/types.hh"
 
 namespace kvmarm::arm {
@@ -91,18 +91,27 @@ class Tlb
         return p;
     }
 
-    const TlbEntry *lookup(const TlbKey &key) const;
-    void insert(const TlbKey &key, const TlbEntry &entry);
-
     /** Insert @p key per @p p, its probe; @return the slot it now holds.
-     *  Every fill clears the slot's host page. */
+     *  Every fill clears the slot's view. */
     std::size_t insert(const Probe &p, const TlbKey &key,
                        const TlbEntry &entry);
 
     const TlbEntry &entry(std::size_t slot) const { return slots_[slot].entry; }
 
-    /** The host view of @p slot's page (bytes null when none). */
-    PhysMem::HostPage &hostPage(std::size_t slot) { return host_[slot]; }
+    /**
+     * What a hit on a slot reaches: a RAM page, a device region, or
+     * nothing yet. A RAM view is good while PhysMem::current() holds; a
+     * device view while the slot holds its entry, as the bus never moves
+     * a device.
+     */
+    struct View
+    {
+        PhysMem::HostPage ram; //!< ram.bytes null: no RAM view
+        Bus::Region dev{};     //!< dev.dev null: no device view
+        Cycles latency = 0;    //!< dev.dev->accessLatency()
+    };
+
+    View &view(std::size_t slot) { return views_[slot]; }
 
     void flushAll();
     void flushVmid(std::uint8_t vmid);
@@ -119,10 +128,9 @@ class Tlb
 
     /**
      * Monotonic count of events that may invalidate a previously returned
-     * entry: flushes of any kind, evictions, and in-place updates. Front
-     * side caches (the MMU micro-TLB) snapshot this and drop their copy
-     * when it moves, so they can never return state the TLB no longer
-     * holds.
+     * entry: flushes of any kind, evictions, and in-place updates. While
+     * it is unchanged, every valid slot still holds the entry it held
+     * (ArmCpu fills a slot's view only then).
      */
     std::uint64_t epoch() const { return epoch_; }
 
@@ -136,9 +144,9 @@ class Tlb
      * replacement cursors, and generation/epoch counters — so a restored
      * machine's TLB is warm in exactly the origin's state and every future
      * hit/miss/eviction sequence is cycle-identical. The slot and set
-     * counts pin the geometry. Host page views are not state and are not
-     * visited: a save or restore of the machine's PhysMem ends every one
-     * of them (PhysMem::current()).
+     * counts pin the geometry. Views are not state and are not visited;
+     * a restore clears them all, since a device view carries no
+     * generation that could tell it from the restored slot's.
      */
     template <class V>
     void
@@ -147,6 +155,8 @@ class Tlb
         v.fixed(slots_, "TLB slots");
         v.fixed(nextWay_, "TLB sets");
         v.pod(globalGen_, vmidGen_, epoch_, hits_, misses_);
+        if constexpr (V::kLoading)
+            views_.assign(views_.size(), View{});
     }
 
   private:
@@ -176,7 +186,7 @@ class Tlb
     std::size_t ways_;
     std::size_t setMask_;
     std::vector<Slot> slots_;           //!< set-major, numSets_ * ways_
-    std::vector<PhysMem::HostPage> host_; //!< parallel to slots_
+    std::vector<View> views_;           //!< parallel to slots_
     std::vector<std::uint8_t> nextWay_; //!< per-set FIFO replacement cursor
     std::uint64_t globalGen_ = 1;
     std::array<std::uint64_t, 256> vmidGen_{};

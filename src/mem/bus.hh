@@ -47,7 +47,7 @@ class MmioDevice
      * Cycles one register access costs the initiating CPU. Device MMIO is
      * typically far slower than cached memory (paper §3.5); the GIC models
      * override this. A fixed property of the device: it must not change
-     * with device state (ArmCpu::regBurst() reads it once per burst page).
+     * with device state (an ARM TLB slot's device view keeps it).
      */
     virtual Cycles accessLatency() const { return 50; }
 

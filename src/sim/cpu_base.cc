@@ -21,7 +21,6 @@ CpuBase::sync()
 {
     drain();
     if (now_ >= yieldThreshold_ && Fiber::current()) {
-        ++interleaves_;
         Fiber::yield();
         // Another CPU ran; cross-CPU events may now be due on our queue.
         drain();
@@ -39,8 +38,8 @@ CpuBase::advanceTo(Cycles t)
 void
 CpuBase::drain()
 {
-    while (events_.mayHaveDue(now_) && events_.runDue(now_))
-        ++interleaves_;
+    while (events_.mayHaveDue(now_) && events_.runDue(now_)) {
+    }
     if (irqDeliverable())
         serviceInterrupts();
 }
@@ -51,7 +50,6 @@ CpuBase::waitUntil(const std::function<bool()> &pred)
     drain();
     while (!pred()) {
         waiting_ = true;
-        ++interleaves_;
         Fiber::yield();
         waiting_ = false;
         // The scheduler advanced our clock to the next event time.

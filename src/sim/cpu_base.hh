@@ -82,16 +82,6 @@ class CpuBase : public Snapshottable
     Cycles idleCycles() const { return idleCycles_; }
 
     /**
-     * Host-side count of the points where code other than the current
-     * instruction stream may have run on this CPU's behalf: drain() bumps
-     * it for every runDue() pass that ran an event, and each fiber yield
-     * bumps it. While it is unchanged, nothing but the executing
-     * operation has touched this CPU's state. Not simulated state: it is
-     * neither snapshotted nor compared.
-     */
-    std::uint64_t interleaves() const { return interleaves_; }
-
-    /**
      * Block until @p pred becomes true. The machine scheduler fast-forwards
      * this CPU's clock to its next event while blocked. Used for WFI/HLT
      * and for host-thread blocking.
@@ -227,7 +217,6 @@ class CpuBase : public Snapshottable
     std::uint32_t irqPins_ = 0;
     std::uint32_t irqGate_ = ~std::uint32_t{0};
     Cycles idleCycles_ = 0;
-    std::uint64_t interleaves_ = 0;
 };
 
 } // namespace kvmarm

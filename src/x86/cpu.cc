@@ -17,6 +17,16 @@ X86Cpu::accessMem(Addr addr, bool write, std::uint64_t value, unsigned len)
     const X86CostModel &cm = machine_.cost();
 
     if (nonRoot_) {
+        // Guest-physical pages need not be adjacent in host memory.
+        const auto room =
+            static_cast<unsigned>(kPageSize - (addr & (kPageSize - 1)));
+        if (len > room) {
+            const std::uint64_t low = accessMem(addr, write, value, room) &
+                                      ((std::uint64_t{1} << (8 * room)) - 1);
+            return low | accessMem(addr + room, write, value >> (8 * room),
+                                   len - room)
+                             << (8 * room);
+        }
         // APIC accesses never hit the EPT: this hardware generation has
         // no virtual APIC, every access exits (paper §2).
         if (pageAlignDown(addr) == pageAlignDown(kApicBase)) {

@@ -162,7 +162,8 @@ class X86Cpu : public CpuBase
     void compute(Cycles c) { addCycles(c); }
 
     /** Memory access; guest-physical addresses go through the EPT in
-     *  non-root mode (violations exit to root mode). */
+     *  non-root mode (violations exit to root mode). There, an access
+     *  whose bytes cross a page is two accesses, one per page. */
     std::uint64_t memRead(Addr addr, unsigned len = 8);
     void memWrite(Addr addr, std::uint64_t value, unsigned len = 8);
 

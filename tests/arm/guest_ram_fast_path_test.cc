@@ -1,17 +1,21 @@
 /**
  * @file
- * Guest RAM through the TLB's host page pointers (DESIGN.md §4.6, "Host
- * page pointers"). A KVM guest's loads and stores that take the fast path
+ * Guest RAM and devices through the TLB's slot views (DESIGN.md §4.6, "TLB
+ * slot views"). A KVM guest's loads and stores that take the fast path
  * must see exactly the bytes the full path would. Every value read here is
  * checked against a byte model that the test keeps and that shares no code
  * with the simulator. The checks run across each event that must end a
- * pointer: a Stage-1 remap plus TLBI, an ASID or VMID switch, a Stage-2
- * unmap plus TLB flush, TLB evictions, a snapshot and the COW faults after
- * it, a restore, and clones reading one image on fleet workers.
+ * view: a Stage-1 remap plus TLBI, an ASID or VMID switch, a Stage-2
+ * unmap plus TLB flush, TLB evictions, an event inside a walk charge, a
+ * snapshot and the COW faults after it, a restore, and clones reading one
+ * image on fleet workers. Accesses that cross a page reach both guest
+ * pages. Device views reach only their own region, and a restore clears
+ * every view.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <map>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "core/kvm_stack.hh"
+#include "mem/bus.hh"
 #include "sim/fleet.hh"
 #include "sim/random.hh"
 
@@ -350,6 +355,40 @@ TEST(GuestRamFastPath, EvictionByADeviceEntryDropsThePointer)
     });
 }
 
+TEST(GuestRamFastPath, AnEventInTheWalkChargeLeavesNoWrongView)
+{
+    // An event that runs inside a miss's walk charge and changes the TLB
+    // stops the access from filling its slot's view: the slot may hold
+    // another key by then. Windows 0-7 share one TLB set.
+    Model m;
+    Rig rig(m);
+    rig.guest([&](ArmCpu &c) {
+        for (unsigned j = 0; j < 7; ++j)
+            windowStore(c, m, j, 0x20, 0xF000u + j, 4);
+        fillWindowSet(c);
+        arm::Tlb &tlb = c.mmu().tlb();
+        // Window 4 refills window 0's slot while the event flushes an
+        // unrelated page: the slot must not keep window 0's view.
+        c.tlbiVa(windowVa(0));
+        c.events().schedule(c.now() + 1, [&tlb] {
+            tlb.flushVa(pageAlignDown(windowVa(9)));
+        });
+        expectWindowLoad(c, m, 4, 0x20, 4);
+        expectWindowLoad(c, m, 4, 0x20, 4);
+        // Window 5 misses into window 1's slot; the event drops it and
+        // window 6 takes the slot. Window 5's page must not become the
+        // view of window 6's slot.
+        c.tlbiVa(windowVa(1));
+        c.events().schedule(c.now() + 1, [&c, &tlb] {
+            tlb.flushVa(pageAlignDown(windowVa(5)));
+            c.memRead(windowVa(6) + 0x20, 4);
+        });
+        expectWindowLoad(c, m, 5, 0x20, 4);
+        expectWindowLoad(c, m, 6, 0x20, 4);
+        expectWindowLoad(c, m, 6, 0x20, 4);
+    });
+}
+
 TEST(GuestRamFastPath, AsidSwitchNeverServesTheOtherAddressSpace)
 {
     Model m;
@@ -524,9 +563,186 @@ TEST(GuestRamFastPath, ReusedImageFrameReadsItsNewBytes)
     });
 }
 
+TEST(GuestRamFastPath, PageCrossingAccessReachesBothGuestPages)
+{
+    // Data pages A and A + 1 fault into host frames that are not
+    // adjacent, so the access's tail must be translated on its own.
+    Model m;
+    Rig rig(m);
+    const Addr a = dataIpa(14);
+    rig.guest([&](ArmCpu &c) {
+        c.memWrite(a + 0xFFC, 0x11111111, 4);
+        c.memWrite(a + kPageSize, 0x22222222, 4);
+        for (int i = 0; i < 2; ++i) // the full path, then the slot views
+            EXPECT_EQ(c.memRead(a + 0xFFC, 8), 0x2222222211111111u);
+        c.memWrite(a + 0xFFE, 0x8877665544332211u, 8);
+        EXPECT_EQ(c.memRead(a + 0xFFC, 4), 0x22111111u);
+        EXPECT_EQ(c.memRead(a + kPageSize, 8), 0x887766554433u);
+    });
+    const Addr lo = *rig.vm->stage2().ipaToPa(a);
+    const Addr hi = *rig.vm->stage2().ipaToPa(a + kPageSize);
+    EXPECT_NE(lo + kPageSize, hi);
+}
+
+/** Half a page of registers that reads back tag | offset and records
+ *  every access. */
+class HalfPageDevice : public MmioDevice
+{
+  public:
+    HalfPageDevice(std::uint64_t tag, Cycles latency)
+        : tag_(tag), latency_(latency)
+    {
+    }
+    std::string name() const override { return "half-page"; }
+    std::uint64_t
+    read(CpuId, Addr offset, unsigned) override
+    {
+        offsets.push_back(offset);
+        return tag_ | offset;
+    }
+    void
+    write(CpuId, Addr offset, std::uint64_t, unsigned) override
+    {
+        offsets.push_back(offset);
+    }
+    Cycles accessLatency() const override { return latency_; }
+
+    std::vector<Addr> offsets;
+
+  private:
+    std::uint64_t tag_;
+    Cycles latency_;
+};
+
+TEST(TlbSlotView, DeviceViewServesOnlyItsOwnRegion)
+{
+    // Two devices share one page. The slot's view names the first one
+    // accessed; an access to the other half must still reach the other
+    // device, at its latency, and count as a TLB hit.
+    constexpr Addr kPage = 0x0B000000;
+    HalfPageDevice low(0xA000, 7), high(0xB000, 11);
+    ArmMachine::Config mc;
+    mc.numCpus = 1;
+    mc.ramSize = 32 * kMiB;
+    ArmMachine machine(mc);
+    machine.bus().addDevice(kPage, kPageSize / 2, &low);
+    machine.bus().addDevice(kPage + kPageSize / 2, kPageSize / 2, &high);
+    ArmCpu &cpu = machine.cpu(0);
+    std::vector<std::uint64_t> reads;
+    std::vector<Cycles> took;
+    cpu.setEntry([&] {
+        for (Addr off : {Addr{0x10}, Addr{0x14}, Addr{0x810}, Addr{0x20},
+                         Addr{0x818}, Addr{0x818}}) {
+            const Cycles t0 = cpu.now();
+            reads.push_back(cpu.memRead(kPage + off, 4));
+            took.push_back(cpu.now() - t0);
+        }
+        cpu.memWrite(kPage + 0x824, 1, 4);
+    });
+    machine.run();
+    EXPECT_EQ(reads, (std::vector<std::uint64_t>{0xA010, 0xA014, 0xB010,
+                                                 0xA020, 0xB018, 0xB018}));
+    EXPECT_EQ(low.offsets, (std::vector<Addr>{0x10, 0x14, 0x20}));
+    EXPECT_EQ(high.offsets, (std::vector<Addr>{0x10, 0x18, 0x18, 0x24}));
+    EXPECT_EQ(took[1], 7u);
+    EXPECT_EQ(took[2], 11u);
+    EXPECT_EQ(took[3], 7u);
+    EXPECT_EQ(took[5], 11u);
+    EXPECT_EQ(cpu.mmu().tlb().misses(), 1u);
+    EXPECT_EQ(cpu.mmu().tlb().hits(), 6u);
+}
+
 /**
- * A seeded stream of 1/2/4/8-byte loads and stores, aligned and not,
- * through the windows and the identity map, interleaved with remaps, ASID
+ * A machine with no software on it: CPU 0 in SVC mode with Stage-1 on and
+ * VA kDevVa mapped to one device page.
+ */
+class BareRig
+{
+  public:
+    static constexpr Addr kDevVa = 0x40000000;
+
+    explicit BareRig(Addr device_page) : machine(config())
+    {
+        arm::PageTableEditor ed(
+            arm::PtFormat::KernelLpae,
+            [this](Addr pa) { return machine.ram().read(pa, 8); },
+            [this](Addr pa, std::uint64_t v) { machine.ram().write(pa, v, 8); },
+            [this] {
+                nextTable_ -= kPageSize;
+                machine.ram().zeroPage(nextTable_);
+                return nextTable_;
+            });
+        const Addr root = ed.newRoot();
+        arm::Perms device;
+        device.device = true;
+        ed.map(root, kDevVa, device_page, device);
+        ArmCpu &c = machine.cpu(0);
+        c.regs().write64(CtrlReg::TTBR0Lo, CtrlReg::TTBR0Hi, root);
+        c.regs()[CtrlReg::TTBCR] = 0;
+        c.regs()[CtrlReg::CONTEXTIDR] = 1;
+        c.regs()[CtrlReg::SCTLR] |= 1;
+    }
+
+    std::uint64_t
+    load(Addr off)
+    {
+        std::uint64_t v = 0;
+        machine.cpu(0).setEntry(
+            [&] { v = machine.cpu(0).memRead(kDevVa + off, 4); });
+        machine.run();
+        return v;
+    }
+
+    arm::Tlb &tlb() { return machine.cpu(0).mmu().tlb(); }
+
+    ArmMachine machine;
+
+  private:
+    static ArmMachine::Config
+    config()
+    {
+        ArmMachine::Config mc;
+        mc.numCpus = 1;
+        mc.ramSize = 32 * kMiB;
+        return mc;
+    }
+
+    Addr nextTable_ = ArmMachine::kRamBase + 16 * kMiB;
+};
+
+TEST(TlbSlotView, RestoreClearsTheViewOfAnotherDevicePage)
+{
+    // The same VA maps the GICD page on the origin and the GICC page on
+    // the target, so the restored slot holds the key whose view, on the
+    // target, names GICC. A restore must clear every view, and the next
+    // access must reach the GICD, as it does on the origin.
+    BareRig origin(ArmMachine::kGicdBase), target(ArmMachine::kGiccBase);
+    for (int i = 0; i < 2; ++i) {
+        origin.load(arm::gicd::CTLR);
+        target.load(arm::gicc::CTLR);
+    }
+    const std::uint64_t typer = origin.machine.gicd().read(0, arm::gicd::TYPER, 4);
+    ASSERT_NE(typer, target.machine.gicc().read(0, arm::gicc::PMR, 4));
+
+    auto snap = origin.machine.takeSnapshot();
+    target.machine.restoreSnapshot(*snap);
+    for (std::size_t i = 0; i < target.tlb().capacity(); ++i) {
+        const arm::Tlb::View &v = target.tlb().view(i);
+        EXPECT_EQ(v.ram.bytes, nullptr) << "slot " << i;
+        EXPECT_EQ(v.dev.dev, nullptr) << "slot " << i;
+    }
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(target.load(arm::gicd::TYPER), typer);
+        EXPECT_EQ(origin.load(arm::gicd::TYPER), typer);
+    }
+    EXPECT_EQ(target.machine.cpu(0).now(), origin.machine.cpu(0).now());
+    EXPECT_EQ(target.tlb().hits(), origin.tlb().hits());
+    EXPECT_EQ(target.tlb().misses(), origin.tlb().misses());
+}
+
+/**
+ * A seeded stream of 1/2/4/8-byte loads and stores, aligned and not (some
+ * crossing into the next page), through the windows and the identity map, interleaved with remaps, ASID
  * switches, TLB flushes, Stage-2 unmaps, snapshots and clones. Up to
  * three rigs are live (the origin and two clones), each with its own
  * model; every load on every rig must match its model.
@@ -566,21 +782,37 @@ TEST_P(GuestRamStream, SeededOpsMatchTheByteModel)
             return;
         }
         const unsigned len = 1u << rng.range(4);
-        const Addr off = rng.range(2) ? rng.range(kPageSize / len) * len
-                                      : rng.range(kPageSize - len + 1);
+        const std::uint64_t where = rng.range(4);
+        const Addr off = where < 2    ? rng.range(kPageSize / len) * len
+                         : where == 2 ? rng.range(kPageSize)
+                                      : kPageSize - 1 - rng.range(8);
+        // Bytes past the page end go to the next VA page: window j + 8
+        // follows window j < 8, and data page p + 1 follows p.
+        const unsigned low = std::min<unsigned>(len, kPageSize - off);
+        const bool crosses = low < len;
         const bool via_window = rng.range(3) != 0;
-        if (via_window && m.window[m.asid][j] == kGiccIpa)
-            return; // the device page is not RAM
-        const Addr va = via_window ? windowVa(j)
-                                   : dataIpa(static_cast<unsigned>(
-                                         rng.range(kDataPages)));
+        if (via_window && crosses && j >= 8)
+            return; // no window follows
+        const Addr va = via_window
+                            ? windowVa(j)
+                            : dataIpa(static_cast<unsigned>(rng.range(
+                                  crosses ? kDataPages - 1 : kDataPages)));
         const Addr ipa = via_window ? m.window[m.asid][j] : va;
+        const Addr next = via_window ? m.window[m.asid][(j + 8) % kWindows]
+                                     : va + kPageSize;
+        if (ipa == kGiccIpa || (crosses && next == kGiccIpa))
+            return; // the device page is not RAM
         if (rng.range(3) == 0) {
             const std::uint64_t v = rng.next();
             c.memWrite(va + off, v, len);
-            m.store(ipa + off, v, len);
+            m.store(ipa + off, v, low);
+            if (crosses)
+                m.store(next, v >> (8 * low), len - low);
         } else {
-            ASSERT_EQ(c.memRead(va + off, len), m.load(ipa + off, len))
+            std::uint64_t want = m.load(ipa + off, low);
+            if (crosses)
+                want |= m.load(next, len - low) << (8 * low);
+            ASSERT_EQ(c.memRead(va + off, len), want)
                 << "va " << std::hex << va + off << " len " << std::dec
                 << len;
         }

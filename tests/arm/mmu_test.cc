@@ -242,12 +242,12 @@ TEST_F(MmuTest, TlbiVaDropsOneTranslation)
         0u); // still cached
 }
 
-TEST_F(MmuTest, MicroTlbInvisibleAfterRemap)
+TEST_F(MmuTest, RemapPlusTlbiVaWalksToTheNewFrame)
 {
-    // The one-entry micro-TLB in front of the main lookup must never serve
-    // a translation the main TLB would no longer produce: remap a page
-    // that was just accessed (so it sits in the micro entry), invalidate,
-    // and check the new frame is returned.
+    // A TLB hit must never serve a translation the tables no longer
+    // produce once it is invalidated: remap a page that was just accessed
+    // (so its slot hits), invalidate it, and check the new frame is
+    // returned by a walk.
     auto ed = editorFor(PtFormat::KernelLpae);
     Addr root = ed.newRoot();
     Perms p;
@@ -255,7 +255,7 @@ TEST_F(MmuTest, MicroTlbInvisibleAfterRemap)
     ed.map(root, 0x00400000, ArmMachine::kRamBase, p);
     enableS1(root);
 
-    // Two back-to-back accesses: the second is served by the micro entry.
+    // Two back-to-back accesses: the second is a TLB hit.
     ASSERT_EQ(cpu().mmu().translate(0x00400000, Access::Read, Mode::Svc).pa,
               ArmMachine::kRamBase);
     ASSERT_EQ(cpu().mmu().translate(0x00400010, Access::Read, Mode::Svc).pa,
@@ -271,7 +271,7 @@ TEST_F(MmuTest, MicroTlbInvisibleAfterRemap)
     EXPECT_GT(r.cost, 0u); // walked: nothing cached survived the TLBI
 }
 
-TEST_F(MmuTest, MicroTlbInvisibleAfterFlushAll)
+TEST_F(MmuTest, FlushAllForcesAWalk)
 {
     auto ed = editorFor(PtFormat::KernelLpae);
     Addr root = ed.newRoot();
@@ -286,13 +286,13 @@ TEST_F(MmuTest, MicroTlbInvisibleAfterFlushAll)
     cpu().mmu().tlb().flushAll();
     EXPECT_GT(
         cpu().mmu().translate(0x00400000, Access::Read, Mode::Svc).cost,
-        0u); // full walk, not a stale micro hit
+        0u); // full walk, not a stale hit
 }
 
-TEST_F(MmuTest, MicroTlbKeepsHitMissCountersExact)
+TEST_F(MmuTest, HitMissCountersCountEveryTranslation)
 {
-    // Hit/miss accounting must be identical whether a translation is
-    // served by the micro entry or the main array.
+    // Each translation counts exactly one hit or one miss, whether it
+    // repeats the last page or returns to an earlier one.
     auto ed = editorFor(PtFormat::KernelLpae);
     Addr root = ed.newRoot();
     Perms p;

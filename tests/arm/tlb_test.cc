@@ -14,13 +14,27 @@ key(std::uint8_t vmid, std::uint32_t asid, Addr vpage,
     return TlbKey{regime, vmid, asid, vpage};
 }
 
+/** The entry a probe of @p k finds, or null. */
+const TlbEntry *
+lookup(const Tlb &tlb, const TlbKey &k)
+{
+    const Tlb::Probe p = tlb.probe(k);
+    return p.hit != Tlb::kNone ? &tlb.entry(p.hit) : nullptr;
+}
+
+void
+insert(Tlb &tlb, const TlbKey &k, const TlbEntry &e)
+{
+    tlb.insert(tlb.probe(k), k, e);
+}
+
 TEST(Tlb, HitAfterInsert)
 {
     Tlb tlb;
     TlbEntry e;
     e.ppage = 0x9000;
-    tlb.insert(key(1, 2, 0x4000), e);
-    const TlbEntry *hit = tlb.lookup(key(1, 2, 0x4000));
+    insert(tlb, key(1, 2, 0x4000), e);
+    const TlbEntry *hit = lookup(tlb, key(1, 2, 0x4000));
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->ppage, 0x9000u);
 }
@@ -28,44 +42,44 @@ TEST(Tlb, HitAfterInsert)
 TEST(Tlb, TagsDistinguishAsidAndVmid)
 {
     Tlb tlb;
-    tlb.insert(key(1, 1, 0x4000), {});
-    EXPECT_EQ(tlb.lookup(key(1, 2, 0x4000)), nullptr); // other ASID
-    EXPECT_EQ(tlb.lookup(key(2, 1, 0x4000)), nullptr); // other VMID
-    EXPECT_EQ(tlb.lookup(key(1, 1, 0x5000)), nullptr); // other page
-    EXPECT_EQ(tlb.lookup(key(1, 1, 0x4000, TlbRegime::Hyp)), nullptr);
+    insert(tlb, key(1, 1, 0x4000), {});
+    EXPECT_EQ(lookup(tlb, key(1, 2, 0x4000)), nullptr); // other ASID
+    EXPECT_EQ(lookup(tlb, key(2, 1, 0x4000)), nullptr); // other VMID
+    EXPECT_EQ(lookup(tlb, key(1, 1, 0x5000)), nullptr); // other page
+    EXPECT_EQ(lookup(tlb, key(1, 1, 0x4000, TlbRegime::Hyp)), nullptr);
 }
 
 TEST(Tlb, FlushVmidIsSelective)
 {
     Tlb tlb;
-    tlb.insert(key(1, 0, 0x1000), {});
-    tlb.insert(key(2, 0, 0x2000), {});
+    insert(tlb, key(1, 0, 0x1000), {});
+    insert(tlb, key(2, 0, 0x2000), {});
     tlb.flushVmid(1);
-    EXPECT_EQ(tlb.lookup(key(1, 0, 0x1000)), nullptr);
-    EXPECT_NE(tlb.lookup(key(2, 0, 0x2000)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(1, 0, 0x1000)), nullptr);
+    EXPECT_NE(lookup(tlb, key(2, 0, 0x2000)), nullptr);
 }
 
 TEST(Tlb, FlushVaRemovesAllTags)
 {
     Tlb tlb;
-    tlb.insert(key(1, 1, 0x1000), {});
-    tlb.insert(key(1, 2, 0x1000), {});
-    tlb.insert(key(1, 1, 0x2000), {});
+    insert(tlb, key(1, 1, 0x1000), {});
+    insert(tlb, key(1, 2, 0x1000), {});
+    insert(tlb, key(1, 1, 0x2000), {});
     tlb.flushVa(0x1000);
-    EXPECT_EQ(tlb.lookup(key(1, 1, 0x1000)), nullptr);
-    EXPECT_EQ(tlb.lookup(key(1, 2, 0x1000)), nullptr);
-    EXPECT_NE(tlb.lookup(key(1, 1, 0x2000)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(1, 1, 0x1000)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(1, 2, 0x1000)), nullptr);
+    EXPECT_NE(lookup(tlb, key(1, 1, 0x2000)), nullptr);
 }
 
 TEST(Tlb, FifoEvictionBoundsCapacity)
 {
     Tlb tlb(4);
     for (Addr i = 0; i < 8; ++i)
-        tlb.insert(key(0, 0, i * kPageSize), {});
+        insert(tlb, key(0, 0, i * kPageSize), {});
     EXPECT_LE(tlb.size(), 4u);
     // Oldest evicted, newest present.
-    EXPECT_EQ(tlb.lookup(key(0, 0, 0)), nullptr);
-    EXPECT_NE(tlb.lookup(key(0, 0, 7 * kPageSize)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(0, 0, 0)), nullptr);
+    EXPECT_NE(lookup(tlb, key(0, 0, 7 * kPageSize)), nullptr);
 }
 
 TEST(Tlb, ReinsertUpdatesInPlace)
@@ -74,10 +88,10 @@ TEST(Tlb, ReinsertUpdatesInPlace)
     TlbEntry e1, e2;
     e1.ppage = 0x1000;
     e2.ppage = 0x2000;
-    tlb.insert(key(0, 0, 0x4000), e1);
-    tlb.insert(key(0, 0, 0x4000), e2);
+    insert(tlb, key(0, 0, 0x4000), e1);
+    insert(tlb, key(0, 0, 0x4000), e2);
     EXPECT_EQ(tlb.size(), 1u);
-    EXPECT_EQ(tlb.lookup(key(0, 0, 0x4000))->ppage, 0x2000u);
+    EXPECT_EQ(lookup(tlb, key(0, 0, 0x4000))->ppage, 0x2000u);
 }
 
 TEST(Tlb, EvictionIsOldestFirstWithinSet)
@@ -86,16 +100,16 @@ TEST(Tlb, EvictionIsOldestFirstWithinSet)
     // newer ones push them out.
     Tlb tlb(4);
     for (Addr i = 0; i < 4; ++i)
-        tlb.insert(key(0, 0, i * kPageSize), {});
+        insert(tlb, key(0, 0, i * kPageSize), {});
     for (Addr n = 0; n < 4; ++n) {
-        tlb.insert(key(0, 0, (4 + n) * kPageSize), {});
+        insert(tlb, key(0, 0, (4 + n) * kPageSize), {});
         EXPECT_EQ(tlb.size(), 4u);
         // Ages 0..n evicted, n+1..4+n resident.
         for (Addr i = 0; i <= n; ++i)
-            EXPECT_EQ(tlb.lookup(key(0, 0, i * kPageSize)), nullptr)
+            EXPECT_EQ(lookup(tlb, key(0, 0, i * kPageSize)), nullptr)
                 << "entry " << i << " after " << n + 1 << " evictions";
         for (Addr i = n + 1; i <= 4 + n; ++i)
-            EXPECT_NE(tlb.lookup(key(0, 0, i * kPageSize)), nullptr)
+            EXPECT_NE(lookup(tlb, key(0, 0, i * kPageSize)), nullptr)
                 << "entry " << i << " after " << n + 1 << " evictions";
     }
 }
@@ -103,19 +117,19 @@ TEST(Tlb, EvictionIsOldestFirstWithinSet)
 TEST(Tlb, FlushVmidLeavesOtherVmidsAndHypAlone)
 {
     Tlb tlb;
-    tlb.insert(key(1, 7, 0x1000), {});
-    tlb.insert(key(1, 8, 0x2000), {});
-    tlb.insert(key(2, 7, 0x3000), {});
-    tlb.insert(key(0, 0, 0x4000, TlbRegime::Hyp), {});
+    insert(tlb, key(1, 7, 0x1000), {});
+    insert(tlb, key(1, 8, 0x2000), {});
+    insert(tlb, key(2, 7, 0x3000), {});
+    insert(tlb, key(0, 0, 0x4000, TlbRegime::Hyp), {});
     tlb.flushVmid(1);
-    EXPECT_EQ(tlb.lookup(key(1, 7, 0x1000)), nullptr);
-    EXPECT_EQ(tlb.lookup(key(1, 8, 0x2000)), nullptr);
-    EXPECT_NE(tlb.lookup(key(2, 7, 0x3000)), nullptr);
-    EXPECT_NE(tlb.lookup(key(0, 0, 0x4000, TlbRegime::Hyp)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(1, 7, 0x1000)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(1, 8, 0x2000)), nullptr);
+    EXPECT_NE(lookup(tlb, key(2, 7, 0x3000)), nullptr);
+    EXPECT_NE(lookup(tlb, key(0, 0, 0x4000, TlbRegime::Hyp)), nullptr);
     EXPECT_EQ(tlb.size(), 2u);
     // The flushed VMID can repopulate afterwards.
-    tlb.insert(key(1, 7, 0x1000), {});
-    EXPECT_NE(tlb.lookup(key(1, 7, 0x1000)), nullptr);
+    insert(tlb, key(1, 7, 0x1000), {});
+    EXPECT_NE(lookup(tlb, key(1, 7, 0x1000)), nullptr);
 }
 
 TEST(Tlb, FlushVaThenRemapServesNewMapping)
@@ -124,13 +138,13 @@ TEST(Tlb, FlushVaThenRemapServesNewMapping)
     TlbEntry old_map, new_map;
     old_map.ppage = 0xA000;
     new_map.ppage = 0xB000;
-    tlb.insert(key(1, 1, 0x6000), old_map);
-    ASSERT_EQ(tlb.lookup(key(1, 1, 0x6000))->ppage, 0xA000u);
+    insert(tlb, key(1, 1, 0x6000), old_map);
+    ASSERT_EQ(lookup(tlb, key(1, 1, 0x6000))->ppage, 0xA000u);
     tlb.flushVa(0x6000);
-    EXPECT_EQ(tlb.lookup(key(1, 1, 0x6000)), nullptr);
-    tlb.insert(key(1, 1, 0x6000), new_map);
-    ASSERT_NE(tlb.lookup(key(1, 1, 0x6000)), nullptr);
-    EXPECT_EQ(tlb.lookup(key(1, 1, 0x6000))->ppage, 0xB000u);
+    EXPECT_EQ(lookup(tlb, key(1, 1, 0x6000)), nullptr);
+    insert(tlb, key(1, 1, 0x6000), new_map);
+    ASSERT_NE(lookup(tlb, key(1, 1, 0x6000)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(1, 1, 0x6000))->ppage, 0xB000u);
 }
 
 TEST(Tlb, HitMissCountersTrackOutcomes)
@@ -138,10 +152,10 @@ TEST(Tlb, HitMissCountersTrackOutcomes)
     Tlb tlb;
     EXPECT_EQ(tlb.hits(), 0u);
     EXPECT_EQ(tlb.misses(), 0u);
-    // Counters are maintained by the MMU (lookup() itself is silent so
+    // Counters are maintained by the MMU (probe() itself is silent so
     // spill-over probes don't double count).
     tlb.countMiss();
-    tlb.insert(key(1, 1, 0x1000), {});
+    insert(tlb, key(1, 1, 0x1000), {});
     tlb.countHit();
     tlb.countHit();
     EXPECT_EQ(tlb.hits(), 2u);
@@ -152,20 +166,20 @@ TEST(Tlb, FlushesInvalidateEverythingAndBumpEpoch)
 {
     Tlb tlb;
     std::uint64_t e0 = tlb.epoch();
-    tlb.insert(key(1, 1, 0x1000), {});
-    tlb.insert(key(0, 0, 0x2000, TlbRegime::Hyp), {});
+    insert(tlb, key(1, 1, 0x1000), {});
+    insert(tlb, key(0, 0, 0x2000, TlbRegime::Hyp), {});
     EXPECT_EQ(tlb.size(), 2u);
     tlb.flushAll();
     EXPECT_GT(tlb.epoch(), e0);
     EXPECT_EQ(tlb.size(), 0u);
-    EXPECT_EQ(tlb.lookup(key(1, 1, 0x1000)), nullptr);
-    EXPECT_EQ(tlb.lookup(key(0, 0, 0x2000, TlbRegime::Hyp)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(1, 1, 0x1000)), nullptr);
+    EXPECT_EQ(lookup(tlb, key(0, 0, 0x2000, TlbRegime::Hyp)), nullptr);
 
     // Epoch also moves on the events that can invalidate a cached copy of
     // an entry: in-place update, eviction, flushVa, flushVmid.
     std::uint64_t e1 = tlb.epoch();
-    tlb.insert(key(1, 1, 0x1000), {});
-    tlb.insert(key(1, 1, 0x1000), {}); // update in place
+    insert(tlb, key(1, 1, 0x1000), {});
+    insert(tlb, key(1, 1, 0x1000), {}); // update in place
     EXPECT_GT(tlb.epoch(), e1);
     std::uint64_t e2 = tlb.epoch();
     tlb.flushVa(0x1000);

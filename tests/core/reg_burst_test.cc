@@ -1,11 +1,14 @@
 /**
  * @file
- * ArmCpu::regBurst differential tests: two identical KVM machines run the
+ * ArmCpu::regBurst tests. Differential: two identical KVM machines run the
  * same Hyp-mode GICH transfer, one through a register burst and one as
  * per-register memRead/memWrite. The clocks, the TLB counters and the
- * whole-machine snapshot records (CPU, micro-TLB, TLB, GIC, ...) must come
- * out identical, including when an event lands mid-burst, when the Hyp MMU
- * is off, and when the offsets leave the first page.
+ * whole-machine snapshot records (CPU, TLB, GIC, ...) must come out
+ * identical, including when an event lands mid-burst, when the Hyp MMU is
+ * off, and when the offsets leave the first page. Both forms reach the
+ * device through the same TLB slot view, so a fixed world-switch script
+ * also checks the clock and TLB counters against values recorded before
+ * the slots had device views.
  */
 
 #include <gtest/gtest.h>
@@ -242,7 +245,9 @@ TEST(RegBurst, HypMmuOffCountsNoHits)
 TEST(RegBurst, OffsetsThatLeaveThePageTakeTheFullPath)
 {
     // Offsets from base 0 hop between the GICH, GICD and GICC pages and
-    // back: every page change re-translates and re-decodes.
+    // back: every page change re-translates and re-decodes. With the
+    // GICH slot warmed first, the whole-burst attempt sees the offsets
+    // leave that page and region, and every register takes its own path.
     const std::vector<Addr> offs = {
         kGich + arm::gich::HCR,           kGich + arm::gich::VMCR,
         ArmMachine::kGicdBase + arm::gicd::CTLR,
@@ -251,10 +256,17 @@ TEST(RegBurst, OffsetsThatLeaveThePageTakeTheFullPath)
         kGich + arm::gich::ELRSR0,
     };
     std::vector<Transfer> ts = {{0, offs, false}};
-    Outcome o = expectSameAsPerRegister(ts);
-    EXPECT_EQ(o.reads.size(), offs.size());
-    EXPECT_EQ(o.missesInBody, 3u); // one walk per page
-    EXPECT_EQ(o.hitsInBody, offs.size() - 3);
+    for (bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm GICH slot" : "cold GICH slot");
+        Outcome o = expectSameAsPerRegister(ts, [warm](ArmCpu &cpu) {
+            if (warm)
+                cpu.memRead(kGich + arm::gich::VMCR, 4);
+        });
+        EXPECT_EQ(o.reads.size(), offs.size());
+        const std::size_t walks = warm ? 2 : 3; // one per cold page
+        EXPECT_EQ(o.missesInBody, walks);
+        EXPECT_EQ(o.hitsInBody, offs.size() - walks);
+    }
 }
 
 TEST(RegBurst, WriteBurstRefreshesTheVirtualLine)
@@ -282,6 +294,74 @@ TEST(RegBurst, WriteBurstRefreshesTheVirtualLine)
     });
     EXPECT_TRUE(raised);
     EXPECT_TRUE(dropped);
+}
+
+/** Guest kernel that acknowledges and ends every virtual interrupt. */
+class AckingGuest : public arm::OsVectors
+{
+  public:
+    void
+    irq(ArmCpu &cpu) override
+    {
+        const std::uint64_t iar =
+            cpu.memRead(ArmMachine::kGiccBase + arm::gicc::IAR, 4);
+        if ((iar & 0x3FF) != arm::kSpuriousIrq) {
+            ++taken;
+            cpu.memWrite(ArmMachine::kGiccBase + arm::gicc::EOIR, iar);
+        }
+    }
+    void svc(ArmCpu &, std::uint32_t) override {}
+    bool pageFault(ArmCpu &, Addr, bool, bool) override { return false; }
+    const char *name() const override { return "acking-guest"; }
+
+    int taken = 0;
+};
+
+/**
+ * Clock and TLB counters after a fixed script of real world switches,
+ * whose GICH transfers are register bursts: hypercalls, trapped
+ * distributor accesses, direct GICV accesses, a Stage-2 fault, a virtual
+ * SGI taken and acknowledged, and an event that flushes the whole TLB so
+ * that the next world switch finds the GICH slot cold. The values were
+ * recorded by the same script before the TLB slots reached devices, when
+ * the burst and the per-register path did not share a fast path.
+ */
+TEST(RegBurst, WorldSwitchScriptMatchesRecordedCounters)
+{
+    core::KvmStack stack{{.numCpus = 1, .ramSize = 64 * kMiB, .kvm = {}}};
+    AckingGuest os;
+    std::unique_ptr<core::Vm> vm;
+    stack.onCpu(0, [&](ArmCpu &cpu) {
+        vm = stack.kvm.createVm(16 * kMiB);
+        core::VCpu &vcpu = vm->addVcpu(0);
+        vcpu.setGuestOs(&os);
+        vcpu.run(cpu, [&](ArmCpu &c) {
+            const Addr gicd = ArmMachine::kGicdBase;
+            const Addr gicc = ArmMachine::kGiccBase;
+            c.memWrite(gicd + arm::gicd::CTLR, 1);
+            c.memWrite(gicd + arm::gicd::ISENABLER, 0xFFFF);
+            c.memWrite(gicc + arm::gicc::PMR, 0xFF);
+            c.memWrite(gicc + arm::gicc::CTLR, 1);
+            c.setIrqMasked(false);
+            for (int i = 0; i < 3; ++i)
+                c.hvc(core::hvc::kTestHypercall);
+            c.memWrite(ArmMachine::kRamBase + 0x2000, 1, 4);
+            c.events().schedule(c.now() + 10,
+                                [&c] { c.mmu().tlb().flushAll(); });
+            c.compute(20);
+            c.hvc(core::hvc::kTestHypercall);
+            c.memWrite(gicd + arm::gicd::SGIR, (1u << 16) | 3);
+            c.compute(2000);
+            c.hvc(core::hvc::kTestHypercall);
+            c.memRead(gicc + arm::gicc::RPR, 4);
+        });
+    });
+    stack.machine.run();
+    arm::Tlb &tlb = stack.machine.cpu(0).mmu().tlb();
+    EXPECT_EQ(os.taken, 1);
+    EXPECT_EQ(stack.machine.cpu(0).now(), 60134u);
+    EXPECT_EQ(tlb.hits(), 413u);
+    EXPECT_EQ(tlb.misses(), 11u);
 }
 
 TEST(RegBurst, MismatchedValueSpanPanics)

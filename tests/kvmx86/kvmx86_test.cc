@@ -89,6 +89,36 @@ TEST_F(KvmX86Test, EptFaultsPopulateMemory)
     });
 }
 
+TEST_F(KvmX86Test, PageCrossingAccessReachesBothGuestPages)
+{
+    // Guest pages A and A + 1 fault into host frames that are not
+    // adjacent, so the access's tail must be translated on its own.
+    constexpr Addr kA = 0x20000;
+    runOnCpu0([&](X86Cpu &cpu) {
+        auto vm = kvm.createVm(64 * kMiB);
+        VCpuX86 &vcpu = vm->addVcpu(0);
+        vcpu.setGuestOs(&guest);
+        vcpu.run(cpu, [&](X86Cpu &c) {
+            c.memWrite(0x40000, 0x33, 4); // the frame above A's
+            c.memWrite(kA + 0xFFC, 0x11111111, 4);
+            c.memWrite(0x50000, 0x44, 4); // the frame between A's and A + 1's
+            c.memWrite(kA + 0x1000, 0x22222222, 4);
+            EXPECT_EQ(c.memRead(kA + 0xFFC, 8), 0x2222222211111111u);
+            c.memWrite(kA + 0xFFE, 0x8877665544332211u, 8);
+            EXPECT_EQ(c.memRead(kA + 0xFFC, 4), 0x22111111u);
+            EXPECT_EQ(c.memRead(kA + 0x1000, 8), 0x887766554433u);
+            // A crossing access faults in each page it touches.
+            c.memWrite(0x7FFD, 0xAABBCCDD, 4);
+            EXPECT_EQ(c.memRead(0x7FFD, 4), 0xAABBCCDDu);
+        });
+        Addr lo = 0, hi = 0;
+        ASSERT_TRUE(vm->translate(kA, lo));
+        ASSERT_TRUE(vm->translate(kA + 0x1000, hi));
+        EXPECT_NE(lo + 0x1000, hi);
+        EXPECT_EQ(vcpu.stats.counterValue("fault.ept"), 6u);
+    });
+}
+
 TEST_F(KvmX86Test, GuestStateSurvivesResidency)
 {
     runOnCpu0([&](X86Cpu &cpu) {

@@ -69,13 +69,10 @@ TEST(CpuCharge, ChargeReachingTheYieldThresholdYields)
     bool ran_before_threshold = true;
     bool ran_at_threshold = false;
     c0.setEntry([&] {
-        const std::uint64_t interleaves = c0.interleaves();
         c0.compute(499);
         ran_before_threshold = cpu1_ran;
-        EXPECT_EQ(c0.interleaves(), interleaves);
         c0.compute(1);
         ran_at_threshold = cpu1_ran;
-        EXPECT_GT(c0.interleaves(), interleaves);
     });
     machine.cpu(1).setEntry([&] { cpu1_ran = true; });
     machine.run();
