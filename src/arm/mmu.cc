@@ -53,7 +53,7 @@ Mmu::Mmu(ArmCpu &cpu) : cpu_(cpu), ram_(cpu.machine().ram())
 }
 
 TranslateResult
-Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost)
+Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost, Perms *perms)
 {
     TranslateResult res;
     const ArmCostModel &cm = cpu_.machine().cost();
@@ -88,8 +88,8 @@ Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost)
     }
     res.ok = true;
     res.pa = wr.pa;
-    res.device = wr.perms.device;
-    res.perms = wr.perms;
+    if (perms)
+        *perms = wr.perms;
     return res;
 }
 
@@ -143,7 +143,6 @@ Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
         // Hyp mode with its MMU off: the identity, and no TLB.
         res.ok = true;
         res.pa = va;
-        res.device = !ram_.contains(va);
         return res;
     }
 
@@ -164,7 +163,6 @@ Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
             tlb_.countHit();
             res.ok = true;
             res.pa = e.ppage | (va & (kPageSize - 1));
-            res.device = e.device;
             res.slot = p.hit;
             return res;
         }
@@ -210,10 +208,8 @@ Mmu::walkHyp(Addr va, Access acc, TranslateResult &res, TlbEntry &entry)
 
     entry.ppage = pageAlignDown(wr.pa);
     entry.s1Perms = wr.perms;
-    entry.device = wr.perms.device;
     res.ok = true;
     res.pa = wr.pa;
-    res.device = wr.perms.device;
     return true;
 }
 
@@ -292,28 +288,23 @@ Mmu::walkPl1(Addr va, Access acc, Mode mode, TranslateResult &res,
 
     Perms s2_perms = identityPerms();
     Addr pa = ipa;
-    bool device = s1_perms.device;
     if (s2_on) {
-        TranslateResult r2 = walkStage2(ipa, acc, cost);
+        TranslateResult r2 = walkStage2(ipa, acc, cost, &s2_perms);
         if (!r2.ok) {
             r2.cost = cost;
             res = r2;
             return false;
         }
         pa = r2.pa;
-        device = device || r2.device;
-        s2_perms = r2.perms;
     }
 
     entry.ppage = pageAlignDown(pa);
     entry.s1Perms = s1_on ? s1_perms : identityPerms();
     entry.s2Perms = s2_perms;
     entry.hasStage2 = s2_on;
-    entry.device = device;
 
     res.ok = true;
     res.pa = pa;
-    res.device = device;
     res.cost = cost;
     return true;
 }

@@ -22,9 +22,7 @@ struct TranslateResult
 {
     bool ok = false;
     Addr pa = 0;
-    bool device = false;
     Cycles cost = 0; //!< cycles spent walking (0 on a TLB hit)
-    Perms perms;     //!< leaf permissions of the final stage walked
     /** TLB slot now holding a successful translation (Tlb::kNone for a
      *  fault or for Hyp mode with its MMU off). */
     std::size_t slot = Tlb::kNone;
@@ -85,7 +83,10 @@ class Mmu
     bool walkHyp(Addr va, Access acc, TranslateResult &res, TlbEntry &entry);
     bool walkPl1(Addr va, Access acc, Mode mode, TranslateResult &res,
                  TlbEntry &entry);
-    TranslateResult walkStage2(Addr ipa, Access acc, Cycles &cost);
+    /** Stage-2 walk of @p ipa; on success puts the leaf's permissions
+     *  in @p perms when it is given. */
+    TranslateResult walkStage2(Addr ipa, Access acc, Cycles &cost,
+                               Perms *perms = nullptr);
 
     ArmCpu &cpu_;
     const PhysMem &ram_;

@@ -53,7 +53,6 @@ struct TlbEntry
     Perms s1Perms;      //!< Stage-1 permissions (identity when S1 off)
     Perms s2Perms;      //!< Stage-2 permissions (all-allow when S2 off)
     bool hasStage2 = false;
-    bool device = false;
 };
 
 /** Set-associative TLB with generation-counter invalidation. */

@@ -91,17 +91,9 @@ Fleet::submitLocked(std::string name, StepFn fn)
     // Resolve the submitter: a submission from a worker thread that is
     // inside a job body is a spawn stamped with that job's id; anything
     // else (the owner thread, before start() or mid-run) is external.
-    // Worker tids are recorded under schedMutex_ by each worker before it
-    // pops any job, so by the time a job body can call submit() its own
-    // worker's tid is visible here.
-    std::size_t parentSlot = kNoSlot;
-    const auto self = std::this_thread::get_id();
-    for (const auto &wp : workers_) {
-        if (wp->tid == self && wp->currentSlot != kNoSlot) {
-            parentSlot = wp->currentSlot;
-            break;
-        }
-    }
+    const unsigned caller = callingWorker();
+    const std::size_t parentSlot =
+        caller == kNoWorker ? kNoSlot : workers_[caller]->currentSlot;
 
     JobMeta meta;
     unsigned home = 0;
@@ -135,12 +127,23 @@ Fleet::submitLocked(std::string name, StepFn fn)
     ++unfinished_;
     enqueue(Job{std::move(name), std::move(fn), slot, home});
     cvWork_.notify_one();
-
-    if (parentSlot != kNoSlot) {
-        MutexLock stats(statsMutex_);
-        ++stats_.jobsSpawned;
-    }
+    stats_.jobsSpawned += parentSlot != kNoSlot;
     return slot;
+}
+
+unsigned
+Fleet::callingWorker() const
+{
+    // Worker tids are recorded under schedMutex_ by each worker before it
+    // pops any job, so by the time a job body calls in, its own worker's
+    // tid is visible here.
+    const auto self = std::this_thread::get_id();
+    for (unsigned w = 0; w < threads_; ++w) {
+        const Worker &wk = *workers_[w];
+        if (wk.tid == self && wk.currentSlot != kNoSlot)
+            return w;
+    }
+    return kNoWorker;
 }
 
 bool
@@ -175,9 +178,17 @@ Fleet::stealFrom(unsigned thief, Job &out)
 }
 
 void
-Fleet::enqueue(Job job)
+Fleet::enqueue(Job job, unsigned waker)
 {
     ++queuedCount_;
+    if (waker != kNoWorker) {
+        // The waker's worker pops its own front next, as soon as the
+        // waker's step returns: the handoff stays on one host thread.
+        Worker &own = *workers_[waker];
+        MutexLock lock(own.mutex);
+        own.jobs.push_front(std::move(job));
+        return;
+    }
     Worker &home = *workers_[job.home];
     MutexLock lock(home.mutex);
     home.jobs.push_back(std::move(job));
@@ -194,7 +205,7 @@ Fleet::notify(std::size_t index)
     switch (state_[index]) {
       case JobState::Parked:
         state_[index] = JobState::Queued;
-        enqueue(std::move(parked_[index]));
+        enqueue(std::move(parked_[index]), callingWorker());
         cvWork_.notify_one();
         break;
       case JobState::Running:
@@ -303,9 +314,10 @@ Fleet::workerMain(unsigned w)
         res->wallSeconds += std::chrono::duration<double>(t1 - t0).count();
 
         bool finished = failed || out == StepOutcome::Done;
-        bool parkedNow = false;
         {
             CondLock lock(schedMutex_);
+            stats_.jobsRun += finished;
+            stats_.jobsStolen += stolen;
             --runningCount_;
             workers_[w]->currentSlot = kNoSlot;
             if (finished) {
@@ -322,15 +334,8 @@ Fleet::workerMain(unsigned w)
             } else {
                 state_[slot] = JobState::Parked;
                 parked_[slot] = std::move(job);
-                parkedNow = true;
+                ++stats_.jobsParked;
             }
-        }
-
-        {
-            MutexLock lock(statsMutex_);
-            stats_.jobsRun += finished;
-            stats_.jobsStolen += stolen;
-            stats_.jobsParked += parkedNow;
         }
     }
 }
@@ -382,12 +387,9 @@ Fleet::drainLocked(CondLock &lock)
 {
     if (draining_)
         fatal("Fleet::drain: a drain is already in progress");
-    const auto self = std::this_thread::get_id();
-    for (const auto &wp : workers_) {
-        if (wp->tid == self && wp->currentSlot != kNoSlot)
-            fatal("Fleet::drain: called from inside a job body — only the "
-                  "pool owner may quiesce the fleet");
-    }
+    if (callingWorker() != kNoWorker)
+        fatal("Fleet::drain: called from inside a job body — only the "
+              "pool owner may quiesce the fleet");
     draining_ = true;
     failDeadlockedParked(); // every worker may already be asleep
     while (unfinished_ != 0) {
@@ -397,10 +399,7 @@ Fleet::drainLocked(CondLock &lock)
     draining_ = false;
     auto out = collectEpoch();
     epochsDone_.fetch_add(1, std::memory_order_release);
-    {
-        MutexLock stats(statsMutex_);
-        ++stats_.epochs;
-    }
+    ++stats_.epochs;
     return out;
 }
 

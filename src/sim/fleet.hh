@@ -44,9 +44,13 @@
  * advances its machine until it must wait for a peer (e.g. a RingPacer
  * window blocked on the peer's horizon) and returns Blocked. The fleet
  * parks the job without occupying a worker; notify() — typically wired to
- * a RingChannel wake hook — re-queues it. A notify that races the step
- * (arriving while the job runs) is latched and converts the park into an
- * immediate re-queue, so wakeups are never lost. At one worker thread this
+ * a RingChannel wake hook — re-queues it. A notify from inside a job body
+ * queues the woken job at the front of the calling worker's own deque, so
+ * a ring handoff usually continues on the host thread that produced it
+ * (Go's runnext, Tokio's LIFO slot); an idle worker may still steal it.
+ * A notify that races the step (arriving while the job runs) is latched
+ * and converts the park into an immediate re-queue on the job's home
+ * deque, so wakeups are never lost. At one worker thread this
  * degrades to serial round-robin between the communicating jobs, which is
  * exactly the reference schedule the determinism gates compare against.
  * While a drain is in progress, a job parked with every worker idle and
@@ -105,7 +109,9 @@ class Fleet
         std::string error;      //!< exception text when !ok
         double wallSeconds = 0; //!< host wall-clock total across steps
         unsigned worker = 0;    //!< worker thread that ran the last step
-        bool stolen = false;    //!< some step ran on a non-home worker
+        /** Some step was taken from another worker's deque. A job woken
+         *  onto its waker's deque runs off its home worker unstolen. */
+        bool stolen = false;
         std::uint64_t steps = 0; //!< times the body was entered
         /** Deterministic submission key: the id of the submitting job
          *  (kExternalSubmitter for the owner thread) and that submitter's
@@ -119,6 +125,7 @@ class Fleet
     struct Stats
     {
         std::uint64_t jobsRun = 0;
+        /** Steps taken from another worker's deque. */
         std::uint64_t jobsStolen = 0;
         std::uint64_t jobsParked = 0;  //!< Blocked returns (park events)
         std::uint64_t jobsSpawned = 0; //!< submissions from job bodies
@@ -202,7 +209,9 @@ class Fleet
     /**
      * Wake a parked job (thread-safe; callable from job bodies — the
      * usual caller is a RingChannel wake hook running on a peer's
-     * worker). If the job is mid-step, the wake is latched so the
+     * worker). Called from a job body, it queues the job at the front of
+     * the calling worker's deque; otherwise at the back of its home
+     * deque. If the job is mid-step, the wake is latched so the
      * subsequent Blocked return re-queues instead of parking. No-op for
      * queued/finished jobs or while no workers are live.
      */
@@ -268,12 +277,20 @@ class Fleet
     };
 
     static constexpr std::size_t kNoSlot = ~std::size_t{0};
+    static constexpr unsigned kNoWorker = ~0u;
+
+    /** The worker whose thread is calling from inside a job body, or
+     *  kNoWorker (the owner thread, or a worker between jobs). */
+    unsigned callingWorker() const KVMARM_REQUIRES(schedMutex_);
 
     std::size_t submitLocked(std::string name, StepFn fn)
         KVMARM_REQUIRES(schedMutex_);
     bool popOwn(unsigned w, Job &out);
     bool stealFrom(unsigned thief, Job &out);
-    void enqueue(Job job) KVMARM_REQUIRES(schedMutex_);
+    /** Queue @p job at the back of its home deque or, for a wake from
+     *  worker @p waker's job body, at the front of the waker's deque. */
+    void enqueue(Job job, unsigned waker = kNoWorker)
+        KVMARM_REQUIRES(schedMutex_);
     void failDeadlockedParked() KVMARM_REQUIRES(schedMutex_);
     std::vector<JobResult> collectEpoch() KVMARM_REQUIRES(schedMutex_);
     std::vector<JobResult> drainLocked(CondLock &lock)
@@ -311,9 +328,7 @@ class Fleet
     bool draining_ KVMARM_GUARDED_BY(schedMutex_) = false;
     bool stopping_ KVMARM_GUARDED_BY(schedMutex_) = false;
     bool shutdown_ KVMARM_GUARDED_BY(schedMutex_) = false;
-
-    Mutex statsMutex_;
-    Stats stats_ KVMARM_GUARDED_BY(statsMutex_);
+    Stats stats_ KVMARM_GUARDED_BY(schedMutex_);
 };
 
 } // namespace kvmarm

@@ -29,12 +29,6 @@ RingChannel::end(unsigned side)
     return ends_[side];
 }
 
-std::function<void()>
-RingChannel::wakeHookOf(unsigned side) const
-{
-    return sides_[side].wake;
-}
-
 std::uint64_t
 RingChannel::Endpoint::send(Cycles now, std::vector<std::uint8_t> payload)
 {
@@ -112,10 +106,27 @@ RingChannel::publish(unsigned side, Cycles horizon, bool idleForever)
                   static_cast<unsigned long long>(horizon));
         self.horizon = horizon;
         self.idleForever = idleForever;
-        wake = wakeHookOf(1 - side);
+        // Only the publish that reaches the parked peer's need wakes it:
+        // any earlier one would re-step a peer that is still blocked.
+        Side &peer = sides_[1 - side];
+        if (horizon >= peer.want) {
+            peer.want = kNoDeadline;
+            wake = peer.wake;
+        }
     }
     if (wake)
         wake();
+}
+
+bool
+RingChannel::awaitHorizon(unsigned side, Cycles need)
+{
+    MutexLock lock(mutex_);
+    const Side &peer = sides_[1 - side];
+    if (peer.closed || peer.aborted || peer.horizon >= need)
+        return false;
+    sides_[side].want = need;
+    return true;
 }
 
 void
@@ -142,17 +153,16 @@ RingChannel::pull(unsigned side, Cycles from, Cycles to)
             batch.push_back(std::move(peer.outbox.front()));
             peer.outbox.pop_front();
         }
+        if (batch.empty())
+            return;
         // The pulled messages now live inside this side's machine, where
         // the peer's deadlock probe cannot see them. Clear the published
         // idle flag in the same critical section so the probe never
         // observes "idle with nothing in flight" between this pull and
         // the post-window publish.
-        if (!batch.empty())
-            sides_[side].idleForever = false;
+        sides_[side].idleForever = false;
         rx = sides_[side].receiver;
     }
-    if (batch.empty())
-        return;
     if (!rx)
         fatal("RingChannel('%s') side %u: %zu message(s) to deliver but no "
               "receiver is installed",
@@ -176,7 +186,8 @@ RingChannel::peerView(unsigned side) const
     v.idleForever = peer.idleForever;
     v.inboundPending = !peer.outbox.empty();
     v.outboundPending = !sides_[side].outbox.empty();
-    v.abortReason = peer.abortReason;
+    if (peer.aborted)
+        v.abortReason = peer.abortReason;
     return v;
 }
 
@@ -189,7 +200,7 @@ RingChannel::close(unsigned side)
         if (sides_[side].closed)
             return;
         sides_[side].closed = true;
-        wake = wakeHookOf(1 - side);
+        wake = sides_[1 - side].wake;
     }
     if (wake)
         wake();
@@ -206,7 +217,7 @@ RingChannel::abort(unsigned side, std::string reason)
             return;
         self.aborted = true;
         self.abortReason = std::move(reason);
-        wake = wakeHookOf(1 - side);
+        wake = sides_[1 - side].wake;
     }
     if (wake)
         wake();
@@ -310,8 +321,20 @@ RingPacer::step()
                     std::min(allowed, v.horizon + ep->channel().latency());
         }
 
-        if (allowed < next)
-            return Step::Blocked;
+        if (allowed < next) {
+            // Park only on a need some peer has yet to publish: a peer
+            // that caught up since the peerView above would never wake
+            // this job, so look again instead.
+            bool parked = false;
+            for (RingChannel::Endpoint *ep : eps_) {
+                Cycles lat = ep->channel().latency();
+                parked |= ep->channel().awaitHorizon(
+                    ep->side(), next > lat ? next - lat : 0);
+            }
+            if (parked)
+                return Step::Blocked;
+            continue;
+        }
 
         if (machine_.nextActivity() == kNoDeadline) {
             // The machine cannot progress on its own. If no open peer can

@@ -13,11 +13,12 @@
  * committed horizon to satisfy peer_h + latency >= h+W — which guarantees
  * every message deliverable inside the window has already been sent — then
  * pulls exactly that window's deliveries, runs the machine to h+W, and
- * publishes the new horizon. Because the pacer pauses at every boundary
- * unconditionally, a blocked ("parked") step differs from an unblocked one
- * only in wall-clock time, never in simulated behaviour: two communicating
- * machines on different fleet workers stay bit-identical to serial
- * round-robin execution.
+ * publishes the new horizon. A blocked pacer names the peer horizon it
+ * needs, and only the publish that reaches it wakes the pacer's job.
+ * Because the pacer pauses at every boundary unconditionally, a blocked
+ * ("parked") step differs from an unblocked one only in wall-clock time,
+ * never in simulated behaviour: two communicating machines on different
+ * fleet workers stay bit-identical to serial round-robin execution.
  *
  * All Endpoint/pacer machine-side calls happen on whichever host thread is
  * currently running that machine's job (machines stay single-threaded by
@@ -96,8 +97,9 @@ class RingChannel
          *  seq) order during the owning pacer's window pulls. */
         void setReceiver(std::function<void(const RingMessage &)> rx);
 
-        /** Invoked (without the channel lock) whenever the peer publishes
-         *  progress, closes, or aborts — the fleet wake hook. */
+        /** Invoked (without the channel lock) when the peer publishes a
+         *  horizon that reaches this side's awaitHorizon() need, closes,
+         *  or aborts — the fleet wake hook. */
         void setWakeHook(std::function<void()> wake);
 
         RingChannel &channel() { return *ch_; }
@@ -116,8 +118,18 @@ class RingChannel
 
     /** Commit that @p side will never again send below @p horizon, and
      *  whether its machine is idle with no pending events. Wakes the
-     *  peer. */
+     *  peer if @p horizon reaches the need it is waiting for, and clears
+     *  that need. */
     void publish(unsigned side, Cycles horizon, bool idleForever);
+
+    /**
+     * Park @p side until its peer's horizon reaches @p need: record the
+     * need, so the peer's publish() that reaches it fires this side's
+     * wake hook. Returns false, recording nothing, if the peer already
+     * reached @p need or is closed or aborted — the caller must then
+     * re-check instead of parking, since no wake would come.
+     */
+    bool awaitHorizon(unsigned side, Cycles need);
 
     /** Deliver every message destined for @p side with deliverCycle in
      *  [from, to) to its receiver, in (deliverCycle, seq) order. fatal()
@@ -145,6 +157,8 @@ class RingChannel
         bool closed = false;
         bool aborted = false;
         bool idleForever = false;
+        /** Peer horizon this side is parked on (kNoDeadline: none). */
+        Cycles want = kNoDeadline;
         std::string abortReason;
         std::uint64_t sendSeq = 0;
         /** Messages sent by this side, sorted by (deliverCycle, seq). */
@@ -155,10 +169,6 @@ class RingChannel
 
     std::uint64_t sendFrom(unsigned side, Cycles now,
                            std::vector<std::uint8_t> payload);
-
-    /** Copy the peer's wake hook under the lock, run it after unlock. */
-    std::function<void()> wakeHookOf(unsigned side) const
-        KVMARM_REQUIRES(mutex_);
 
     std::string name_;
     Cycles latency_;

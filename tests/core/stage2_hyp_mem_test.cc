@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "arm/machine.hh"
+#include "arm/pagetable.hh"
 #include "check/invariants.hh"
 #include "core/hyp_mem.hh"
 #include "core/stage2_mmu.hh"
@@ -198,7 +200,15 @@ TEST_F(Stage2Test, HypMemMapsAtSameAddresses)
         auto g = cpu.mmu().translate(ArmMachine::kGichBase,
                                      arm::Access::Write, arm::Mode::Hyp);
         ASSERT_TRUE(g.ok);
-        EXPECT_TRUE(g.device);
+        EXPECT_EQ(g.pa, ArmMachine::kGichBase);
+        // ... as device memory: the Hyp table's leaf says so.
+        arm::WalkResult w = arm::walkTable(
+            cpu.hyp().httbr, ArmMachine::kGichBase, arm::PtFormat::HypLpae,
+            [&](Addr table_pa) -> std::optional<std::uint64_t> {
+                return machine.ram().read(table_pa, 8);
+            });
+        ASSERT_TRUE(w.ok());
+        EXPECT_TRUE(w.perms.device);
     });
     machine.run();
 }

@@ -270,6 +270,48 @@ TEST(Fleet, NotifyWhileRunningIsLatchedNotLost)
     EXPECT_EQ(steps.load(), 2u);
 }
 
+TEST(Fleet, WakeFromAJobBodyRunsOnTheWakersWorker)
+{
+    // Two workers, round-robin deal: the waiter and the hog go to worker
+    // 0, the waker to worker 1. The waiter parks, then the hog holds
+    // worker 0 until the waiter has run again. The waker's notify queues
+    // the waiter on worker 1's own deque, so worker 1 runs it next
+    // without taking it from worker 0's.
+    Fleet fleet(2);
+    std::atomic<bool> hogRunning{false};
+    std::atomic<bool> waiterDone{false};
+    std::atomic<unsigned> waiterSteps{0};
+    std::size_t waiter = fleet.submitResumable("waiter", [&] {
+        if (++waiterSteps == 1)
+            return Fleet::StepOutcome::Blocked;
+        waiterDone = true;
+        return Fleet::StepOutcome::Done;
+    });
+    fleet.submit("waker", [&] {
+        // The hog starts on worker 0 only after the waiter's first step
+        // returned there, so the waiter is parked by now.
+        while (!hogRunning)
+            std::this_thread::yield();
+        fleet.notify(waiter);
+    });
+    fleet.submit("hog", [&] {
+        hogRunning = true;
+        while (!waiterDone)
+            std::this_thread::yield();
+    });
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
+    for (const Fleet::JobResult &r : results)
+        EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].steps, 2u);
+    EXPECT_EQ(results[0].worker, 1u);
+    EXPECT_FALSE(results[0].stolen);
+    EXPECT_EQ(results[2].worker, 0u);
+    EXPECT_EQ(fleet.stats().jobsStolen, 0u);
+    EXPECT_EQ(fleet.stats().jobsParked, 1u);
+}
+
 TEST(Fleet, ParkedJobWithNoWakerIsAFleetDeadlock)
 {
     // A job that parks with no runnable peer left to wake it must be

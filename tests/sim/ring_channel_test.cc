@@ -6,9 +6,9 @@
  * Covers the protocol edge cases: zero lookahead is rejected outright,
  * window-order delivery, snapshot blockers while an endpoint is attached,
  * a peer terminating mid-wait unblocking the waiter with an error instead
- * of a hang, true rendezvous deadlock detection, and bit-identical
- * ping-pong execution between serial round-robin and parked/fleet-driven
- * stepping.
+ * of a hang, true rendezvous deadlock detection, wakes that reach only a
+ * parked pacer, and bit-identical ping-pong execution between serial
+ * round-robin and parked/fleet-driven stepping.
  */
 
 #include <gtest/gtest.h>
@@ -94,6 +94,65 @@ TEST(RingChannel, SendToClosedOrAbortedPeerIsFatal)
         ch.abort(1, "peer died");
         EXPECT_THROW(ch.end(0).send(10, bytes({1})), FatalError);
     }
+}
+
+TEST(RingChannel, AwaitHorizonWakesOnlyAtTheNeed)
+{
+    RingChannel ch("await", 100);
+    unsigned wakes = 0;
+    ch.end(0).setWakeHook([&wakes] { ++wakes; });
+
+    // With nothing recorded, a publish wakes no one.
+    ch.publish(1, 100, false);
+    EXPECT_EQ(wakes, 0u);
+    // The peer already reached the need: nothing is recorded...
+    EXPECT_FALSE(ch.awaitHorizon(0, 100));
+    ch.publish(1, 200, false);
+    EXPECT_EQ(wakes, 0u); // ... so no wake follows.
+
+    // Below the need: recorded. A publish short of it wakes no one; the
+    // one that reaches it wakes once and clears the need.
+    EXPECT_TRUE(ch.awaitHorizon(0, 500));
+    ch.publish(1, 400, false);
+    EXPECT_EQ(wakes, 0u);
+    ch.publish(1, 500, false);
+    EXPECT_EQ(wakes, 1u);
+    ch.publish(1, 600, false);
+    EXPECT_EQ(wakes, 1u);
+
+    // A publish past the need wakes too.
+    EXPECT_TRUE(ch.awaitHorizon(0, 650));
+    ch.publish(1, 900, false);
+    EXPECT_EQ(wakes, 2u);
+
+    // Publishes by the waiting side itself never wake it.
+    EXPECT_TRUE(ch.awaitHorizon(0, 1000));
+    ch.publish(0, 2000, false);
+    EXPECT_EQ(wakes, 2u);
+}
+
+TEST(RingChannel, CloseAndAbortAlwaysWake)
+{
+    for (bool aborting : {false, true}) {
+        SCOPED_TRACE(aborting ? "abort" : "close");
+        RingChannel ch("end", 100);
+        unsigned wakes = 0;
+        ch.end(0).setWakeHook([&wakes] { ++wakes; });
+        // No need recorded, and the peer's horizon never moved.
+        if (aborting)
+            ch.abort(1, "gone");
+        else
+            ch.close(1);
+        EXPECT_EQ(wakes, 1u);
+        // Nothing can wake a side parked on a finished peer.
+        EXPECT_FALSE(ch.awaitHorizon(0, 500));
+    }
+    RingChannel ch("parked", 100);
+    unsigned wakes = 0;
+    ch.end(0).setWakeHook([&wakes] { ++wakes; });
+    EXPECT_TRUE(ch.awaitHorizon(0, 500));
+    ch.close(1); // short of the need, yet the end of the peer wakes
+    EXPECT_EQ(wakes, 1u);
 }
 
 /** A machine whose entry ping-pongs @p rounds payloads over @p ep. */
@@ -213,6 +272,52 @@ TEST(RingPacer, PingPongIsBitIdenticalSerialVsFleet)
         EXPECT_EQ(r.digest0, ref.digest0) << threads << " threads";
         EXPECT_EQ(r.digest1, ref.digest1) << threads << " threads";
     }
+}
+
+TEST(RingPacer, SerialPingPongWakesOnlyParkedPacers)
+{
+    // Round-robin two pacers with counting wake hooks. A wake reaches a
+    // pacer only after it parked (its need reached, or the peer closed),
+    // and every park is answered before the pacer's next step: with one
+    // ring the peer cannot block below a parked pacer's need.
+    const unsigned rounds = 40;
+    const Cycles latency = 5000;
+    RingChannel ch("pp", latency);
+    PingMachine a(ch.end(0), true, rounds);
+    PingMachine b(ch.end(1), false, rounds);
+    PingMachine *vms[2] = {&a, &b};
+    unsigned wakes[2] = {0, 0};
+    unsigned blocked[2] = {0, 0};
+    bool owed[2] = {false, false};
+    for (unsigned i = 0; i < 2; ++i)
+        vms[i]->pacer.setWakeHook([&wakes, &owed, i] {
+            ++wakes[i];
+            owed[i] = false;
+        });
+    bool done[2] = {false, false};
+    while (!done[0] || !done[1]) {
+        for (unsigned i = 0; i < 2; ++i) {
+            if (done[i])
+                continue;
+            ASSERT_FALSE(owed[i]) << "side " << i << " parked, never woken";
+            if (vms[i]->step() == Fleet::StepOutcome::Done) {
+                done[i] = true;
+            } else {
+                ++blocked[i];
+                owed[i] = true;
+            }
+        }
+    }
+    const unsigned closes = 1; // the peer's one close
+    for (unsigned i = 0; i < 2; ++i) {
+        EXPECT_GT(blocked[i], 0u) << "side " << i;
+        EXPECT_LE(wakes[i], blocked[i] + closes) << "side " << i;
+    }
+    PingResult ref = runPingPongSerial(rounds, latency);
+    EXPECT_EQ(a.machine.cpu(0).now(), ref.cycles0);
+    EXPECT_EQ(b.machine.cpu(0).now(), ref.cycles1);
+    EXPECT_EQ(a.digest, ref.digest0);
+    EXPECT_EQ(b.digest, ref.digest1);
 }
 
 TEST(RingPacer, RepeatedSerialRunsAreBitIdentical)
