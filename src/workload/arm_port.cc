@@ -25,7 +25,14 @@ constexpr IrqId kRescheduleSgi = 2;
 } // namespace
 
 ArmLinuxPort::ArmLinuxPort(ArmCpu &cpu, ArmOsImage &image, unsigned index)
-    : cpu_(cpu), image_(image), index_(index)
+    : cpu_(cpu), image_(image), index_(index),
+      // Table words are read and written through the CPU, so every table
+      // touch pays real translation costs (including Stage-2 when in a
+      // VM).
+      editor_(arm::PtFormat::KernelLpae,
+              [this](Addr pa) { return cpu_.memRead(pa, 8); },
+              [this](Addr pa, std::uint64_t v) { cpu_.memWrite(pa, v, 8); },
+              [this] { return allocPage(); })
 {
 }
 
@@ -39,44 +46,31 @@ ArmLinuxPort::allocPage()
     return image_.nextFreePage;
 }
 
-arm::PageTableEditor
-ArmLinuxPort::makeEditor()
-{
-    // Table words are read and written through the CPU, so every table
-    // touch pays real translation costs (including Stage-2 when in a VM).
-    return arm::PageTableEditor(
-        arm::PtFormat::KernelLpae,
-        [this](Addr pa) { return cpu_.memRead(pa, 8); },
-        [this](Addr pa, std::uint64_t v) { cpu_.memWrite(pa, v, 8); },
-        [this] { return allocPage(); });
-}
-
 void
 ArmLinuxPort::buildKernelTables()
 {
     image_.nextFreePage = image_.ramBase + image_.ramSize;
-    auto editor = makeEditor();
-    image_.pgd = editor.newRoot();
+    image_.pgd = editor_.newRoot();
 
     Perms kmem;
     kmem.user = false;
     for (Addr off = 0; off < image_.ramSize; off += arm::kBlock2MSize)
-        editor.mapBlock2M(image_.pgd, image_.ramBase + off,
-                          image_.ramBase + off, kmem);
+        editor_.mapBlock2M(image_.pgd, image_.ramBase + off,
+                           image_.ramBase + off, kmem);
 
     Perms dev;
     dev.user = false;
     dev.exec = false;
     dev.device = true;
-    editor.map(image_.pgd, ArmMachine::kGicdBase, ArmMachine::kGicdBase,
-               dev);
-    editor.map(image_.pgd, ArmMachine::kGiccBase, ArmMachine::kGiccBase,
-               dev);
-    editor.map(image_.pgd, ArmMachine::kUartBase, ArmMachine::kUartBase,
-               dev);
+    editor_.map(image_.pgd, ArmMachine::kGicdBase, ArmMachine::kGicdBase,
+                dev);
+    editor_.map(image_.pgd, ArmMachine::kGiccBase, ArmMachine::kGiccBase,
+                dev);
+    editor_.map(image_.pgd, ArmMachine::kUartBase, ArmMachine::kUartBase,
+                dev);
     for (unsigned slot = 0; slot < 4; ++slot) {
         Addr base = ArmMachine::kVirtioBase + slot * 0x1000;
-        editor.map(image_.pgd, base, base, dev);
+        editor_.map(image_.pgd, base, base, dev);
     }
 }
 
@@ -195,8 +189,7 @@ ArmLinuxPort::demandFault()
         auto &[pool_va, pool_pa] =
             faultPool_[faultPoolIdx_++ % kPoolPages];
         va = pool_va;
-        auto editor = makeEditor();
-        editor.unmap(image_.pgd, va);
+        editor_.unmap(image_.pgd, va);
         cpu_.tlbiVa(va);
         pendingBackingPa_ = pool_pa;
     }
@@ -207,8 +200,7 @@ ArmLinuxPort::demandFault()
     cpu_.setMode(saved);
 
     if (fresh) {
-        auto editor = makeEditor();
-        Addr pa = editor.lookup(image_.pgd, va).value_or(0);
+        Addr pa = editor_.lookup(image_.pgd, va).value_or(0);
         faultPool_.emplace_back(va, pageAlignDown(pa));
     }
 }
@@ -216,14 +208,13 @@ ArmLinuxPort::demandFault()
 void
 ArmLinuxPort::protFault()
 {
-    auto editor = makeEditor();
     if (!roPageVa_) {
         Addr va = image_.nextUserVa;
         image_.nextUserVa += kPageSize;
         Perms ro;
         ro.user = true;
         ro.write = false;
-        editor.map(image_.pgd, va, allocPage(), ro);
+        editor_.map(image_.pgd, va, allocPage(), ro);
         roPageVa_ = va;
     }
     // Hoist the deref next to the guard: both branches above leave the
@@ -242,15 +233,14 @@ ArmLinuxPort::protFault()
     Perms ro;
     ro.user = true;
     ro.write = false;
-    Addr pa = editor.lookup(image_.pgd, roVa).value_or(0);
-    editor.map(image_.pgd, roVa, pageAlignDown(pa), ro);
+    Addr pa = editor_.lookup(image_.pgd, roVa).value_or(0);
+    editor_.map(image_.pgd, roVa, pageAlignDown(pa), ro);
     cpu_.tlbiVa(roVa);
 }
 
 void
 ArmLinuxPort::ptSetup(unsigned pages)
 {
-    auto editor = makeEditor();
     Perms user;
     user.user = true;
     for (unsigned i = 0; i < pages; ++i) {
@@ -266,7 +256,7 @@ ArmLinuxPort::ptSetup(unsigned pages)
             pa = slabPool_[slabIdx_++ % kSlabPages];
             kernelCompute(120); // slab alloc path
         }
-        editor.map(image_.pgd, va, pa, user);
+        editor_.map(image_.pgd, va, pa, user);
     }
 }
 
@@ -334,8 +324,7 @@ ArmLinuxPort::pageFault(ArmCpu &cpu, Addr va, bool write, bool user)
     if (!user || va >= image_.ramBase)
         return false; // kernel fault: bug
 
-    auto editor = makeEditor();
-    std::optional<Addr> mapped = editor.lookup(image_.pgd, va);
+    std::optional<Addr> mapped = editor_.lookup(image_.pgd, va);
 
     if (mapped && write) {
         // Protection fault on a mapped page.
@@ -345,8 +334,8 @@ ArmLinuxPort::pageFault(ArmCpu &cpu, Addr va, bool write, bool user)
             // The benchmark's SIGSEGV handler mprotects the page RW.
             Perms rw;
             rw.user = true;
-            editor.map(image_.pgd, pageAlignDown(va),
-                       pageAlignDown(*mapped), rw);
+            editor_.map(image_.pgd, pageAlignDown(va),
+                        pageAlignDown(*mapped), rw);
             cpu.tlbiVa(va);
             return true;
         }
@@ -360,7 +349,7 @@ ArmLinuxPort::pageFault(ArmCpu &cpu, Addr va, bool write, bool user)
     pendingBackingPa_ = 0;
     Perms rw;
     rw.user = true;
-    editor.map(image_.pgd, pageAlignDown(va), pa, rw);
+    editor_.map(image_.pgd, pageAlignDown(va), pa, rw);
     return true;
 }
 

@@ -42,6 +42,9 @@ class ArmLinuxPort : public SysPort, public arm::OsVectors
 {
   public:
     ArmLinuxPort(arm::ArmCpu &cpu, ArmOsImage &image, unsigned index);
+    /** The page-table editor's callbacks capture this port. */
+    ArmLinuxPort(const ArmLinuxPort &) = delete;
+    ArmLinuxPort &operator=(const ArmLinuxPort &) = delete;
 
     /** Bring up this CPU: build tables (first CPU), program the MMU,
      *  initialize the GIC, install vectors, unmask interrupts. Call from
@@ -87,13 +90,14 @@ class ArmLinuxPort : public SysPort, public arm::OsVectors
 
   private:
     Addr allocPage();
-    arm::PageTableEditor makeEditor();
     void buildKernelTables();
     void gicInit();
 
     arm::ArmCpu &cpu_;
     ArmOsImage &image_;
     unsigned index_;
+    /** Edits image_'s Stage-1 tables through this CPU. */
+    arm::PageTableEditor editor_;
 
     std::uint64_t ipis_ = 0;
     std::uint64_t timerIrqs_ = 0;

@@ -210,17 +210,22 @@ lmbenchExperiment(Platform platform, LmWorkload w, bool smp)
 
     bool pingpong = smp && (w == Pipe || w == Ctxsw);
     if (!pingpong) {
-        exp.work = [w, smp](SysPort &port) -> Cycles {
+        auto done = std::make_shared<bool>(false);
+        exp.prepare = [done] { *done = false; };
+        exp.work = [w, smp, done](SysPort &port) -> Cycles {
             LmbenchOps ops(port);
             ops.run(w, kWarm, smp);
-            return ops.run(w, kIters, smp);
+            Cycles elapsed = ops.run(w, kIters, smp);
+            *done = true;
+            return elapsed;
         };
         if (smp) {
-            exp.side = [](SysPort &port) {
+            exp.side = [done](SysPort &port) {
                 // The other core idles through its tick, as for a pinned
-                // single-threaded benchmark.
+                // single-threaded benchmark, until the work has returned;
+                // its next tick sees the flag, so no IPI is needed.
                 LinuxCosts costs;
-                for (int i = 0; i < 4000; ++i) {
+                while (!*done) {
                     (void)port.schedClock();
                     port.timerProgram(3 * costs.tickInterval);
                     port.idle();

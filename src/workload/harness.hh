@@ -40,7 +40,20 @@ struct RunMetrics
 /** Workload body on CPU0's port: runs the workload (including any
  *  unmeasured warm-up) and returns the measured elapsed cycles. */
 using WorkFn = std::function<Cycles(SysPort &)>;
-/** Workload body on CPU1's port (SMP runs only). */
+/**
+ * Workload body on CPU1's port (SMP runs only). It must return once the
+ * work has returned: the run lasts until every CPU's body returns, and
+ * only CPU0's work is measured, so a side that idles on after the work
+ * returned moves no measured cycle, only cpuUtil and the run's host
+ * time. The workloads end their sides in one of three ways, each through
+ * state that prepare resets:
+ *  - apps: the work sets AppShared::done and sends a reschedule IPI to
+ *    wake the worker loop;
+ *  - pipe/ctxsw ping-pong: both sides stop when SmpChannel::token
+ *    reaches SmpChannel::rounds;
+ *  - the other SMP lmbench cells: the work sets a done flag after its
+ *    measured run, and the idling side sees it on its next tick.
+ */
 using SideFn = std::function<void(SysPort &)>;
 
 /** Devices the workload may kick (slots are assigned in this order). */

@@ -233,7 +233,6 @@ pipeSmpSide(SysPort &port, SmpChannel &ch, bool first, bool with_copy,
         ++ch.token;
         port.sendRescheduleIpi(other);
     }
-    ch.done = true;
 }
 
 } // namespace kvmarm::wl

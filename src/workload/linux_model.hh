@@ -83,12 +83,12 @@ class LmbenchOps
     LinuxCosts costs_;
 };
 
-/** Shared state of a two-CPU ping-pong benchmark (pipe/ctxsw SMP). */
+/** Shared state of a two-CPU ping-pong benchmark (pipe/ctxsw SMP); both
+ *  sides return once token reaches rounds. */
 struct SmpChannel
 {
     std::uint64_t token = 0;  //!< whose turn (round counter)
     std::uint64_t rounds = 0; //!< total rounds to run
-    bool done = false;
 };
 
 /**

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "sim/logging.hh"
 #include "workload/apps.hh"
 #include "workload/claims.hh"
@@ -147,6 +150,78 @@ TEST(Workload, SmpPingPongCompletes)
     RunMetrics virt = runVirt(exp);
     EXPECT_EQ(ch->token, 60u);
     EXPECT_GT(virt.elapsed, native.elapsed);
+}
+
+/** When each body of a two-CPU run returned, on its own CPU's clock. */
+struct BodyEnds
+{
+    Cycles work = 0;
+    Cycles side = 0;
+
+    /** How long after the work the side returned (negative: before). */
+    std::int64_t
+    sideLate() const
+    {
+        return std::int64_t(side) - std::int64_t(work);
+    }
+};
+
+/** @p exp with its work and side wrapped to record into @p ends the
+ *  time each returns. */
+Experiment
+recordBodyEnds(Experiment exp, BodyEnds &ends)
+{
+    exp.work = [&ends, work = exp.work](SysPort &port) -> Cycles {
+        Cycles elapsed = work(port);
+        ends.work = port.now();
+        return elapsed;
+    };
+    exp.side = [&ends, side = exp.side](SysPort &port) {
+        side(port);
+        ends.side = port.now();
+    };
+    return exp;
+}
+
+TEST(Workload, SmpLmbenchSideEndsWithWork)
+{
+    // The idling side of an SMP lmbench cell returns at its first tick
+    // after the work returned: one side-loop iteration, a timer 3 tick
+    // intervals out plus the idle exit. The longest iteration on these
+    // cells is 541,798 cycles (ARM without VGIC/vtimers, virtualized,
+    // where the timer traps), so the slack is 40,000 cycles.
+    const std::int64_t window = 3 * LinuxCosts{}.tickInterval + 40000;
+    struct Cell
+    {
+        LmWorkload w;
+        Platform p;
+        Cycles native; //!< elapsed cycles of the cell (Figure 4 golden)
+        Cycles virt;
+    };
+    const Cell cells[] = {
+        {LmWorkload::ProtFault, Platform::ArmVgic, 50960, 66080},
+        {LmWorkload::ProtFault, Platform::ArmNoVgic, 50960, 66080},
+        {LmWorkload::ProtFault, Platform::X86Laptop, 63200, 63200},
+        {LmWorkload::ProtFault, Platform::X86Server, 63200, 63200},
+        {LmWorkload::Exec, Platform::ArmVgic, 21576998, 22461838},
+        {LmWorkload::Exec, Platform::ArmNoVgic, 21576998, 22455742},
+        {LmWorkload::Exec, Platform::X86Laptop, 21614400, 22376960},
+        {LmWorkload::Exec, Platform::X86Server, 21662400, 22426880},
+    };
+    for (const Cell &c : cells) {
+        SCOPED_TRACE(std::string(lmWorkloadName(c.w)) + " on " +
+                     platformName(c.p));
+        BodyEnds ends;
+        Experiment exp =
+            recordBodyEnds(lmbenchExperiment(c.p, c.w, true), ends);
+
+        EXPECT_EQ(runNative(exp).elapsed, c.native);
+        EXPECT_LE(ends.sideLate(), window) << "native";
+
+        ends = {};
+        EXPECT_EQ(runVirt(exp).elapsed, c.virt);
+        EXPECT_LE(ends.sideLate(), window) << "virt";
+    }
 }
 
 TEST(Workload, AllAppsRunOnAllPlatformsUp)
