@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include "sim/logging.hh"
 
@@ -102,38 +101,6 @@ ArmCpu::takePageFaultToKernel(Addr va, bool write, Access acc)
     return handled;
 }
 
-namespace {
-
-/** Little-endian load of @p len (1/2/4/8) bytes, as PhysMem::read. */
-inline std::uint64_t
-loadBytes(const std::uint8_t *p, unsigned len)
-{
-    std::uint64_t v = 0;
-    switch (len) {
-      case 1: std::memcpy(&v, p, 1); break;
-      case 2: std::memcpy(&v, p, 2); break;
-      case 4: std::memcpy(&v, p, 4); break;
-      case 8: std::memcpy(&v, p, 8); break;
-      default: std::memcpy(&v, p, len); break;
-    }
-    return v;
-}
-
-/** Store of the low @p len bytes of @p v, as PhysMem::write. */
-inline void
-storeBytes(std::uint8_t *p, std::uint64_t v, unsigned len)
-{
-    switch (len) {
-      case 1: std::memcpy(p, &v, 1); break;
-      case 2: std::memcpy(p, &v, 2); break;
-      case 4: std::memcpy(p, &v, 4); break;
-      case 8: std::memcpy(p, &v, 8); break;
-      default: std::memcpy(p, &v, len); break;
-    }
-}
-
-} // namespace
-
 std::uint64_t
 ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
                   bool isv, const Tlb::Probe *probe)
@@ -145,44 +112,21 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
         const std::uint64_t tlb_epoch = mmu_.tlb().epoch();
         if (tr.cost)
             addCycles(tr.cost);
-        PhysMem &ram = armMachine_.ram();
-        if (tr.ok && ram.contains(tr.pa)) {
-            // What Bus and PhysMem would do, through the one page lookup
-            // that the TLB slot then keeps as its view (a slot mapping RAM
-            // has no device view), unless the charge above changed the
-            // TLB: the slot may hold another key by now.
-            const PhysMem::HostPage h = write ? ram.hostPageForWrite(tr.pa)
-                                              : ram.hostPageForRead(tr.pa);
-            const Addr off = tr.pa & (kPageSize - 1);
-            std::uint64_t v = 0;
-            if (write)
-                storeBytes(const_cast<std::uint8_t *>(h.bytes) + off, value,
-                           len);
-            else if (h.bytes)
-                v = loadBytes(h.bytes + off, len);
-            if (tr.slot != Tlb::kNone && mmu_.tlb().epoch() == tlb_epoch)
-                mmu_.tlb().view(tr.slot).ram = h;
-            addCycles(Bus::kRamLatency);
-            return v;
-        }
         if (tr.ok) {
-            // A device, decoded as Bus would and kept likewise, unless the
-            // charge or the device changed the TLB.
-            const Bus::Region *r = armMachine_.bus().regionAt(tr.pa);
-            if (!r) {
+            // One decode and one access, whose target the TLB slot then
+            // keeps as its view, unless the charge or a device changed
+            // the TLB: the slot may hold another key by now.
+            const std::optional<Bus::Target> t =
+                armMachine_.bus().decode(tr.pa, write);
+            if (!t) {
                 panic("cpu%u: external abort at PA %#llx (va %#llx)", id_,
                       static_cast<unsigned long long>(tr.pa),
                       static_cast<unsigned long long>(va));
             }
-            const Tlb::View view{{}, *r, r->dev->accessLatency()};
-            std::uint64_t v = 0;
-            if (write)
-                r->dev->write(id_, tr.pa - r->base, value, len);
-            else
-                v = r->dev->read(id_, tr.pa - r->base, len);
+            const std::uint64_t v = t->access(id_, tr.pa, write, value, len);
             if (tr.slot != Tlb::kNone && mmu_.tlb().epoch() == tlb_epoch)
-                mmu_.tlb().view(tr.slot) = view;
-            addCycles(view.latency);
+                mmu_.tlb().view(tr.slot) = *t;
+            addCycles(t->latency);
             return v;
         }
         if (tr.stage2) {
@@ -220,28 +164,14 @@ ArmCpu::accessPage(Addr va, bool write, std::uint64_t value, unsigned len,
         va, write ? Access::Write : Access::Read, mode_, probe);
     if (!view)
         return accessMem(va, write, value, len, isv, &probe);
-    // translate()'s TLB hit, then what the page or the device does.
+    // translate()'s TLB hit, then the access. A device may change the
+    // TLB, and with it the view: its cost is read first.
     Tlb &tlb = mmu_.tlb();
     tlb.countHit();
-    const Addr off = va & (kPageSize - 1);
-    std::uint64_t v = 0;
-    if (view->ram.bytes) {
-        // A write view is a private page, a non-const object.
-        auto *p = const_cast<std::uint8_t *>(view->ram.bytes) + off;
-        if (write)
-            storeBytes(p, value, len);
-        else
-            v = loadBytes(p, len);
-        addCycles(Bus::kRamLatency);
-        return v;
-    }
-    const Bus::Region r = view->dev;
     const Cycles latency = view->latency;
-    const Addr dev_off = (tlb.entry(probe.hit).ppage | off) - r.base;
-    if (write)
-        r.dev->write(id_, dev_off, value, len);
-    else
-        v = r.dev->read(id_, dev_off, len);
+    const std::uint64_t v =
+        view->access(id_, tlb.entry(probe.hit).ppage | (va & (kPageSize - 1)),
+                     write, value, len);
     addCycles(latency);
     return v;
 }
@@ -249,27 +179,17 @@ ArmCpu::accessPage(Addr va, bool write, std::uint64_t value, unsigned len,
 std::uint64_t
 ArmCpu::memRead(Addr va, unsigned len, bool isv)
 {
-    const auto room =
-        static_cast<unsigned>(kPageSize - (va & (kPageSize - 1)));
-    if (len <= room)
-        return accessPage(va, false, 0, len, isv);
-    // One load per page: guest pages need not be adjacent in RAM.
-    const std::uint64_t low =
-        memRead(va, room, isv) & ((std::uint64_t{1} << (8 * room)) - 1);
-    return low | memRead(va + room, len - room, isv) << (8 * room);
+    return splitAtPages(va, 0, len, [&](Addr a, std::uint64_t, unsigned n) {
+        return accessPage(a, false, 0, n, isv);
+    });
 }
 
 void
 ArmCpu::memWrite(Addr va, std::uint64_t value, unsigned len, bool isv)
 {
-    const auto room =
-        static_cast<unsigned>(kPageSize - (va & (kPageSize - 1)));
-    if (len <= room) {
-        accessPage(va, true, value, len, isv);
-        return;
-    }
-    memWrite(va, value, room, isv);
-    memWrite(va + room, value >> (8 * room), len - room, isv);
+    splitAtPages(va, value, len, [&](Addr a, std::uint64_t v, unsigned n) {
+        return accessPage(a, true, v, n, isv);
+    });
 }
 
 void

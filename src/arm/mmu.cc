@@ -52,12 +52,19 @@ Mmu::Mmu(ArmCpu &cpu) : cpu_(cpu), ram_(cpu.machine().ram())
 {
 }
 
+std::optional<std::uint64_t>
+Mmu::readDescriptor(Addr table_pa, Cycles &cost) const
+{
+    if (!ram_.contains(table_pa, 8))
+        return std::nullopt;
+    cost += Bus::kRamLatency + cpu_.machine().cost().walkPerLevel;
+    return ram_.read(table_pa, 8);
+}
+
 TranslateResult
 Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost, Perms *perms)
 {
     TranslateResult res;
-    const ArmCostModel &cm = cpu_.machine().cost();
-    PhysMem &ram = cpu_.machine().ram();
 
     Addr root = cpu_.hyp().vttbr & desc::kAddrMask;
     if (!root)
@@ -65,12 +72,7 @@ Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost, Perms *perms)
 
     WalkResult wr = walkTable(
         root, ipa, PtFormat::Stage2,
-        [&](Addr table_pa) -> std::optional<std::uint64_t> {
-            if (!ram.contains(table_pa, 8))
-                return std::nullopt;
-            cost += Bus::kRamLatency + cm.walkPerLevel;
-            return ram.read(table_pa, 8);
-        });
+        [&](Addr table_pa) { return readDescriptor(table_pa, cost); });
 
     if (!wr.ok()) {
         res.stage2 = true;
@@ -180,18 +182,10 @@ Mmu::translate(Addr va, Access acc, Mode mode, const Tlb::Probe *probe)
 bool
 Mmu::walkHyp(Addr va, Access acc, TranslateResult &res, TlbEntry &entry)
 {
-    const ArmCostModel &cm = cpu_.machine().cost();
-    PhysMem &ram = cpu_.machine().ram();
-
     Cycles cost = 0;
     WalkResult wr = walkTable(
         cpu_.hyp().httbr, va, PtFormat::HypLpae,
-        [&](Addr table_pa) -> std::optional<std::uint64_t> {
-            if (!ram.contains(table_pa, 8))
-                return std::nullopt;
-            cost += Bus::kRamLatency + cm.walkPerLevel;
-            return ram.read(table_pa, 8);
-        });
+        [&](Addr table_pa) { return readDescriptor(table_pa, cost); });
     res.cost = cost;
 
     if (!wr.ok()) {
@@ -217,8 +211,6 @@ bool
 Mmu::walkPl1(Addr va, Access acc, Mode mode, TranslateResult &res,
              TlbEntry &entry)
 {
-    const ArmCostModel &cm = cpu_.machine().cost();
-    PhysMem &ram = cpu_.machine().ram();
     const RegisterFile &regs = cpu_.regs();
 
     bool s1_on = regs[CtrlReg::SCTLR] & 1;
@@ -257,10 +249,7 @@ Mmu::walkPl1(Addr va, Access acc, Mode mode, TranslateResult &res,
                     }
                     table_pa = r2.pa;
                 }
-                if (!ram.contains(table_pa, 8))
-                    return std::nullopt;
-                cost += Bus::kRamLatency + cm.walkPerLevel;
-                return ram.read(table_pa, 8);
+                return readDescriptor(table_pa, cost);
             });
 
         if (have_nested_fault) {

@@ -8,6 +8,9 @@
 #ifndef KVMARM_ARM_MMU_HH
 #define KVMARM_ARM_MMU_HH
 
+#include <cstdint>
+#include <optional>
+
 #include "arm/modes.hh"
 #include "arm/pagetable.hh"
 #include "arm/tlb.hh"
@@ -83,6 +86,10 @@ class Mmu
     bool walkHyp(Addr va, Access acc, TranslateResult &res, TlbEntry &entry);
     bool walkPl1(Addr va, Access acc, Mode mode, TranslateResult &res,
                  TlbEntry &entry);
+    /** One descriptor fetch of a walk: the 8 bytes at @p table_pa,
+     *  charged to @p cost; nullopt (an external abort) outside RAM. */
+    std::optional<std::uint64_t> readDescriptor(Addr table_pa,
+                                                Cycles &cost) const;
     /** Stage-2 walk of @p ipa; on success puts the leaf's permissions
      *  in @p perms when it is given. */
     TranslateResult walkStage2(Addr ipa, Access acc, Cycles &cost,

@@ -11,10 +11,10 @@
  * every tagging of a VA lives in the same set).
  *
  * Beside each slot the TLB keeps a host-side view of what a hit on the
- * slot reaches: its RAM page (PhysMem::HostPage) or its device region.
- * The CPU fills it after a full-path access through the slot, and it is
- * never snapshotted: a hit with a usable view copies the page's bytes or
- * calls the device directly (DESIGN.md §4.6, "TLB slot views").
+ * slot reaches: the bus's decode of its page (Bus::Target), a RAM page
+ * or a device region. The CPU fills it after a full-path access through
+ * the slot, and it is never snapshotted: a hit with a usable view makes
+ * the target's access directly (DESIGN.md §4.6, "TLB slot views").
  */
 
 #ifndef KVMARM_ARM_TLB_HH
@@ -98,17 +98,12 @@ class Tlb
     const TlbEntry &entry(std::size_t slot) const { return slots_[slot].entry; }
 
     /**
-     * What a hit on a slot reaches: a RAM page, a device region, or
-     * nothing yet. A RAM view is good while PhysMem::current() holds; a
-     * device view while the slot holds its entry, as the bus never moves
-     * a device.
+     * What a hit on a slot reaches: the target of the CPU's last
+     * full-path access through it (Bus::Target), or nothing yet (an
+     * empty target). It is good as long as the target is and the slot
+     * holds its entry.
      */
-    struct View
-    {
-        PhysMem::HostPage ram; //!< ram.bytes null: no RAM view
-        Bus::Region dev{};     //!< dev.dev null: no device view
-        Cycles latency = 0;    //!< dev.dev->accessLatency()
-    };
+    using View = Bus::Target;
 
     View &view(std::size_t slot) { return views_[slot]; }
 

@@ -140,7 +140,7 @@ Highvisor::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr ipa, const Hsr &hsr)
 
     // In-kernel emulated devices (KVM_CREATE_DEVICE-shaped).
     Addr dev_off = 0;
-    if (auto *handler = vcpu.vm().kernelDeviceAt(ipa, dev_off)) {
+    if (auto *handler = vcpu.vm().kernelDevices().find(ipa, dev_off)) {
         vcpu.stats.inc("mmio.kernel");
         std::uint64_t result =
             (*handler)(hsr.isWrite, dev_off, hsr.sysValue, hsr.accessLen);

@@ -58,24 +58,6 @@ Vm::runningOn(CpuId phys)
 }
 
 void
-Vm::addKernelDevice(Addr base, Addr size, KernelDeviceHandler handler)
-{
-    kernelDevices_.push_back({base, size, std::move(handler)});
-}
-
-Vm::KernelDeviceHandler *
-Vm::kernelDeviceAt(Addr ipa, Addr &offset_out)
-{
-    for (KernelDevice &d : kernelDevices_) {
-        if (ipa >= d.base && ipa < d.base + d.size) {
-            offset_out = ipa - d.base;
-            return &d.handler;
-        }
-    }
-    return nullptr;
-}
-
-void
 Vm::irqLine(arm::ArmCpu &current_cpu, IrqId spi)
 {
     vdist_.injectSpi(current_cpu, spi);

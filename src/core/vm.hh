@@ -16,6 +16,7 @@
 #include "core/types.hh"
 #include "core/vcpu.hh"
 #include "core/vgic_emul.hh"
+#include "mem/bus.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
@@ -54,17 +55,18 @@ class Vm : public Snapshottable
 
     /// @name Device plumbing
     /// @{
-    using KernelDeviceHandler =
-        std::function<std::uint64_t(bool is_write, Addr offset,
-                                    std::uint64_t value, unsigned len)>;
-
     /** Register an in-kernel emulated device (KVM_CREATE_DEVICE-shaped);
      *  MMIO to [base, base+size) is handled without exiting to user
      *  space. */
-    void addKernelDevice(Addr base, Addr size, KernelDeviceHandler handler);
+    void
+    addKernelDevice(Addr base, Addr size, KvmIoBus::Handler handler)
+    {
+        kernelDevices_.add(base, size, std::move(handler));
+    }
 
-    /** Find an in-kernel device covering @p ipa. */
-    KernelDeviceHandler *kernelDeviceAt(Addr ipa, Addr &offset_out);
+    /** The in-kernel devices, which the highvisor consults on an MMIO
+     *  exit. */
+    KvmIoBus &kernelDevices() { return kernelDevices_; }
 
     using UserMmioHandler =
         std::function<void(arm::ArmCpu &, VCpu &, MmioExit &)>;
@@ -103,8 +105,7 @@ class Vm : public Snapshottable
         v.same(ramSize_, "guest RAM size");
         v.same(static_cast<std::uint32_t>(vcpus_.size()),
                "VCPU count (addVcpu before restoring)");
-        v.fixed(kernelDevices_,
-                "kernel devices (addKernelDevice before restoring)");
+        kernelDevices_.visit(v);
         bool user_mmio = static_cast<bool>(userMmio_);
         v.pod(user_mmio);
         if constexpr (V::kLoading) {
@@ -118,28 +119,13 @@ class Vm : public Snapshottable
     /// @}
 
   private:
-    struct KernelDevice
-    {
-        Addr base;
-        Addr size;
-        KernelDeviceHandler handler;
-
-        template <class V>
-        void
-        visit(V &v)
-        {
-            v.same(base, "kernel device base");
-            v.same(size, "kernel device size");
-        }
-    };
-
     Kvm &kvm_;
     std::uint16_t vmid_;
     Addr ramSize_;
     Stage2Mmu stage2_;
     VgicDistEmul vdist_;
     std::vector<std::unique_ptr<VCpu>> vcpus_;
-    std::vector<KernelDevice> kernelDevices_;
+    KvmIoBus kernelDevices_;
     UserMmioHandler userMmio_;
 };
 

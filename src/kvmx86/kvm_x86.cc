@@ -74,24 +74,6 @@ VmX86::translate(Addr gpa, Addr &hpa)
 }
 
 void
-VmX86::addKernelDevice(Addr base, Addr size, KernelDeviceHandler h)
-{
-    kernelDevices_.push_back({base, size, std::move(h)});
-}
-
-VmX86::KernelDeviceHandler *
-VmX86::kernelDeviceAt(Addr gpa, Addr &off)
-{
-    for (KernelDevice &d : kernelDevices_) {
-        if (gpa >= d.base && gpa < d.base + d.size) {
-            off = gpa - d.base;
-            return &d.handler;
-        }
-    }
-    return nullptr;
-}
-
-void
 VmX86::irqLine(X86Cpu &current_cpu, std::uint8_t vector,
                unsigned target_vcpu)
 {
@@ -228,7 +210,7 @@ KvmX86::handleEpt(X86Cpu &cpu, VCpuX86 &vcpu, const ExitInfo &info)
     cpu.compute(cm.mmioDecode + cm.mmioDispatch);
 
     Addr off = 0;
-    if (auto *h = vcpu.vm().kernelDeviceAt(info.gpa, off)) {
+    if (auto *h = vcpu.vm().kernelDevices().find(info.gpa, off)) {
         vcpu.stats.inc("mmio.kernel");
         std::uint64_t result = (*h)(info.isWrite, off, info.value, info.len);
         cpu.completeMmio(result);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "kvmx86/host_x86.hh"
+#include "mem/bus.hh"
 #include "mem/page_map.hh"
 #include "sim/stats.hh"
 #include "x86/apic.hh"
@@ -120,10 +121,14 @@ class VmX86 : public x86::EptView
     bool translate(Addr gpa, Addr &hpa) override;
     /// @}
 
-    using KernelDeviceHandler = std::function<std::uint64_t(
-        bool is_write, Addr offset, std::uint64_t value, unsigned len)>;
-    void addKernelDevice(Addr base, Addr size, KernelDeviceHandler h);
-    KernelDeviceHandler *kernelDeviceAt(Addr gpa, Addr &off);
+    /** Register an in-kernel emulated device: MMIO to [base, base+size)
+     *  is handled without exiting to user space. */
+    void
+    addKernelDevice(Addr base, Addr size, KvmIoBus::Handler h)
+    {
+        kernelDevices_.add(base, size, std::move(h));
+    }
+    KvmIoBus &kernelDevices() { return kernelDevices_; }
 
     using UserMmioHandler =
         std::function<void(x86::X86Cpu &, VCpuX86 &, X86MmioExit &)>;
@@ -137,19 +142,12 @@ class VmX86 : public x86::EptView
     static constexpr Addr kKernelTestDevBase = 0xD0000000;
 
   private:
-    struct KernelDevice
-    {
-        Addr base;
-        Addr size;
-        KernelDeviceHandler handler;
-    };
-
     KvmX86 &kvm_;
     Addr ramSize_;
     PageMap<std::optional<Addr>> pages_; //!< gpa page -> hpa page
     std::size_t mappedPages_ = 0;
     std::vector<std::unique_ptr<VCpuX86>> vcpus_;
-    std::vector<KernelDevice> kernelDevices_;
+    KvmIoBus kernelDevices_;
     UserMmioHandler userMmio_;
 };
 

@@ -6,6 +6,22 @@
 
 namespace kvmarm {
 
+namespace {
+
+/** The first of @p regions that [base, base+size) overlaps, or null. */
+template <class R>
+const R *
+overlapping(const std::vector<R> &regions, Addr base, Addr size)
+{
+    for (const R &r : regions) {
+        if (base < r.base + r.size && base + size > r.base)
+            return &r;
+    }
+    return nullptr;
+}
+
+} // namespace
+
 void
 Bus::addDevice(Addr base, Addr size, MmioDevice *dev)
 {
@@ -13,23 +29,14 @@ Bus::addDevice(Addr base, Addr size, MmioDevice *dev)
         fatal("Bus: bad region for %s", dev->name().c_str());
     if (base < ram_.base() + ram_.size() && base + size > ram_.base())
         fatal("Bus: region for %s overlaps RAM", dev->name().c_str());
-    for (const Region &r : regions_) {
-        if (base < r.base + r.size && base + size > r.base) {
-            fatal("Bus: region for %s overlaps %s", dev->name().c_str(),
-                  r.dev->name().c_str());
-        }
+    if (const Region *r = overlapping(regions_, base, size)) {
+        fatal("Bus: region for %s overlaps %s", dev->name().c_str(),
+              r->dev->name().c_str());
     }
     auto pos = std::upper_bound(
         regions_.begin(), regions_.end(), base,
         [](Addr b, const Region &r) { return b < r.base; });
     regions_.insert(pos, {base, size, dev});
-    lastRegion_.clear(); // insertion moved the Region objects
-}
-
-bool
-Bus::isRam(Addr pa, unsigned len) const
-{
-    return ram_.contains(pa, len);
 }
 
 const Bus::Region *
@@ -46,64 +53,34 @@ Bus::regionAt(Addr pa) const
     return pa - it->base < it->size ? &*it : nullptr;
 }
 
-const Bus::Region *
-Bus::regionFor(CpuId cpu, Addr pa) const
+void
+KvmIoBus::add(Addr base, Addr size, Handler handler)
 {
-    if (cpu < lastRegion_.size()) {
-        const Region *r = lastRegion_[cpu];
-        if (r && pa >= r->base && pa - r->base < r->size)
-            return r;
+    if (size == 0 || base + size < base) {
+        fatal("kvm_io_bus: bad region [%#llx, +%#llx)",
+              static_cast<unsigned long long>(base),
+              static_cast<unsigned long long>(size));
     }
-    const Region *r = regionAt(pa);
-    if (r) {
-        if (cpu >= lastRegion_.size())
-            lastRegion_.resize(cpu + 1, nullptr);
-        lastRegion_[cpu] = r;
+    if (const Device *d = overlapping(devices_, base, size)) {
+        fatal("kvm_io_bus: region [%#llx, +%#llx) overlaps [%#llx, +%#llx)",
+              static_cast<unsigned long long>(base),
+              static_cast<unsigned long long>(size),
+              static_cast<unsigned long long>(d->base),
+              static_cast<unsigned long long>(d->size));
     }
-    return r;
+    devices_.push_back({base, size, std::move(handler)});
 }
 
-MmioDevice *
-Bus::deviceAt(Addr pa) const
+KvmIoBus::Handler *
+KvmIoBus::find(Addr addr, Addr &offset)
 {
-    const Region *r = regionAt(pa);
-    return r ? r->dev : nullptr;
-}
-
-std::optional<Addr>
-Bus::regionBase(const MmioDevice *dev) const
-{
-    for (const Region &r : regions_) {
-        if (r.dev == dev)
-            return r.base;
+    for (Device &d : devices_) {
+        if (addr - d.base < d.size) {
+            offset = addr - d.base;
+            return &d.handler;
+        }
     }
-    return std::nullopt;
-}
-
-BusAccess
-Bus::read(CpuId cpu, Addr pa, unsigned len)
-{
-    if (isRam(pa, len))
-        return {ram_.read(pa, len), kRamLatency, true};
-    if (const Region *r = regionFor(cpu, pa)) {
-        std::uint64_t v = r->dev->read(cpu, pa - r->base, len);
-        return {v, r->dev->accessLatency(), true};
-    }
-    return {0, 0, false};
-}
-
-BusAccess
-Bus::write(CpuId cpu, Addr pa, std::uint64_t value, unsigned len)
-{
-    if (isRam(pa, len)) {
-        ram_.write(pa, value, len);
-        return {0, kRamLatency, true};
-    }
-    if (const Region *r = regionFor(cpu, pa)) {
-        r->dev->write(cpu, pa - r->base, value, len);
-        return {0, r->dev->accessLatency(), true};
-    }
-    return {0, 0, false};
+    return nullptr;
 }
 
 } // namespace kvmarm

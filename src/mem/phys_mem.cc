@@ -15,12 +15,6 @@ PhysMem::PhysMem(Addr base, Addr size, MachineBase *machine)
         fatal("PhysMem: base/size must be nonzero and page aligned");
 }
 
-bool
-PhysMem::contains(Addr pa, unsigned len) const
-{
-    return pa >= base_ && pa + len <= base_ + size_ && pa + len > pa;
-}
-
 void
 PhysMem::checkRange(Addr pa, Addr len) const
 {

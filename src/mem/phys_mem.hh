@@ -47,7 +47,11 @@ class PhysMem : public Snapshottable
     Addr size() const { return size_; }
 
     /** True if @p pa (for @p len bytes) lies entirely within RAM. */
-    bool contains(Addr pa, unsigned len = 1) const;
+    bool
+    contains(Addr pa, unsigned len = 1) const
+    {
+        return pa >= base_ && pa + len <= base_ + size_ && pa + len > pa;
+    }
 
     /** Read @p len (1/2/4/8) bytes at @p pa. Unwritten memory reads 0. */
     std::uint64_t read(Addr pa, unsigned len) const;

@@ -177,6 +177,26 @@ class CpuBase : public Snapshottable
     /** Run events due at the current clock, then deliver interrupts. */
     void drain();
 
+    /**
+     * An access of @p len (at most 8) bytes at @p addr as one call of
+     * @p page(addr, value, len) per page its bytes touch, the low page
+     * first: where the CPU translates, the pages need not be adjacent.
+     * @return the bytes read, assembled little-endian.
+     */
+    template <class PageAccess>
+    static std::uint64_t splitAtPages(Addr addr, std::uint64_t value,
+                                      unsigned len, PageAccess &&page)
+    {
+        const auto room =
+            static_cast<unsigned>(kPageSize - (addr & (kPageSize - 1)));
+        if (len <= room)
+            return page(addr, value, len);
+        const std::uint64_t low =
+            page(addr, value, room) & ((std::uint64_t{1} << (8 * room)) - 1);
+        return low | page(addr + room, value >> (8 * room), len - room)
+                         << (8 * room);
+    }
+
     /** Open or close the interrupt gate (see irqDeliverable()). */
     void setIrqGate(bool open) { irqGate_ = open ? ~std::uint32_t{0} : 0; }
 

@@ -119,11 +119,13 @@ runNativeOn(const Experiment &exp)
     machine.cpu(0).setEntry([&] {
         os.port0.boot();
         rm.elapsed = exp.work(os.port0);
+        os.port0.offline = true;
     });
     if (os.port1) {
         machine.cpu(1).setEntry([&] {
             os.port1->boot();
             exp.side(*os.port1);
+            os.port1->offline = true;
         });
     }
     return measure(machine, exp, rm);
@@ -161,6 +163,7 @@ runVirtOn(const Experiment &exp)
         vcpu0.run(cpu, [&](Cpu &) {
             os.port0.boot();
             rm.elapsed = exp.work(os.port0);
+            os.port0.offline = true;
         });
     });
     if (os.port1) {
@@ -172,6 +175,7 @@ runVirtOn(const Experiment &exp)
             vcpu1.run(cpu, [&](Cpu &) {
                 os.port1->boot();
                 exp.side(*os.port1);
+                os.port1->offline = true;
             });
         });
     }

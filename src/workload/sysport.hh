@@ -99,6 +99,10 @@ class SysPort
     virtual std::uint64_t ipisReceived() const = 0;
     virtual std::uint64_t timerIrqsReceived() const = 0;
     /// @}
+
+    /** Set by the harness once this CPU's body has returned: it takes no
+     *  more interrupts, so no other CPU may wait for its handlers. */
+    bool offline = false;
 };
 
 } // namespace kvmarm::wl

@@ -163,8 +163,14 @@ X86LinuxPort::tlbShootdown(bool smp)
     cpu_.memWrite(x86::kApicBase + x86::apic::ICR_HI,
                   std::uint64_t(peer->cpuIndex()) << 56, 4);
     cpu_.memWrite(x86::kApicBase + x86::apic::ICR_LO, kShootdownVector, 4);
-    while (peer->shootdownAcks == before)
+    while (peer->shootdownAcks == before) {
+        if (peer->offline) {
+            fatal("x86 cpu%u: TLB shootdown (vector %#x) waits for cpu%u, "
+                  "whose body has returned: no ack can come",
+                  index_, unsigned{kShootdownVector}, peer->cpuIndex());
+        }
         cpu_.compute(120);
+    }
 }
 
 void

@@ -14,19 +14,9 @@ X86Cpu::X86Cpu(CpuId id, X86Machine &machine)
 std::uint64_t
 X86Cpu::accessMem(Addr addr, bool write, std::uint64_t value, unsigned len)
 {
-    const X86CostModel &cm = machine_.cost();
-
-    if (nonRoot_) {
-        // Guest-physical pages need not be adjacent in host memory.
-        const auto room =
-            static_cast<unsigned>(kPageSize - (addr & (kPageSize - 1)));
-        if (len > room) {
-            const std::uint64_t low = accessMem(addr, write, value, room) &
-                                      ((std::uint64_t{1} << (8 * room)) - 1);
-            return low | accessMem(addr + room, write, value >> (8 * room),
-                                   len - room)
-                             << (8 * room);
-        }
+    const bool guest = nonRoot_;
+    Addr pa = addr;
+    if (guest) {
         // APIC accesses never hit the EPT: this hardware generation has
         // no virtual APIC, every access exits (paper §2).
         if (pageAlignDown(addr) == pageAlignDown(kApicBase)) {
@@ -44,8 +34,7 @@ X86Cpu::accessMem(Addr addr, bool write, std::uint64_t value, unsigned len)
             }
             return 0;
         }
-        Addr hpa = 0;
-        while (!vmcs_.ept || !vmcs_.ept->translate(addr, hpa)) {
+        while (!vmcs_.ept || !vmcs_.ept->translate(addr, pa)) {
             ExitInfo info;
             info.reason = ExitReason::EptViolation;
             info.gpa = addr;
@@ -59,35 +48,38 @@ X86Cpu::accessMem(Addr addr, bool write, std::uint64_t value, unsigned len)
             }
             // KVM mapped the page; retry the translation.
         }
-        addCycles(cm.eptWalk / 8); // amortized two-dimensional walk cost
-        BusAccess ba = write ? machine_.bus().write(id_, hpa, value, len)
-                             : machine_.bus().read(id_, hpa, len);
-        if (!ba.ok)
-            panic("x86 cpu%u: guest access to bad hpa %#llx", id_,
-                  static_cast<unsigned long long>(hpa));
-        addCycles(ba.latency);
-        return ba.value;
+        addCycles(machine_.cost().eptWalk / 8); // amortized 2-D walk cost
     }
-
-    BusAccess ba = write ? machine_.bus().write(id_, addr, value, len)
-                         : machine_.bus().read(id_, addr, len);
-    if (!ba.ok)
+    const std::optional<Bus::Target> t = machine_.bus().decode(pa, write);
+    if (!t && guest) {
+        panic("x86 cpu%u: guest access to bad hpa %#llx", id_,
+              static_cast<unsigned long long>(pa));
+    }
+    if (!t) {
         panic("x86 cpu%u: access to unmapped pa %#llx", id_,
-              static_cast<unsigned long long>(addr));
-    addCycles(ba.latency);
-    return ba.value;
+              static_cast<unsigned long long>(pa));
+    }
+    const std::uint64_t v = t->access(id_, pa, write, value, len);
+    addCycles(t->latency);
+    return v;
 }
 
 std::uint64_t
 X86Cpu::memRead(Addr addr, unsigned len)
 {
-    return accessMem(addr, false, 0, len);
+    return splitAtPages(addr, 0, len,
+                        [this](Addr a, std::uint64_t, unsigned n) {
+                            return accessMem(a, false, 0, n);
+                        });
 }
 
 void
 X86Cpu::memWrite(Addr addr, std::uint64_t value, unsigned len)
 {
-    accessMem(addr, true, value, len);
+    splitAtPages(addr, value, len,
+                 [this](Addr a, std::uint64_t v, unsigned n) {
+                     return accessMem(a, true, v, n);
+                 });
 }
 
 std::uint64_t

@@ -162,8 +162,8 @@ class X86Cpu : public CpuBase
     void compute(Cycles c) { addCycles(c); }
 
     /** Memory access; guest-physical addresses go through the EPT in
-     *  non-root mode (violations exit to root mode). There, an access
-     *  whose bytes cross a page is two accesses, one per page. */
+     *  non-root mode (violations exit to root mode). An access whose
+     *  bytes cross a page is two accesses, one per page, in either mode. */
     std::uint64_t memRead(Addr addr, unsigned len = 8);
     void memWrite(Addr addr, std::uint64_t value, unsigned len = 8);
 
@@ -229,6 +229,8 @@ class X86Cpu : public CpuBase
     /// @}
 
   private:
+    /** One page's part of memRead()/memWrite(): translate, then the
+     *  bus's decode and access. */
     std::uint64_t accessMem(Addr addr, bool write, std::uint64_t value,
                             unsigned len);
     void takeInterrupt(std::uint8_t vector);

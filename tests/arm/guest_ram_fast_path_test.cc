@@ -359,34 +359,53 @@ TEST(GuestRamFastPath, AnEventInTheWalkChargeLeavesNoWrongView)
 {
     // An event that runs inside a miss's walk charge and changes the TLB
     // stops the access from filling its slot's view: the slot may hold
-    // another key by then. Windows 0-7 share one TLB set.
-    Model m;
-    Rig rig(m);
-    rig.guest([&](ArmCpu &c) {
-        for (unsigned j = 0; j < 7; ++j)
-            windowStore(c, m, j, 0x20, 0xF000u + j, 4);
-        fillWindowSet(c);
-        arm::Tlb &tlb = c.mmu().tlb();
-        // Window 4 refills window 0's slot while the event flushes an
-        // unrelated page: the slot must not keep window 0's view.
-        c.tlbiVa(windowVa(0));
-        c.events().schedule(c.now() + 1, [&tlb] {
-            tlb.flushVa(pageAlignDown(windowVa(9)));
+    // another key by then. Windows 0-7 share one TLB set. Run twice: with
+    // window 6 on RAM, and with window 6 on the GICC, where a RAM view
+    // left in its slot would serve RAM bytes for the device.
+    for (bool device : {false, true}) {
+        SCOPED_TRACE(device ? "window 6 on the GICC" : "window 6 on RAM");
+        Model m;
+        Rig rig(m);
+        rig.guest([&](ArmCpu &c) {
+            const Addr off = device ? arm::gicc::PMR : 0x20;
+            for (unsigned j = 0; j < 7; ++j)
+                windowStore(c, m, j, off, 0xF000u + j, 4);
+            std::uint64_t want6 = 0;
+            if (device) {
+                rig.remap(c, m, 6, kGiccIpa);
+                c.memWrite(kGiccIpa + off, 0xA0, 4);
+                want6 = c.memRead(kGiccIpa + off, 4);
+                ASSERT_NE(want6, 0xF005u);
+            }
+            auto expect6 = [&] {
+                if (device)
+                    EXPECT_EQ(c.memRead(windowVa(6) + off, 4), want6);
+                else
+                    expectWindowLoad(c, m, 6, off, 4);
+            };
+            fillWindowSet(c);
+            arm::Tlb &tlb = c.mmu().tlb();
+            // Window 4 refills window 0's slot while the event flushes an
+            // unrelated page: the slot must not keep window 0's view.
+            c.tlbiVa(windowVa(0));
+            c.events().schedule(c.now() + 1, [&tlb] {
+                tlb.flushVa(pageAlignDown(windowVa(9)));
+            });
+            expectWindowLoad(c, m, 4, off, 4);
+            expectWindowLoad(c, m, 4, off, 4);
+            // Window 5 misses into window 1's slot; the event drops it and
+            // window 6 takes the slot. Window 5's page must not become the
+            // view of window 6's slot.
+            c.tlbiVa(windowVa(1));
+            c.events().schedule(c.now() + 1, [&c, &tlb, off] {
+                tlb.flushVa(pageAlignDown(windowVa(5)));
+                c.memRead(windowVa(6) + off, 4);
+            });
+            expectWindowLoad(c, m, 5, off, 4);
+            expect6();
+            expect6();
         });
-        expectWindowLoad(c, m, 4, 0x20, 4);
-        expectWindowLoad(c, m, 4, 0x20, 4);
-        // Window 5 misses into window 1's slot; the event drops it and
-        // window 6 takes the slot. Window 5's page must not become the
-        // view of window 6's slot.
-        c.tlbiVa(windowVa(1));
-        c.events().schedule(c.now() + 1, [&c, &tlb] {
-            tlb.flushVa(pageAlignDown(windowVa(5)));
-            c.memRead(windowVa(6) + 0x20, 4);
-        });
-        expectWindowLoad(c, m, 5, 0x20, 4);
-        expectWindowLoad(c, m, 6, 0x20, 4);
-        expectWindowLoad(c, m, 6, 0x20, 4);
-    });
+    }
 }
 
 TEST(GuestRamFastPath, AsidSwitchNeverServesTheOtherAddressSpace)

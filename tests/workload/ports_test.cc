@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "sim/logging.hh"
 #include "workload/arm_port.hh"
+#include "workload/harness.hh"
 #include "workload/x86_port.hh"
 
 namespace kvmarm::wl {
@@ -139,6 +143,34 @@ TEST(X86PortTest, SchedClockIsRdtscAndShootdownHandshakes)
     });
     machine.run();
     EXPECT_TRUE(done);
+}
+
+TEST(X86PortTest, ShootdownToACpuWhoseBodyReturnedIsFatal)
+{
+    // CPU1's body returns at once, and CPU0 shoots down later: no ack can
+    // come, so the wait must end in a diagnosis instead of spinning. (Its
+    // ctest TIMEOUT is short: a spinning wait fails it quickly.)
+    Experiment exp;
+    exp.platform = Platform::X86Laptop;
+    exp.numCpus = 2;
+    exp.side = [](SysPort &) {};
+    exp.work = [](SysPort &port) {
+        port.kernelCompute(1000000);
+        port.tlbShootdown(true);
+        return port.now();
+    };
+    for (bool virt : {false, true}) {
+        SCOPED_TRACE(virt ? "virt" : "native");
+        try {
+            virt ? runVirt(exp) : runNative(exp);
+            ADD_FAILURE() << "the shootdown returned";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("cpu0"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("cpu1"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("0xfb"), std::string::npos) << msg;
+        }
+    }
 }
 
 TEST(X86PortTest, UpShootdownSkipsIpi)

@@ -125,6 +125,28 @@ TEST_F(X86Test, EptViolationExitsWithGpa)
     });
 }
 
+TEST_F(X86Test, RootModePageCrossingAccessReachesBothPagesAndChargesEach)
+{
+    // Root mode reaches RAM on the identity, one access per page touched,
+    // as every split access is.
+    constexpr Addr kA = 0x30000;
+    run([&] {
+        ASSERT_FALSE(cpu().nonRoot());
+        cpu().memWrite(kA + 0x1000, 0x22222222, 4);
+        Cycles t0 = cpu().now();
+        cpu().memWrite(kA + 0xFFC, 0x8877665544332211u, 8);
+        EXPECT_EQ(cpu().now() - t0, 2 * Bus::kRamLatency);
+        EXPECT_EQ(machine->ram().read(kA + 0xFFC, 4), 0x44332211u);
+        EXPECT_EQ(machine->ram().read(kA + 0x1000, 4), 0x88776655u);
+        t0 = cpu().now();
+        EXPECT_EQ(cpu().memRead(kA + 0xFFE, 4), 0x66554433u);
+        EXPECT_EQ(cpu().now() - t0, 2 * Bus::kRamLatency);
+        t0 = cpu().now();
+        EXPECT_EQ(cpu().memRead(kA + 0xFF8, 8), 0x4433221100000000u);
+        EXPECT_EQ(cpu().now() - t0, Bus::kRamLatency);
+    });
+}
+
 TEST_F(X86Test, ApicAccessAlwaysExitsInGuest)
 {
     run([&] {
