@@ -173,8 +173,7 @@ HostKernel::blockUntil(ArmCpu &cpu, const std::function<bool()> &pred)
 }
 
 void
-HostKernel::runInUserspace(ArmCpu &cpu,
-                           const std::function<void()> &user_work)
+HostKernel::runInUserspace(ArmCpu &cpu, FunctionRef<void()> user_work)
 {
     cpu.compute(config_.costs.kernelToUser);
     Mode saved = cpu.mode();

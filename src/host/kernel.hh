@@ -20,6 +20,7 @@
 #include "arm/vectors.hh"
 #include "host/mm.hh"
 #include "host/timers.hh"
+#include "sim/function_ref.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
 
@@ -85,8 +86,7 @@ class HostKernel : public arm::OsVectors, public Snapshottable
 
     /** Charge a kernel -> user -> kernel round trip around @p user_work,
      *  run with the CPU in user mode (the QEMU process). */
-    void runInUserspace(arm::ArmCpu &cpu,
-                        const std::function<void()> &user_work);
+    void runInUserspace(arm::ArmCpu &cpu, FunctionRef<void()> user_work);
 
     /**
      * The paper-§4 protocol for getting code into Hyp mode: the stub

@@ -54,8 +54,7 @@ X86Host::blockUntil(X86Cpu &cpu, const std::function<bool()> &pred)
 }
 
 void
-X86Host::runInUserspace(X86Cpu &cpu,
-                        const std::function<void()> &user_work)
+X86Host::runInUserspace(X86Cpu &cpu, FunctionRef<void()> user_work)
 {
     const x86::X86CostModel &cm = machine_.cost();
     cpu.compute(cm.kernelToUser);

@@ -14,6 +14,7 @@
 
 #include "host/mm.hh"
 #include "host/timers.hh"
+#include "sim/function_ref.hh"
 #include "x86/machine.hh"
 
 namespace kvmarm::kvmx86 {
@@ -39,8 +40,7 @@ class X86Host : public x86::X86OsVectors
     /** Kernel -> user -> kernel round trip around @p user_work (the
      *  QEMU process); x86 KVM's lazy state handling makes these edges
      *  expensive (paper §5.2). */
-    void runInUserspace(x86::X86Cpu &cpu,
-                        const std::function<void()> &user_work);
+    void runInUserspace(x86::X86Cpu &cpu, FunctionRef<void()> user_work);
 
     /// @name x86::X86OsVectors
     /// @{

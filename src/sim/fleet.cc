@@ -1,6 +1,7 @@
 #include "sim/fleet.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -30,6 +31,8 @@ fnvChain(std::uint64_t h, std::uint64_t v)
 
 } // namespace
 
+thread_local Fleet::CallingJob Fleet::calling_;
+
 Fleet::Fleet(unsigned threads) : threads_(threads)
 {
     if (threads_ == 0) {
@@ -37,7 +40,7 @@ Fleet::Fleet(unsigned threads) : threads_(threads)
         if (threads_ == 0)
             threads_ = 1;
     }
-    // The Worker structs (deques + identity) exist for the Fleet's whole
+    // The Worker structs (deques + counters) exist for the Fleet's whole
     // life so submissions can be dealt to their home deque before the
     // worker threads are spawned; start()/retireWorkers() only manage the
     // threads.
@@ -88,110 +91,164 @@ Fleet::submitLocked(std::string name, StepFn fn)
               name.c_str());
     }
 
-    // Resolve the submitter: a submission from a worker thread that is
-    // inside a job body is a spawn stamped with that job's id; anything
+    const std::size_t index = jobCount_.load(std::memory_order_relaxed);
+    const unsigned chunk = std::bit_width(index / kFirstChunk + 1) - 1;
+    if (chunk >= kMaxChunks)
+        fatal("Fleet::submit: job '%s' exceeds the job table (%zu jobs)",
+              name.c_str(), index);
+    if (!chunks_[chunk])
+        chunks_[chunk] = std::make_unique<JobRecord[]>(kFirstChunk << chunk);
+    JobRecord &job = record(index);
+
+    // Resolve the submitter: a submission from inside one of this
+    // fleet's job bodies is a spawn stamped with that job's id; anything
     // else (the owner thread, before start() or mid-run) is external.
     const unsigned caller = callingWorker();
-    const std::size_t parentSlot =
-        caller == kNoWorker ? kNoSlot : workers_[caller]->currentSlot;
-
-    JobMeta meta;
-    unsigned home = 0;
-    if (parentSlot != kNoSlot) {
-        JobMeta &pm = meta_[parentSlot];
-        meta.submitter = pm.id;
-        meta.seq = pm.childSeq++;
-        meta.id = fnvChain(pm.id, meta.seq);
-        meta.path = pm.path;
-        meta.path.push_back(meta.seq);
+    if (caller != kNoWorker) {
+        JobRecord &parent = *calling_.job;
+        job.result.submitter = parent.id;
+        job.result.seq = parent.childSeq++;
+        job.id = fnvChain(parent.id, job.result.seq);
+        job.path = parent.path;
+        job.path.push_back(job.result.seq);
         // Spawn arrival order races across workers; the id does not.
-        home = static_cast<unsigned>(meta.id % threads_);
+        job.home = static_cast<unsigned>(job.id % threads_);
+        WorkerCounters::bump(workers_[caller]->counters.spawned);
     } else {
-        meta.submitter = kExternalSubmitter;
-        meta.seq = externalSeq_++;
-        meta.id = fnvChain(kFnvOffset, meta.seq);
-        meta.path = {meta.seq};
+        job.result.submitter = kExternalSubmitter;
+        job.result.seq = externalSeq_++;
+        job.id = fnvChain(kFnvOffset, job.result.seq);
+        job.path = {job.result.seq};
         // Round-robin deal in external submission order.
-        home = static_cast<unsigned>(meta.seq % threads_);
+        job.home = static_cast<unsigned>(job.result.seq % threads_);
     }
-
-    std::size_t slot = state_.size();
-    state_.push_back(JobState::Queued);
-    parked_.emplace_back();
-    JobResult res;
-    res.name = name;
-    res.submitter = meta.submitter;
-    res.seq = meta.seq;
-    results_.push_back(std::move(res));
-    meta_.push_back(std::move(meta));
+    job.result.name = std::move(name);
+    job.fn = std::move(fn);
     ++unfinished_;
-    enqueue(Job{std::move(name), std::move(fn), slot, home});
-    cvWork_.notify_one();
-    stats_.jobsSpawned += parentSlot != kNoSlot;
-    return slot;
+    jobCount_.store(index + 1, std::memory_order_release);
+    if (push(job))
+        signalLocked();
+    return index;
+}
+
+Fleet::JobRecord &
+Fleet::record(std::size_t index) const
+{
+    const unsigned chunk = std::bit_width(index / kFirstChunk + 1) - 1;
+    const std::size_t first = kFirstChunk * ((std::size_t{1} << chunk) - 1);
+    return chunks_[chunk][index - first];
 }
 
 unsigned
 Fleet::callingWorker() const
 {
-    // Worker tids are recorded under schedMutex_ by each worker before it
-    // pops any job, so by the time a job body calls in, its own worker's
-    // tid is visible here.
-    const auto self = std::this_thread::get_id();
-    for (unsigned w = 0; w < threads_; ++w) {
-        const Worker &wk = *workers_[w];
-        if (wk.tid == self && wk.currentSlot != kNoSlot)
-            return w;
+    return calling_.fleet == this && calling_.job ? calling_.worker
+                                                  : kNoWorker;
+}
+
+Fleet::JobRecord *
+Fleet::findWork(unsigned w, bool &stolen)
+{
+    {
+        Worker &own = *workers_[w];
+        MutexLock lock(own.mutex);
+        if (!own.jobs.empty()) {
+            JobRecord *job = own.jobs.front();
+            own.jobs.pop_front();
+            stolen = false;
+            return job;
+        }
     }
-    return kNoWorker;
-}
-
-bool
-Fleet::popOwn(unsigned w, Job &out)
-{
-    Worker &worker = *workers_[w];
-    MutexLock lock(worker.mutex);
-    if (worker.jobs.empty())
-        return false;
-    out = std::move(worker.jobs.front());
-    worker.jobs.pop_front();
-    return true;
-}
-
-bool
-Fleet::stealFrom(unsigned thief, Job &out)
-{
     // Scan the other workers starting just past the thief so steal traffic
     // spreads instead of always hammering worker 0. Victims are popped
     // from the back: the front is what the owner takes next, so stealing
     // the tail minimizes contention on the same job slot.
     for (unsigned off = 1; off < threads_; ++off) {
-        Worker &victim = *workers_[(thief + off) % threads_];
+        Worker &victim = *workers_[(w + off) % threads_];
         MutexLock lock(victim.mutex);
         if (victim.jobs.empty())
             continue;
-        out = std::move(victim.jobs.back());
+        JobRecord *job = victim.jobs.back();
         victim.jobs.pop_back();
-        return true;
+        stolen = true;
+        return job;
     }
-    return false;
+    return nullptr;
+}
+
+bool
+Fleet::push(JobRecord &job, unsigned waker)
+{
+    if (waker != kNoWorker) {
+        // The waker's worker pops its own front next, as soon as the
+        // waker's step returns: the handoff stays on one host thread, and
+        // when nothing else waits there no one else needs waking.
+        Worker &own = *workers_[waker];
+        MutexLock lock(own.mutex);
+        const bool runsNext = own.jobs.empty();
+        own.jobs.push_front(&job);
+        if (runsNext)
+            return false;
+    } else {
+        Worker &home = *workers_[job.home];
+        MutexLock lock(home.mutex);
+        home.jobs.push_back(&job);
+    }
+    // A worker going to sleep announces itself before its last scan of
+    // the deques: either that scan sees this job, or this load sees the
+    // announcement.
+    return sleepers_.load() != 0;
 }
 
 void
-Fleet::enqueue(Job job, unsigned waker)
+Fleet::signalLocked()
 {
-    ++queuedCount_;
-    if (waker != kNoWorker) {
-        // The waker's worker pops its own front next, as soon as the
-        // waker's step returns: the handoff stays on one host thread.
-        Worker &own = *workers_[waker];
-        MutexLock lock(own.mutex);
-        own.jobs.push_front(std::move(job));
-        return;
+    if (signals_ >= sleepers_.load(std::memory_order_relaxed))
+        return; // every sleeper is already on its way
+    ++signals_;
+    cvWork_.notify_one();
+}
+
+void
+Fleet::signal()
+{
+    MutexLock lock(schedMutex_);
+    signalLocked();
+}
+
+bool
+Fleet::wake(JobRecord &job, unsigned waker)
+{
+    JobState s = job.state.load(std::memory_order_acquire);
+    while (true) {
+        switch (s) {
+          case JobState::Parked:
+            // Several wakes may race; the one that moves the job off
+            // Parked alone queues it.
+            if (job.state.compare_exchange_weak(s, JobState::Queued,
+                                                std::memory_order_acq_rel))
+                return push(job, waker);
+            break;
+          case JobState::Running:
+            // Mid-step wake: latch it so a Blocked return re-queues
+            // instead of parking. Without the latch this wake would be
+            // lost.
+            if (job.state.compare_exchange_weak(s, JobState::Woken,
+                                                std::memory_order_acq_rel))
+                return false;
+            break;
+          case JobState::Queued:
+          case JobState::Woken:
+            // The job steps again anyway. Writing the state back orders
+            // this wake before that step's start.
+            if (job.state.compare_exchange_weak(s, s,
+                                                std::memory_order_acq_rel))
+                return false;
+            break;
+          case JobState::Finished:
+            return false;
+        }
     }
-    Worker &home = *workers_[job.home];
-    MutexLock lock(home.mutex);
-    home.jobs.push_back(std::move(job));
 }
 
 void
@@ -199,25 +256,20 @@ Fleet::notify(std::size_t index)
 {
     if (!workersLive_.load(std::memory_order_acquire))
         return;
-    CondLock lock(schedMutex_);
-    if (index >= state_.size())
+    if (index >= jobCount_.load(std::memory_order_acquire))
         return;
-    switch (state_[index]) {
-      case JobState::Parked:
-        state_[index] = JobState::Queued;
-        enqueue(std::move(parked_[index]), callingWorker());
-        cvWork_.notify_one();
-        break;
-      case JobState::Running:
-        // Mid-step wake: latch it so a Blocked return re-queues instead
-        // of parking. Without the latch this wake would be lost.
-        state_[index] = JobState::Woken;
-        break;
-      case JobState::Queued:
-      case JobState::Woken:
-      case JobState::Finished:
-        break;
+    JobRecord &job = record(index);
+    const unsigned waker = callingWorker();
+    if (waker != kNoWorker) {
+        // While a job body runs, its worker is awake, so the deadlock
+        // sweep cannot run: no lock is needed.
+        if (wake(job, waker))
+            signal();
+        return;
     }
+    MutexLock lock(schedMutex_);
+    if (wake(job, kNoWorker))
+        signalLocked();
 }
 
 void
@@ -228,115 +280,124 @@ Fleet::failDeadlockedParked()
     // waker (wakes come from running jobs or from an owner that is now
     // blocked in drain()). Between drains a fully parked fleet is simply
     // waiting for future submissions or an external notify() and is left
-    // alone.
-    if (!draining_ || idleWorkers_ != threads_ || queuedCount_ != 0 ||
-        runningCount_ != 0 || unfinished_ == 0) {
+    // alone. Every worker asleep with no signal outstanding means nothing
+    // is queued or running: each sleeper scanned every deque under this
+    // lock, a job body's wakes only queue on its own awake worker, and
+    // any other enqueue signals a sleeper. External notifies take this
+    // lock, so none races the sweep.
+    if (!draining_ || sleepers_.load() != threads_ || signals_ != 0 ||
+        unfinished_ == 0) {
         return;
     }
-    for (std::size_t i = 0; i < state_.size(); ++i) {
-        if (state_[i] != JobState::Parked)
+    const std::size_t count = jobCount_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < count; ++i) {
+        JobRecord &job = record(i);
+        JobState s = JobState::Parked;
+        if (!job.state.compare_exchange_strong(s, JobState::Finished,
+                                               std::memory_order_acq_rel))
             continue;
-        results_[i].ok = false;
-        results_[i].error =
-            "fleet rendezvous deadlock: job parked with no "
-            "runnable peer left to wake it";
-        state_[i] = JobState::Finished;
-        parked_[i] = Job{};
+        job.result.ok = false;
+        job.result.error = "fleet rendezvous deadlock: job parked with no "
+                           "runnable peer left to wake it";
+        job.fn = nullptr;
         --unfinished_;
     }
     cvDone_.notify_all();
 }
 
 void
+Fleet::runStep(unsigned w, JobRecord &job, bool stolen)
+{
+    WorkerCounters &counters = workers_[w]->counters;
+    // Only the worker that took a Queued job from a deque runs it. The
+    // exchange orders every wake that found the job Queued before the
+    // step.
+    job.state.exchange(JobState::Running, std::memory_order_acq_rel);
+    JobResult &res = job.result;
+    res.worker = w;
+    res.stolen |= stolen;
+    ++res.steps;
+    if (stolen)
+        WorkerCounters::bump(counters.stolen);
+
+    calling_.job = &job;
+    // domlint: allow(wall-clock) — measurement only, never feeds sim state
+    auto t0 = std::chrono::steady_clock::now();
+    StepOutcome out = StepOutcome::Done;
+    bool failed = false;
+    try {
+        out = job.fn();
+        if (out == StepOutcome::Done)
+            res.ok = true;
+    } catch (const std::exception &e) {
+        res.error = e.what();
+        failed = true;
+    } catch (...) {
+        res.error = "unknown exception";
+        failed = true;
+    }
+    // domlint: allow(wall-clock) — measurement only, never feeds sim state
+    auto t1 = std::chrono::steady_clock::now();
+    res.wallSeconds += std::chrono::duration<double>(t1 - t0).count();
+    calling_.job = nullptr;
+
+    if (!failed && out == StepOutcome::Blocked) {
+        JobState s = JobState::Running;
+        if (job.state.compare_exchange_strong(s, JobState::Parked,
+                                              std::memory_order_acq_rel)) {
+            // From here a notify() may queue the job on another worker:
+            // this worker no longer touches it.
+            WorkerCounters::bump(counters.parked);
+            return;
+        }
+        // notify() landed while the step ran; go straight back to the
+        // queue.
+        job.state.exchange(JobState::Queued, std::memory_order_acq_rel);
+        if (push(job))
+            signal();
+        return;
+    }
+
+    WorkerCounters::bump(counters.run);
+    // What the body owns goes before the drain that returns its result.
+    job.fn = nullptr;
+    MutexLock lock(schedMutex_);
+    job.state.store(JobState::Finished, std::memory_order_release);
+    if (--unfinished_ == 0)
+        cvDone_.notify_all();
+}
+
+void
 Fleet::workerMain(unsigned w)
 {
-    {
-        CondLock lock(schedMutex_);
-        workers_[w]->tid = std::this_thread::get_id();
-    }
+    calling_ = CallingJob{this, w, nullptr};
     while (true) {
-        Job job;
         bool stolen = false;
-        bool got = popOwn(w, job);
-        if (!got && stealFrom(w, job)) {
-            got = true;
-            stolen = true;
-        }
-        if (!got) {
+        JobRecord *job = findWork(w, stolen);
+        if (!job) {
             CondLock lock(schedMutex_);
-            ++idleWorkers_;
-            // If this was the last worker to go idle during a drain, any
-            // survivors are unwakeable parked jobs — fail them so the
-            // drain completes instead of hanging.
-            failDeadlockedParked();
-            while (!stopping_ && queuedCount_ == 0)
-                cvWork_.wait(lock.native());
-            --idleWorkers_;
-            if (stopping_ && queuedCount_ == 0)
-                return;
-            continue;
-        }
-
-        std::size_t slot = job.slot;
-        JobResult *res = nullptr;
-        {
-            CondLock lock(schedMutex_);
-            // Parked->Queued and the deal both count the job as queued;
-            // it is now running.
-            --queuedCount_;
-            ++runningCount_;
-            state_[slot] = JobState::Running;
-            workers_[w]->currentSlot = slot;
-            res = &results_[slot];
-        }
-
-        res->worker = w;
-        res->stolen |= stolen;
-        ++res->steps;
-
-        // domlint: allow(wall-clock) — measurement only, never feeds sim state
-        auto t0 = std::chrono::steady_clock::now();
-        StepOutcome out = StepOutcome::Done;
-        bool failed = false;
-        try {
-            out = job.fn();
-            if (out == StepOutcome::Done)
-                res->ok = true;
-        } catch (const std::exception &e) {
-            res->error = e.what();
-            failed = true;
-        } catch (...) {
-            res->error = "unknown exception";
-            failed = true;
-        }
-        // domlint: allow(wall-clock) — measurement only, never feeds sim state
-        auto t1 = std::chrono::steady_clock::now();
-        res->wallSeconds += std::chrono::duration<double>(t1 - t0).count();
-
-        bool finished = failed || out == StepOutcome::Done;
-        {
-            CondLock lock(schedMutex_);
-            stats_.jobsRun += finished;
-            stats_.jobsStolen += stolen;
-            --runningCount_;
-            workers_[w]->currentSlot = kNoSlot;
-            if (finished) {
-                state_[slot] = JobState::Finished;
-                --unfinished_;
-                if (unfinished_ == 0)
-                    cvDone_.notify_all();
-            } else if (state_[slot] == JobState::Woken) {
-                // notify() landed while the step ran; go straight back to
-                // the queue.
-                state_[slot] = JobState::Queued;
-                enqueue(std::move(job));
-                cvWork_.notify_one();
-            } else {
-                state_[slot] = JobState::Parked;
-                parked_[slot] = std::move(job);
-                ++stats_.jobsParked;
+            // Announce, then look once more: an enqueue either lands
+            // before this scan or sees the announcement and signals.
+            sleepers_.fetch_add(1);
+            job = findWork(w, stolen);
+            if (!job) {
+                // If this was the last worker to go to sleep during a
+                // drain, any survivors are unwakeable parked jobs — fail
+                // them so the drain completes instead of hanging.
+                failDeadlockedParked();
+                while (!stopping_ && signals_ == 0)
+                    cvWork_.wait(lock.native());
+                if (signals_ > 0)
+                    --signals_;
+            }
+            sleepers_.fetch_sub(1);
+            if (!job) {
+                if (stopping_)
+                    return;
+                continue;
             }
         }
+        runStep(w, *job, stolen);
     }
 }
 
@@ -364,20 +425,23 @@ Fleet::collectEpoch()
     // path, so external jobs come out in submission order and a parent's
     // spawns sort directly after the parent in spawn order — never in
     // completion or arrival order.
-    std::vector<std::pair<const std::vector<std::uint64_t> *, std::size_t>>
-        order;
-    for (std::size_t i = 0; i < state_.size(); ++i) {
-        if (state_[i] == JobState::Finished && !meta_[i].returned)
-            order.emplace_back(&meta_[i].path, i);
+    std::vector<JobRecord *> order;
+    const std::size_t count = jobCount_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < count; ++i) {
+        JobRecord &job = record(i);
+        if (job.state.load(std::memory_order_acquire) == JobState::Finished &&
+            !job.returned)
+            order.push_back(&job);
     }
     std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) { return *a.first < *b.first; });
+              [](const JobRecord *a, const JobRecord *b) {
+                  return a->path < b->path;
+              });
     std::vector<JobResult> out;
     out.reserve(order.size());
-    for (const auto &entry : order) {
-        std::size_t slot = entry.second;
-        meta_[slot].returned = true;
-        out.push_back(std::move(results_[slot]));
+    for (JobRecord *job : order) {
+        job->returned = true;
+        out.push_back(std::move(job->result));
     }
     return out;
 }
@@ -399,7 +463,6 @@ Fleet::drainLocked(CondLock &lock)
     draining_ = false;
     auto out = collectEpoch();
     epochsDone_.fetch_add(1, std::memory_order_release);
-    ++stats_.epochs;
     return out;
 }
 
@@ -429,6 +492,21 @@ Fleet::shutdown()
     }
     retireWorkers();
     return out;
+}
+
+Fleet::Stats
+Fleet::stats() const
+{
+    Stats s;
+    for (const std::unique_ptr<Worker> &wk : workers_) {
+        const WorkerCounters &c = wk->counters;
+        s.jobsRun += c.run.load(std::memory_order_relaxed);
+        s.jobsStolen += c.stolen.load(std::memory_order_relaxed);
+        s.jobsParked += c.parked.load(std::memory_order_relaxed);
+        s.jobsSpawned += c.spawned.load(std::memory_order_relaxed);
+    }
+    s.epochs = epochsDone_.load(std::memory_order_acquire);
+    return s;
 }
 
 void

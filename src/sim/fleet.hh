@@ -60,6 +60,22 @@
  * hanging the drain. Between drains, parked jobs legitimately wait for
  * future submissions or external notify() calls and are left alone.
  *
+ * A step takes no fleet-wide lock. Every job has a record at a stable
+ * address whose atomic JobState is the whole protocol: notify() moves
+ * Parked to Queued (the winner alone enqueues) or Running to Woken; a
+ * Blocked step moves Running to Parked, or re-queues if it finds Woken;
+ * the drain's deadlock sweep moves Parked to Finished. Deques hold record
+ * pointers under per-worker mutexes, and counters are per worker, summed
+ * by stats(). An idle worker announces itself in an atomic sleeper count,
+ * scans every deque again, and only then sleeps; an enqueue signals only
+ * when someone sleeps, and a wake from a job body whose own deque was
+ * empty signals no one, because its worker runs the woken job as soon as
+ * the step returns. So a job body must park (return Blocked) rather than
+ * block its worker waiting on another job: a job it woke may be waiting
+ * for exactly that worker. The scheduling lock is left to submission,
+ * drain, the deadlock sweep, finishing a job, external notify() and
+ * sleeping.
+ *
  * A Fleet is started once and shut down once. A batch is submit() for each
  * job, then start() and shutdown(), which returns the results.
  */
@@ -213,84 +229,116 @@ class Fleet
      * the calling worker's deque; otherwise at the back of its home
      * deque. If the job is mid-step, the wake is latched so the
      * subsequent Blocked return re-queues instead of parking. No-op for
-     * queued/finished jobs or while no workers are live.
+     * queued/finished jobs or while no workers are live. A notify from a
+     * job body takes no fleet-wide lock; one from any other thread takes
+     * the scheduling lock, so it is ordered with the drain's deadlock
+     * sweep: the job either runs or is failed, exactly once.
      */
     void notify(std::size_t index);
 
-    /** Counters so far. Quiesced-only: valid once shutdown() has returned
-     *  (or between drains with no external submitter racing), when no
-     *  worker is mutating them — the analysis is waived here for the same
-     *  reason. */
-    const Stats &
-    stats() const KVMARM_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return stats_;
-    }
+    /** Counters so far, summed over the workers' own counters. Exact
+     *  once quiesced: after shutdown() returns, or after a drain with no
+     *  external submitter or notifier racing it. */
+    Stats stats() const;
 
   private:
-    /** A queued/parked job instance. */
-    struct Job
-    {
-        std::string name;
-        StepFn fn;
-        std::size_t slot;  //!< index into the per-slot bookkeeping arrays
-        unsigned home;     //!< worker the job was dealt to
-    };
-
-    /** Per-slot metadata that outlives the queued Job instance. The key
-     *  path is the submitter chain's seq numbers (external jobs have a
-     *  one-element path); lexicographic path order is the deterministic
-     *  result order. */
-    struct JobMeta
-    {
-        std::uint64_t id = 0;        //!< deterministic id (key hash chain)
-        std::uint64_t submitter = 0; //!< submitter's id (0 = external)
-        std::uint64_t seq = 0;       //!< submitter-private sequence
-        std::uint64_t childSeq = 0;  //!< next seq this job hands a spawn
-        std::vector<std::uint64_t> path; //!< key path for result ordering
-        bool returned = false;       //!< already handed out by a drain
-    };
-
     /** Lifecycle of one job. */
     enum class JobState : std::uint8_t
     {
         Queued,   //!< in some worker's deque
         Running,  //!< a worker is inside the body
-        Parked,   //!< Blocked; held in parked_ awaiting notify()
+        Parked,   //!< Blocked; in no deque, awaiting notify()
         Woken,    //!< Running with a latched notify()
         Finished, //!< done or failed
+    };
+
+    /**
+     * One submitted job. Its address is stable for the Fleet's life, so
+     * deques, notify() and the calling-job marker hold plain pointers.
+     * The name, key and home are written under schedMutex_ before the
+     * record is published and never change. fn and result belong to
+     * whoever holds the job in state Running (or to the sweep, under
+     * schedMutex_, once Parked); collectEpoch() reads the result of a
+     * Finished job under schedMutex_.
+     */
+    struct JobRecord
+    {
+        std::atomic<JobState> state{JobState::Queued};
+        unsigned home = 0; //!< worker the job was dealt to
+        StepFn fn;         //!< released when the job finishes
+        JobResult result;
+        std::uint64_t id = 0;       //!< deterministic id (key hash chain)
+        std::uint64_t childSeq = 0; //!< next seq this job hands a spawn
+        /** Key path: the submitter chain's seq numbers (external jobs
+         *  have a one-element path); lexicographic path order is the
+         *  deterministic result order. */
+        std::vector<std::uint64_t> path;
+        bool returned = false; //!< already handed out by a drain
+    };
+
+    /** Counters one worker keeps; only that worker writes them. */
+    struct alignas(64) WorkerCounters
+    {
+        std::atomic<std::uint64_t> run{0};
+        std::atomic<std::uint64_t> stolen{0};
+        std::atomic<std::uint64_t> parked{0};
+        std::atomic<std::uint64_t> spawned{0};
+
+        static void
+        bump(std::atomic<std::uint64_t> &c)
+        {
+            c.store(c.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+        }
     };
 
     /** One worker's deque; the mutex covers only deque operations (job
      *  bodies run outside any lock). Lock order: schedMutex_ before any
      *  Worker::mutex, never the reverse. */
-    struct Worker
+    struct alignas(64) Worker
     {
         Mutex mutex;
-        std::deque<Job> jobs KVMARM_GUARDED_BY(mutex);
-        /** Host thread identity, for resolving which job is submitting
-         *  (written under schedMutex_ by the worker itself before it pops
-         *  any job; read under schedMutex_ by submit()). */
-        std::thread::id tid;
-        /** Slot of the job this worker is currently stepping, or npos. */
-        std::size_t currentSlot = kNoSlot;
+        std::deque<JobRecord *> jobs KVMARM_GUARDED_BY(mutex);
+        WorkerCounters counters;
     };
 
-    static constexpr std::size_t kNoSlot = ~std::size_t{0};
-    static constexpr unsigned kNoWorker = ~0u;
+    /** The job the calling thread is stepping, with its fleet and worker;
+     *  all null outside job bodies. */
+    struct CallingJob
+    {
+        const Fleet *fleet = nullptr;
+        unsigned worker = 0;
+        JobRecord *job = nullptr;
+    };
+    static thread_local CallingJob calling_;
 
-    /** The worker whose thread is calling from inside a job body, or
-     *  kNoWorker (the owner thread, or a worker between jobs). */
-    unsigned callingWorker() const KVMARM_REQUIRES(schedMutex_);
+    static constexpr unsigned kNoWorker = ~0u;
+    /** The job table: chunk c holds kFirstChunk << c records, so a
+     *  record never moves and 40 chunks cover any realistic fleet. */
+    static constexpr std::size_t kFirstChunk = 64;
+    static constexpr unsigned kMaxChunks = 40;
+
+    /** The worker whose thread is calling from inside one of this
+     *  fleet's job bodies, or kNoWorker. */
+    unsigned callingWorker() const;
+    /** Record @p index; the caller has seen jobCount_ exceed it. */
+    JobRecord &record(std::size_t index) const;
 
     std::size_t submitLocked(std::string name, StepFn fn)
         KVMARM_REQUIRES(schedMutex_);
-    bool popOwn(unsigned w, Job &out);
-    bool stealFrom(unsigned thief, Job &out);
+    /** Pop from @p w's own deque, else steal from another's. */
+    JobRecord *findWork(unsigned w, bool &stolen);
     /** Queue @p job at the back of its home deque or, for a wake from
-     *  worker @p waker's job body, at the front of the waker's deque. */
-    void enqueue(Job job, unsigned waker = kNoWorker)
-        KVMARM_REQUIRES(schedMutex_);
+     *  worker @p waker's job body, at the front of the waker's deque.
+     *  True when a sleeping worker should be signalled. */
+    bool push(JobRecord &job, unsigned waker = kNoWorker);
+    /** Wake one sleeper for a job that push() queued. */
+    void signalLocked() KVMARM_REQUIRES(schedMutex_);
+    void signal() KVMARM_EXCLUDES(schedMutex_);
+    /** notify()'s transition; @p waker as for push(). True when a
+     *  sleeping worker should be signalled. */
+    bool wake(JobRecord &job, unsigned waker);
+    void runStep(unsigned w, JobRecord &job, bool stolen);
     void failDeadlockedParked() KVMARM_REQUIRES(schedMutex_);
     std::vector<JobResult> collectEpoch() KVMARM_REQUIRES(schedMutex_);
     std::vector<JobResult> drainLocked(CondLock &lock)
@@ -306,29 +354,31 @@ class Fleet
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> pool_;
 
-    /** Scheduling state shared by workers, submitters and notify().
-     *  Deques, not vectors: slots grow while workers hold references to
-     *  existing elements, and deque growth never moves them. */
+    /** Submission, drain, the deadlock sweep, finishing a job, external
+     *  notify() and sleeping; never taken by a step that finds, runs and
+     *  parks or re-queues a job. */
     Mutex schedMutex_;
-    /** Workers sleep on cvWork_ (signalled by submissions and wakes);
-     *  drain() sleeps on cvDone_ (signalled when unfinished_ hits zero).
-     *  Separate so a submission's notify_one can never be swallowed by
-     *  the draining thread instead of a worker. */
+    /** Workers sleep on cvWork_ (signalled by enqueues that find a
+     *  sleeper); drain() sleeps on cvDone_ (signalled when unfinished_
+     *  hits zero). Separate so a submission's signal can never be
+     *  swallowed by the draining thread instead of a worker. */
     std::condition_variable_any cvWork_;
     std::condition_variable_any cvDone_;
-    std::deque<JobState> state_ KVMARM_GUARDED_BY(schedMutex_);
-    std::deque<Job> parked_ KVMARM_GUARDED_BY(schedMutex_);
-    std::deque<JobMeta> meta_ KVMARM_GUARDED_BY(schedMutex_);
-    std::deque<JobResult> results_ KVMARM_GUARDED_BY(schedMutex_);
+    /** Chunks of the job table, each written once under schedMutex_
+     *  before jobCount_ publishes its first record. */
+    std::unique_ptr<JobRecord[]> chunks_[kMaxChunks];
+    /** Records published so far (release on submit, acquire on read). */
+    std::atomic<std::size_t> jobCount_{0};
+    /** Workers that announced they are going to sleep. Changed only
+     *  under schedMutex_; read without it by push(). */
+    std::atomic<unsigned> sleepers_{0};
+    /** Signals sent to sleepers and not yet taken. */
+    unsigned signals_ KVMARM_GUARDED_BY(schedMutex_) = 0;
     std::uint64_t externalSeq_ KVMARM_GUARDED_BY(schedMutex_) = 0;
     std::size_t unfinished_ KVMARM_GUARDED_BY(schedMutex_) = 0;
-    std::size_t queuedCount_ KVMARM_GUARDED_BY(schedMutex_) = 0;
-    unsigned runningCount_ KVMARM_GUARDED_BY(schedMutex_) = 0;
-    unsigned idleWorkers_ KVMARM_GUARDED_BY(schedMutex_) = 0;
     bool draining_ KVMARM_GUARDED_BY(schedMutex_) = false;
     bool stopping_ KVMARM_GUARDED_BY(schedMutex_) = false;
     bool shutdown_ KVMARM_GUARDED_BY(schedMutex_) = false;
-    Stats stats_ KVMARM_GUARDED_BY(schedMutex_);
 };
 
 } // namespace kvmarm

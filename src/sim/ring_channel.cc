@@ -36,7 +36,7 @@ RingChannel::Endpoint::send(Cycles now, std::vector<std::uint8_t> payload)
 }
 
 void
-RingChannel::Endpoint::setReceiver(std::function<void(const RingMessage &)> rx)
+RingChannel::Endpoint::setReceiver(std::function<void(RingMessage &)> rx)
 {
     MutexLock lock(ch_->mutex_);
     ch_->sides_[side_].receiver = std::move(rx);
@@ -132,8 +132,11 @@ RingChannel::awaitHorizon(unsigned side, Cycles need)
 void
 RingChannel::pull(unsigned side, Cycles from, Cycles to)
 {
-    std::vector<RingMessage> batch;
-    std::function<void(const RingMessage &)> rx;
+    // Cleared on entry, not after delivery, so a receiver that threw
+    // last time leaves nothing behind to deliver twice.
+    std::vector<RingMessage> &batch = pulled_[side];
+    batch.clear();
+    std::function<void(RingMessage &)> rx;
     {
         MutexLock lock(mutex_);
         Side &peer = sides_[1 - side];
@@ -170,7 +173,7 @@ RingChannel::pull(unsigned side, Cycles from, Cycles to)
     // Deliver outside the lock: the receiver runs machine-side code
     // (scheduling delivery events) that must never nest under the
     // channel mutex.
-    for (const RingMessage &msg : batch)
+    for (RingMessage &msg : batch)
         rx(msg);
 }
 

@@ -94,8 +94,10 @@ class RingChannel
         std::uint64_t send(Cycles now, std::vector<std::uint8_t> payload);
 
         /** Delivery callback, invoked once per message in (deliverCycle,
-         *  seq) order during the owning pacer's window pulls. */
-        void setReceiver(std::function<void(const RingMessage &)> rx);
+         *  seq) order during the owning pacer's window pulls. The
+         *  receiver may move from the message; the channel drops it
+         *  after the call. */
+        void setReceiver(std::function<void(RingMessage &)> rx);
 
         /** Invoked (without the channel lock) when the peer publishes a
          *  horizon that reaches this side's awaitHorizon() need, closes,
@@ -163,7 +165,7 @@ class RingChannel
         std::uint64_t sendSeq = 0;
         /** Messages sent by this side, sorted by (deliverCycle, seq). */
         std::deque<RingMessage> outbox;
-        std::function<void(const RingMessage &)> receiver;
+        std::function<void(RingMessage &)> receiver;
         std::function<void()> wake;
     };
 
@@ -175,6 +177,10 @@ class RingChannel
     Endpoint ends_[2];
     mutable Mutex mutex_;
     Side sides_[2] KVMARM_GUARDED_BY(mutex_);
+    /** Each side's pull buffer, reused across pulls. Only pull(side)
+     *  touches pulled_[side], on the thread running that side's machine,
+     *  so it needs no lock. */
+    std::vector<RingMessage> pulled_[2];
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "vdev/vring.hh"
 
+#include <algorithm>
+
 #include "arm/machine.hh"
 #include "check/invariants.hh"
 #include "core/vm.hh"
@@ -50,9 +52,11 @@ VringDevice::VringDevice(core::Kvm &kvm, core::Vm &vm,
     // Deliveries arrive at window pulls (machine quiesced) and become
     // ordinary events at their protocol delivery cycle, so the guest sees
     // them through the same event drain as every other device.
-    ep_.setReceiver([this](const RingMessage &msg) {
-        kvm_.machine().cpu(0).events().schedule(
-            msg.deliverCycle, [this, msg] { deliver(msg); });
+    ep_.setReceiver([this](RingMessage &msg) {
+        const Cycles at = msg.deliverCycle;
+        inbox_.push_back(std::move(msg));
+        kvm_.machine().cpu(0).events().schedule(at,
+                                                [this] { deliver(); });
     });
     blockerToken_ = kvm_.machine().addSnapshotBlocker(
         "vring device on ring '" + ep_.channel().name() +
@@ -77,28 +81,56 @@ VringDevice::digest() const
     return fold(txDigest_, rxDigest_);
 }
 
-std::uint64_t
-VringDevice::dmaRead(Addr ipa, unsigned len)
+Addr
+VringDevice::dmaResolve(Addr ipa, const char *what)
 {
     vm_.stage2().handleRamFault(ipa);
     auto pa = vm_.stage2().ipaToPa(ipa);
     if (!pa)
-        fatal("VringDevice('%s'): DMA read at unmapped IPA 0x%llx",
-              ep_.channel().name().c_str(),
+        fatal("VringDevice('%s'): DMA %s at unmapped IPA 0x%llx",
+              ep_.channel().name().c_str(), what,
               static_cast<unsigned long long>(ipa));
-    return kvm_.machine().ram().read(*pa, len);
+    return *pa;
+}
+
+std::uint64_t
+VringDevice::dmaRead(Addr ipa, unsigned len)
+{
+    return kvm_.machine().ram().read(dmaResolve(ipa, "read"), len);
 }
 
 void
 VringDevice::dmaWrite(Addr ipa, std::uint64_t value, unsigned len)
 {
-    vm_.stage2().handleRamFault(ipa);
-    auto pa = vm_.stage2().ipaToPa(ipa);
-    if (!pa)
-        fatal("VringDevice('%s'): DMA write at unmapped IPA 0x%llx",
-              ep_.channel().name().c_str(),
-              static_cast<unsigned long long>(ipa));
-    kvm_.machine().ram().write(*pa, value, len);
+    kvm_.machine().ram().write(dmaResolve(ipa, "write"), value, len);
+}
+
+void
+VringDevice::dmaReadBlock(Addr ipa, std::uint8_t *buf, std::size_t len)
+{
+    while (len > 0) {
+        const std::size_t chunk =
+            std::min<std::size_t>(len, kPageSize - (ipa & (kPageSize - 1)));
+        kvm_.machine().ram().readBlock(dmaResolve(ipa, "read"), buf, chunk);
+        ipa += chunk;
+        buf += chunk;
+        len -= chunk;
+    }
+}
+
+void
+VringDevice::dmaWriteBlock(Addr ipa, const std::uint8_t *buf,
+                           std::size_t len)
+{
+    while (len > 0) {
+        const std::size_t chunk =
+            std::min<std::size_t>(len, kPageSize - (ipa & (kPageSize - 1)));
+        kvm_.machine().ram().writeBlock(dmaResolve(ipa, "write"), buf,
+                                        chunk);
+        ipa += chunk;
+        buf += chunk;
+        len -= chunk;
+    }
 }
 
 void
@@ -174,16 +206,7 @@ VringDevice::handleDoorbell(arm::ArmCpu &cpu, std::uint32_t availIdx)
                   "%u (buffer holds %u)",
                   ring, slot, len, cfg_.bufBytes);
         std::vector<std::uint8_t> payload(len);
-        std::uint32_t got = 0;
-        while (got + 8 <= len) {
-            std::uint64_t chunk = dmaRead(addr + got, 8);
-            for (unsigned b = 0; b < 8; ++b)
-                payload[got + b] = (chunk >> (b * 8)) & 0xFF;
-            got += 8;
-        }
-        for (; got < len; ++got)
-            payload[got] =
-                static_cast<std::uint8_t>(dmaRead(addr + got, 1));
+        dmaReadBlock(addr, payload.data(), len);
 
         txDigest_ = fold(txDigest_, cpu.now());
         txDigest_ = fold(txDigest_, seq);
@@ -208,8 +231,10 @@ VringDevice::handleDoorbell(arm::ArmCpu &cpu, std::uint32_t availIdx)
 }
 
 void
-VringDevice::deliver(const RingMessage &msg)
+VringDevice::deliver()
 {
+    const RingMessage msg = std::move(inbox_.front());
+    inbox_.pop_front();
     const char *ring = ep_.channel().name().c_str();
     if (rxUsed_ - rxAcked_ >= cfg_.entries)
         fatal("VringDevice('%s'): RX ring overrun — %llu deliveries "
@@ -220,17 +245,7 @@ VringDevice::deliver(const RingMessage &msg)
     Addr payloadIpa =
         rxRing_ + vringdev::kPayloadOff + slot * cfg_.bufBytes;
     std::uint32_t len = static_cast<std::uint32_t>(msg.payload.size());
-    std::uint32_t put = 0;
-    while (put + 8 <= len) {
-        std::uint64_t chunk = 0;
-        for (unsigned b = 0; b < 8; ++b)
-            chunk |= static_cast<std::uint64_t>(msg.payload[put + b])
-                     << (b * 8);
-        dmaWrite(payloadIpa + put, chunk, 8);
-        put += 8;
-    }
-    for (; put < len; ++put)
-        dmaWrite(payloadIpa + put, msg.payload[put], 1);
+    dmaWriteBlock(payloadIpa, msg.payload.data(), len);
 
     Addr desc =
         rxRing_ + vringdev::kHdrBytes + slot * vringdev::kDescBytes;

@@ -23,6 +23,7 @@
 #define KVMARM_VDEV_VRING_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -109,10 +110,17 @@ class VringDevice
     void handleMmio(arm::ArmCpu &cpu, core::VCpu &vcpu,
                     core::MmioExit &exit);
     void handleDoorbell(arm::ArmCpu &cpu, std::uint32_t availIdx);
-    void deliver(const RingMessage &msg);
+    /** Deliver the oldest pulled message (one event per message). */
+    void deliver();
 
     std::uint64_t dmaRead(Addr ipa, unsigned len);
     void dmaWrite(Addr ipa, std::uint64_t value, unsigned len);
+    /** Copy @p len bytes between guest memory at @p ipa and @p buf,
+     *  resolving each guest page once. */
+    void dmaReadBlock(Addr ipa, std::uint8_t *buf, std::size_t len);
+    void dmaWriteBlock(Addr ipa, const std::uint8_t *buf, std::size_t len);
+    /** The host PA of @p ipa, faulting its page in first. */
+    Addr dmaResolve(Addr ipa, const char *what);
 
     core::Kvm &kvm_;
     core::Vm &vm_;
@@ -126,6 +134,11 @@ class VringDevice
     std::uint64_t txDigest_ = 0x811c9dc5;
     std::uint64_t rxDigest_ = 0x811c9dc5;
     std::uint64_t blockerToken_ = 0;
+    /** Pulled messages awaiting their delivery event, in pull order.
+     *  Deliveries are scheduled in (deliverCycle, seq) order and the
+     *  event queue is FIFO-stable at equal cycles, so each delivery
+     *  event takes the front. */
+    std::deque<RingMessage> inbox_;
 };
 
 } // namespace kvmarm::vdev

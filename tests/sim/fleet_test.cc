@@ -582,5 +582,172 @@ TEST(Fleet, RunMayCarryMidRunSpawnsDeterministically)
     }
 }
 
+/** Wait (yielding) until @p done holds, for at most 60 s. */
+template <class Pred>
+bool
+waitFor(Pred done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+TEST(Fleet, ConcurrentNotifiesNeverRunOneJobsStepTwiceAtOnce)
+{
+    // Every job is woken at once by two external threads and by the other
+    // jobs' bodies, so Parked->Queued, Running->Woken and the re-queue of
+    // a latched wake all race. A job's steps must still never overlap,
+    // and every wake that matters must land: each job finishes.
+    constexpr unsigned kJobs = 8;
+    constexpr unsigned kSteps = 200;
+    Fleet fleet(4);
+    std::atomic<bool> inStep[kJobs] = {};
+    std::atomic<unsigned> steps[kJobs] = {};
+    std::atomic<unsigned> overlaps{0};
+    std::atomic<unsigned> finished{0};
+    std::size_t idx[kJobs] = {};
+    for (unsigned j = 0; j < kJobs; ++j) {
+        idx[j] = fleet.submitResumable(
+            "job" + std::to_string(j), [&, j] {
+                if (inStep[j].exchange(true))
+                    ++overlaps;
+                std::this_thread::yield();
+                const unsigned n = ++steps[j];
+                // Wake two peers from inside the body.
+                fleet.notify(idx[(j + 1) % kJobs]);
+                fleet.notify(idx[(j + n) % kJobs]);
+                inStep[j] = false;
+                if (n < kSteps)
+                    return Fleet::StepOutcome::Blocked;
+                ++finished;
+                return Fleet::StepOutcome::Done;
+            });
+    }
+    fleet.start();
+    std::atomic<bool> stop{false};
+    auto external = [&](unsigned first) {
+        for (unsigned k = first; !stop; ++k)
+            fleet.notify(idx[k % kJobs]);
+    };
+    std::thread t0(external, 0u);
+    std::thread t1(external, kJobs / 2);
+    const bool allDone = waitFor([&] { return finished == kJobs; });
+    stop = true;
+    t0.join();
+    t1.join();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
+    EXPECT_TRUE(allDone);
+    EXPECT_EQ(overlaps.load(), 0u);
+    ASSERT_EQ(results.size(), kJobs);
+    for (unsigned j = 0; j < kJobs; ++j) {
+        EXPECT_TRUE(results[j].ok) << results[j].name << ": "
+                                   << results[j].error;
+        EXPECT_EQ(results[j].steps, kSteps);
+        EXPECT_EQ(steps[j].load(), kSteps);
+    }
+}
+
+TEST(Fleet, ExternalNotifyRacingTheDeadlockSweepRunsOrFailsTheJobOnce)
+{
+    // The drain's sweep fails a parked job exactly when an external
+    // notify() may be re-queueing it. One of them wins: the job either
+    // runs its second step and succeeds, or fails with the deadlock
+    // diagnostic and never steps again.
+    unsigned ran = 0;
+    unsigned failed = 0;
+    for (unsigned round = 0; round < 200; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        Fleet fleet(2);
+        std::atomic<unsigned> steps{0};
+        std::size_t waiter = fleet.submitResumable("waiter", [&steps] {
+            return ++steps == 1 ? Fleet::StepOutcome::Blocked
+                                : Fleet::StepOutcome::Done;
+        });
+        std::atomic<bool> go{false};
+        std::thread waker([&fleet, &go, waiter, round] {
+            while (!go)
+                std::this_thread::yield();
+            for (unsigned spin = 0; spin < round % 8; ++spin)
+                std::this_thread::yield();
+            fleet.notify(waiter);
+        });
+        fleet.start();
+        EXPECT_TRUE(waitFor([&] { return steps.load() == 1; }));
+        go = true;
+        std::vector<Fleet::JobResult> results = fleet.drain();
+        waker.join();
+        const unsigned stepsAtDrain = steps.load();
+        fleet.notify(waiter); // a finished job never steps again
+        fleet.shutdown();
+        ASSERT_EQ(results.size(), 1u);
+        EXPECT_EQ(steps.load(), stepsAtDrain);
+        if (results[0].ok) {
+            EXPECT_EQ(stepsAtDrain, 2u);
+            EXPECT_EQ(results[0].steps, 2u);
+            ++ran;
+        } else {
+            EXPECT_NE(results[0].error.find("fleet rendezvous deadlock"),
+                      std::string::npos)
+                << results[0].error;
+            EXPECT_EQ(stepsAtDrain, 1u);
+            EXPECT_EQ(results[0].steps, 1u);
+            ++failed;
+        }
+    }
+    EXPECT_EQ(ran + failed, 200u);
+}
+
+TEST(Fleet, SpawnsGrowTheJobTableWhilePairsStepAndNotify)
+{
+    // Spawners submit hundreds of jobs from their bodies, growing the job
+    // table through several chunks, while mutually waking pairs step and
+    // notify each other on the other workers.
+    constexpr unsigned kPairs = 3;
+    constexpr unsigned kRounds = 300;
+    constexpr unsigned kSpawners = 3;
+    constexpr unsigned kChildren = 400;
+    Fleet fleet(4);
+    struct Pair
+    {
+        std::size_t idx[2] = {};
+        std::atomic<unsigned> turns[2] = {};
+    };
+    Pair pairs[kPairs];
+    for (Pair &p : pairs) {
+        for (unsigned h = 0; h < 2; ++h) {
+            p.idx[h] = fleet.submitResumable(
+                "pair" + std::to_string(h), [&fleet, &p, h] {
+                    const unsigned t = ++p.turns[h];
+                    fleet.notify(p.idx[1 - h]);
+                    return t < kRounds ? Fleet::StepOutcome::Blocked
+                                       : Fleet::StepOutcome::Done;
+                });
+        }
+    }
+    std::atomic<unsigned> children{0};
+    for (unsigned s = 0; s < kSpawners; ++s) {
+        fleet.submit("spawner" + std::to_string(s), [&fleet, &children] {
+            for (unsigned c = 0; c < kChildren; ++c)
+                fleet.submit("child", [&children] { ++children; });
+        });
+    }
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
+    ASSERT_EQ(results.size(), 2 * kPairs + kSpawners * (1 + kChildren));
+    for (const Fleet::JobResult &r : results)
+        EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+    for (const Pair &p : pairs) {
+        EXPECT_EQ(p.turns[0].load(), kRounds);
+        EXPECT_EQ(p.turns[1].load(), kRounds);
+    }
+    EXPECT_EQ(children.load(), kSpawners * kChildren);
+    EXPECT_EQ(fleet.stats().jobsSpawned, kSpawners * kChildren);
+}
+
 } // namespace
 } // namespace kvmarm

@@ -92,6 +92,14 @@ leg_tsan() {
     # 8 workers (the suite sweeps 1/2/4/8 internally).
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-ci-tsan --output-on-failure -L stress
+    # Three more fixed schedules, so the fleet's lock-free job-state
+    # transitions (park, wake, latched re-queue, steal) are race-checked
+    # on more interleavings than the tier-1 seed set gives.
+    for seed in 0x51ee9 0xc0ffee 0xfeed5eed; do
+        TSAN_OPTIONS=halt_on_error=1 KVMARM_STRESS_SEED=$seed \
+            ctest --test-dir build-ci-tsan --output-on-failure -L stress \
+            -R FleetStress
+    done
     # Enforce-mode fleet under TSan: the per-machine engines' checked hot
     # path takes no locks, so this is the proof it is race-free.
     TSAN_OPTIONS=halt_on_error=1 \
